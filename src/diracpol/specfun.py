@@ -331,7 +331,7 @@ def hyp3f2_unit(
         if n_trunc > 0:
             k = np.arange(n_trunc, dtype=float)
             terms[1:] = np.cumprod(_term_ratios(p, k))
-        value = math.fsum(terms)
+        value = math.fsum(terms.tolist())
         return value, SeriesDiagnostics(n_trunc + 1, 0.0, True)
 
     balance = p.balance()
@@ -371,7 +371,7 @@ def hyp3f2_unit(
             f"3F2 series did not reach tol={tol:g} within {MAX_TERMS} terms"
         )
 
-    value = math.fsum(np.concatenate(blocks))
+    value = math.fsum(np.concatenate(blocks).tolist())
     scale = max(abs(value), np.finfo(float).tiny)
     tail_rel = 0.0 if t_last == 0.0 else _tail_bound(t_last, k0, balance) / scale
     return value, SeriesDiagnostics(k0, tail_rel, True)

@@ -5,6 +5,10 @@ This module is the independent oracle for the closed-form channel integrals:
 it sums the Sturmian expansion term by term from the closed first-order
 radial integrals, and additionally re-derives those integrals by
 Gauss-Laguerre quadrature of their defining integrands.
+
+scipy is imported only by that quadrature check (``roots_genlaguerre``, on
+first call), so importing this module, and every closed-form or table caller,
+does not load it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_genlaguerre
 
 from .atom import AtomSpec, ChannelIndex, GroundStateRadial, gamma_half, gamma_kappa, radial_PQ
 from .specfun import ConvergenceError, SeriesDiagnostics, laguerre, log_gamma
@@ -182,6 +185,14 @@ def first_order_integral(idx: SturmianIndex, spec: AtomSpec) -> RadialIntegralPa
     )
     mu_weighted = -0.5 * (mu_val - 1.0) * (nn - kappa) * brace * magnitude
     return RadialIntegralPair(plain, mu_weighted)
+
+
+def roots_genlaguerre(n_nodes: int, weight_power: float):
+    """Generalized Gauss-Laguerre nodes and weights from
+    ``scipy.special.roots_genlaguerre``, imported on first call."""
+    from scipy.special import roots_genlaguerre as scipy_roots
+
+    return scipy_roots(n_nodes, weight_power)
 
 
 @lru_cache(maxsize=64)

@@ -2,6 +2,11 @@
 output determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -142,3 +147,48 @@ class TestArgumentErrors:
 
     def test_nonpositive_charge(self, capsys):
         assert run(["planar", "--Z", "-1"]) == 2
+
+
+class TestImportDiet:
+    # A fresh interpreter: this process has already imported scipy.
+    SCRIPT = textwrap.dedent(
+        """
+        import contextlib, io, json, sys
+        from diracpol.cli import run
+
+        def call(argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = run(argv)
+            return code, out.getvalue()
+
+        closed = [
+            ["planar", "--Z", "26"],
+            ["spatial", "--Z", "3"],
+            ["table", "--format", "csv"],
+            ["limits"],
+        ]
+        codes = [call(argv)[0] for argv in closed]
+        scipy_loaded = "scipy" in sys.modules
+        code, out = call(["crosscheck", "--Z", "12.3", "--format", "json"])
+        print(json.dumps({"codes": codes, "scipy_loaded": scipy_loaded,
+                          "crosscheck_code": code, "crosscheck": json.loads(out)}))
+        """
+    )
+
+    def test_scipy_only_for_quadrature_oracle(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["codes"] == [0, 0, 0, 0]
+        assert report["scipy_loaded"] is False
+        assert report["crosscheck_code"] == 0
+        for entry in report["crosscheck"]["channels"].values():
+            assert entry["quadrature_max_dev"] <= 1e-12
