@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 argument errors, 3 supercritical charge,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -49,6 +50,7 @@ def _default_alpha_inv() -> float:
         ) from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diracpol",

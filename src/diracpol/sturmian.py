@@ -6,6 +6,16 @@ it sums the Sturmian expansion term by term from the closed first-order
 radial integrals, and additionally re-derives those integrals by
 Gauss-Laguerre quadrature of their defining integrands.
 
+The constants of a channel that do not depend on n_r (gamma_{1/2},
+gamma_kappa, d = gamma_kappa - gamma_{1/2}, log Gamma(d - 1),
+log Gamma(gamma_kappa + gamma_{1/2} + 2), log Gamma(2 gamma_{1/2} + 1) and
+log(8 Z**2)) are computed once per call.  One kernel, shared by
+``first_order_integral`` and ``r_channel_series``, takes them and |n_r| and
+evaluates the log-gammas of |n_r| once for both signs of n_r.  The series
+keeps Shewchuk partials of its running sum instead of re-summing every term
+after each pair.  The quadrature evaluates the ground-state and Sturmian
+doublets once per index and forms both integrands from them.
+
 scipy is imported only by that quadrature check (``roots_genlaguerre``, on
 first call), so importing this module, and every closed-form or table caller,
 does not load it.
@@ -27,6 +37,7 @@ SERIES_TOL_FLOOR = 1e-12
 
 _MAX_PAIRS = 100_000
 _STOP_STREAK = 5
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -54,6 +65,14 @@ class RadialIntegralPair:
     mu_weighted: float
 
 
+def _n_cap_magnitude(n: int, gk: float, kappa: float) -> float:
+    return math.sqrt(n * n + 2.0 * n * gk + kappa * kappa)
+
+
+def _mu(n: int, gk: float, nn: float, g: float) -> float:
+    return (n + gk + nn) / (g + 0.5)
+
+
 def n_cap(idx: SturmianIndex, spec: AtomSpec) -> float:
     """Signed apparent principal quantum number N of a Sturmian function.
 
@@ -61,11 +80,9 @@ def n_cap(idx: SturmianIndex, spec: AtomSpec) -> float:
     n_r > 0, negative for n_r < 0, and N = -kappa when n_r = 0.
     """
     kappa = idx.ch.kappa
-    n = abs(idx.n_r)
     if idx.n_r == 0:
         return -kappa
-    gk = gamma_kappa(spec, idx.ch)
-    mag = math.sqrt(n * n + 2.0 * n * gk + kappa * kappa)
+    mag = _n_cap_magnitude(abs(idx.n_r), gamma_kappa(spec, idx.ch), kappa)
     return mag if idx.n_r > 0 else -mag
 
 
@@ -74,7 +91,7 @@ def mu(idx: SturmianIndex, spec: AtomSpec) -> float:
     ground-state energy: (|n_r| + gamma_kappa + N) / (gamma_{1/2} + 1/2)."""
     gk = gamma_kappa(spec, idx.ch)
     g = gamma_half(spec)
-    return (abs(idx.n_r) + gk + n_cap(idx, spec)) / (g + 0.5)
+    return _mu(abs(idx.n_r), gk, n_cap(idx, spec), g)
 
 
 def sturmian_ST(idx: SturmianIndex, spec: AtomSpec, r):
@@ -109,7 +126,41 @@ def sturmian_ST(idx: SturmianIndex, spec: AtomSpec, r):
     return s, t
 
 
-def _gamma_shift_ratio(d: float, n: int) -> tuple[float, float]:
+def _check_dipole(kappa: float) -> None:
+    if kappa not in (0.5, -1.5):
+        raise ValueError(f"dipole channels are kappa = 1/2 and -3/2, got {kappa}")
+
+
+@dataclass(frozen=True)
+class _Channel:
+    """The |n_r|-independent constants of one dipole channel at one spec."""
+
+    kappa: float
+    g: float
+    gk: float
+    d: float
+    log_front: float  # log Gamma(gk + g + 2) - log(8 Z**2)
+    log_gamma_2g1: float  # log Gamma(2g + 1)
+    log_gamma_d1: float | None  # log Gamma(d - 1), only when d - 1 > 0
+
+
+def _channel(ch: ChannelIndex, spec: AtomSpec) -> _Channel:
+    g = gamma_half(spec)
+    gk = gamma_kappa(spec, ch)
+    d = gk - g
+    z = spec.Z
+    return _Channel(
+        ch.kappa,
+        g,
+        gk,
+        d,
+        log_gamma(gk + g + 2.0) - math.log(8.0 * z * z),
+        log_gamma(2.0 * g + 1.0),
+        log_gamma(d - 1.0) if d - 1.0 > 0.0 else None,
+    )
+
+
+def _gamma_shift_ratio(d: float, n: int, log_gamma_d1: float | None) -> tuple[float, float]:
     """Signed log of Gamma(n + d - 2) / Gamma(d - 1).
 
     For n >= 1 this is the rising product (d-1)(d)...(d+n-3); the product
@@ -120,7 +171,7 @@ def _gamma_shift_ratio(d: float, n: int) -> tuple[float, float]:
         value = 1.0 / (d - 2.0)
         return math.copysign(1.0, value), -math.log(abs(d - 2.0))
     if d - 1.0 > 0.0:
-        return 1.0, log_gamma(n + d - 2.0) - log_gamma(d - 1.0)
+        return 1.0, log_gamma(n + d - 2.0) - log_gamma_d1
     sign = 1.0
     logmag = 0.0
     for j in range(n - 1):
@@ -133,57 +184,58 @@ def _gamma_shift_ratio(d: float, n: int) -> tuple[float, float]:
     return sign, logmag
 
 
+def _index_integrals(c: _Channel, n: int) -> list[tuple[float, float, float]]:
+    """(plain, mu_weighted, mu) of n_r = n and, for n > 0, of n_r = -n.
+
+    Both signs share the log-gammas of |n_r|; only N, mu and the brace
+    differ between them.  Magnitudes are assembled in log space so that
+    large |n_r| neither overflows nor loses the leading digits.
+    """
+    kappa, g, gk, d = c.kappa, c.g, c.gk, c.d
+    if n == 0:
+        caps = (-kappa,)
+    else:
+        mag = _n_cap_magnitude(n, gk, kappa)
+        caps = (mag, -mag)
+
+    sign_r, log_r = _gamma_shift_ratio(d, n, c.log_gamma_d1)
+    if sign_r == 0.0:
+        return [(0.0, 0.0, _mu(n, gk, nn, g)) for nn in caps]
+
+    log_n = math.log(2.0) + log_gamma(n + 1.0)
+    log_n2gk = log_gamma(n + 2.0 * gk + 1.0)
+    nd = n + d
+    out = []
+    for nn in caps:
+        log_common = c.log_front - 0.5 * (
+            log_n + math.log(nn * (nn - kappa)) + c.log_gamma_2g1 + log_n2gk
+        )
+        magnitude = sign_r * math.exp(log_common + log_r)
+
+        linear = (nd - 2.0) - 2.0 * g * (nn + kappa)
+        plain = -(nn - kappa) * linear * magnitude
+        mu_val = _mu(n, gk, nn, g)
+
+        if kappa == 0.5 and n == 0:
+            # Degenerate index: the weighted integrand is proportional to
+            # mu*(1+2g) + (1-2g), which vanishes identically for every Z.
+            mu_weighted = 0.0
+        else:
+            brace = 2.0 * g * (nd - 2.0) - (nn + kappa) + (nn + 0.5) / nd * linear
+            mu_weighted = -0.5 * (mu_val - 1.0) * (nn - kappa) * brace * magnitude
+        out.append((plain, mu_weighted, mu_val))
+    return out
+
+
 def first_order_integral(idx: SturmianIndex, spec: AtomSpec) -> RadialIntegralPair:
     """Closed-form first-order radial integrals for a dipole channel.
 
     Returns the pair (integral of r (P S + Q T), integral of
-    r (mu P S + Q T)) in atomic units.  Magnitudes are assembled in log
-    space so that large |n_r| neither overflows nor loses the leading
-    digits.
+    r (mu P S + Q T)) in atomic units.
     """
-    kappa = idx.ch.kappa
-    if kappa not in (0.5, -1.5):
-        raise ValueError(f"dipole channels are kappa = 1/2 and -3/2, got {kappa}")
-    n = abs(idx.n_r)
-    z = spec.Z
-    g = gamma_half(spec)
-    gk = gamma_kappa(spec, idx.ch)
-    nn = n_cap(idx, spec)
-    d = gk - g
-
-    sign_r, log_r = _gamma_shift_ratio(d, n)
-    if sign_r == 0.0:
-        return RadialIntegralPair(0.0, 0.0)
-
-    log_common = (
-        log_gamma(gk + g + 2.0)
-        - math.log(8.0 * z * z)
-        - 0.5
-        * (
-            math.log(2.0)
-            + log_gamma(n + 1.0)
-            + math.log(nn * (nn - kappa))
-            + log_gamma(2.0 * g + 1.0)
-            + log_gamma(n + 2.0 * gk + 1.0)
-        )
-    )
-    magnitude = sign_r * math.exp(log_common + log_r)
-
-    linear = (n + d - 2.0) - 2.0 * g * (nn + kappa)
-    plain = -(nn - kappa) * linear * magnitude
-
-    if kappa == 0.5 and idx.n_r == 0:
-        # Degenerate index: the weighted integrand is proportional to
-        # mu*(1+2g) + (1-2g), which vanishes identically for every Z.
-        return RadialIntegralPair(plain, 0.0)
-
-    mu_val = mu(idx, spec)
-    brace = (
-        2.0 * g * (n + d - 2.0)
-        - (nn + kappa)
-        + (nn + 0.5) / (n + d) * linear
-    )
-    mu_weighted = -0.5 * (mu_val - 1.0) * (nn - kappa) * brace * magnitude
+    _check_dipole(idx.ch.kappa)
+    integrals = _index_integrals(_channel(idx.ch, spec), abs(idx.n_r))
+    plain, mu_weighted, _ = integrals[idx.n_r < 0]
     return RadialIntegralPair(plain, mu_weighted)
 
 
@@ -230,30 +282,49 @@ def first_order_integral_quadrature(
     ground = GroundStateRadial.from_spec(spec)
     mu_val = mu(idx, spec)
 
-    def plain_integrand(r):
-        p, q = radial_PQ(ground, r)
-        s, t = sturmian_ST(idx, spec, r)
-        return r * (p * s + q * t)
+    # Both integrals use one rule, so both calls pass the same nodes and the
+    # doublets are evaluated once, by the first call.
+    doublets = []
 
-    def weighted_integrand(r):
-        p, q = radial_PQ(ground, r)
-        s, t = sturmian_ST(idx, spec, r)
-        return r * (mu_val * p * s + q * t)
+    def integrand(weight: float):
+        def f(r):
+            if not doublets:
+                p, q = radial_PQ(ground, r)
+                s, t = sturmian_ST(idx, spec, r)
+                doublets.extend((p, s, q * t))
+            p, s, qt = doublets
+            return r * (weight * p * s + qt)
+
+        return f
 
     power = g + gk + 1.0
     scale = 4.0 * spec.Z
     return RadialIntegralPair(
-        gauss_laguerre_integral(plain_integrand, power, scale, n_nodes),
-        gauss_laguerre_integral(weighted_integrand, power, scale, n_nodes),
+        gauss_laguerre_integral(integrand(1.0), power, scale, n_nodes),
+        gauss_laguerre_integral(integrand(mu_val), power, scale, n_nodes),
     )
 
 
-def _series_term(n_r: int, ch: ChannelIndex, spec: AtomSpec) -> float:
-    idx = SturmianIndex(n_r, ch)
-    pair = first_order_integral(idx, spec)
-    if pair.plain == 0.0 and pair.mu_weighted == 0.0:
+def _series_term(plain: float, mu_weighted: float, mu_val: float) -> float:
+    if plain == 0.0 and mu_weighted == 0.0:
         return 0.0
-    return pair.plain * pair.mu_weighted / (mu(idx, spec) - 1.0)
+    return plain * mu_weighted / (mu_val - 1.0)
+
+
+def _add_partial(partials: list[float], x: float) -> None:
+    """Add x to the nonoverlapping partials of a running sum (Shewchuk), so
+    that math.fsum(partials) is the correctly rounded sum of every x added."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
 
 
 def r_channel_series(
@@ -268,20 +339,22 @@ def r_channel_series(
 
     Returns the channel integral in atomic units together with diagnostics.
     """
-    if ch.kappa not in (0.5, -1.5):
-        raise ValueError(f"dipole channels are kappa = 1/2 and -3/2, got {ch.kappa}")
+    _check_dipole(ch.kappa)
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     tol = max(tol, SERIES_TOL_FLOOR)
 
-    pieces = [_series_term(0, ch, spec)]
+    c = _channel(ch, spec)
+    partials: list[float] = []
+    _add_partial(partials, _series_term(*_index_integrals(c, 0)[0]))
     prev_pair = math.inf
     streak = 0
     for n in range(1, _MAX_PAIRS + 1):
-        pair = _series_term(n, ch, spec) + _series_term(-n, ch, spec)
-        pieces.append(pair)
-        total = math.fsum(pieces)
-        scale = max(abs(total), np.finfo(float).tiny)
+        plus, minus = _index_integrals(c, n)
+        pair = _series_term(*plus) + _series_term(*minus)
+        _add_partial(partials, pair)
+        total = math.fsum(partials)
+        scale = max(abs(total), _TINY)
         streak = streak + 1 if abs(pair) <= tol * scale else 0
         if streak >= _STOP_STREAK and n >= 10:
             tail = _pair_tail(abs(prev_pair), abs(pair), n)

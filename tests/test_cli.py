@@ -149,6 +149,34 @@ class TestArgumentErrors:
         assert run(["planar", "--Z", "-1"]) == 2
 
 
+class TestRepeatedRuns:
+    # The parser is built once per process; each call must still behave as
+    # if it ran alone.
+    SEQUENCE = (
+        ["planar", "--Z", "26", "--format", "json"],
+        ["crosscheck", "--Z", "12.3"],
+        ["table", "--z-max", "3", "--format", "csv"],
+        ["planar", "--Z", "1", "--format", "csv"],
+        ["planar", "--Z", "1"],
+    )
+
+    def test_in_process_sequence_matches_fresh_runs(self, capsys):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        codes = []
+        for argv in self.SEQUENCE:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "diracpol.cli", *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+            assert _capture(capsys, argv) == (fresh.returncode, fresh.stdout)
+            codes.append(fresh.returncode)
+        assert codes == [0, 0, 0, 2, 0]
+
+
 class TestImportDiet:
     # A fresh interpreter: this process has already imported scipy.
     SCRIPT = textwrap.dedent(

@@ -8,12 +8,20 @@ import mpmath
 import numpy as np
 import pytest
 
-from diracpol.atom import AtomSpec, ChannelIndex, gamma_half, gamma_kappa
+from diracpol.atom import (
+    AtomSpec,
+    ChannelIndex,
+    GroundStateRadial,
+    gamma_half,
+    gamma_kappa,
+    radial_PQ,
+)
 from diracpol.specfun import laguerre, log_gamma
 from diracpol.sturmian import (
     SturmianIndex,
     first_order_integral,
     first_order_integral_quadrature,
+    gauss_laguerre_integral,
     mu,
     n_cap,
     r_channel_series,
@@ -183,6 +191,32 @@ class TestFirstOrderIntegrals:
                 else:
                     assert abs(x - y) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("z", [0.05, 26.0, 68.0])
+    def test_quadrature_equals_one_rule_per_integrand(self, z):
+        # Each integrand rebuilt from the doublets and integrated on its own:
+        # sharing the doublet evaluations must not move a single bit.
+        spec = AtomSpec(z, "planar")
+        ground = GroundStateRadial.from_spec(spec)
+        for ch in CHANNELS:
+            power = gamma_half(spec) + gamma_kappa(spec, ch) + 1.0
+            for n_r in range(-3, 4):
+                idx = SturmianIndex(n_r, ch)
+                mu_val = mu(idx, spec)
+
+                def plain(r):
+                    p, q = radial_PQ(ground, r)
+                    s, t = sturmian_ST(idx, spec, r)
+                    return r * (p * s + q * t)
+
+                def weighted(r):
+                    p, q = radial_PQ(ground, r)
+                    s, t = sturmian_ST(idx, spec, r)
+                    return r * (mu_val * p * s + q * t)
+
+                pair = first_order_integral_quadrature(idx, spec)
+                assert pair.plain == gauss_laguerre_integral(plain, power, 4.0 * z)
+                assert pair.mu_weighted == gauss_laguerre_integral(weighted, power, 4.0 * z)
+
     def test_degenerate_weighted_integral_is_exactly_zero(self):
         for z in (1.0, 26.0, 68.0):
             pair = first_order_integral(
@@ -233,6 +267,26 @@ class TestChannelSeries:
             closed = r_channel_closed(ch, spec, 1e-16)
             assert diag.converged
             assert abs(series - closed) / abs(closed) <= 1e-10
+
+    @pytest.mark.parametrize("z", [1e-3, 1.0, 26.0, 68.5])
+    def test_equals_fsum_of_per_index_terms(self, z):
+        # The series shares one kernel with first_order_integral; summed from
+        # the per-index public API it must come out bit for bit the same.
+        spec = AtomSpec(z, "planar")
+
+        def term(n_r, ch):
+            idx = SturmianIndex(n_r, ch)
+            pair = first_order_integral(idx, spec)
+            if pair.plain == 0.0 and pair.mu_weighted == 0.0:
+                return 0.0
+            return pair.plain * pair.mu_weighted / (mu(idx, spec) - 1.0)
+
+        for ch in CHANNELS:
+            value, diag = r_channel_series(ch, spec, 1e-12)
+            pairs = (diag.terms_used - 1) // 2
+            pieces = [term(0, ch)]
+            pieces.extend(term(n, ch) + term(-n, ch) for n in range(1, pairs + 1))
+            assert value == math.fsum(pieces)
 
     def test_tolerance_validation(self):
         spec = AtomSpec(26.0, "planar")
