@@ -133,31 +133,18 @@ def ground_energy(spec: AtomSpec) -> float:
     return 2.0 * gamma_half(spec)
 
 
-@dataclass(frozen=True)
-class GroundStateRadial:
-    """Parameters of the planar ground-state radial doublet (P, Q)."""
-
-    Z: float
-    alpha_inv: float
-    gamma_half: float
-
-    @classmethod
-    def from_spec(cls, spec: AtomSpec) -> "GroundStateRadial":
-        if spec.dimension != "planar":
-            raise ValueError("GroundStateRadial describes planar ground states")
-        return cls(spec.Z, spec.alpha_inv, gamma_half(spec))
-
-
-def radial_PQ(g: GroundStateRadial, r):
-    """Ground-state radial pair (P(r), Q(r)) in atomic units.
+def radial_PQ(spec: AtomSpec, r):
+    """Ground-state radial pair (P(r), Q(r)) of a planar spec in atomic units.
 
     Both components share the shape (4Zr)**gamma * exp(-2Zr); the small
     component Q carries the prefactor sqrt(1 - 2*gamma) with the positive
     sign convention, so Q/P is a positive constant.
     """
+    if spec.dimension != "planar":
+        raise ValueError("radial_PQ describes planar ground states")
     rs = np.asarray(r, dtype=float)
-    gam = g.gamma_half
-    z = g.Z
+    gam = gamma_half(spec)
+    z = spec.Z
     # Norm factors via log-gamma: sqrt(2Z(1 +- 2*gamma) / Gamma(2*gamma + 1)).
     lognorm = 0.5 * (math.log(2.0 * z) - log_gamma(2.0 * gam + 1.0))
     shape = np.exp(gam * np.log(4.0 * z * rs) - 2.0 * z * rs + lognorm)

@@ -3,9 +3,13 @@ ions in their ground state, in two (planar) and three (spatial) dimensions.
 
 The planar result is assembled from two dipole channel integrals: the
 kappa = 1/2 channel reduces to an elementary polynomial in gamma_{1/2},
-while kappa = -3/2 carries an irreducible 3F2 at unit argument.  Scaled
-values Z**4 * alpha_1 are computed first; the absolute polarizability is
-recovered by a single division.
+while kappa = -3/2 carries an irreducible 3F2 at unit argument.  The planar
+and spatial polarizabilities and the kappa = -3/2 channel share one kernel,
+``_reduced_bracket``: the bracket 1 - coeff * 3F2(d-1, d-1, d+1; d+2,
+2 gamma' + 1; 1) with its Gamma**2 ratio, where only the exponent pair
+(gamma, gamma') and the polynomial factors differ.  Scaled values
+Z**4 * alpha_1 are computed first; the absolute polarizability is recovered
+by a single division.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .atom import (
     gamma_kappa,
 )
 from .specfun import Hyp3F2Params, SeriesDiagnostics, gamma_ratio, hyp3f2_unit
-from .sturmian import r_channel_series
+from .sturmian import _check_dipole, r_channel_series
 
 Method = Literal["closed_form", "sturmian_series", "nonrel_limit", "quasirel"]
 
@@ -51,40 +55,45 @@ class PolarizabilityResult:
     uncertainty: float | None = None
 
 
-def _channel_hyp_params(gk: float, g: float) -> Hyp3F2Params:
+def _reduced_bracket(
+    g: float, gk: float, lower: float, num: float, den: float, tol: float
+) -> tuple[float, SeriesDiagnostics]:
+    """The bracket 1 - coeff * 3F2(d-1, d-1, d+1; d+2, 2gk+1; 1), d = gk - g,
+    with coeff = num * Gamma(gk+g+2)**2 / (Gamma(2g+lower) Gamma(2gk+1))
+    / (den * (d+1)), and the 3F2 diagnostics."""
     d = gk - g
-    return Hyp3F2Params(d - 1.0, d - 1.0, d + 1.0, d + 2.0, 2.0 * gk + 1.0)
+    f_val, diag = hyp3f2_unit(
+        Hyp3F2Params(d - 1.0, d - 1.0, d + 1.0, d + 2.0, 2.0 * gk + 1.0), tol
+    )
+    coeff = (
+        num
+        * gamma_ratio([gk + g + 2.0] * 2, [2.0 * g + lower, 2.0 * gk + 1.0])
+        / (den * (d + 1.0))
+    )
+    return 1.0 - coeff * f_val, diag
 
 
-def r_channel_closed(
-    ch: ChannelIndex, spec: AtomSpec, tol: float = 1e-16, use_generic: bool = False
-) -> float:
+def r_channel_closed(ch: ChannelIndex, spec: AtomSpec, tol: float = 1e-16) -> float:
     """Closed-form dipole channel integral R_kappa (atomic units).
 
     For kappa = 1/2 the series truncates and the elementary form
-    gamma(gamma+1)(2*gamma+1)(4*gamma+5) / (64 Z**4) is used; the generic
-    hypergeometric route stays available behind ``use_generic`` for
-    equivalence testing.  kappa = -3/2 always takes the generic route.
+    gamma(gamma+1)(2*gamma+1)(4*gamma+5) / (64 Z**4) is used; kappa = -3/2
+    takes the reduced 3F2 bracket.
     """
     kappa = ch.kappa
-    if kappa not in (0.5, -1.5):
-        raise ValueError(f"dipole channels are kappa = 1/2 and -3/2, got {kappa}")
+    _check_dipole(kappa)
     g = gamma_half(spec)
     z4 = spec.Z**4
-    if kappa == 0.5 and not use_generic:
+    if kappa == 0.5:
         return g * (g + 1.0) * (2.0 * g + 1.0) * (4.0 * g + 5.0) / (64.0 * z4)
     gk = gamma_kappa(spec, ch)
-    d = gk - g
-    f_val, _ = hyp3f2_unit(_channel_hyp_params(gk, g), tol)
-    coeff = (
-        ((2.0 * kappa + 1.0) * g + 2.0) ** 2
-        * gamma_ratio([gk + g + 2.0] * 2, [2.0 * g + 4.0, 2.0 * gk + 1.0])
-        / (d + 1.0)
+    bracket, _ = _reduced_bracket(
+        g, gk, 4.0, ((2.0 * kappa + 1.0) * g + 2.0) ** 2, 1.0, tol
     )
     prefactor = -(g + 1.0) * (2.0 * g + 1.0) * (2.0 * g + 3.0) / (
         32.0 * z4 * (2.0 * kappa + 1.0)
     )
-    return prefactor * (1.0 - coeff * f_val)
+    return prefactor * bracket
 
 
 def r_channel_two_term(ch: ChannelIndex, spec: AtomSpec, tol: float = 1e-16) -> float:
@@ -95,8 +104,7 @@ def r_channel_two_term(ch: ChannelIndex, spec: AtomSpec, tol: float = 1e-16) -> 
     :func:`r_channel_closed`.
     """
     kappa = ch.kappa
-    if kappa not in (0.5, -1.5):
-        raise ValueError(f"dipole channels are kappa = 1/2 and -3/2, got {kappa}")
+    _check_dipole(kappa)
     g = gamma_half(spec)
     gk = gamma_kappa(spec, ch)
     d = gk - g
@@ -146,18 +154,10 @@ def polarizability_planar(spec: AtomSpec, tol: float = 1e-16) -> PolarizabilityR
         raise ValueError("polarizability_planar needs a planar spec")
     g = gamma_half(spec)
     gk = gamma_kappa(spec, ChannelIndex(-1.5))
-    d = gk - g
-    assert (g - 1.0) ** 2 > 0.0  # subcritical planar ions have gamma < 1/2
-    f_val, diag = hyp3f2_unit(_channel_hyp_params(gk, g), tol)
-    coeff = (
-        4.0
-        * (g - 1.0) ** 2
-        * gamma_ratio([gk + g + 2.0] * 2, [2.0 * g + 3.0, 2.0 * gk + 1.0])
-        / ((g + 1.0) * (4.0 * g + 3.0) * (d + 1.0))
+    bracket, diag = _reduced_bracket(
+        g, gk, 3.0, 4.0 * (g - 1.0) ** 2, (g + 1.0) * (4.0 * g + 3.0), tol
     )
-    scaled = (
-        (g + 1.0) ** 2 * (2.0 * g + 1.0) * (4.0 * g + 3.0) / 128.0
-    ) * (1.0 - coeff * f_val)
+    scaled = ((g + 1.0) ** 2 * (2.0 * g + 1.0) * (4.0 * g + 3.0) / 128.0) * bracket
     return PolarizabilityResult(scaled / spec.Z**4, scaled, "closed_form", diag)
 
 
@@ -169,18 +169,11 @@ def polarizability_spatial(spec: AtomSpec, tol: float = 1e-16) -> Polarizability
         raise ValueError("polarizability_spatial needs a spatial spec")
     g1 = gamma_kappa(spec, ChannelIndex(1))
     g2 = gamma_kappa(spec, ChannelIndex(2))
-    d = g2 - g1
     quartic = 4.0 * g1**2 + 13.0 * g1 + 12.0
-    f_val, diag = hyp3f2_unit(
-        Hyp3F2Params(d - 1.0, d - 1.0, d + 1.0, d + 2.0, 2.0 * g2 + 1.0), tol
+    bracket, diag = _reduced_bracket(
+        g1, g2, 2.0, 2.0 * (g1 - 2.0) ** 2, (g1 + 1.0) * quartic, tol
     )
-    coeff = (
-        2.0
-        * (g1 - 2.0) ** 2
-        * gamma_ratio([g2 + g1 + 2.0] * 2, [2.0 * g1 + 2.0, 2.0 * g2 + 1.0])
-        / ((g1 + 1.0) * quartic * (d + 1.0))
-    )
-    scaled = ((g1 + 1.0) * (2.0 * g1 + 1.0) * quartic / 36.0) * (1.0 - coeff * f_val)
+    scaled = ((g1 + 1.0) * (2.0 * g1 + 1.0) * quartic / 36.0) * bracket
     return PolarizabilityResult(scaled / spec.Z**4, scaled, "closed_form", diag)
 
 

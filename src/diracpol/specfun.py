@@ -79,10 +79,6 @@ class Hyp3F2Params:
     def numerators(self) -> tuple[float, float, float]:
         return (self.a1, self.a2, self.a3)
 
-    @property
-    def denominators(self) -> tuple[float, float]:
-        return (self.b1, self.b2)
-
     def balance(self) -> float:
         """Denominator excess b1 + b2 - a1 - a2 - a3 (positive: convergent)."""
         return math.fsum((self.b1, self.b2, -self.a1, -self.a2, -self.a3))

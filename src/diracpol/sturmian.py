@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .atom import AtomSpec, ChannelIndex, GroundStateRadial, gamma_half, gamma_kappa, radial_PQ
+from .atom import AtomSpec, ChannelIndex, gamma_half, gamma_kappa, radial_PQ
 from .specfun import ConvergenceError, SeriesDiagnostics, laguerre, log_gamma
 
 # Accuracy floor of the series oracle; requests below it are clamped.
@@ -279,7 +279,6 @@ def first_order_integral_quadrature(
     a low-degree polynomial and the rule is exact up to rounding."""
     g = gamma_half(spec)
     gk = gamma_kappa(spec, idx.ch)
-    ground = GroundStateRadial.from_spec(spec)
     mu_val = mu(idx, spec)
 
     # Both integrals use one rule, so both calls pass the same nodes and the
@@ -289,7 +288,7 @@ def first_order_integral_quadrature(
     def integrand(weight: float):
         def f(r):
             if not doublets:
-                p, q = radial_PQ(ground, r)
+                p, q = radial_PQ(spec, r)
                 s, t = sturmian_ST(idx, spec, r)
                 doublets.extend((p, s, q * t))
             p, s, qt = doublets

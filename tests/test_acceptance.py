@@ -11,7 +11,6 @@ from diracpol.atom import (
     ALPHA_INV_CODATA2014,
     AtomSpec,
     ChannelIndex,
-    GroundStateRadial,
     axial_spinor,
     cos_matrix_element,
     first_order_shift,
@@ -280,10 +279,9 @@ def test_criterion_7_structural_physics_checks():
     worst_norm = 0.0
     for z in (1.0, 26.0, 68.0):
         spec = AtomSpec(z, "planar")
-        ground = GroundStateRadial.from_spec(spec)
 
         def density(r):
-            p, q = radial_PQ(ground, r)
+            p, q = radial_PQ(spec, r)
             return p * p + q * q
 
         norm = gauss_laguerre_integral(density, 2.0 * gamma_half(spec), 4.0 * spec.Z)

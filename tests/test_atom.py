@@ -11,7 +11,6 @@ from diracpol.atom import (
     ALPHA_INV_CODATA2014,
     AtomSpec,
     ChannelIndex,
-    GroundStateRadial,
     SupercriticalError,
     axial_spinor,
     cos_matrix_element,
@@ -145,40 +144,42 @@ class TestGroundEnergy:
 
 class TestRadialFunctions:
     def test_component_ratio_is_constant(self):
-        g = GroundStateRadial.from_spec(AtomSpec(26.0, "planar"))
+        spec = AtomSpec(26.0, "planar")
+        g = gamma_half(spec)
         r = np.geomspace(1e-4, 2.0, 64)
-        p, q = radial_PQ(g, r)
-        expected = math.sqrt((1.0 - 2.0 * g.gamma_half) / (1.0 + 2.0 * g.gamma_half))
+        p, q = radial_PQ(spec, r)
+        expected = math.sqrt((1.0 - 2.0 * g) / (1.0 + 2.0 * g))
         assert np.allclose(q / p, expected, rtol=1e-14, atol=0.0)
 
+    def test_spatial_spec_rejected(self):
+        with pytest.raises(ValueError, match="radial_PQ describes planar ground states"):
+            radial_PQ(AtomSpec(1.0, "spatial"), 1.0)
+
     def test_vanishes_at_origin(self):
-        g = GroundStateRadial.from_spec(AtomSpec(5.0, "planar"))
-        p, q = radial_PQ(g, 1e-280)
+        p, q = radial_PQ(AtomSpec(5.0, "planar"), 1e-280)
         assert p == 0.0 or p < 1e-30
         assert q == 0.0 or q < 1e-30
 
     @pytest.mark.parametrize("z", [1, 10, 26, 68])
     def test_normalization_spot(self, z):
         spec = AtomSpec(float(z), "planar")
-        g = GroundStateRadial.from_spec(spec)
 
         def density(r):
-            p, q = radial_PQ(g, r)
+            p, q = radial_PQ(spec, r)
             return p * p + q * q
 
-        norm = gauss_laguerre_integral(density, 2.0 * g.gamma_half, 4.0 * spec.Z)
+        norm = gauss_laguerre_integral(density, 2.0 * gamma_half(spec), 4.0 * spec.Z)
         assert abs(norm - 1.0) <= 1e-12
 
     def test_normalization_all_charges(self):
         for z in range(1, 69):
             spec = AtomSpec(float(z), "planar")
-            g = GroundStateRadial.from_spec(spec)
 
             def density(r):
-                p, q = radial_PQ(g, r)
+                p, q = radial_PQ(spec, r)
                 return p * p + q * q
 
-            norm = gauss_laguerre_integral(density, 2.0 * g.gamma_half, 4.0 * spec.Z)
+            norm = gauss_laguerre_integral(density, 2.0 * gamma_half(spec), 4.0 * spec.Z)
             assert abs(norm - 1.0) <= 1e-12, f"Z={z}"
 
 
@@ -261,7 +262,6 @@ class TestFirstOrderShift:
         # itself, integrated as a genuine 2D integral (radial rule times an
         # angular trapezoid); vanishes by the angular selection rule.
         spec = AtomSpec(26.0, "planar")
-        g = GroundStateRadial.from_spec(spec)
         m = m2 = 0.5
         upper, lower = ChannelIndex(-0.5), ChannelIndex(0.5)
         phi = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
@@ -272,14 +272,14 @@ class TestFirstOrderShift:
         angular_lower = np.sum(np.conj(low_l) * low_r, axis=0)
 
         def radial_big(r):
-            p, q = radial_PQ(g, r)
+            p, q = radial_PQ(spec, r)
             return r * p * p
 
         def radial_small(r):
-            p, q = radial_PQ(g, r)
+            p, q = radial_PQ(spec, r)
             return r * q * q
 
-        power = 2.0 * g.gamma_half + 1.0
+        power = 2.0 * gamma_half(spec) + 1.0
         big = gauss_laguerre_integral(radial_big, power, 4.0 * spec.Z)
         small = gauss_laguerre_integral(radial_small, power, 4.0 * spec.Z)
         value = float(

@@ -5,12 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def test_oracle_crosscheck_demo_runs():
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "oracle_crosscheck.py")],
+        [sys.executable, str(demo)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},

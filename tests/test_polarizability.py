@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from diracpol.atom import ALPHA_INV_CODATA2014, AtomSpec, ChannelIndex
+from diracpol.atom import ALPHA_INV_CODATA2014, AtomSpec, ChannelIndex, gamma_half, gamma_kappa
 from diracpol.polarizability import (
     ExtrapolationError,
     _neville_at_zero,
+    _reduced_bracket,
     nonrel_limit,
     polarizability_planar,
     polarizability_spatial,
@@ -28,6 +29,22 @@ from tests.table_data import reference_tolerance, reference_value
 NR_SURROGATE = 1e9
 
 
+def reduced_channel(ch, spec, tol=1e-16):
+    """R_kappa of either dipole channel through the shared 3F2 bracket; for
+    kappa = 1/2 the exponents coincide (gamma' = gamma) and the series
+    truncates, so this is the generic route the elementary form replaces."""
+    kappa = ch.kappa
+    g = gamma_half(spec)
+    gk = gamma_kappa(spec, ch)
+    bracket, _ = _reduced_bracket(
+        g, gk, 4.0, ((2.0 * kappa + 1.0) * g + 2.0) ** 2, 1.0, tol
+    )
+    prefactor = -(g + 1.0) * (2.0 * g + 1.0) * (2.0 * g + 3.0) / (
+        32.0 * spec.Z**4 * (2.0 * kappa + 1.0)
+    )
+    return prefactor * bracket
+
+
 class TestChannelClosed:
     def test_half_channel_weak_coupling(self):
         spec = AtomSpec(1.0, "planar", NR_SURROGATE)
@@ -43,8 +60,16 @@ class TestChannelClosed:
     def test_half_channel_generic_route_agrees(self, z):
         spec = AtomSpec(z, "planar")
         elementary = r_channel_closed(ChannelIndex(0.5), spec)
-        generic = r_channel_closed(ChannelIndex(0.5), spec, use_generic=True)
+        generic = reduced_channel(ChannelIndex(0.5), spec)
         assert generic == pytest.approx(elementary, rel=1e-14)
+
+    @pytest.mark.parametrize("z", [1e-3, 26.0, 68.5])
+    def test_m32_channel_is_the_shared_bracket(self, z):
+        # The test route above reproduces the production kappa = -3/2 value
+        # bit for bit, so it exercises the same kernel and prefactor.
+        spec = AtomSpec(z, "planar")
+        ch = ChannelIndex(-1.5)
+        assert reduced_channel(ch, spec) == r_channel_closed(ch, spec)
 
     def test_m32_against_sturmian_series(self):
         from diracpol.sturmian import r_channel_series
@@ -56,8 +81,10 @@ class TestChannelClosed:
 
     def test_rejects_other_channels(self):
         spec = AtomSpec(26.0, "planar")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dipole channels are kappa = 1/2 and -3/2"):
             r_channel_closed(ChannelIndex(1.5), spec)
+        with pytest.raises(ValueError, match="dipole channels are kappa = 1/2 and -3/2"):
+            r_channel_two_term(ChannelIndex(1.5), spec)
 
 
 class TestTwoTermReduction:
@@ -68,9 +95,51 @@ class TestTwoTermReduction:
         # single-hypergeometric one describe the same channel integral.
         spec = AtomSpec(z, "planar")
         ch = ChannelIndex(kappa)
-        reduced = r_channel_closed(ch, spec, 1e-16, use_generic=True)
+        reduced = reduced_channel(ch, spec, 1e-16)
         unreduced = r_channel_two_term(ch, spec, 1e-16)
         assert abs(unreduced - reduced) / abs(reduced) <= 1e-12
+
+
+class TestPinnedValues:
+    # float.hex pins of the closed forms: the reference table and the other
+    # tests tolerate a changed last bit, these catch any reordering of the
+    # floating-point operations.
+    @pytest.mark.parametrize(
+        "z, expected",
+        [
+            (1.0, "0x1.1ffbedb1faa0fp+2"),
+            (92.0, "0x1.40d78253368ddp+1"),
+            (136.0, "0x1.50668f03f4579p-2"),
+        ],
+    )
+    def test_spatial(self, z, expected):
+        assert polarizability_spatial(AtomSpec(z, "spatial")).scaled_Z4.hex() == expected
+
+    @pytest.mark.parametrize(
+        "z, half, m32",
+        [
+            (1e-3, "0x1.319718a3d7c9fp+37", "0x1.319718a43ef6bp+37"),
+            (26.0, "0x1.479c06c3b98a7p-22", "0x1.5ad2bbced7423p-22"),
+            (68.5, "0x1.75788572a5c5ep-35", "0x1.1ff4ddf4bb55ap-30"),
+        ],
+    )
+    def test_channels(self, z, half, m32):
+        spec = AtomSpec(z, "planar")
+        assert r_channel_closed(ChannelIndex(0.5), spec).hex() == half
+        assert r_channel_closed(ChannelIndex(-1.5), spec).hex() == m32
+
+    @pytest.mark.parametrize(
+        "z, alpha_inv, expected",
+        [
+            (12.3456, ALPHA_INV_CODATA2014, "0x1.4677fb6469aeep-3"),
+            (68.5, ALPHA_INV_CODATA2014, "0x1.8935a3083ffeep-7"),
+            (1.0, NR_SURROGATE, "0x1.5000000000000p-3"),
+            (3.7e5, NR_SURROGATE, "0x1.4ffff572f6555p-3"),
+        ],
+    )
+    def test_planar(self, z, alpha_inv, expected):
+        spec = AtomSpec(z, "planar", alpha_inv)
+        assert polarizability_planar(spec).scaled_Z4.hex() == expected
 
 
 class TestSecondOrderEnergy:
@@ -124,8 +193,12 @@ class TestPlanarPolarizability:
             previous = scaled
 
     def test_rejects_spatial_spec(self):
-        with pytest.raises(ValueError):
+        # A spatial spec would also fail later, in gamma_kappa; matching the
+        # message pins that each function's own check raises first.
+        with pytest.raises(ValueError, match="polarizability_planar needs a planar spec"):
             polarizability_planar(AtomSpec(1.0, "spatial"))
+        with pytest.raises(ValueError, match="polarizability_sturmian needs a planar spec"):
+            polarizability_sturmian(AtomSpec(1.0, "spatial"))
 
     def test_sturmian_route_result(self):
         spec = AtomSpec(10.0, "planar")
@@ -164,7 +237,7 @@ class TestSpatialPolarizability:
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_rejects_planar_spec(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="polarizability_spatial needs a spatial spec"):
             polarizability_spatial(AtomSpec(1.0, "planar"))
 
 

@@ -11,7 +11,6 @@ import pytest
 from diracpol.atom import (
     AtomSpec,
     ChannelIndex,
-    GroundStateRadial,
     gamma_half,
     gamma_kappa,
     radial_PQ,
@@ -196,7 +195,6 @@ class TestFirstOrderIntegrals:
         # Each integrand rebuilt from the doublets and integrated on its own:
         # sharing the doublet evaluations must not move a single bit.
         spec = AtomSpec(z, "planar")
-        ground = GroundStateRadial.from_spec(spec)
         for ch in CHANNELS:
             power = gamma_half(spec) + gamma_kappa(spec, ch) + 1.0
             for n_r in range(-3, 4):
@@ -204,12 +202,12 @@ class TestFirstOrderIntegrals:
                 mu_val = mu(idx, spec)
 
                 def plain(r):
-                    p, q = radial_PQ(ground, r)
+                    p, q = radial_PQ(spec, r)
                     s, t = sturmian_ST(idx, spec, r)
                     return r * (p * s + q * t)
 
                 def weighted(r):
-                    p, q = radial_PQ(ground, r)
+                    p, q = radial_PQ(spec, r)
                     s, t = sturmian_ST(idx, spec, r)
                     return r * (mu_val * p * s + q * t)
 
@@ -245,8 +243,10 @@ class TestFirstOrderIntegrals:
 
     def test_rejects_out_of_scope_channels(self):
         spec = AtomSpec(26.0, "planar")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dipole channels are kappa = 1/2 and -3/2"):
             first_order_integral(SturmianIndex(0, ChannelIndex(1.5)), spec)
+        with pytest.raises(ValueError, match="dipole channels are kappa = 1/2 and -3/2"):
+            r_channel_series(ChannelIndex(1.5), spec)
 
 
 class TestChannelSeries:
