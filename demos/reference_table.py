@@ -1,17 +1,22 @@
 """Reproduce the 68-row reference table of scaled planar polarizabilities
 with propagated uncertainties, and write it as CSV and JSON.
 
+Usage: python demos/reference_table.py [OUTPUT_DIR]
+
+The two files go to OUTPUT_DIR, by default the directory of this script.
+
 Each displayed value carries exactly two uncertain digits; the
 parenthesized integer is the one-standard-deviation uncertainty in those
 digits, inherited from the inverse fine-structure constant.
 """
 
 import pathlib
+import sys
 
 from diracpol import ConstantSet, generate_table, rows_to_csv, rows_to_json
 
 
-def main() -> None:
+def main(out_dir: pathlib.Path) -> None:
     consts = ConstantSet()  # CODATA 2014 with sigma(alpha_inv) = 3.1e-8
     rows = generate_table(1, 68, consts)
 
@@ -21,13 +26,12 @@ def main() -> None:
         if row.Z in (1, 8, 26, 47, 68):
             print(f"  {row.Z:>3}  {row.display:<22} ({row.sigma_last_two})")
 
-    out_dir = pathlib.Path(__file__).resolve().parent
     csv_path = out_dir / "scaled_polarizabilities.csv"
     json_path = out_dir / "scaled_polarizabilities.json"
     csv_path.write_text(rows_to_csv(rows))
     json_path.write_text(rows_to_json(rows))
     print()
-    print(f"wrote {csv_path.name} and {json_path.name} next to this script")
+    print(f"wrote {csv_path.name} and {json_path.name} to {out_dir}")
 
     print()
     print("display convention in action: the decimal count per row is the")
@@ -42,4 +46,5 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    here = pathlib.Path(__file__).resolve().parent
+    main(pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else here)

@@ -148,28 +148,21 @@ _STIRLING = (
 _HALF_LOG_TWO_PI = 0.9189385332046728
 
 
-def _lgamma_near_one(u: float) -> float:
-    """ln Gamma(1 + u) for u in [-0.5, 0.5] by the zeta series."""
-    terms = [-_EULER * u]
-    power = u
-    sign = 1.0
-    for coeff in _ZETA_OVER_K:
-        power *= u
-        term = sign * coeff * power
-        terms.append(term)
-        if abs(term) < 1e-20:
-            break
-        sign = -sign
-    return math.fsum(terms)
+# (linear coefficient, Taylor coefficients) of ln Gamma(1 + t) for t in
+# [-0.5, 0.5] and of ln Gamma(2 + t) for t in [-0.5, 1].
+_NEAR_ONE = (-_EULER, _ZETA_OVER_K)
+_NEAR_TWO = (1.0 - _EULER, _ZETA_M1_OVER_K)
 
 
-def _lgamma_near_two(v: float) -> float:
-    """ln Gamma(2 + v) for v in [-0.5, 1] by the reduced zeta series."""
-    terms = [(1.0 - _EULER) * v]
-    power = v
+def _lgamma_series(t: float, series: tuple[float, tuple[float, ...]]) -> float:
+    """ln Gamma(1 + t) (series _NEAR_ONE) or ln Gamma(2 + t) (_NEAR_TWO) by
+    the alternating zeta series, summed until a term falls below 1e-20."""
+    linear, coeffs = series
+    terms = [linear * t]
+    power = t
     sign = 1.0
-    for coeff in _ZETA_M1_OVER_K:
-        power *= v
+    for coeff in coeffs:
+        power *= t
         term = sign * coeff * power
         terms.append(term)
         if abs(term) < 1e-20:
@@ -181,8 +174,8 @@ def _lgamma_near_two(v: float) -> float:
 def _lgamma_one_to_two(u: float) -> float:
     """ln Gamma(1 + u) for u in [0, 1]; u is the exactly shifted argument."""
     if u <= 0.5:
-        return _lgamma_near_one(u)
-    return _lgamma_near_two(u - 1.0)
+        return _lgamma_series(u, _NEAR_ONE)
+    return _lgamma_series(u - 1.0, _NEAR_TWO)
 
 
 def log_gamma(x: float) -> float:
@@ -199,13 +192,13 @@ def log_gamma(x: float) -> float:
     if x <= 2.0:
         return _lgamma_one_to_two(x - 1.0)
     if x <= 3.0:
-        return _lgamma_near_two(x - 2.0)
+        return _lgamma_series(x - 2.0, _NEAR_TWO)
     if x < 12.0:
         # Downward recurrence to (2, 3]; every piece is positive, so the
         # compensated sum keeps full relative accuracy.
         steps = int(x - 2.0)
         y = x - steps
-        pieces = [_lgamma_near_two(y - 2.0)]
+        pieces = [_lgamma_series(y - 2.0, _NEAR_TWO)]
         pieces.extend(math.log(y + j) for j in range(steps))
         return math.fsum(pieces)
     # Stirling series with Bernoulli corrections.

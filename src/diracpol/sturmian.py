@@ -16,9 +16,8 @@ keeps Shewchuk partials of its running sum instead of re-summing every term
 after each pair.  The quadrature evaluates the ground-state and Sturmian
 doublets once per index and forms both integrands from them.
 
-scipy is imported only by that quadrature check (``roots_genlaguerre``, on
-first call), so importing this module, and every closed-form or table caller,
-does not load it.
+The quadrature's 16-node Gauss-Laguerre rule is built with numpy alone
+(``roots_genlaguerre``) and is exact for |n_r| <= 31.
 """
 
 from __future__ import annotations
@@ -38,6 +37,8 @@ SERIES_TOL_FLOOR = 1e-12
 _MAX_PAIRS = 100_000
 _STOP_STREAK = 5
 _TINY = np.finfo(float).tiny
+# Nodes of the quadrature rule, exact through degree 2 * 16 - 1 = 31.
+_RULE_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -239,28 +240,40 @@ def first_order_integral(idx: SturmianIndex, spec: AtomSpec) -> RadialIntegralPa
     return RadialIntegralPair(plain, mu_weighted)
 
 
-def roots_genlaguerre(n_nodes: int, weight_power: float):
-    """Generalized Gauss-Laguerre nodes and weights from
-    ``scipy.special.roots_genlaguerre``, imported on first call."""
-    from scipy.special import roots_genlaguerre as scipy_roots
+def roots_genlaguerre(weight_power: float):
+    """Nodes and weights of the _RULE_NODES-point generalized Gauss-Laguerre
+    rule for the weight x**weight_power * exp(-x) on (0, inf).
 
-    return scipy_roots(n_nodes, weight_power)
+    The nodes are the eigenvalues of the Jacobi matrix of the generalized
+    Laguerre polynomials (diagonal 2i + alpha + 1, off-diagonal
+    sqrt(i (i + alpha))); each weight is Gamma(alpha + 1) times the squared
+    first component of its normalized eigenvector (Golub and Welsch 1969).
+    """
+    alpha = weight_power
+    if not alpha > -1.0:
+        raise ValueError(f"weight_power must exceed -1, got {alpha!r}")
+    i = np.arange(_RULE_NODES, dtype=float)
+    off = np.sqrt(i[1:] * (i[1:] + alpha))
+    jacobi = np.diag(2.0 * i + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+    nodes, vectors = np.linalg.eigh(jacobi)
+    return nodes, math.gamma(alpha + 1.0) * vectors[0] ** 2
 
 
 @lru_cache(maxsize=64)
-def _laguerre_rule(n_nodes: int, weight_power: float):
-    nodes, weights = roots_genlaguerre(n_nodes, weight_power)
-    return nodes, weights
+def _laguerre_rule(weight_power: float):
+    return roots_genlaguerre(weight_power)
 
 
-def gauss_laguerre_integral(func, weight_power: float, scale: float, n_nodes: int = 200) -> float:
+def gauss_laguerre_integral(func, weight_power: float, scale: float) -> float:
     """Integrate func over (0, inf) assuming func(r) behaves like
     (scale*r)**weight_power * exp(-scale*r) * smooth(scale*r).
 
     The smooth remainder is recovered in log space, so integrands may be
-    evaluated in their natural (exponentially small) form.
+    evaluated in their natural (exponentially small) form.  The rule has
+    _RULE_NODES = 16 nodes, so it is exact, up to rounding, when that
+    remainder is a polynomial of degree <= 31.
     """
-    x, w = _laguerre_rule(n_nodes, weight_power)
+    x, w = _laguerre_rule(weight_power)
     r = x / scale
     fvals = np.asarray(func(r), dtype=float)
     signs = np.sign(fvals)
@@ -270,13 +283,11 @@ def gauss_laguerre_integral(func, weight_power: float, scale: float, n_nodes: in
     return math.fsum(w * rest) / scale
 
 
-def first_order_integral_quadrature(
-    idx: SturmianIndex, spec: AtomSpec, n_nodes: int = 200
-) -> RadialIntegralPair:
+def first_order_integral_quadrature(idx: SturmianIndex, spec: AtomSpec) -> RadialIntegralPair:
     """First-order radial integrals by generalized Gauss-Laguerre quadrature
     of their defining integrands; the quadrature weight carries the exact
     power (4Zr)**(gamma_{1/2} + gamma_kappa + 1), so the remaining factor is
-    a low-degree polynomial and the rule is exact up to rounding."""
+    a polynomial of degree |n_r| and the rule is exact up to rounding."""
     g = gamma_half(spec)
     gk = gamma_kappa(spec, idx.ch)
     mu_val = mu(idx, spec)
@@ -299,8 +310,8 @@ def first_order_integral_quadrature(
     power = g + gk + 1.0
     scale = 4.0 * spec.Z
     return RadialIntegralPair(
-        gauss_laguerre_integral(integrand(1.0), power, scale, n_nodes),
-        gauss_laguerre_integral(integrand(mu_val), power, scale, n_nodes),
+        gauss_laguerre_integral(integrand(1.0), power, scale),
+        gauss_laguerre_integral(integrand(mu_val), power, scale),
     )
 
 

@@ -197,14 +197,13 @@ class TestImportDiet:
             ["limits"],
         ]
         codes = [call(argv)[0] for argv in closed]
-        scipy_loaded = "scipy" in sys.modules
         code, out = call(["crosscheck", "--Z", "12.3", "--format", "json"])
-        print(json.dumps({"codes": codes, "scipy_loaded": scipy_loaded,
+        print(json.dumps({"codes": codes, "scipy_loaded": "scipy" in sys.modules,
                           "crosscheck_code": code, "crosscheck": json.loads(out)}))
         """
     )
 
-    def test_scipy_only_for_quadrature_oracle(self):
+    def test_no_command_loads_scipy(self):
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
             [sys.executable, "-c", self.SCRIPT],

@@ -1,4 +1,5 @@
-"""Smoke test of the demos: each runs to completion in a fresh interpreter."""
+"""Smoke test of the demos: each runs to completion in a fresh interpreter
+and writes nothing into the source tree."""
 
 import os
 import subprocess
@@ -9,12 +10,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# Files a demo writes into the output directory given as its argument.
+OUTPUTS = {"reference_table": ["scaled_polarizabilities.csv", "scaled_polarizabilities.json"]}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_runs(demo):
+def test_demo_runs(demo, tmp_path):
+    outputs = OUTPUTS.get(demo.stem, [])
+    before = sorted(demo.parent.iterdir())
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, str(demo)] + ([str(tmp_path)] if outputs else []),
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
@@ -22,3 +27,5 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    assert sorted(p.name for p in tmp_path.iterdir()) == outputs
+    assert sorted(demo.parent.iterdir()) == before

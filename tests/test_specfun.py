@@ -60,6 +60,24 @@ class TestLogGamma:
             rel = float(abs(mpmath.mpf(got) - exact) / abs(exact))
             assert rel <= 4.0 * eps
 
+    @pytest.mark.parametrize(
+        "x, bits",
+        [
+            (0.3, "0x1.188637a6c4196p+0"),
+            (0.999, "0x1.2f0f04c1bbb44p-11"),
+            (1.2, "-0x1.5db138c7d70c7p-4"),
+            (1.7, "-0x1.886da6f118371p-4"),
+            (2.0001, "0x1.62af2b5e4f9fbp-15"),
+            (2.95, "0x1.4b85c23ebb331p-1"),
+            (5.9, "0x1.2789e7e634b23p+2"),
+            (11.5, "0x1.04ac08b1145d1p+4"),
+        ],
+    )
+    def test_pinned_bits_of_both_zeta_series(self, x, bits):
+        # Bits of the series around 1 and 2 and of the recurrence onto them;
+        # the closed form and the table inherit these exact values.
+        assert float.hex(log_gamma(x)) == bits
+
 
 class TestGammaRatio:
     def test_integer_factorials(self):

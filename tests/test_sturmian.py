@@ -24,6 +24,7 @@ from diracpol.sturmian import (
     mu,
     n_cap,
     r_channel_series,
+    roots_genlaguerre,
     sturmian_ST,
 )
 
@@ -168,6 +169,33 @@ class TestSturmianST:
         s_live, t_live = _st_oracle(26, -2, -1.5, 0.3)
         assert s == pytest.approx(s_live, rel=1e-12)
         assert t == pytest.approx(t_live, rel=1e-12)
+
+
+class TestGaussLaguerreRule:
+    ALPHAS = (-0.99, -0.5, 0.0, 0.37, 1.0, 2.5, 3.999, 6.0)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_matches_scipy_reference(self, alpha):
+        from scipy.special import roots_genlaguerre as scipy_roots_genlaguerre
+
+        nodes, weights = roots_genlaguerre(alpha)
+        ref_nodes, ref_weights = scipy_roots_genlaguerre(16, alpha)
+        assert nodes.shape == weights.shape == (16,)
+        np.testing.assert_allclose(nodes, ref_nodes, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(weights, ref_weights, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_exact_through_degree_31(self, alpha):
+        # integral of x**(alpha + k) e**-x over (0, inf) is Gamma(alpha + k + 1).
+        nodes, weights = roots_genlaguerre(alpha)
+        for k in range(32):
+            moment = math.fsum(weights * nodes**k)
+            assert moment == pytest.approx(math.gamma(alpha + k + 1.0), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [-1.0, -2.5, math.nan])
+    def test_rejects_non_integrable_weight(self, alpha):
+        with pytest.raises(ValueError, match="weight_power must exceed -1"):
+            roots_genlaguerre(alpha)
 
 
 class TestFirstOrderIntegrals:
