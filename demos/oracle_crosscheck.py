@@ -11,10 +11,10 @@ from diracpol import (
     ChannelIndex,
     SturmianIndex,
     first_order_integral,
-    first_order_integral_quadrature,
     r_channel_closed,
     r_channel_series,
 )
+from diracpol.sturmian import channel_first_order_integrals
 
 Z = 26.0
 
@@ -34,10 +34,8 @@ def main() -> None:
 
         print("  first-order integrals, closed vs quadrature:")
         print(f"  {'n_r':>4} {'plain':>23} {'quadrature':>23}")
-        for n_r in range(-2, 3):
-            idx = SturmianIndex(n_r, ch)
-            exact = first_order_integral(idx, spec)
-            quad = first_order_integral_quadrature(idx, spec)
+        pairs = channel_first_order_integrals(ch, spec, 2)
+        for n_r, (exact, quad) in zip(range(-2, 3), pairs):
             print(f"  {n_r:>+4} {exact.plain:>23.15e} {quad.plain:>23.15e}")
         print()
 

@@ -23,7 +23,7 @@ from .polarizability import (
     r_channel_closed,
 )
 from .specfun import ConvergenceError
-from .sturmian import SturmianIndex, first_order_integral, first_order_integral_quadrature, r_channel_series
+from .sturmian import channel_first_order_integrals, r_channel_series
 from .tablegen import ConstantSet, generate_table, rows_to_csv, rows_to_json
 
 ALPHA_INV_ENV = "DIRACPOL_ALPHA_INV"
@@ -166,13 +166,7 @@ def _run_crosscheck(args: argparse.Namespace, alpha_inv: float, tol: float) -> s
     for ch in channels:
         closed = r_channel_closed(ch, spec, tol)
         series, diag = r_channel_series(ch, spec, tol)
-        pairs = [
-            (
-                first_order_integral(SturmianIndex(n_r, ch), spec),
-                first_order_integral_quadrature(SturmianIndex(n_r, ch), spec),
-            )
-            for n_r in range(-3, 4)
-        ]
+        pairs = channel_first_order_integrals(ch, spec, 3)
         # Exactly-zero integrals are compared on the scale of the channel's
         # largest integral; quadrature returns rounding noise for them.
         scale = max(

@@ -8,6 +8,7 @@ over exactly computed term blocks), targeting full double precision.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,9 @@ TOL_FLOOR = 1e-16
 MAX_TERMS = 200_000
 
 _CHUNK = 512
+
+# Smallest positive normal double; a floor for relative-error scales.
+_TINY = sys.float_info.min
 
 
 class ConvergenceError(ArithmeticError):
@@ -148,10 +152,16 @@ _STIRLING = (
 _HALF_LOG_TWO_PI = 0.9189385332046728
 
 
-# (linear coefficient, Taylor coefficients) of ln Gamma(1 + t) for t in
-# [-0.5, 0.5] and of ln Gamma(2 + t) for t in [-0.5, 1].
-_NEAR_ONE = (-_EULER, _ZETA_OVER_K)
-_NEAR_TWO = (1.0 - _EULER, _ZETA_M1_OVER_K)
+def _alternating(coeffs: tuple[float, ...]) -> tuple[float, ...]:
+    """coeffs with every second sign flipped, starting at the second."""
+    return tuple(-c if k % 2 else c for k, c in enumerate(coeffs))
+
+
+# (linear coefficient, signed Taylor coefficients) of ln Gamma(1 + t) for t
+# in [-0.5, 0.5] and of ln Gamma(2 + t) for t in [-0.5, 1].  Negating a
+# double is exact, so the folded signs give the same terms bit for bit.
+_NEAR_ONE = (-_EULER, _alternating(_ZETA_OVER_K))
+_NEAR_TWO = (1.0 - _EULER, _alternating(_ZETA_M1_OVER_K))
 
 
 def _lgamma_series(t: float, series: tuple[float, tuple[float, ...]]) -> float:
@@ -160,14 +170,12 @@ def _lgamma_series(t: float, series: tuple[float, tuple[float, ...]]) -> float:
     linear, coeffs = series
     terms = [linear * t]
     power = t
-    sign = 1.0
     for coeff in coeffs:
         power *= t
-        term = sign * coeff * power
+        term = coeff * power
         terms.append(term)
-        if abs(term) < 1e-20:
+        if -1e-20 < term < 1e-20:
             break
-        sign = -sign
     return math.fsum(terms)
 
 
@@ -353,7 +361,7 @@ def hyp3f2_unit(
             break
         if k0 > k_safe + 2 and np.all(ratios > 0.0) and np.all(ratios < 1.0):
             tail = _tail_bound(t_last, k0, balance)
-            if tail <= tol * max(abs(approx), np.finfo(float).tiny):
+            if tail <= tol * max(abs(approx), _TINY):
                 break
     else:
         raise ConvergenceError(
@@ -361,7 +369,7 @@ def hyp3f2_unit(
         )
 
     value = math.fsum(np.concatenate(blocks).tolist())
-    scale = max(abs(value), np.finfo(float).tiny)
+    scale = max(abs(value), _TINY)
     tail_rel = 0.0 if t_last == 0.0 else _tail_bound(t_last, k0, balance) / scale
     return value, SeriesDiagnostics(k0, tail_rel, True)
 

@@ -9,12 +9,20 @@ Gauss-Laguerre quadrature of their defining integrands.
 The constants of a channel that do not depend on n_r (gamma_{1/2},
 gamma_kappa, d = gamma_kappa - gamma_{1/2}, log Gamma(d - 1),
 log Gamma(gamma_kappa + gamma_{1/2} + 2), log Gamma(2 gamma_{1/2} + 1) and
-log(8 Z**2)) are computed once per call.  One kernel, shared by
-``first_order_integral`` and ``r_channel_series``, takes them and |n_r| and
-evaluates the log-gammas of |n_r| once for both signs of n_r.  The series
-keeps Shewchuk partials of its running sum instead of re-summing every term
-after each pair.  The quadrature evaluates the ground-state and Sturmian
-doublets once per index and forms both integrands from them.
+log(8 Z**2)) are computed once per call.  Two kernels take them and |n_r|
+and evaluate the pieces that depend on |n_r| alone once for both signs of
+n_r: one for the closed first-order integrals, shared by
+``first_order_integral`` and ``r_channel_series``, and one for the Sturmian
+doublet, shared by ``sturmian_ST`` and the quadrature.  The series keeps
+Shewchuk partials of its running sum instead of re-summing every term after
+each pair.
+
+``channel_first_order_integrals`` gives the closed and the quadrature
+integrals of every |n_r| <= n_max of one channel.  It builds the channel
+once, and since every index of a channel is integrated on the same nodes, it
+evaluates the ground-state doublet and the Sturmian envelope on them once.
+Two caches outlive a call: a table of log n!, which does not depend on the
+input, and the last 64 quadrature rules.
 
 The quadrature's 16-node Gauss-Laguerre rule is built with numpy alone
 (``roots_genlaguerre``) and is exact for |n_r| <= 31.
@@ -25,18 +33,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .atom import AtomSpec, ChannelIndex, gamma_half, gamma_kappa, radial_PQ
-from .specfun import ConvergenceError, SeriesDiagnostics, laguerre, log_gamma
+from .specfun import _TINY, ConvergenceError, SeriesDiagnostics, laguerre, log_gamma
 
 # Accuracy floor of the series oracle; requests below it are clamped.
 SERIES_TOL_FLOOR = 1e-12
 
 _MAX_PAIRS = 100_000
 _STOP_STREAK = 5
-_TINY = np.finfo(float).tiny
 # Nodes of the quadrature rule, exact through degree 2 * 16 - 1 = 31.
 _RULE_NODES = 16
 
@@ -66,8 +74,12 @@ class RadialIntegralPair:
     mu_weighted: float
 
 
-def _n_cap_magnitude(n: int, gk: float, kappa: float) -> float:
-    return math.sqrt(n * n + 2.0 * n * gk + kappa * kappa)
+def _caps(n: int, gk: float, kappa: float) -> tuple[float, ...]:
+    """N of n_r = n and, for n > 0, of n_r = -n (see n_cap)."""
+    if n == 0:
+        return (-kappa,)
+    mag = math.sqrt(n * n + 2.0 * n * gk + kappa * kappa)
+    return (mag, -mag)
 
 
 def _mu(n: int, gk: float, nn: float, g: float) -> float:
@@ -83,8 +95,7 @@ def n_cap(idx: SturmianIndex, spec: AtomSpec) -> float:
     kappa = idx.ch.kappa
     if idx.n_r == 0:
         return -kappa
-    mag = _n_cap_magnitude(abs(idx.n_r), gamma_kappa(spec, idx.ch), kappa)
-    return mag if idx.n_r > 0 else -mag
+    return _caps(abs(idx.n_r), gamma_kappa(spec, idx.ch), kappa)[idx.n_r < 0]
 
 
 def mu(idx: SturmianIndex, spec: AtomSpec) -> float:
@@ -102,29 +113,9 @@ def sturmian_ST(idx: SturmianIndex, spec: AtomSpec, r):
     two-term Laguerre bracket; for n_r = 0 the bracket collapses to its
     L_0 term since L_{-1} is identically zero.
     """
-    kappa = idx.ch.kappa
-    n = abs(idx.n_r)
-    z = spec.Z
-    g = gamma_half(spec)
-    gk = gamma_kappa(spec, idx.ch)
-    nn = n_cap(idx, spec)
-
-    rs = np.asarray(r, dtype=float)
-    x = 4.0 * z * rs
-    # sqrt((1 +- 2g) n! (n + 2 gk) / (4 Z N (N - kappa) Gamma(n + 2 gk)))
-    lognorm = 0.5 * (
-        log_gamma(n + 1.0)
-        + math.log(n + 2.0 * gk)
-        - math.log(4.0 * z)
-        - math.log(nn * (nn - kappa))
-        - log_gamma(n + 2.0 * gk)
-    )
-    envelope = np.exp(gk * np.log(x) - 0.5 * x + lognorm)
-    low = laguerre(n - 1, 2.0 * gk, x)
-    high = (nn - kappa) / (n + 2.0 * gk) * laguerre(n, 2.0 * gk, x)
-    s = math.sqrt(1.0 + 2.0 * g) * envelope * (low - high)
-    t = -math.sqrt(1.0 - 2.0 * g) * envelope * (low + high)
-    return s, t
+    c = _exponents(idx.ch, spec)
+    x = 4.0 * spec.Z * np.asarray(r, dtype=float)
+    return _doublets(c, abs(idx.n_r), x, _log_envelope(c, x))[idx.n_r < 0]
 
 
 def _check_dipole(kappa: float) -> None:
@@ -132,9 +123,25 @@ def _check_dipole(kappa: float) -> None:
         raise ValueError(f"dipole channels are kappa = 1/2 and -3/2, got {kappa}")
 
 
-@dataclass(frozen=True)
-class _Channel:
-    """The |n_r|-independent constants of one dipole channel at one spec."""
+# Private records are NamedTuples: a frozen dataclass costs about 1 ms of
+# import time each, and every CLI command imports this module.
+class _Exponents(NamedTuple):
+    """kappa, Z and the exponents gamma_{1/2}, gamma_kappa of one channel at
+    one spec: all that the Sturmian doublets need."""
+
+    kappa: float
+    z: float
+    g: float
+    gk: float
+
+
+def _exponents(ch: ChannelIndex, spec: AtomSpec) -> _Exponents:
+    return _Exponents(ch.kappa, spec.Z, gamma_half(spec), gamma_kappa(spec, ch))
+
+
+class _Channel(NamedTuple):
+    """The |n_r|-independent constants of the closed first-order integrals
+    of one dipole channel at one spec."""
 
     kappa: float
     g: float
@@ -145,13 +152,11 @@ class _Channel:
     log_gamma_d1: float | None  # log Gamma(d - 1), only when d - 1 > 0
 
 
-def _channel(ch: ChannelIndex, spec: AtomSpec) -> _Channel:
-    g = gamma_half(spec)
-    gk = gamma_kappa(spec, ch)
+def _channel(e: _Exponents) -> _Channel:
+    z, g, gk = e.z, e.g, e.gk
     d = gk - g
-    z = spec.Z
     return _Channel(
-        ch.kappa,
+        e.kappa,
         g,
         gk,
         d,
@@ -159,6 +164,12 @@ def _channel(ch: ChannelIndex, spec: AtomSpec) -> _Channel:
         log_gamma(2.0 * g + 1.0),
         log_gamma(d - 1.0) if d - 1.0 > 0.0 else None,
     )
+
+
+@lru_cache(maxsize=_MAX_PAIRS + 1)
+def _log_factorial(n: int) -> float:
+    """log n!, equal to log_gamma(n + 1.0) bit for bit."""
+    return log_gamma(n + 1.0)
 
 
 def _gamma_shift_ratio(d: float, n: int, log_gamma_d1: float | None) -> tuple[float, float]:
@@ -193,17 +204,12 @@ def _index_integrals(c: _Channel, n: int) -> list[tuple[float, float, float]]:
     large |n_r| neither overflows nor loses the leading digits.
     """
     kappa, g, gk, d = c.kappa, c.g, c.gk, c.d
-    if n == 0:
-        caps = (-kappa,)
-    else:
-        mag = _n_cap_magnitude(n, gk, kappa)
-        caps = (mag, -mag)
-
+    caps = _caps(n, gk, kappa)
     sign_r, log_r = _gamma_shift_ratio(d, n, c.log_gamma_d1)
     if sign_r == 0.0:
         return [(0.0, 0.0, _mu(n, gk, nn, g)) for nn in caps]
 
-    log_n = math.log(2.0) + log_gamma(n + 1.0)
+    log_n = math.log(2.0) + _log_factorial(n)
     log_n2gk = log_gamma(n + 2.0 * gk + 1.0)
     nd = n + d
     out = []
@@ -228,6 +234,38 @@ def _index_integrals(c: _Channel, n: int) -> list[tuple[float, float, float]]:
     return out
 
 
+def _log_envelope(c: _Exponents, x):
+    """gamma_kappa * log(x) - x / 2, the log of the doublets' envelope at
+    x = 4Zr without its normalization; it does not depend on n_r."""
+    return c.gk * np.log(x) - 0.5 * x
+
+
+def _doublets(c: _Exponents, n: int, x, log_envelope) -> list[tuple]:
+    """Sturmian doublets (S, T) at x = 4Zr of n_r = n and, for n > 0, of
+    n_r = -n; log_envelope is _log_envelope(c, x).
+
+    Both signs share the Laguerre polynomials and the log-gammas of |n_r|;
+    only N, and with it the norm and the bracket, differ between them.
+    """
+    kappa, gk = c.kappa, c.gk
+    n2gk = n + 2.0 * gk
+    # log of (1 +- 2g) n! (n + 2 gk) / (4 Z N (N - kappa) Gamma(n + 2 gk))
+    # without the 1 +- 2g, in pieces: the head before N, the tail after it.
+    log_head = _log_factorial(n) + math.log(n2gk) - math.log(4.0 * c.z)
+    log_tail = log_gamma(n2gk)
+    low = laguerre(n - 1, 2.0 * gk, x)
+    lag_n = laguerre(n, 2.0 * gk, x)
+    root_plus = math.sqrt(1.0 + 2.0 * c.g)
+    root_minus = math.sqrt(1.0 - 2.0 * c.g)
+    out = []
+    for nn in _caps(n, gk, kappa):
+        lognorm = 0.5 * (log_head - math.log(nn * (nn - kappa)) - log_tail)
+        envelope = np.exp(log_envelope + lognorm)
+        high = (nn - kappa) / n2gk * lag_n
+        out.append((root_plus * envelope * (low - high), -root_minus * envelope * (low + high)))
+    return out
+
+
 def first_order_integral(idx: SturmianIndex, spec: AtomSpec) -> RadialIntegralPair:
     """Closed-form first-order radial integrals for a dipole channel.
 
@@ -235,7 +273,7 @@ def first_order_integral(idx: SturmianIndex, spec: AtomSpec) -> RadialIntegralPa
     r (mu P S + Q T)) in atomic units.
     """
     _check_dipole(idx.ch.kappa)
-    integrals = _index_integrals(_channel(idx.ch, spec), abs(idx.n_r))
+    integrals = _index_integrals(_channel(_exponents(idx.ch, spec)), abs(idx.n_r))
     plain, mu_weighted, _ = integrals[idx.n_r < 0]
     return RadialIntegralPair(plain, mu_weighted)
 
@@ -261,7 +299,9 @@ def roots_genlaguerre(weight_power: float):
 
 @lru_cache(maxsize=64)
 def _laguerre_rule(weight_power: float):
-    return roots_genlaguerre(weight_power)
+    """Nodes x and weights of roots_genlaguerre, and weight_power * log(x)."""
+    x, w = roots_genlaguerre(weight_power)
+    return x, w, weight_power * np.log(x)
 
 
 def gauss_laguerre_integral(func, weight_power: float, scale: float) -> float:
@@ -273,14 +313,55 @@ def gauss_laguerre_integral(func, weight_power: float, scale: float) -> float:
     _RULE_NODES = 16 nodes, so it is exact, up to rounding, when that
     remainder is a polynomial of degree <= 31.
     """
-    x, w = _laguerre_rule(weight_power)
+    x, w, log_weight = _laguerre_rule(weight_power)
     r = x / scale
     fvals = np.asarray(func(r), dtype=float)
     signs = np.sign(fvals)
     with np.errstate(divide="ignore"):
-        logrest = np.log(np.abs(fvals)) + x - weight_power * np.log(x)
+        logrest = np.log(np.abs(fvals)) + x - log_weight
     rest = np.where(signs == 0.0, 0.0, signs * np.exp(logrest))
     return math.fsum(w * rest) / scale
+
+
+class _Nodes(NamedTuple):
+    """One channel's quadrature nodes r, with the ground-state doublet
+    (P, Q) and the log of the Sturmian envelope on them."""
+
+    power: float
+    scale: float
+    p: np.ndarray
+    q: np.ndarray
+    x: np.ndarray  # 4Zr
+    log_envelope: np.ndarray
+
+
+def _nodes(c: _Exponents, spec: AtomSpec) -> _Nodes:
+    # Every index of a channel has the weight power gamma_{1/2} +
+    # gamma_kappa + 1, so it is integrated on the same nodes r = x / 4Z.
+    power = c.g + c.gk + 1.0
+    scale = 4.0 * c.z
+    r = _laguerre_rule(power)[0] / scale
+    p, q = radial_PQ(spec, r)
+    x = scale * r
+    return _Nodes(power, scale, p, q, x, _log_envelope(c, x))
+
+
+def _quadrature_integrals(c: _Exponents, n: int, nodes: _Nodes) -> list[RadialIntegralPair]:
+    """Quadrature integrals of n_r = n and, for n > 0, of n_r = -n; the two
+    integrals of an index are evaluated on one set of doublets."""
+    out = []
+    for nn, (s, t) in zip(_caps(n, c.gk, c.kappa), _doublets(c, n, nodes.x, nodes.log_envelope)):
+        qt = nodes.q * t
+
+        def integral(weight: float) -> float:
+            # r (weight P S + Q T); gauss_laguerre_integral passes the nodes
+            # r that P, S and T were evaluated at.
+            return gauss_laguerre_integral(
+                lambda r: r * (weight * nodes.p * s + qt), nodes.power, nodes.scale
+            )
+
+        out.append(RadialIntegralPair(integral(1.0), integral(_mu(n, c.gk, nn, c.g))))
+    return out
 
 
 def first_order_integral_quadrature(idx: SturmianIndex, spec: AtomSpec) -> RadialIntegralPair:
@@ -288,31 +369,32 @@ def first_order_integral_quadrature(idx: SturmianIndex, spec: AtomSpec) -> Radia
     of their defining integrands; the quadrature weight carries the exact
     power (4Zr)**(gamma_{1/2} + gamma_kappa + 1), so the remaining factor is
     a polynomial of degree |n_r| and the rule is exact up to rounding."""
-    g = gamma_half(spec)
-    gk = gamma_kappa(spec, idx.ch)
-    mu_val = mu(idx, spec)
+    c = _exponents(idx.ch, spec)
+    return _quadrature_integrals(c, abs(idx.n_r), _nodes(c, spec))[idx.n_r < 0]
 
-    # Both integrals use one rule, so both calls pass the same nodes and the
-    # doublets are evaluated once, by the first call.
-    doublets = []
 
-    def integrand(weight: float):
-        def f(r):
-            if not doublets:
-                p, q = radial_PQ(spec, r)
-                s, t = sturmian_ST(idx, spec, r)
-                doublets.extend((p, s, q * t))
-            p, s, qt = doublets
-            return r * (weight * p * s + qt)
+def channel_first_order_integrals(
+    ch: ChannelIndex, spec: AtomSpec, n_max: int
+) -> list[tuple[RadialIntegralPair, RadialIntegralPair]]:
+    """(closed form, quadrature) first-order integrals of one dipole channel
+    for n_r = -n_max, ..., n_max, in that order.
 
-        return f
-
-    power = g + gk + 1.0
-    scale = 4.0 * spec.Z
-    return RadialIntegralPair(
-        gauss_laguerre_integral(integrand(1.0), power, scale),
-        gauss_laguerre_integral(integrand(mu_val), power, scale),
-    )
+    Each pair equals ``first_order_integral`` and
+    ``first_order_integral_quadrature`` of its index bit for bit.  The
+    channel's constants, nodes and ground-state doublet are computed once,
+    and each |n_r| once for both signs.
+    """
+    _check_dipole(ch.kappa)
+    e = _exponents(ch, spec)
+    c = _channel(e)
+    nodes = _nodes(e, spec)
+    by_index = {}
+    for n in range(n_max + 1):
+        exact = _index_integrals(c, n)
+        quad = _quadrature_integrals(e, n, nodes)
+        for n_r, (plain, mu_weighted, _), pair in zip((n, -n), exact, quad):
+            by_index[n_r] = (RadialIntegralPair(plain, mu_weighted), pair)
+    return [by_index[n_r] for n_r in range(-n_max, n_max + 1)]
 
 
 def _series_term(plain: float, mu_weighted: float, mu_val: float) -> float:
@@ -354,7 +436,7 @@ def r_channel_series(
         raise ValueError(f"tol must be positive, got {tol!r}")
     tol = max(tol, SERIES_TOL_FLOOR)
 
-    c = _channel(ch, spec)
+    c = _channel(_exponents(ch, spec))
     partials: list[float] = []
     _add_partial(partials, _series_term(*_index_integrals(c, 0)[0]))
     prev_pair = math.inf

@@ -1,6 +1,7 @@
 """Tests of the special-function kernels: log-gamma, gamma ratios,
 Laguerre recurrence, and the 3F2 series at unit argument."""
 
+import hashlib
 import math
 
 import mpmath
@@ -77,6 +78,17 @@ class TestLogGamma:
         # Bits of the series around 1 and 2 and of the recurrence onto them;
         # the closed form and the table inherit these exact values.
         assert float.hex(log_gamma(x)) == bits
+
+    def test_pinned_bits_on_a_grid(self):
+        # float.hex of every value on (0, 30] and within 50 * 2**-40 of 1 and
+        # 2, hashed; the hash was taken before the series signs were folded
+        # into the coefficient tables, and every branch must keep its bits.
+        grid = [30.0 * k / 20_000 for k in range(1, 20_001)]
+        grid += [c + j * 2.0**-40 for c in (1.0, 2.0) for j in range(-50, 51) if j]
+        bits = "\n".join(float.hex(log_gamma(x)) for x in grid)
+        assert hashlib.sha256(bits.encode()).hexdigest() == (
+            "fef6bfdb9be5169f8b05eeb8ea0498efa1de17e0f37b1279e7680336ac4a5809"
+        )
 
 
 class TestGammaRatio:

@@ -18,6 +18,8 @@ from diracpol.atom import (
 from diracpol.specfun import laguerre, log_gamma
 from diracpol.sturmian import (
     SturmianIndex,
+    _log_factorial,
+    channel_first_order_integrals,
     first_order_integral,
     first_order_integral_quadrature,
     gauss_laguerre_integral,
@@ -243,6 +245,27 @@ class TestFirstOrderIntegrals:
                 assert pair.plain == gauss_laguerre_integral(plain, power, 4.0 * z)
                 assert pair.mu_weighted == gauss_laguerre_integral(weighted, power, 4.0 * z)
 
+    @pytest.mark.parametrize("z", [1e-3, 0.05, 12.3456, 26.0, 68.5])
+    def test_channel_integrals_equal_per_index_integrals(self, z):
+        # Built once per channel, the closed and quadrature integrals must
+        # keep every bit of the per-index functions.
+        spec = AtomSpec(z, "planar")
+        for ch in CHANNELS:
+            pairs = channel_first_order_integrals(ch, spec, 3)
+            assert len(pairs) == 7
+            for n_r, (exact, quad) in zip(range(-3, 4), pairs):
+                idx = SturmianIndex(n_r, ch)
+                for got, want in (
+                    (exact, first_order_integral(idx, spec)),
+                    (quad, first_order_integral_quadrature(idx, spec)),
+                ):
+                    assert float.hex(got.plain) == float.hex(want.plain)
+                    assert float.hex(got.mu_weighted) == float.hex(want.mu_weighted)
+
+    def test_log_factorial_is_log_gamma_bit_for_bit(self):
+        for n in range(301):
+            assert float.hex(_log_factorial(n)) == float.hex(log_gamma(n + 1.0))
+
     def test_degenerate_weighted_integral_is_exactly_zero(self):
         for z in (1.0, 26.0, 68.0):
             pair = first_order_integral(
@@ -275,6 +298,8 @@ class TestFirstOrderIntegrals:
             first_order_integral(SturmianIndex(0, ChannelIndex(1.5)), spec)
         with pytest.raises(ValueError, match="dipole channels are kappa = 1/2 and -3/2"):
             r_channel_series(ChannelIndex(1.5), spec)
+        with pytest.raises(ValueError, match="dipole channels are kappa = 1/2 and -3/2"):
+            channel_first_order_integrals(ChannelIndex(1.5), spec, 3)
 
 
 class TestChannelSeries:
