@@ -3,6 +3,8 @@ atoms in two and three dimensions: closed-form hypergeometric evaluation,
 an independent Sturmian-series oracle, and reference-table generation with
 uncertainty propagation."""
 
+import importlib
+
 from .atom import (
     ALPHA_INV_CODATA2014,
     ALPHA_INV_SIGMA_CODATA2014,
@@ -35,26 +37,40 @@ from .specfun import (
     laguerre,
     log_gamma,
 )
-from .sturmian import (
-    RadialIntegralPair,
-    SturmianIndex,
-    first_order_integral,
-    first_order_integral_quadrature,
-    gauss_laguerre_integral,
-    mu,
-    n_cap,
-    r_channel_series,
-    sturmian_ST,
-)
-from .tablegen import (
-    ConstantSet,
-    PropagationError,
-    TableRow,
-    generate_table,
-    propagate_uncertainty,
-    rows_to_csv,
-    rows_to_json,
-)
+# The oracle and the table layer load on first access (PEP 562), so that
+# ``import diracpol`` and the closed-form commands stay without them.  The
+# value is looked up on every access, not stored here: a tracer that rebinds
+# a module's functions for a while must not leave its wrapper behind.
+_LAZY = {
+    "RadialIntegralPair": "sturmian",
+    "SturmianIndex": "sturmian",
+    "first_order_integral": "sturmian",
+    "first_order_integral_quadrature": "sturmian",
+    "gauss_laguerre_integral": "sturmian",
+    "mu": "sturmian",
+    "n_cap": "sturmian",
+    "r_channel_series": "sturmian",
+    "sturmian_ST": "sturmian",
+    "ConstantSet": "tablegen",
+    "PropagationError": "tablegen",
+    "TableRow": "tablegen",
+    "generate_table": "tablegen",
+    "propagate_uncertainty": "tablegen",
+    "rows_to_csv": "tablegen",
+    "rows_to_json": "tablegen",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

@@ -10,12 +10,11 @@ nonzero integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .specfun import log_gamma
+from .specfun import _validated_make, log_gamma
 
 # Inverse fine-structure constant (CODATA 2014) and its one-standard-deviation
 # uncertainty; the reference tables are pinned to this constant set.
@@ -32,7 +31,7 @@ class SupercriticalError(ValueError):
 def critical_charge(dimension: Dimension, alpha_inv: float = ALPHA_INV_CODATA2014) -> float:
     """Largest charge with a real ground-state exponent: alpha_inv/2 for
     planar atoms, alpha_inv for spatial ones."""
-    if alpha_inv <= 0.0:
+    if not alpha_inv > 0.0:
         raise ValueError(f"alpha_inv must be positive, got {alpha_inv!r}")
     if dimension == "planar":
         return alpha_inv / 2.0
@@ -41,8 +40,13 @@ def critical_charge(dimension: Dimension, alpha_inv: float = ALPHA_INV_CODATA201
     raise ValueError(f"unknown dimension {dimension!r}")
 
 
-@dataclass(frozen=True)
-class AtomSpec:
+class _AtomSpecFields(NamedTuple):
+    Z: float
+    dimension: Dimension
+    alpha_inv: float
+
+
+class AtomSpec(_AtomSpecFields):
     """One hydrogen-like ion: nuclear charge, dimensionality, constant set.
 
     Z is a positive real (non-integer values support limit studies); it must
@@ -51,24 +55,27 @@ class AtomSpec:
     complex-valued exponents.
     """
 
-    Z: float
-    dimension: Dimension = "planar"
-    alpha_inv: float = ALPHA_INV_CODATA2014
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.dimension not in ("planar", "spatial"):
-            raise ValueError(f"unknown dimension {self.dimension!r}")
-        if not self.alpha_inv > 0.0:
-            raise ValueError(f"alpha_inv must be positive, got {self.alpha_inv!r}")
-        if not self.Z > 0.0:
-            raise ValueError(f"Z must be positive, got {self.Z!r}")
-        z_crit = critical_charge(self.dimension, self.alpha_inv)
-        if not self.Z < z_crit:
-            limit = "alpha_inv/2" if self.dimension == "planar" else "alpha_inv"
+    def __new__(
+        cls, Z: float, dimension: Dimension = "planar", alpha_inv: float = ALPHA_INV_CODATA2014
+    ) -> AtomSpec:
+        if dimension not in ("planar", "spatial"):
+            raise ValueError(f"unknown dimension {dimension!r}")
+        if not alpha_inv > 0.0:
+            raise ValueError(f"alpha_inv must be positive, got {alpha_inv!r}")
+        if not Z > 0.0:
+            raise ValueError(f"Z must be positive, got {Z!r}")
+        z_crit = critical_charge(dimension, alpha_inv)
+        if not Z < z_crit:
+            limit = "alpha_inv/2" if dimension == "planar" else "alpha_inv"
             raise SupercriticalError(
-                f"Z={self.Z} is supercritical: a {self.dimension} point-nucleus "
+                f"Z={Z} is supercritical: a {dimension} point-nucleus "
                 f"atom requires Z < {limit} = {z_crit}"
             )
+        return tuple.__new__(cls, (Z, dimension, alpha_inv))
+
+    _make = classmethod(_validated_make)
 
     @property
     def alpha_z(self) -> float:
@@ -76,22 +83,28 @@ class AtomSpec:
         return self.Z / self.alpha_inv
 
 
-@dataclass(frozen=True)
-class ChannelIndex:
+class _ChannelIndexFields(NamedTuple):
+    kappa: float
+
+
+class ChannelIndex(_ChannelIndexFields):
     """Relativistic angular quantum number kappa selecting a radial channel.
 
     Planar channels carry half-odd-integers (+-1/2, +-3/2, ...), spatial
     channels nonzero integers; both are stored exactly as doubles.
     """
 
-    kappa: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        two_kappa = 2.0 * self.kappa
-        if two_kappa != round(two_kappa) or self.kappa == 0.0:
+    def __new__(cls, kappa: float) -> ChannelIndex:
+        # round() of NaN or inf raises its own error; reject them first.
+        if not math.isfinite(kappa) or 2.0 * kappa != round(2.0 * kappa) or kappa == 0.0:
             raise ValueError(
-                f"kappa must be a nonzero integer or half-odd-integer, got {self.kappa!r}"
+                f"kappa must be a nonzero integer or half-odd-integer, got {kappa!r}"
             )
+        return tuple.__new__(cls, (kappa,))
+
+    _make = classmethod(_validated_make)
 
     @property
     def is_half_integer(self) -> bool:
@@ -103,6 +116,11 @@ def _check_channel(spec: AtomSpec, ch: ChannelIndex) -> None:
         raise ValueError(f"planar channels need half-odd-integer kappa, got {ch.kappa}")
     if spec.dimension == "spatial" and ch.is_half_integer:
         raise ValueError(f"spatial channels need integer kappa, got {ch.kappa}")
+
+
+def _check_dipole(kappa: float) -> None:
+    if kappa not in (0.5, -1.5):
+        raise ValueError(f"dipole channels are kappa = 1/2 and -3/2, got {kappa}")
 
 
 def gamma_kappa(spec: AtomSpec, ch: ChannelIndex) -> float:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -23,8 +22,6 @@ from .polarizability import (
     r_channel_closed,
 )
 from .specfun import ConvergenceError
-from .sturmian import channel_first_order_integrals, r_channel_series
-from .tablegen import ConstantSet, generate_table, rows_to_csv, rows_to_json
 
 ALPHA_INV_ENV = "DIRACPOL_ALPHA_INV"
 
@@ -113,6 +110,12 @@ def _emit(document: str, output: str | None) -> None:
             handle.write(document)
 
 
+def _json_document(payload: dict) -> str:
+    import json  # only the JSON format needs it
+
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def _reldev(a: float, b: float, floor: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), floor)
 
@@ -135,7 +138,7 @@ def _run_single(args: argparse.Namespace, alpha_inv: float, tol: float) -> str:
             "tail_estimate": diag.tail_estimate,
             "converged": diag.converged,
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json_document(payload)
     lines = [
         f"Z = {_fmt(args.Z)}",
         f"alpha_inv = {_fmt(alpha_inv)}",
@@ -147,7 +150,11 @@ def _run_single(args: argparse.Namespace, alpha_inv: float, tol: float) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Each command imports what only it uses: the table layer, the oracle and
+# json stay out of the closed-form commands' start-up.
 def _run_table(args: argparse.Namespace, alpha_inv: float, tol: float) -> str:
+    from .tablegen import ConstantSet, generate_table, rows_to_csv, rows_to_json
+
     consts = ConstantSet(alpha_inv, args.alpha_inv_sigma)
     rows = generate_table(args.z_min, args.z_max, consts, tol)
     if args.format == "csv":
@@ -160,6 +167,8 @@ def _run_table(args: argparse.Namespace, alpha_inv: float, tol: float) -> str:
 
 
 def _run_crosscheck(args: argparse.Namespace, alpha_inv: float, tol: float) -> str:
+    from .sturmian import channel_first_order_integrals, r_channel_series
+
     spec = AtomSpec(args.Z, "planar", alpha_inv)
     channels = (ChannelIndex(0.5), ChannelIndex(-1.5))
     report = {}
@@ -201,7 +210,7 @@ def _run_crosscheck(args: argparse.Namespace, alpha_inv: float, tol: float) -> s
             "alpha_1_series": series_alpha.value_a0_cubed,
             "alpha_1_rel_dev": alpha_dev,
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json_document(payload)
     lines = [f"Z = {_fmt(args.Z)}, alpha_inv = {_fmt(alpha_inv)}, tol = {tol:g}"]
     for kappa, entry in report.items():
         lines.append(
@@ -236,7 +245,7 @@ def _run_limits(args: argparse.Namespace, alpha_inv: float, tol: float) -> str:
             "spatial_quasirel_coefficient": spatial_c,
             "spatial_quasirel_target": -28.0 / 27.0,
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json_document(payload)
     lines = [
         f"planar nonrelativistic Z^4*alpha_1 = {_fmt(planar_nr)} a0^3 (target 21/128 = 0.1640625)",
         f"spatial nonrelativistic Z^4*alpha_1 = {_fmt(spatial_nr)} a0^3 (target 9/2 = 4.5)",

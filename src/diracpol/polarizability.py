@@ -14,19 +14,18 @@ by a single division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 from .atom import (
     ALPHA_INV_CODATA2014,
     AtomSpec,
     ChannelIndex,
     Dimension,
+    _check_dipole,
     gamma_half,
     gamma_kappa,
 )
 from .specfun import Hyp3F2Params, SeriesDiagnostics, gamma_ratio, hyp3f2_unit
-from .sturmian import _check_dipole, r_channel_series
 
 Method = Literal["closed_form", "sturmian_series", "nonrel_limit", "quasirel"]
 
@@ -39,8 +38,7 @@ class ExtrapolationError(ArithmeticError):
     """Richardson extrapolation residuals failed to shrink as expected."""
 
 
-@dataclass(frozen=True)
-class PolarizabilityResult:
+class PolarizabilityResult(NamedTuple):
     """Ground-state dipole polarizability with its Z**4-scaled companion.
 
     ``uncertainty`` (one standard deviation, same units) is populated by the
@@ -180,6 +178,10 @@ def polarizability_spatial(spec: AtomSpec, tol: float = 1e-16) -> Polarizability
 def polarizability_sturmian(spec: AtomSpec, tol: float = 1e-12) -> PolarizabilityResult:
     """Planar polarizability from the Sturmian channel series, the oracle
     route: alpha_1 = (R_{1/2} + R_{-3/2}) / 2."""
+    # The oracle module is loaded on first use: the closed-form commands
+    # never need it.
+    from .sturmian import r_channel_series
+
     if spec.dimension != "planar":
         raise ValueError("polarizability_sturmian needs a planar spec")
     r_half, diag_half = r_channel_series(ChannelIndex(0.5), spec, tol)

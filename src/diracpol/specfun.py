@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,16 @@ class ConvergenceError(ArithmeticError):
     """A series failed to reach the requested tolerance within the term cap."""
 
 
-@dataclass(frozen=True)
-class SeriesDiagnostics:
+# A record that validates its fields is a NamedTuple of the fields and a
+# subclass whose __new__ checks them, then builds the tuple with
+# tuple.__new__, one Python call fewer than the fields class's __new__.
+def _validated_make(cls, iterable):
+    """``_make`` of a record that validates in ``__new__``: ``_replace``
+    builds through ``_make``, which would otherwise skip the checks."""
+    return cls(*iterable)
+
+
+class SeriesDiagnostics(NamedTuple):
     """Bookkeeping attached to every infinite-series evaluation.
 
     Attributes
@@ -49,8 +57,15 @@ class SeriesDiagnostics:
     converged: bool
 
 
-@dataclass(frozen=True)
-class Hyp3F2Params:
+class _Hyp3F2Fields(NamedTuple):
+    a1: float
+    a2: float
+    a3: float
+    b1: float
+    b2: float
+
+
+class Hyp3F2Params(_Hyp3F2Fields):
     """Parameter set (a1, a2, a3; b1, b2) of a 3F2 series at unit argument.
 
     Denominator parameters must not be zero or a negative integer (poles of
@@ -59,25 +74,22 @@ class Hyp3F2Params:
     non-positive integer (truncating case); that is checked at evaluation.
     """
 
-    a1: float
-    a2: float
-    a3: float
-    b1: float
-    b2: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("b1", "b2"):
-            b = getattr(self, name)
+    def __new__(cls, a1: float, a2: float, a3: float, b1: float, b2: float) -> Hyp3F2Params:
+        for name, b in (("b1", b1), ("b2", b2)):
             if not math.isfinite(b):
                 raise ValueError(f"{name} must be finite, got {b!r}")
             if b <= 0.0 and b == round(b):
                 raise ValueError(
                     f"{name}={b} is a non-positive integer (pole of the series)"
                 )
-        for name in ("a1", "a2", "a3"):
-            a = getattr(self, name)
+        for name, a in (("a1", a1), ("a2", a2), ("a3", a3)):
             if not math.isfinite(a):
                 raise ValueError(f"{name} must be finite, got {a!r}")
+        return tuple.__new__(cls, (a1, a2, a3, b1, b2))
+
+    _make = classmethod(_validated_make)
 
     @property
     def numerators(self) -> tuple[float, float, float]:

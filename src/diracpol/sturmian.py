@@ -31,14 +31,13 @@ The quadrature's 16-node Gauss-Laguerre rule is built with numpy alone
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .atom import AtomSpec, ChannelIndex, gamma_half, gamma_kappa, radial_PQ
-from .specfun import _TINY, ConvergenceError, SeriesDiagnostics, laguerre, log_gamma
+from .atom import AtomSpec, ChannelIndex, _check_dipole, gamma_half, gamma_kappa, radial_PQ
+from .specfun import _TINY, ConvergenceError, SeriesDiagnostics, _validated_make, laguerre, log_gamma
 
 # Accuracy floor of the series oracle; requests below it are clamped.
 SERIES_TOL_FLOOR = 1e-12
@@ -49,24 +48,29 @@ _STOP_STREAK = 5
 _RULE_NODES = 16
 
 
-@dataclass(frozen=True)
-class SturmianIndex:
+class _SturmianIndexFields(NamedTuple):
+    n_r: int
+    ch: ChannelIndex
+
+
+class SturmianIndex(_SturmianIndexFields):
     """Radial index n_r and channel of one Sturmian basis function.
 
     The kappa = -1/2 channel hosts the ground state itself and is excluded
     from the expansion.
     """
 
-    n_r: int
-    ch: ChannelIndex
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.ch.kappa == -0.5:
+    def __new__(cls, n_r: int, ch: ChannelIndex) -> SturmianIndex:
+        if ch.kappa == -0.5:
             raise ValueError("the kappa = -1/2 channel is excluded from the expansion")
+        return tuple.__new__(cls, (n_r, ch))
+
+    _make = classmethod(_validated_make)
 
 
-@dataclass(frozen=True)
-class RadialIntegralPair:
+class RadialIntegralPair(NamedTuple):
     """First-order radial integrals of one Sturmian index: the plain overlap
     and its apparent-eigenvalue-weighted companion (atomic units)."""
 
@@ -118,13 +122,6 @@ def sturmian_ST(idx: SturmianIndex, spec: AtomSpec, r):
     return _doublets(c, abs(idx.n_r), x, _log_envelope(c, x))[idx.n_r < 0]
 
 
-def _check_dipole(kappa: float) -> None:
-    if kappa not in (0.5, -1.5):
-        raise ValueError(f"dipole channels are kappa = 1/2 and -3/2, got {kappa}")
-
-
-# Private records are NamedTuples: a frozen dataclass costs about 1 ms of
-# import time each, and every CLI command imports this module.
 class _Exponents(NamedTuple):
     """kappa, Z and the exponents gamma_{1/2}, gamma_kappa of one channel at
     one spec: all that the Sturmian doublets need."""

@@ -10,13 +10,13 @@ integer in units of the last displayed digit.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
+from typing import NamedTuple
 
 from .atom import ALPHA_INV_CODATA2014, ALPHA_INV_SIGMA_CODATA2014, AtomSpec
 from .polarizability import polarizability_planar
+from .specfun import _validated_make
 
 CSV_HEADER = "Z,scaled_polarizability_a0^3,uncertainty_last_two_digits,polarizability_a0^3"
 
@@ -29,25 +29,36 @@ class PropagationError(ArithmeticError):
     """Curvature check of the uncertainty propagation step failed."""
 
 
-@dataclass(frozen=True)
-class ConstantSet:
+class _ConstantSetFields(NamedTuple):
+    alpha_inv: float
+    alpha_inv_sigma: float
+
+
+class ConstantSet(_ConstantSetFields):
     """Inverse fine-structure constant and its one-standard-deviation
     uncertainty (defaults: CODATA 2014)."""
 
-    alpha_inv: float = ALPHA_INV_CODATA2014
-    alpha_inv_sigma: float = ALPHA_INV_SIGMA_CODATA2014
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.alpha_inv > 0.0:
-            raise ValueError(f"alpha_inv must be positive, got {self.alpha_inv!r}")
-        if self.alpha_inv_sigma < 0.0:
+    def __new__(
+        cls,
+        alpha_inv: float = ALPHA_INV_CODATA2014,
+        alpha_inv_sigma: float = ALPHA_INV_SIGMA_CODATA2014,
+    ) -> ConstantSet:
+        if not alpha_inv > 0.0:
+            raise ValueError(f"alpha_inv must be positive, got {alpha_inv!r}")
+        if not math.isfinite(alpha_inv_sigma):
+            raise ValueError(f"alpha_inv_sigma must be finite, got {alpha_inv_sigma!r}")
+        if alpha_inv_sigma < 0.0:
             raise ValueError(
-                f"alpha_inv_sigma must be non-negative, got {self.alpha_inv_sigma!r}"
+                f"alpha_inv_sigma must be non-negative, got {alpha_inv_sigma!r}"
             )
+        return tuple.__new__(cls, (alpha_inv, alpha_inv_sigma))
+
+    _make = classmethod(_validated_make)
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One table row: charge, scaled polarizability, display metadata.
 
     ``sigma_last_two`` is the parenthesized uncertainty expressed in units
@@ -167,6 +178,8 @@ def rows_to_csv(rows: list[TableRow]) -> str:
 def rows_to_json(rows: list[TableRow]) -> str:
     """Render rows as a JSON array; float fields are carried as shortest
     round-tripping decimal strings."""
+    import json
+
     payload = [
         {
             "Z": row.Z,

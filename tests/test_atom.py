@@ -66,9 +66,9 @@ class TestChannelIndex:
     def test_valid(self, kappa):
         assert ChannelIndex(kappa).kappa == kappa
 
-    @pytest.mark.parametrize("kappa", [0.0, 0.3, -1.25])
+    @pytest.mark.parametrize("kappa", [0.0, 0.3, -1.25, math.nan, math.inf, -math.inf])
     def test_invalid(self, kappa):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="kappa must be a nonzero integer"):
             ChannelIndex(kappa)
 
     def test_dimension_compatibility(self):
@@ -121,6 +121,12 @@ class TestCriticalCharge:
 
     def test_constructed_constant_set(self):
         assert critical_charge("planar", alpha_inv=2.0) == 1.0
+
+    @pytest.mark.parametrize("alpha_inv", [0.0, -1.0, math.nan])
+    def test_bad_alpha_inv_rejected(self, alpha_inv):
+        for dimension in ("planar", "spatial"):
+            with pytest.raises(ValueError, match="alpha_inv must be positive"):
+                critical_charge(dimension, alpha_inv)
 
 
 class TestGroundEnergy:

@@ -102,6 +102,11 @@ class TestTableCommand:
     def test_supercritical_range(self, capsys):
         assert run(["table", "--z-min", "1", "--z-max", "69"]) == 3
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma(self, capsys, sigma):
+        assert run(["table", "--z-max", "2", "--alpha-inv-sigma", sigma]) == 2
+        assert f"alpha_inv_sigma must be finite, got {sigma}" in capsys.readouterr().err
+
 
 class TestCrosscheckCommand:
     def test_reported_deviations(self, capsys):
@@ -203,19 +208,55 @@ class TestImportDiet:
         """
     )
 
-    def test_no_command_loads_scipy(self):
+    @staticmethod
+    def _fresh(script):
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT],
+            [sys.executable, "-c", script],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": str(src)},
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+        return proc
+
+    def test_no_command_loads_scipy(self):
+        proc = self._fresh(self.SCRIPT)
         report = json.loads(proc.stdout)
         assert report["codes"] == [0, 0, 0, 0]
         assert report["scipy_loaded"] is False
         assert report["crosscheck_code"] == 0
         for entry in report["crosscheck"]["channels"].values():
             assert entry["quadrature_max_dev"] <= 1e-12
+
+    # Modules a command does not use; json is checked before anything here
+    # could import it.
+    UNUSED = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        from diracpol.cli import run
+
+        for argv in {argvs!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run(argv) == 0, argv
+        print(" ".join(m for m in {watched!r} if m in sys.modules))
+        """
+    )
+    CLOSED_FORM_UNUSED = ("diracpol.sturmian", "diracpol.tablegen", "dataclasses", "json", "decimal")
+
+    @pytest.mark.parametrize(
+        "argvs, watched",
+        [
+            (
+                [["planar", "--Z", "26"], ["spatial", "--Z", "3"], ["limits"]],
+                CLOSED_FORM_UNUSED,
+            ),
+            ([["table", "--format", "csv"]], ("diracpol.sturmian",)),
+            ([["crosscheck", "--Z", "12.3"]], ("diracpol.tablegen",)),
+        ],
+        ids=["closed-form", "table", "crosscheck"],
+    )
+    def test_commands_load_only_what_they_use(self, argvs, watched):
+        proc = self._fresh(self.UNUSED.format(argvs=argvs, watched=watched))
+        assert proc.stdout.split() == []

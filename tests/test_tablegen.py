@@ -2,6 +2,7 @@
 digit display convention, serialization determinism."""
 
 import json
+import math
 from decimal import ROUND_HALF_EVEN, Decimal
 
 import pytest
@@ -27,6 +28,11 @@ class TestPropagateUncertainty:
     def test_zero_sigma_constant_set(self):
         consts = ConstantSet(alpha_inv_sigma=0.0)
         assert propagate_uncertainty(1, consts) == 0.0
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="alpha_inv_sigma must be finite"):
+            ConstantSet(alpha_inv_sigma=sigma)
 
     @pytest.mark.parametrize(
         "z, display, units",
