@@ -39,7 +39,6 @@ class TestSurface:
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
             diracpol.no_such_name
-        assert not hasattr(diracpol, "_check_dipole")
 
     def test_lazy_names_are_the_module_functions(self):
         from diracpol import sturmian, tablegen
