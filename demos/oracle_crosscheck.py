@@ -6,15 +6,8 @@ after five basis functions, while kappa = -3/2 is a genuinely infinite
 series whose length grows toward the critical charge.
 """
 
-from diracpol import (
-    AtomSpec,
-    ChannelIndex,
-    SturmianIndex,
-    first_order_integral,
-    r_channel_closed,
-    r_channel_series,
-)
-from diracpol.sturmian import channel_first_order_integrals
+from diracpol import AtomSpec, ChannelIndex, r_channel_closed
+from diracpol.sturmian import channel_first_order_integrals, r_channel_series
 
 Z = 26.0
 
@@ -44,7 +37,7 @@ def main() -> None:
     print("    which is why that channel's sum is exact after a few terms;")
     print("  - at n_r = 0, kappa = 1/2 the weighted integral is exactly zero")
     print("    (that basis function carries the ground state's radial shape).")
-    pair = first_order_integral(SturmianIndex(0, ChannelIndex(0.5)), spec)
+    pair = channel_first_order_integrals(ChannelIndex(0.5), spec, 0)[0][0]
     print(f"    computed value: {pair.mu_weighted!r}")
 
 

@@ -23,7 +23,6 @@ from .polarizability import (
     nonrel_limit,
     polarizability_planar,
     polarizability_spatial,
-    polarizability_sturmian,
     quasirel_coefficient,
     r_channel_closed,
     second_order_energy,
@@ -37,35 +36,30 @@ from .specfun import (
     laguerre,
     log_gamma,
 )
-# The oracle and the table layer load on first access (PEP 562), so that
-# ``import diracpol`` and the closed-form commands stay without them.  The
-# value is looked up on every access, not stored here: a tracer that rebinds
-# a module's functions for a while must not leave its wrapper behind.
-_LAZY = {
-    "RadialIntegralPair": "sturmian",
-    "SturmianIndex": "sturmian",
-    "first_order_integral": "sturmian",
-    "first_order_integral_quadrature": "sturmian",
-    "gauss_laguerre_integral": "sturmian",
-    "mu": "sturmian",
-    "n_cap": "sturmian",
-    "r_channel_series": "sturmian",
-    "sturmian_ST": "sturmian",
-    "ConstantSet": "tablegen",
-    "PropagationError": "tablegen",
-    "TableRow": "tablegen",
-    "generate_table": "tablegen",
-    "propagate_uncertainty": "tablegen",
-    "rows_to_csv": "tablegen",
-    "rows_to_json": "tablegen",
-}
+# The table layer loads on first access (PEP 562), so that ``import diracpol``
+# and the closed-form commands stay without it.  The value is looked up on
+# every access, not stored here: a tracer that rebinds a module's functions
+# for a while must not leave its wrapper behind.  The Sturmian oracle exists
+# to validate the closed form and is not re-exported; import it from
+# ``diracpol.sturmian`` (and ``polarizability_sturmian`` from
+# ``diracpol.polarizability``).
+_LAZY = frozenset(
+    {
+        "ConstantSet",
+        "PropagationError",
+        "TableRow",
+        "generate_table",
+        "propagate_uncertainty",
+        "rows_to_csv",
+        "rows_to_json",
+    }
+)
 
 
 def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    return getattr(importlib.import_module(f"{__name__}.tablegen"), name)
 
 
 def __dir__() -> list[str]:
@@ -85,36 +79,26 @@ __all__ = [
     "Hyp3F2Params",
     "PolarizabilityResult",
     "PropagationError",
-    "RadialIntegralPair",
     "SeriesDiagnostics",
-    "SturmianIndex",
     "SupercriticalError",
     "TableRow",
     "critical_charge",
-    "first_order_integral",
-    "first_order_integral_quadrature",
     "gamma_half",
     "gamma_kappa",
     "gamma_ratio",
-    "gauss_laguerre_integral",
     "generate_table",
     "ground_energy",
     "hyp3f2_unit",
     "laguerre",
     "log_gamma",
-    "mu",
-    "n_cap",
     "nonrel_limit",
     "polarizability_planar",
     "polarizability_spatial",
-    "polarizability_sturmian",
     "propagate_uncertainty",
     "quasirel_coefficient",
     "r_channel_closed",
-    "r_channel_series",
     "radial_PQ",
     "rows_to_csv",
     "rows_to_json",
     "second_order_energy",
-    "sturmian_ST",
 ]

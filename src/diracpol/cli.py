@@ -1,8 +1,8 @@
 """Command-line interface: single-value queries, reference-table emission,
 oracle cross-checks, and limit verification.
 
-Exit codes: 0 success, 2 argument errors, 3 supercritical charge,
-4 series convergence failure.
+Exit codes: 0 success, 2 argument errors (an --output path that cannot be
+written among them), 3 supercritical charge, 4 series convergence failure.
 """
 
 from __future__ import annotations
@@ -42,9 +42,7 @@ def _default_alpha_inv() -> float:
     try:
         return float(raw)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"environment variable {ALPHA_INV_ENV}={raw!r} is not a number"
-        ) from exc
+        raise ValueError(f"environment variable {ALPHA_INV_ENV}={raw!r} is not a number") from exc
 
 
 @functools.cache
@@ -136,7 +134,6 @@ def _run_single(args: argparse.Namespace, alpha_inv: float, tol: float) -> str:
             "method": result.method,
             "terms_used": diag.terms_used,
             "tail_estimate": diag.tail_estimate,
-            "converged": diag.converged,
         }
         return _json_document(payload)
     lines = [
@@ -144,8 +141,7 @@ def _run_single(args: argparse.Namespace, alpha_inv: float, tol: float) -> str:
         f"alpha_inv = {_fmt(alpha_inv)}",
         f"alpha_1 = {_fmt(result.value_a0_cubed)} a0^3",
         f"Z^4*alpha_1 = {_fmt(result.scaled_Z4)} a0^3",
-        f"series: terms = {diag.terms_used}, tail <= {diag.tail_estimate:.2e}, "
-        f"converged = {diag.converged}",
+        f"series: terms = {diag.terms_used}, tail <= {diag.tail_estimate:.2e}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -291,7 +287,11 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 
-    _emit(document, args.output)
+    try:
+        _emit(document, args.output)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
     return _EXIT_OK
 
 

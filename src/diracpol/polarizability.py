@@ -27,7 +27,7 @@ from .atom import (
 )
 from .specfun import Hyp3F2Params, SeriesDiagnostics, gamma_ratio, hyp3f2_unit
 
-Method = Literal["closed_form", "sturmian_series", "nonrel_limit", "quasirel"]
+Method = Literal["closed_form", "sturmian_series"]
 
 # Nonrelativistic scaled limits Z**4 * alpha_1: 21/128 (planar), 9/2 (spatial).
 NONREL_SCALED_PLANAR = 21.0 / 128.0
@@ -39,18 +39,13 @@ class ExtrapolationError(ArithmeticError):
 
 
 class PolarizabilityResult(NamedTuple):
-    """Ground-state dipole polarizability with its Z**4-scaled companion.
-
-    ``uncertainty`` (one standard deviation, same units) is populated by the
-    table generator when the fine-structure constant's uncertainty is
-    propagated; ``diagnostics`` reports the underlying series behaviour.
-    """
+    """Ground-state dipole polarizability with its Z**4-scaled companion;
+    ``diagnostics`` reports the underlying series behaviour."""
 
     value_a0_cubed: float
     scaled_Z4: float
     method: Method
     diagnostics: SeriesDiagnostics | None = None
-    uncertainty: float | None = None
 
 
 def _reduced_bracket(
@@ -190,7 +185,6 @@ def polarizability_sturmian(spec: AtomSpec, tol: float = 1e-12) -> Polarizabilit
     diag = SeriesDiagnostics(
         diag_half.terms_used + diag_m32.terms_used,
         max(diag_half.tail_estimate, diag_m32.tail_estimate),
-        diag_half.converged and diag_m32.converged,
     )
     return PolarizabilityResult(value, value * spec.Z**4, "sturmian_series", diag)
 

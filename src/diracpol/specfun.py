@@ -48,13 +48,13 @@ class SeriesDiagnostics(NamedTuple):
         Number of series terms accumulated.
     tail_estimate : float
         Estimated relative magnitude of the discarded tail.
-    converged : bool
-        True only if ``tail_estimate`` fell below the requested tolerance.
+
+    A series that does not converge raises ``ConvergenceError`` instead of
+    returning diagnostics.
     """
 
     terms_used: int
     tail_estimate: float
-    converged: bool
 
 
 class _Hyp3F2Fields(NamedTuple):
@@ -341,7 +341,7 @@ def hyp3f2_unit(
             k = np.arange(n_trunc, dtype=float)
             terms[1:] = np.cumprod(_term_ratios(p, k))
         value = math.fsum(terms.tolist())
-        return value, SeriesDiagnostics(n_trunc + 1, 0.0, True)
+        return value, SeriesDiagnostics(n_trunc + 1, 0.0)
 
     balance = p.balance()
     if balance <= 0.0:
@@ -383,7 +383,7 @@ def hyp3f2_unit(
     value = math.fsum(np.concatenate(blocks).tolist())
     scale = max(abs(value), _TINY)
     tail_rel = 0.0 if t_last == 0.0 else _tail_bound(t_last, k0, balance) / scale
-    return value, SeriesDiagnostics(k0, tail_rel, True)
+    return value, SeriesDiagnostics(k0, tail_rel)
 
 
 def hyp3f2_contiguous_rhs(p: Hyp3F2Params, tol: float = TOL_FLOOR) -> float:

@@ -1,28 +1,27 @@
 """Radial Dirac-Coulomb Sturmian functions at the planar ground-state energy
 and the explicit symmetric series for the dipole channel integrals.
 
-This module is the independent oracle for the closed-form channel integrals:
-it sums the Sturmian expansion term by term from the closed first-order
-radial integrals, and additionally re-derives those integrals by
-Gauss-Laguerre quadrature of their defining integrands.
+This module is the independent oracle for the closed-form channel integrals.
+It has two entry points:
 
-The constants of a channel that do not depend on n_r (gamma_{1/2},
+- ``r_channel_series`` sums the Sturmian expansion of one dipole channel term
+  by term from the closed first-order radial integrals;
+- ``channel_first_order_integrals`` gives those closed integrals of every
+  |n_r| <= n_max of one channel together with the same integrals re-derived
+  by Gauss-Laguerre quadrature of their defining integrands.
+
+Both build the channel once (``_channel``): kappa, Z, gamma_{1/2},
 gamma_kappa, d = gamma_kappa - gamma_{1/2}, log Gamma(d - 1),
 log Gamma(gamma_kappa + gamma_{1/2} + 2), log Gamma(2 gamma_{1/2} + 1) and
-log(8 Z**2)) are computed once per call.  Two kernels take them and |n_r|
-and evaluate the pieces that depend on |n_r| alone once for both signs of
-n_r: one for the closed first-order integrals, shared by
-``first_order_integral`` and ``r_channel_series``, and one for the Sturmian
-doublet, shared by ``sturmian_ST`` and the quadrature.  The series keeps
-Shewchuk partials of its running sum instead of re-summing every term after
-each pair.
-
-``channel_first_order_integrals`` gives the closed and the quadrature
-integrals of every |n_r| <= n_max of one channel.  It builds the channel
-once, and since every index of a channel is integrated on the same nodes, it
-evaluates the ground-state doublet and the Sturmian envelope on them once.
-Two caches outlive a call: a table of log n!, which does not depend on the
-input, and the last 64 quadrature rules.
+log(8 Z**2), after checking that kappa is a dipole channel.  Two kernels take
+it and |n_r| and evaluate the pieces that depend on |n_r| alone once for both
+signs of n_r: ``_index_integrals`` for the closed first-order integrals and
+``_doublets`` for the Sturmian doublet (S, T) that the quadrature integrates.
+Since every index of a channel is integrated on the same nodes, the
+ground-state doublet and the Sturmian envelope are evaluated on them once.
+The series keeps Shewchuk partials of its running sum instead of re-summing
+every term after each pair.  Two caches outlive a call: a table of log n!,
+which does not depend on the input, and the last 64 quadrature rules.
 
 The quadrature's 16-node Gauss-Laguerre rule is built with numpy alone
 (``roots_genlaguerre``) and is exact for |n_r| <= 31.
@@ -37,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .atom import AtomSpec, ChannelIndex, _check_dipole, gamma_half, gamma_kappa, radial_PQ
-from .specfun import _TINY, ConvergenceError, SeriesDiagnostics, _validated_make, laguerre, log_gamma
+from .specfun import _TINY, ConvergenceError, SeriesDiagnostics, laguerre, log_gamma
 
 # Accuracy floor of the series oracle; requests below it are clamped.
 SERIES_TOL_FLOOR = 1e-12
@@ -46,28 +45,6 @@ _MAX_PAIRS = 100_000
 _STOP_STREAK = 5
 # Nodes of the quadrature rule, exact through degree 2 * 16 - 1 = 31.
 _RULE_NODES = 16
-
-
-class _SturmianIndexFields(NamedTuple):
-    n_r: int
-    ch: ChannelIndex
-
-
-class SturmianIndex(_SturmianIndexFields):
-    """Radial index n_r and channel of one Sturmian basis function.
-
-    The kappa = -1/2 channel hosts the ground state itself and is excluded
-    from the expansion.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, n_r: int, ch: ChannelIndex) -> SturmianIndex:
-        if ch.kappa == -0.5:
-            raise ValueError("the kappa = -1/2 channel is excluded from the expansion")
-        return tuple.__new__(cls, (n_r, ch))
-
-    _make = classmethod(_validated_make)
 
 
 class RadialIntegralPair(NamedTuple):
@@ -79,7 +56,9 @@ class RadialIntegralPair(NamedTuple):
 
 
 def _caps(n: int, gk: float, kappa: float) -> tuple[float, ...]:
-    """N of n_r = n and, for n > 0, of n_r = -n (see n_cap)."""
+    """Signed apparent principal quantum number N of n_r = n and, for n > 0,
+    of n_r = -n: magnitude sqrt(n**2 + 2n*gamma_kappa + kappa**2), positive
+    for n_r > 0 and negative for n_r < 0; N = -kappa when n_r = 0."""
     if n == 0:
         return (-kappa,)
     mag = math.sqrt(n * n + 2.0 * n * gk + kappa * kappa)
@@ -87,60 +66,16 @@ def _caps(n: int, gk: float, kappa: float) -> tuple[float, ...]:
 
 
 def _mu(n: int, gk: float, nn: float, g: float) -> float:
+    """Apparent charge-like eigenvalue of a Sturmian function at the
+    ground-state energy: (|n_r| + gamma_kappa + N) / (gamma_{1/2} + 1/2)."""
     return (n + gk + nn) / (g + 0.5)
 
 
-def n_cap(idx: SturmianIndex, spec: AtomSpec) -> float:
-    """Signed apparent principal quantum number N of a Sturmian function.
-
-    Magnitude sqrt(n_r**2 + 2|n_r|*gamma_kappa + kappa**2); positive for
-    n_r > 0, negative for n_r < 0, and N = -kappa when n_r = 0.
-    """
-    kappa = idx.ch.kappa
-    if idx.n_r == 0:
-        return -kappa
-    return _caps(abs(idx.n_r), gamma_kappa(spec, idx.ch), kappa)[idx.n_r < 0]
-
-
-def mu(idx: SturmianIndex, spec: AtomSpec) -> float:
-    """Apparent charge-like eigenvalue of a Sturmian function at the
-    ground-state energy: (|n_r| + gamma_kappa + N) / (gamma_{1/2} + 1/2)."""
-    gk = gamma_kappa(spec, idx.ch)
-    g = gamma_half(spec)
-    return _mu(abs(idx.n_r), gk, n_cap(idx, spec), g)
-
-
-def sturmian_ST(idx: SturmianIndex, spec: AtomSpec, r):
-    """Sturmian radial doublet (S(r), T(r)) in atomic units.
-
-    Both components share the envelope (4Zr)**gamma_kappa * exp(-2Zr) and a
-    two-term Laguerre bracket; for n_r = 0 the bracket collapses to its
-    L_0 term since L_{-1} is identically zero.
-    """
-    c = _exponents(idx.ch, spec)
-    x = 4.0 * spec.Z * np.asarray(r, dtype=float)
-    return _doublets(c, abs(idx.n_r), x, _log_envelope(c, x))[idx.n_r < 0]
-
-
-class _Exponents(NamedTuple):
-    """kappa, Z and the exponents gamma_{1/2}, gamma_kappa of one channel at
-    one spec: all that the Sturmian doublets need."""
+class _Channel(NamedTuple):
+    """The |n_r|-independent constants of one dipole channel at one spec."""
 
     kappa: float
     z: float
-    g: float
-    gk: float
-
-
-def _exponents(ch: ChannelIndex, spec: AtomSpec) -> _Exponents:
-    return _Exponents(ch.kappa, spec.Z, gamma_half(spec), gamma_kappa(spec, ch))
-
-
-class _Channel(NamedTuple):
-    """The |n_r|-independent constants of the closed first-order integrals
-    of one dipole channel at one spec."""
-
-    kappa: float
     g: float
     gk: float
     d: float
@@ -149,11 +84,13 @@ class _Channel(NamedTuple):
     log_gamma_d1: float | None  # log Gamma(d - 1), only when d - 1 > 0
 
 
-def _channel(e: _Exponents) -> _Channel:
-    z, g, gk = e.z, e.g, e.gk
+def _channel(ch: ChannelIndex, spec: AtomSpec) -> _Channel:
+    _check_dipole(ch.kappa)
+    z, g, gk = spec.Z, gamma_half(spec), gamma_kappa(spec, ch)
     d = gk - g
     return _Channel(
-        e.kappa,
+        ch.kappa,
+        z,
         g,
         gk,
         d,
@@ -231,18 +168,21 @@ def _index_integrals(c: _Channel, n: int) -> list[tuple[float, float, float]]:
     return out
 
 
-def _log_envelope(c: _Exponents, x):
+def _log_envelope(c: _Channel, x):
     """gamma_kappa * log(x) - x / 2, the log of the doublets' envelope at
     x = 4Zr without its normalization; it does not depend on n_r."""
     return c.gk * np.log(x) - 0.5 * x
 
 
-def _doublets(c: _Exponents, n: int, x, log_envelope) -> list[tuple]:
+def _doublets(c: _Channel, n: int, x, log_envelope) -> list[tuple]:
     """Sturmian doublets (S, T) at x = 4Zr of n_r = n and, for n > 0, of
     n_r = -n; log_envelope is _log_envelope(c, x).
 
-    Both signs share the Laguerre polynomials and the log-gammas of |n_r|;
-    only N, and with it the norm and the bracket, differ between them.
+    Both components share the envelope (4Zr)**gamma_kappa * exp(-2Zr) and a
+    two-term Laguerre bracket; for n_r = 0 the bracket collapses to its L_0
+    term since L_{-1} is identically zero.  Both signs share the Laguerre
+    polynomials and the log-gammas of |n_r|; only N, and with it the norm
+    and the bracket, differ between them.
     """
     kappa, gk = c.kappa, c.gk
     n2gk = n + 2.0 * gk
@@ -261,18 +201,6 @@ def _doublets(c: _Exponents, n: int, x, log_envelope) -> list[tuple]:
         high = (nn - kappa) / n2gk * lag_n
         out.append((root_plus * envelope * (low - high), -root_minus * envelope * (low + high)))
     return out
-
-
-def first_order_integral(idx: SturmianIndex, spec: AtomSpec) -> RadialIntegralPair:
-    """Closed-form first-order radial integrals for a dipole channel.
-
-    Returns the pair (integral of r (P S + Q T), integral of
-    r (mu P S + Q T)) in atomic units.
-    """
-    _check_dipole(idx.ch.kappa)
-    integrals = _index_integrals(_channel(_exponents(idx.ch, spec)), abs(idx.n_r))
-    plain, mu_weighted, _ = integrals[idx.n_r < 0]
-    return RadialIntegralPair(plain, mu_weighted)
 
 
 def roots_genlaguerre(weight_power: float):
@@ -332,7 +260,7 @@ class _Nodes(NamedTuple):
     log_envelope: np.ndarray
 
 
-def _nodes(c: _Exponents, spec: AtomSpec) -> _Nodes:
+def _nodes(c: _Channel, spec: AtomSpec) -> _Nodes:
     # Every index of a channel has the weight power gamma_{1/2} +
     # gamma_kappa + 1, so it is integrated on the same nodes r = x / 4Z.
     power = c.g + c.gk + 1.0
@@ -343,7 +271,7 @@ def _nodes(c: _Exponents, spec: AtomSpec) -> _Nodes:
     return _Nodes(power, scale, p, q, x, _log_envelope(c, x))
 
 
-def _quadrature_integrals(c: _Exponents, n: int, nodes: _Nodes) -> list[RadialIntegralPair]:
+def _quadrature_integrals(c: _Channel, n: int, nodes: _Nodes) -> list[RadialIntegralPair]:
     """Quadrature integrals of n_r = n and, for n > 0, of n_r = -n; the two
     integrals of an index are evaluated on one set of doublets."""
     out = []
@@ -361,34 +289,25 @@ def _quadrature_integrals(c: _Exponents, n: int, nodes: _Nodes) -> list[RadialIn
     return out
 
 
-def first_order_integral_quadrature(idx: SturmianIndex, spec: AtomSpec) -> RadialIntegralPair:
-    """First-order radial integrals by generalized Gauss-Laguerre quadrature
-    of their defining integrands; the quadrature weight carries the exact
-    power (4Zr)**(gamma_{1/2} + gamma_kappa + 1), so the remaining factor is
-    a polynomial of degree |n_r| and the rule is exact up to rounding."""
-    c = _exponents(idx.ch, spec)
-    return _quadrature_integrals(c, abs(idx.n_r), _nodes(c, spec))[idx.n_r < 0]
-
-
 def channel_first_order_integrals(
     ch: ChannelIndex, spec: AtomSpec, n_max: int
 ) -> list[tuple[RadialIntegralPair, RadialIntegralPair]]:
     """(closed form, quadrature) first-order integrals of one dipole channel
     for n_r = -n_max, ..., n_max, in that order.
 
-    Each pair equals ``first_order_integral`` and
-    ``first_order_integral_quadrature`` of its index bit for bit.  The
+    Each pair holds the integrals of r (P S + Q T) and of r (mu P S + Q T)
+    in atomic units.  The quadrature weight carries the exact power
+    (4Zr)**(gamma_{1/2} + gamma_kappa + 1), so the remaining factor is a
+    polynomial of degree |n_r| and the rule is exact up to rounding.  The
     channel's constants, nodes and ground-state doublet are computed once,
     and each |n_r| once for both signs.
     """
-    _check_dipole(ch.kappa)
-    e = _exponents(ch, spec)
-    c = _channel(e)
-    nodes = _nodes(e, spec)
+    c = _channel(ch, spec)
+    nodes = _nodes(c, spec)
     by_index = {}
     for n in range(n_max + 1):
         exact = _index_integrals(c, n)
-        quad = _quadrature_integrals(e, n, nodes)
+        quad = _quadrature_integrals(c, n, nodes)
         for n_r, (plain, mu_weighted, _), pair in zip((n, -n), exact, quad):
             by_index[n_r] = (RadialIntegralPair(plain, mu_weighted), pair)
     return [by_index[n_r] for n_r in range(-n_max, n_max + 1)]
@@ -428,12 +347,11 @@ def r_channel_series(
 
     Returns the channel integral in atomic units together with diagnostics.
     """
-    _check_dipole(ch.kappa)
+    c = _channel(ch, spec)
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     tol = max(tol, SERIES_TOL_FLOOR)
 
-    c = _channel(_exponents(ch, spec))
     partials: list[float] = []
     _add_partial(partials, _series_term(*_index_integrals(c, 0)[0]))
     prev_pair = math.inf
@@ -448,7 +366,7 @@ def r_channel_series(
         if streak >= _STOP_STREAK and n >= 10:
             tail = _pair_tail(abs(prev_pair), abs(pair), n)
             if tail <= tol * scale:
-                return total, SeriesDiagnostics(2 * n + 1, tail / scale, True)
+                return total, SeriesDiagnostics(2 * n + 1, tail / scale)
         prev_pair = pair
     raise ConvergenceError(
         f"Sturmian channel series did not reach tol={tol:g} within {_MAX_PAIRS} pairs"

@@ -33,9 +33,7 @@ from diracpol.specfun import (
     log_gamma,
 )
 from diracpol.sturmian import (
-    SturmianIndex,
-    first_order_integral,
-    first_order_integral_quadrature,
+    channel_first_order_integrals,
     gauss_laguerre_integral,
     r_channel_series,
 )
@@ -142,13 +140,7 @@ def test_criterion_5_oracle_equivalence():
     for z in (26.0, 68.0):
         spec = AtomSpec(z, "planar")
         for ch in (ChannelIndex(0.5), ChannelIndex(-1.5)):
-            pairs = [
-                (
-                    first_order_integral(SturmianIndex(n_r, ch), spec),
-                    first_order_integral_quadrature(SturmianIndex(n_r, ch), spec),
-                )
-                for n_r in range(-3, 4)
-            ]
+            pairs = channel_first_order_integrals(ch, spec, 3)
             scale = max(
                 max(abs(a.plain), abs(a.mu_weighted)) for a, _ in pairs
             )

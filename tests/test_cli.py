@@ -25,7 +25,7 @@ class TestPlanarCommand:
         assert code == 0
         assert "Z^4*alpha_1 = 0.164031922357129 a0^3" in out
         assert "alpha_1 = 0.164031922357129 a0^3" in out
-        assert "converged = True" in out
+        assert "series: terms = " in out and "converged" not in out
 
     def test_supercritical_exit_code(self, capsys):
         code = run(["planar", "--Z", "70"])
@@ -36,7 +36,8 @@ class TestPlanarCommand:
         code, out = _capture(capsys, ["planar", "--Z", "26", "--format", "json"])
         assert code == 0
         payload = json.loads(out)
-        assert payload["converged"] is True
+        assert "converged" not in payload
+        assert payload["tail_estimate"] <= 1e-16
         rerun_code, rerun_out = _capture(capsys, ["planar", "--Z", "26", "--format", "json"])
         assert json.loads(rerun_out)["alpha_1_a0^3"] == payload["alpha_1_a0^3"]
 
@@ -52,6 +53,13 @@ class TestPlanarCommand:
         code, out = _capture(capsys, ["planar", "--Z", "1", "--format", "json"])
         assert code == 0
         assert json.loads(out)["alpha_inv"] == 1e9
+
+    def test_non_numeric_alpha_inv_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv(ALPHA_INV_ENV, "abc")
+        assert run(["planar", "--Z", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: environment variable {ALPHA_INV_ENV}='abc' is not a number" in captured.err
 
 
 class TestSpatialCommand:
@@ -152,6 +160,15 @@ class TestArgumentErrors:
 
     def test_nonpositive_charge(self, capsys):
         assert run(["planar", "--Z", "-1"]) == 2
+
+    def test_output_in_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.txt"
+        assert run(["planar", "--Z", "1", "--output", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert str(target) in captured.err
+        assert not target.parent.exists()
 
 
 class TestRepeatedRuns:

@@ -16,12 +16,11 @@ from diracpol import (
     ConstantSet,
     Hyp3F2Params,
     PolarizabilityResult,
-    RadialIntegralPair,
     SeriesDiagnostics,
-    SturmianIndex,
     SupercriticalError,
     TableRow,
 )
+from diracpol.sturmian import RadialIntegralPair
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -41,14 +40,24 @@ class TestSurface:
             diracpol.no_such_name
 
     def test_lazy_names_are_the_module_functions(self):
-        from diracpol import sturmian, tablegen
+        from diracpol import tablegen
 
         assert diracpol.generate_table is tablegen.generate_table
-        assert diracpol.r_channel_series is sturmian.r_channel_series
         # Not stored in the package namespace: a function rebound in its
         # module for a while (as a tracer does) is seen on the next access.
         assert "generate_table" not in vars(diracpol)
         assert set(diracpol.__all__) <= set(dir(diracpol))
+
+    def test_oracle_stays_out_of_the_public_names(self):
+        from diracpol import sturmian
+
+        for name in diracpol.__all__:
+            assert getattr(getattr(diracpol, name), "__module__", None) != sturmian.__name__, name
+        assert "RadialIntegralPair" in vars(sturmian)
+        assert "polarizability_sturmian" not in diracpol.__all__
+        for name in ("r_channel_series", "channel_first_order_integrals", "polarizability_sturmian"):
+            with pytest.raises(AttributeError):
+                getattr(diracpol, name)
 
     def test_import_loads_neither_oracle_nor_table_layer(self):
         script = (
@@ -67,12 +76,12 @@ class TestSurface:
         assert proc.stdout.split() == []
 
 
-DIAG = SeriesDiagnostics(513, 1.5e-17, True)
+DIAG = SeriesDiagnostics(513, 1.5e-17)
 
 # Each record with its repr, taken from the frozen-dataclass records these
 # NamedTuples replaced.
 REPRS = [
-    (DIAG, "SeriesDiagnostics(terms_used=513, tail_estimate=1.5e-17, converged=True)"),
+    (DIAG, "SeriesDiagnostics(terms_used=513, tail_estimate=1.5e-17)"),
     (
         Hyp3F2Params(0.5, 0.5, 2.5, 3.5, 2.25),
         "Hyp3F2Params(a1=0.5, a2=0.5, a3=2.5, b1=3.5, b2=2.25)",
@@ -84,12 +93,13 @@ REPRS = [
         PolarizabilityResult(3.140571790007269e-07, 0.14351659343103618, "closed_form", DIAG),
         "PolarizabilityResult(value_a0_cubed=3.140571790007269e-07, "
         "scaled_Z4=0.14351659343103618, method='closed_form', "
-        "diagnostics=SeriesDiagnostics(terms_used=513, tail_estimate=1.5e-17, "
-        "converged=True), uncertainty=None)",
+        "diagnostics=SeriesDiagnostics(terms_used=513, tail_estimate=1.5e-17))",
     ),
     (
-        SturmianIndex(2, ChannelIndex(0.5)),
-        "SturmianIndex(n_r=2, ch=ChannelIndex(kappa=0.5))",
+        PolarizabilityResult(3.1e-07, 0.14, "sturmian_series", SeriesDiagnostics(79, 9.4e-13)),
+        "PolarizabilityResult(value_a0_cubed=3.1e-07, scaled_Z4=0.14, "
+        "method='sturmian_series', diagnostics=SeriesDiagnostics(terms_used=79, "
+        "tail_estimate=9.4e-13))",
     ),
     (RadialIntegralPair(0.25, -1.0), "RadialIntegralPair(plain=0.25, mu_weighted=-1.0)"),
     (ConstantSet(), "ConstantSet(alpha_inv=137.035999139, alpha_inv_sigma=3.1e-08)"),
@@ -146,7 +156,5 @@ class TestRecords:
             ChannelIndex(0.5)._replace(kappa=0.25)
         with pytest.raises(ValueError, match="b1=0.0 is a non-positive integer"):
             Hyp3F2Params(0.5, 0.5, 2.5, 3.5, 2.25)._replace(b1=0.0)
-        with pytest.raises(ValueError, match="excluded from the expansion"):
-            SturmianIndex(1, ChannelIndex(0.5))._replace(ch=ChannelIndex(-0.5))
         with pytest.raises(ValueError, match="alpha_inv_sigma must be non-negative"):
             ConstantSet()._replace(alpha_inv_sigma=-1.0)

@@ -17,17 +17,17 @@ from diracpol.atom import (
 )
 from diracpol.specfun import laguerre, log_gamma
 from diracpol.sturmian import (
-    SturmianIndex,
+    _caps,
+    _channel,
+    _doublets,
+    _index_integrals,
+    _log_envelope,
     _log_factorial,
+    _mu,
     channel_first_order_integrals,
-    first_order_integral,
-    first_order_integral_quadrature,
     gauss_laguerre_integral,
-    mu,
-    n_cap,
     r_channel_series,
     roots_genlaguerre,
-    sturmian_ST,
 )
 
 mpmath.mp.dps = 40
@@ -38,6 +38,27 @@ CHANNELS = (ChannelIndex(0.5), ChannelIndex(-1.5))
 # 40-digit term-by-term evaluation of the defining expression.
 S_REFERENCE = -8.6472777849636725714e-20
 T_REFERENCE = -1.6061319288881874128e-20
+
+
+def _cap(n_r: int, ch: ChannelIndex, spec: AtomSpec) -> float:
+    """Signed N of one index, from the kernel that serves both signs."""
+    return _caps(abs(n_r), gamma_kappa(spec, ch), ch.kappa)[n_r < 0]
+
+
+def _mu_of(n_r: int, ch: ChannelIndex, spec: AtomSpec) -> float:
+    return _mu(abs(n_r), gamma_kappa(spec, ch), _cap(n_r, ch, spec), gamma_half(spec))
+
+
+def _st(n_r: int, ch: ChannelIndex, spec: AtomSpec, r):
+    """Sturmian doublet (S, T) of one index at r, from the shared kernel."""
+    c = _channel(ch, spec)
+    x = 4.0 * spec.Z * np.asarray(r, dtype=float)
+    return _doublets(c, abs(n_r), x, _log_envelope(c, x))[n_r < 0]
+
+
+def _integrals(n_r: int, ch: ChannelIndex, spec: AtomSpec) -> tuple[float, float, float]:
+    """Closed (plain, mu_weighted, mu) of one index."""
+    return _index_integrals(_channel(ch, spec), abs(n_r))[n_r < 0]
 
 
 def _st_oracle(z: int, n_r: int, kappa: float, r: float) -> tuple[float, float]:
@@ -68,25 +89,15 @@ def _st_oracle(z: int, n_r: int, kappa: float, r: float) -> tuple[float, float]:
     return float(s), float(t)
 
 
-class TestIndexTypes:
-    def test_ground_channel_excluded(self):
-        with pytest.raises(ValueError):
-            SturmianIndex(0, ChannelIndex(-0.5))
-
-    def test_any_radial_index_allowed(self):
-        for n_r in (-1000, -1, 0, 1, 1000):
-            assert SturmianIndex(n_r, ChannelIndex(0.5)).n_r == n_r
-
-
 class TestNCap:
     def test_zero_index_values(self):
         spec = AtomSpec(26.0, "planar")
-        assert n_cap(SturmianIndex(0, ChannelIndex(0.5)), spec) == -0.5
-        assert n_cap(SturmianIndex(0, ChannelIndex(-1.5)), spec) == 1.5
+        assert _cap(0, ChannelIndex(0.5), spec) == -0.5
+        assert _cap(0, ChannelIndex(-1.5), spec) == 1.5
 
     def test_weak_coupling(self):
         spec = AtomSpec(1e-8, "planar")
-        value = n_cap(SturmianIndex(1, ChannelIndex(0.5)), spec)
+        value = _cap(1, ChannelIndex(0.5), spec)
         assert value == pytest.approx(1.5, abs=1e-12)
 
     def test_sign_convention_consistency(self):
@@ -95,8 +106,7 @@ class TestNCap:
         for ch in CHANNELS:
             gk = gamma_kappa(spec, ch)
             for n_r in (-50, -3, -1, 0, 1, 3, 50):
-                idx = SturmianIndex(n_r, ch)
-                nn = n_cap(idx, spec)
+                nn = _cap(n_r, ch, spec)
                 target = n_r**2 + 2 * abs(n_r) * gk + ch.kappa**2
                 assert nn * nn == pytest.approx(target, rel=4e-16)
                 assert (nn > 0) == (n_r > 0 or (n_r == 0 and ch.kappa <= -0.5))
@@ -105,9 +115,9 @@ class TestNCap:
 class TestMu:
     def test_weak_coupling_values(self):
         spec = AtomSpec(1e-8, "planar")
-        assert mu(SturmianIndex(0, ChannelIndex(-1.5)), spec) == pytest.approx(3.0, abs=1e-11)
-        assert mu(SturmianIndex(0, ChannelIndex(0.5)), spec) == pytest.approx(0.0, abs=1e-11)
-        assert mu(SturmianIndex(1, ChannelIndex(0.5)), spec) == pytest.approx(3.0, abs=1e-11)
+        assert _mu_of(0, ChannelIndex(-1.5), spec) == pytest.approx(3.0, abs=1e-11)
+        assert _mu_of(0, ChannelIndex(0.5), spec) == pytest.approx(0.0, abs=1e-11)
+        assert _mu_of(1, ChannelIndex(0.5), spec) == pytest.approx(3.0, abs=1e-11)
 
     def test_no_resonant_denominator(self):
         # min |mu - 1| > 0.4 over both dipole channels, |n_r| <= 10^4, and
@@ -133,11 +143,10 @@ class TestMu:
         spec = AtomSpec(26.0, "planar")
         for ch in CHANNELS:
             for n_r in (-7, -1, 0, 1, 7):
-                idx = SturmianIndex(n_r, ch)
                 g = gamma_half(spec)
                 gk = gamma_kappa(spec, ch)
-                expected = (abs(n_r) + gk + n_cap(idx, spec)) / (g + 0.5)
-                assert mu(idx, spec) == expected
+                expected = (abs(n_r) + gk + _cap(n_r, ch, spec)) / (g + 0.5)
+                assert _mu_of(n_r, ch, spec) == expected
 
 
 class TestSturmianST:
@@ -150,7 +159,7 @@ class TestSturmianST:
         r = np.geomspace(1e-3, 1.0, 31)
         for ch, sign in ((ChannelIndex(0.5), +1.0), (ChannelIndex(-1.5), -1.0)):
             gk = gamma_kappa(spec, ch)
-            s, t = sturmian_ST(SturmianIndex(0, ch), spec, r)
+            s, t = _st(0, ch, spec, r)
             envelope = (4.0 * spec.Z * r) ** gk * np.exp(-2.0 * spec.Z * r)
             ratio = s / envelope
             assert np.allclose(ratio, ratio[0], rtol=1e-12)
@@ -158,7 +167,7 @@ class TestSturmianST:
 
     def test_pointwise_against_frozen_oracle(self):
         spec = AtomSpec(26.0, "planar")
-        s, t = sturmian_ST(SturmianIndex(2, ChannelIndex(0.5)), spec, 1.0)
+        s, t = _st(2, ChannelIndex(0.5), spec, 1.0)
         assert s == pytest.approx(S_REFERENCE, rel=1e-12)
         assert t == pytest.approx(T_REFERENCE, rel=1e-12)
         s_live, t_live = _st_oracle(26, 2, 0.5, 1.0)
@@ -167,7 +176,7 @@ class TestSturmianST:
 
     def test_pointwise_negative_index(self):
         spec = AtomSpec(26.0, "planar")
-        s, t = sturmian_ST(SturmianIndex(-2, ChannelIndex(-1.5)), spec, 0.3)
+        s, t = _st(-2, ChannelIndex(-1.5), spec, 0.3)
         s_live, t_live = _st_oracle(26, -2, -1.5, 0.3)
         assert s == pytest.approx(s_live, rel=1e-12)
         assert t == pytest.approx(t_live, rel=1e-12)
@@ -205,13 +214,7 @@ class TestFirstOrderIntegrals:
     def test_quadrature_match(self, kappa):
         spec = AtomSpec(26.0, "planar")
         ch = ChannelIndex(kappa)
-        pairs = [
-            (
-                first_order_integral(SturmianIndex(n_r, ch), spec),
-                first_order_integral_quadrature(SturmianIndex(n_r, ch), spec),
-            )
-            for n_r in range(-3, 4)
-        ]
+        pairs = channel_first_order_integrals(ch, spec, 3)
         scale = max(max(abs(a.plain), abs(a.mu_weighted)) for a, _ in pairs)
         for exact, quad in pairs:
             for x, y in ((exact.plain, quad.plain), (exact.mu_weighted, quad.mu_weighted)):
@@ -220,47 +223,33 @@ class TestFirstOrderIntegrals:
                 else:
                     assert abs(x - y) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("z", [0.05, 26.0, 68.0])
+    @pytest.mark.parametrize("z", [1e-3, 0.05, 12.3456, 26.0, 68.0, 68.5])
     def test_quadrature_equals_one_rule_per_integrand(self, z):
-        # Each integrand rebuilt from the doublets and integrated on its own:
-        # sharing the doublet evaluations must not move a single bit.
+        # Built once per channel, the closed integrals must keep every bit of
+        # the per-index kernel, and the quadrature every bit of each
+        # integrand rebuilt from the doublets and integrated on its own.
         spec = AtomSpec(z, "planar")
         for ch in CHANNELS:
             power = gamma_half(spec) + gamma_kappa(spec, ch) + 1.0
-            for n_r in range(-3, 4):
-                idx = SturmianIndex(n_r, ch)
-                mu_val = mu(idx, spec)
+            pairs = channel_first_order_integrals(ch, spec, 3)
+            assert len(pairs) == 7
+            for n_r, (exact, quad) in zip(range(-3, 4), pairs):
+                plain_exact, weighted_exact, mu_val = _integrals(n_r, ch, spec)
+                assert float.hex(exact.plain) == float.hex(plain_exact)
+                assert float.hex(exact.mu_weighted) == float.hex(weighted_exact)
 
                 def plain(r):
                     p, q = radial_PQ(spec, r)
-                    s, t = sturmian_ST(idx, spec, r)
+                    s, t = _st(n_r, ch, spec, r)
                     return r * (p * s + q * t)
 
                 def weighted(r):
                     p, q = radial_PQ(spec, r)
-                    s, t = sturmian_ST(idx, spec, r)
+                    s, t = _st(n_r, ch, spec, r)
                     return r * (mu_val * p * s + q * t)
 
-                pair = first_order_integral_quadrature(idx, spec)
-                assert pair.plain == gauss_laguerre_integral(plain, power, 4.0 * z)
-                assert pair.mu_weighted == gauss_laguerre_integral(weighted, power, 4.0 * z)
-
-    @pytest.mark.parametrize("z", [1e-3, 0.05, 12.3456, 26.0, 68.5])
-    def test_channel_integrals_equal_per_index_integrals(self, z):
-        # Built once per channel, the closed and quadrature integrals must
-        # keep every bit of the per-index functions.
-        spec = AtomSpec(z, "planar")
-        for ch in CHANNELS:
-            pairs = channel_first_order_integrals(ch, spec, 3)
-            assert len(pairs) == 7
-            for n_r, (exact, quad) in zip(range(-3, 4), pairs):
-                idx = SturmianIndex(n_r, ch)
-                for got, want in (
-                    (exact, first_order_integral(idx, spec)),
-                    (quad, first_order_integral_quadrature(idx, spec)),
-                ):
-                    assert float.hex(got.plain) == float.hex(want.plain)
-                    assert float.hex(got.mu_weighted) == float.hex(want.mu_weighted)
+                assert quad.plain == gauss_laguerre_integral(plain, power, 4.0 * z)
+                assert quad.mu_weighted == gauss_laguerre_integral(weighted, power, 4.0 * z)
 
     def test_log_factorial_is_log_gamma_bit_for_bit(self):
         for n in range(301):
@@ -268,34 +257,29 @@ class TestFirstOrderIntegrals:
 
     def test_degenerate_weighted_integral_is_exactly_zero(self):
         for z in (1.0, 26.0, 68.0):
-            pair = first_order_integral(
-                SturmianIndex(0, ChannelIndex(0.5)), AtomSpec(z, "planar")
-            )
-            assert pair.mu_weighted == 0.0
-            assert pair.plain != 0.0
+            plain, mu_weighted, _ = _integrals(0, ChannelIndex(0.5), AtomSpec(z, "planar"))
+            assert mu_weighted == 0.0
+            assert plain != 0.0
 
     def test_half_channel_truncates(self):
         spec = AtomSpec(26.0, "planar")
         for n_r in (3, -3, 7, -20):
-            pair = first_order_integral(SturmianIndex(n_r, ChannelIndex(0.5)), spec)
-            assert pair.plain == 0.0 and pair.mu_weighted == 0.0
+            plain, mu_weighted, _ = _integrals(n_r, ChannelIndex(0.5), spec)
+            assert plain == 0.0 and mu_weighted == 0.0
 
     def test_decay_with_radial_index(self):
         spec = AtomSpec(1.0, "planar")
         for ch in CHANNELS:
-            mags = [
-                abs(first_order_integral(SturmianIndex(n, ch), spec).plain)
-                for n in range(5, 40)
-            ]
+            mags = [abs(_integrals(n, ch, spec)[0]) for n in range(5, 40)]
             assert all(a >= b for a, b in zip(mags, mags[1:]))
         # Long-range falloff: the pair vanishes as |n_r| grows.
-        far = first_order_integral(SturmianIndex(10_000, ChannelIndex(-1.5)), spec)
-        assert abs(far.plain) < 1e-12 and abs(far.mu_weighted) < 1e-8
+        far_plain, far_weighted, _ = _integrals(10_000, ChannelIndex(-1.5), spec)
+        assert abs(far_plain) < 1e-12 and abs(far_weighted) < 1e-8
 
     def test_rejects_out_of_scope_channels(self):
         spec = AtomSpec(26.0, "planar")
         with pytest.raises(ValueError, match="dipole channels are kappa = 1/2 and -3/2"):
-            first_order_integral(SturmianIndex(0, ChannelIndex(1.5)), spec)
+            _channel(ChannelIndex(1.5), spec)
         with pytest.raises(ValueError, match="dipole channels are kappa = 1/2 and -3/2"):
             r_channel_series(ChannelIndex(1.5), spec)
         with pytest.raises(ValueError, match="dipole channels are kappa = 1/2 and -3/2"):
@@ -306,7 +290,7 @@ class TestChannelSeries:
     def test_weak_coupling_limit(self):
         spec = AtomSpec(1e-3, "planar")
         value, diag = r_channel_series(ChannelIndex(0.5), spec, 1e-12)
-        assert diag.converged
+        assert diag.tail_estimate <= 1e-12
         scaled = value * spec.Z**4
         assert scaled == pytest.approx(21.0 / 128.0, rel=1e-5)
 
@@ -318,21 +302,21 @@ class TestChannelSeries:
         for ch in CHANNELS:
             series, diag = r_channel_series(ch, spec, 1e-12)
             closed = r_channel_closed(ch, spec, 1e-16)
-            assert diag.converged
+            assert diag.tail_estimate <= 1e-12
             assert abs(series - closed) / abs(closed) <= 1e-10
 
     @pytest.mark.parametrize("z", [1e-3, 1.0, 26.0, 68.5])
     def test_equals_fsum_of_per_index_terms(self, z):
-        # The series shares one kernel with first_order_integral; summed from
-        # the per-index public API it must come out bit for bit the same.
+        # The series shares one kernel with the closed first-order
+        # integrals; summed index by index it must come out bit for bit the
+        # same.
         spec = AtomSpec(z, "planar")
 
         def term(n_r, ch):
-            idx = SturmianIndex(n_r, ch)
-            pair = first_order_integral(idx, spec)
-            if pair.plain == 0.0 and pair.mu_weighted == 0.0:
+            plain, mu_weighted, mu_val = _integrals(n_r, ch, spec)
+            if plain == 0.0 and mu_weighted == 0.0:
                 return 0.0
-            return pair.plain * pair.mu_weighted / (mu(idx, spec) - 1.0)
+            return plain * mu_weighted / (mu_val - 1.0)
 
         for ch in CHANNELS:
             value, diag = r_channel_series(ch, spec, 1e-12)
