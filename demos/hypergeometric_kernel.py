@@ -4,7 +4,7 @@ reduction, tail-controlled summation, and the contiguous-shift identity."""
 import math
 
 from diracpol import AtomSpec, ChannelIndex, Hyp3F2Params, gamma_kappa, hyp3f2_unit
-from diracpol.specfun import hyp3f2_contiguous_rhs
+from diracpol.sturmian import hyp3f2_contiguous_rhs
 
 
 def main() -> None:

@@ -4,7 +4,8 @@ Everything is expressed in Hartree atomic units (hbar = m = e =
 4*pi*eps0 = 1, lengths in Bohr radii), which removes all dimensional
 prefactors from the radial functions.  Planar (two-dimensional) systems use
 half-odd-integer channel indices kappa, spatial (three-dimensional) ones use
-nonzero integers.
+nonzero integers.  The axial spinors and angular algebra that only check
+the closed form are in ``diracpol.sturmian``.
 """
 
 from __future__ import annotations
@@ -169,65 +170,3 @@ def radial_PQ(spec: AtomSpec, r):
     p = math.sqrt(1.0 + 2.0 * gam) * shape
     q = math.sqrt(1.0 - 2.0 * gam) * shape
     return p, q
-
-
-def axial_spinor(ch: ChannelIndex, m: float, phi):
-    """Two-component axial spinor of the planar problem.
-
-    For m = -kappa only the upper component survives, carrying the phase
-    exp(i(m - 1/2) phi) / sqrt(2 pi); for m = +kappa only the lower one,
-    with exp(i(m + 1/2) phi) / sqrt(2 pi).
-
-    Returns a complex array of shape (2,) + shape(phi).
-    """
-    if 2.0 * m != round(2.0 * m) or abs(m) != abs(ch.kappa):
-        raise ValueError(f"m must equal +-kappa, got m={m} for kappa={ch.kappa}")
-    phis = np.asarray(phi, dtype=float)
-    norm = 1.0 / math.sqrt(2.0 * math.pi)
-    upper = np.zeros(phis.shape, dtype=complex)
-    lower = np.zeros(phis.shape, dtype=complex)
-    if m == -ch.kappa:
-        upper = norm * np.exp(1j * (m - 0.5) * phis)
-    if m == ch.kappa:
-        lower = norm * np.exp(1j * (m + 0.5) * phis)
-    return np.stack([upper, lower])
-
-
-def cos_matrix_element(ch: ChannelIndex, m: float, ch2: ChannelIndex, m2: float) -> float:
-    """Angular matrix element of cos(phi) between axial spinors.
-
-    Nonzero (value 1/2) only when the channels are dipole-coupled
-    (kappa = kappa' +- 1) and the orientation labels agree (m/kappa =
-    m'/kappa'); otherwise exactly zero.
-    """
-    for ch_i, m_i in ((ch, m), (ch2, m2)):
-        if 2.0 * m_i != round(2.0 * m_i) or abs(m_i) != abs(ch_i.kappa):
-            raise ValueError(f"invalid spinor labels kappa={ch_i.kappa}, m={m_i}")
-    two_k, two_k2 = round(2.0 * ch.kappa), round(2.0 * ch2.kappa)
-    same_orientation = (round(2.0 * m) * two_k2) == (round(2.0 * m2) * two_k)
-    coupled = abs(two_k - two_k2) == 2
-    return 0.5 if (same_orientation and coupled) else 0.0
-
-
-def first_order_shift(coefficients=(1.0, 0.0), radial_scale: float = 1.0) -> float:
-    """First-order field shift of the planar ground-state doublet.
-
-    The ground-state basis functions combine kappa = -1/2 upper and
-    kappa = +1/2 lower spinors, so every angular factor of the perturbation
-    matrix vanishes under the dipole selection rule and the shift is zero
-    for any admissible mixing coefficients.
-    """
-    a, b = coefficients
-    if not math.isclose(abs(a) ** 2 + abs(b) ** 2, 1.0, rel_tol=0.0, abs_tol=1e-12):
-        raise ValueError("mixing coefficients must satisfy |a|^2 + |b|^2 = 1")
-    upper = ChannelIndex(-0.5)
-    lower = ChannelIndex(0.5)
-    matrix = np.empty((2, 2))
-    for i, m in enumerate((0.5, -0.5)):
-        for j, m2 in enumerate((0.5, -0.5)):
-            angular = cos_matrix_element(upper, m, upper, m2) + cos_matrix_element(
-                lower, m, lower, m2
-            )
-            matrix[i, j] = radial_scale * angular
-    eigenvalues = np.linalg.eigvalsh(matrix)
-    return float(eigenvalues[0])

@@ -33,9 +33,14 @@ Method = Literal["closed_form", "sturmian_series"]
 NONREL_SCALED_PLANAR = 21.0 / 128.0
 NONREL_SCALED_SPATIAL = 4.5
 
+# quasirel_coefficient rejects a sample whose |alpha_1 / alpha_1_NR - 1| is
+# smaller: too few of its digits are significant (it is exactly 0 at
+# alpha_inv = 1e9; at 1e3 it is 2.2e-7 and the coefficient is right to 1e-8).
+QUASIREL_SHIFT_FLOOR = 1e-8
+
 
 class ExtrapolationError(ArithmeticError):
-    """Richardson extrapolation residuals failed to shrink as expected."""
+    """A sampled shift is too small to extrapolate, or the residuals grow."""
 
 
 class PolarizabilityResult(NamedTuple):
@@ -87,34 +92,6 @@ def r_channel_closed(ch: ChannelIndex, spec: AtomSpec, tol: float = 1e-16) -> fl
         32.0 * z4 * (2.0 * kappa + 1.0)
     )
     return prefactor * bracket
-
-
-def r_channel_two_term(ch: ChannelIndex, spec: AtomSpec, tol: float = 1e-16) -> float:
-    """Dipole channel integral in its unreduced two-hypergeometric form.
-
-    Both 3F2 functions share the contiguous structure that the shift
-    identity removes; this path exists to validate that reduction against
-    :func:`r_channel_closed`.
-    """
-    kappa = ch.kappa
-    _check_dipole(kappa)
-    g = gamma_half(spec)
-    gk = gamma_kappa(spec, ch)
-    d = gk - g
-    f1, _ = hyp3f2_unit(
-        Hyp3F2Params(d - 1.0, d - 1.0, d + 1.0, d + 2.0, 2.0 * gk + 1.0), tol
-    )
-    f2, _ = hyp3f2_unit(
-        Hyp3F2Params(d - 1.0, d - 1.0, d, d + 1.0, 2.0 * gk + 1.0), tol
-    )
-    prefactor = gamma_ratio(
-        [gk + g + 2.0] * 2, [2.0 * g + 1.0, 2.0 * gk + 1.0]
-    ) / (64.0 * spec.Z**4)
-    brace = (
-        g * ((2.0 * kappa + 1.0) * g + 4.0) / (d + 1.0) * f1
-        - (gk + g) / (2.0 * kappa + 1.0) * f2
-    )
-    return prefactor * brace
 
 
 def second_order_energy(spec: AtomSpec, field_strength: float, tol: float = 1e-16) -> float:
@@ -227,7 +204,8 @@ def quasirel_coefficient(
     extracted numerically by Richardson extrapolation over a decreasing
     charge sequence.
 
-    Raises ExtrapolationError when the extrapolation residuals do not
+    Raises ExtrapolationError when a sampled |alpha_1 / alpha_1_NR - 1| is
+    below QUASIREL_SHIFT_FLOOR, or when the extrapolation residuals do not
     shrink, i.e. when the sampled charges are outside the quadratic regime.
     """
     limit = nonrel_limit(dimension)
@@ -236,10 +214,15 @@ def quasirel_coefficient(
     ys: list[float] = []
     for z in z_values:
         spec = AtomSpec(z, dimension, alpha_inv)
-        result = compute(spec, tol)
+        shift = compute(spec, tol).scaled_Z4 / limit - 1.0
+        if not abs(shift) >= QUASIREL_SHIFT_FLOOR:
+            raise ExtrapolationError(
+                f"{dimension} relative shift {abs(shift):.3g} at Z={z} is below "
+                f"{QUASIREL_SHIFT_FLOOR:g}: the coupling is too weak to resolve it"
+            )
         x = (z / alpha_inv) ** 2
         xs.append(x)
-        ys.append((result.scaled_Z4 / limit - 1.0) / x)
+        ys.append(shift / x)
     diagonal = _neville_at_zero(xs, ys)
     corrections = [abs(b - a) for a, b in zip(diagonal, diagonal[1:])]
     if len(corrections) >= 2 and corrections[-1] > corrections[0]:

@@ -266,18 +266,10 @@ def laguerre(n: int, alpha: float, x):
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs)
-    if n == -1:
-        out = np.zeros_like(xs)
-    elif n == 0:
-        out = np.ones_like(xs)
-    else:
-        prev = np.ones_like(xs)  # L_0
-        cur = alpha + 1.0 - xs  # L_1
-        for k in range(1, n):
-            prev, cur = cur, ((2 * k + alpha + 1.0 - xs) * cur - (k + alpha) * prev) / (
-                k + 1.0
-            )
-        out = cur
+    prev, cur = np.zeros_like(xs), np.ones_like(xs)  # L_{-1}, L_0
+    for k in range(n):
+        prev, cur = cur, ((2 * k + alpha + 1.0 - xs) * cur - (k + alpha) * prev) / (k + 1.0)
+    out = prev if n == -1 else cur
     return float(out[0]) if scalar else out
 
 
@@ -384,39 +376,3 @@ def hyp3f2_unit(
     scale = max(abs(value), _TINY)
     tail_rel = 0.0 if t_last == 0.0 else _tail_bound(t_last, k0, balance) / scale
     return value, SeriesDiagnostics(k0, tail_rel)
-
-
-def hyp3f2_contiguous_rhs(p: Hyp3F2Params, tol: float = TOL_FLOOR) -> float:
-    """Evaluate the contiguous-shift identity for 3F2 at unit argument.
-
-    Requires b1 = a3 + 1 exactly and b2 - a1 - a2 > -1.  The contiguous
-    denominator is traded for a closed gamma-ratio term plus a 3F2 whose
-    third numerator parameter is raised by one:
-
-        3F2(a1,a2,a3; a3+1,b; 1) =
-            G(b) G(b-a1-a2+1) / ((b-a3-1) G(b-a1) G(b-a2))
-            - (a1-a3-1)(a2-a3-1) / ((a3+1)(b-a3-1))
-              * 3F2(a1,a2,a3+1; a3+2,b; 1)
-
-    Used both as an alternative evaluation path and as a consistency check
-    against :func:`hyp3f2_unit`.
-    """
-    if p.b1 != p.a3 + 1.0:
-        raise ValueError(
-            f"contiguous form requires b1 = a3 + 1 exactly, got b1={p.b1}, a3={p.a3}"
-        )
-    b = p.b2
-    if not b - p.a1 - p.a2 > -1.0:
-        raise ValueError(
-            f"contiguous form requires b2 - a1 - a2 > -1, got {b - p.a1 - p.a2}"
-        )
-    pole = b - p.a3 - 1.0
-    if pole == 0.0:
-        raise ValueError(
-            "contiguous form is singular for b2 = a3 + 1 (removable only as a limit)"
-        )
-    closed = gamma_ratio([b, b - p.a1 - p.a2 + 1.0], [b - p.a1, b - p.a2]) / pole
-    shifted = Hyp3F2Params(p.a1, p.a2, p.a3 + 1.0, p.a3 + 2.0, b)
-    f_shift, _ = hyp3f2_unit(shifted, tol)
-    coeff = (p.a1 - p.a3 - 1.0) * (p.a2 - p.a3 - 1.0) / ((p.a3 + 1.0) * pole)
-    return closed - coeff * f_shift

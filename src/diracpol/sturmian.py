@@ -1,8 +1,8 @@
-"""Radial Dirac-Coulomb Sturmian functions at the planar ground-state energy
-and the explicit symmetric series for the dipole channel integrals.
-
-This module is the independent oracle for the closed-form channel integrals.
-It has two entry points:
+"""Validation oracle for the closed-form polarizability: radial
+Dirac-Coulomb Sturmian functions at the planar ground-state energy, the
+explicit symmetric series for the dipole channel integrals, and every other
+helper that exists only to check the closed form.  No closed-form command
+imports this module.  The series has two entry points:
 
 - ``r_channel_series`` sums the Sturmian expansion of one dipole channel term
   by term from the closed first-order radial integrals;
@@ -19,12 +19,17 @@ signs of n_r: ``_index_integrals`` for the closed first-order integrals and
 ``_doublets`` for the Sturmian doublet (S, T) that the quadrature integrates.
 Since every index of a channel is integrated on the same nodes, the
 ground-state doublet and the Sturmian envelope are evaluated on them once.
-The series keeps Shewchuk partials of its running sum instead of re-summing
-every term after each pair.  Two caches outlive a call: a table of log n!,
-which does not depend on the input, and the last 64 quadrature rules.
+The series stops on a plain running sum and returns one ``math.fsum`` of its
+terms.  Two caches outlive a call: a table of log n!, which does not depend
+on the input, and the last 64 quadrature rules.  The quadrature's 16-node
+rule is built with numpy alone (``roots_genlaguerre``) and is exact for
+|n_r| <= 31.
 
-The quadrature's 16-node Gauss-Laguerre rule is built with numpy alone
-(``roots_genlaguerre``) and is exact for |n_r| <= 31.
+The other checks: ``hyp3f2_contiguous_rhs`` (the contiguous-shift identity
+of 3F2 at unit argument), ``r_channel_two_term`` (a dipole channel integral
+in its unreduced two-3F2 form), and ``axial_spinor``, ``cos_matrix_element``
+and ``first_order_shift``, the planar angular algebra by which the
+first-order field shift of the ground state vanishes.
 """
 
 from __future__ import annotations
@@ -36,7 +41,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .atom import AtomSpec, ChannelIndex, _check_dipole, gamma_half, gamma_kappa, radial_PQ
-from .specfun import _TINY, ConvergenceError, SeriesDiagnostics, laguerre, log_gamma
+from .specfun import (
+    _TINY, TOL_FLOOR, ConvergenceError, Hyp3F2Params, SeriesDiagnostics, gamma_ratio,
+    hyp3f2_unit, laguerre, log_gamma,
+)
 
 # Accuracy floor of the series oracle; requests below it are clamped.
 SERIES_TOL_FLOOR = 1e-12
@@ -319,31 +327,16 @@ def _series_term(plain: float, mu_weighted: float, mu_val: float) -> float:
     return plain * mu_weighted / (mu_val - 1.0)
 
 
-def _add_partial(partials: list[float], x: float) -> None:
-    """Add x to the nonoverlapping partials of a running sum (Shewchuk), so
-    that math.fsum(partials) is the correctly rounded sum of every x added."""
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
-
-
 def r_channel_series(
     ch: ChannelIndex, spec: AtomSpec, tol: float = SERIES_TOL_FLOOR
 ) -> tuple[float, SeriesDiagnostics]:
     """Dipole channel integral R_kappa summed over the Sturmian expansion.
 
-    Terms for n_r and -n_r are paired and accumulated symmetrically with
-    compensated summation; the sum stops once the paired-term magnitude has
-    stayed below tol * |sum| for several consecutive pairs and a power-law
-    tail estimate also falls below it.
+    Terms for n_r and -n_r are paired; the sum stops once the paired-term
+    magnitude has stayed below tol * |sum| for several consecutive pairs and
+    a power-law tail estimate also falls below it.  The stop test reads a
+    plain running sum, which only has to give the sum's size; the returned
+    value is the correctly rounded math.fsum of every term.
 
     Returns the channel integral in atomic units together with diagnostics.
     """
@@ -352,21 +345,22 @@ def r_channel_series(
         raise ValueError(f"tol must be positive, got {tol!r}")
     tol = max(tol, SERIES_TOL_FLOOR)
 
-    partials: list[float] = []
-    _add_partial(partials, _series_term(*_index_integrals(c, 0)[0]))
+    terms = [_series_term(*_index_integrals(c, 0)[0])]
+    running = terms[0]
     prev_pair = math.inf
     streak = 0
     for n in range(1, _MAX_PAIRS + 1):
         plus, minus = _index_integrals(c, n)
         pair = _series_term(*plus) + _series_term(*minus)
-        _add_partial(partials, pair)
-        total = math.fsum(partials)
-        scale = max(abs(total), _TINY)
+        terms.append(pair)
+        running += pair
+        scale = max(abs(running), _TINY)
         streak = streak + 1 if abs(pair) <= tol * scale else 0
         if streak >= _STOP_STREAK and n >= 10:
             tail = _pair_tail(abs(prev_pair), abs(pair), n)
             if tail <= tol * scale:
-                return total, SeriesDiagnostics(2 * n + 1, tail / scale)
+                total = math.fsum(terms)
+                return total, SeriesDiagnostics(2 * n + 1, tail / max(abs(total), _TINY))
         prev_pair = pair
     raise ConvergenceError(
         f"Sturmian channel series did not reach tol={tol:g} within {_MAX_PAIRS} pairs"
@@ -383,3 +377,129 @@ def _pair_tail(prev_mag: float, mag: float, n: int) -> float:
     if decay <= 1.0:
         return math.inf
     return mag * n / (decay - 1.0)
+
+
+def hyp3f2_contiguous_rhs(p: Hyp3F2Params, tol: float = TOL_FLOOR) -> float:
+    """Evaluate the contiguous-shift identity for 3F2 at unit argument.
+
+    Requires b1 = a3 + 1 exactly and b2 - a1 - a2 > -1.  The contiguous
+    denominator is traded for a closed gamma-ratio term plus a 3F2 whose
+    third numerator parameter is raised by one:
+
+        3F2(a1,a2,a3; a3+1,b; 1) =
+            G(b) G(b-a1-a2+1) / ((b-a3-1) G(b-a1) G(b-a2))
+            - (a1-a3-1)(a2-a3-1) / ((a3+1)(b-a3-1))
+              * 3F2(a1,a2,a3+1; a3+2,b; 1)
+
+    Used both as an alternative evaluation path and as a consistency check
+    against :func:`hyp3f2_unit`.
+    """
+    if p.b1 != p.a3 + 1.0:
+        raise ValueError(
+            f"contiguous form requires b1 = a3 + 1 exactly, got b1={p.b1}, a3={p.a3}"
+        )
+    b = p.b2
+    if not b - p.a1 - p.a2 > -1.0:
+        raise ValueError(
+            f"contiguous form requires b2 - a1 - a2 > -1, got {b - p.a1 - p.a2}"
+        )
+    pole = b - p.a3 - 1.0
+    if pole == 0.0:
+        raise ValueError(
+            "contiguous form is singular for b2 = a3 + 1 (removable only as a limit)"
+        )
+    closed = gamma_ratio([b, b - p.a1 - p.a2 + 1.0], [b - p.a1, b - p.a2]) / pole
+    shifted = Hyp3F2Params(p.a1, p.a2, p.a3 + 1.0, p.a3 + 2.0, b)
+    f_shift, _ = hyp3f2_unit(shifted, tol)
+    coeff = (p.a1 - p.a3 - 1.0) * (p.a2 - p.a3 - 1.0) / ((p.a3 + 1.0) * pole)
+    return closed - coeff * f_shift
+
+
+def r_channel_two_term(ch: ChannelIndex, spec: AtomSpec, tol: float = 1e-16) -> float:
+    """Dipole channel integral in its unreduced two-hypergeometric form.
+
+    Both 3F2 functions share the contiguous structure that the shift
+    identity removes; this path exists to validate that reduction against
+    :func:`r_channel_closed`.
+    """
+    kappa = ch.kappa
+    _check_dipole(kappa)
+    g = gamma_half(spec)
+    gk = gamma_kappa(spec, ch)
+    d = gk - g
+    f1, _ = hyp3f2_unit(
+        Hyp3F2Params(d - 1.0, d - 1.0, d + 1.0, d + 2.0, 2.0 * gk + 1.0), tol
+    )
+    f2, _ = hyp3f2_unit(
+        Hyp3F2Params(d - 1.0, d - 1.0, d, d + 1.0, 2.0 * gk + 1.0), tol
+    )
+    prefactor = gamma_ratio(
+        [gk + g + 2.0] * 2, [2.0 * g + 1.0, 2.0 * gk + 1.0]
+    ) / (64.0 * spec.Z**4)
+    brace = (
+        g * ((2.0 * kappa + 1.0) * g + 4.0) / (d + 1.0) * f1
+        - (gk + g) / (2.0 * kappa + 1.0) * f2
+    )
+    return prefactor * brace
+
+
+def axial_spinor(ch: ChannelIndex, m: float, phi):
+    """Two-component axial spinor of the planar problem.
+
+    For m = -kappa only the upper component survives, carrying the phase
+    exp(i(m - 1/2) phi) / sqrt(2 pi); for m = +kappa only the lower one,
+    with exp(i(m + 1/2) phi) / sqrt(2 pi).
+
+    Returns a complex array of shape (2,) + shape(phi).
+    """
+    if 2.0 * m != round(2.0 * m) or abs(m) != abs(ch.kappa):
+        raise ValueError(f"m must equal +-kappa, got m={m} for kappa={ch.kappa}")
+    phis = np.asarray(phi, dtype=float)
+    norm = 1.0 / math.sqrt(2.0 * math.pi)
+    upper = np.zeros(phis.shape, dtype=complex)
+    lower = np.zeros(phis.shape, dtype=complex)
+    if m == -ch.kappa:
+        upper = norm * np.exp(1j * (m - 0.5) * phis)
+    if m == ch.kappa:
+        lower = norm * np.exp(1j * (m + 0.5) * phis)
+    return np.stack([upper, lower])
+
+
+def cos_matrix_element(ch: ChannelIndex, m: float, ch2: ChannelIndex, m2: float) -> float:
+    """Angular matrix element of cos(phi) between axial spinors.
+
+    Nonzero (value 1/2) only when the channels are dipole-coupled
+    (kappa = kappa' +- 1) and the orientation labels agree (m/kappa =
+    m'/kappa'); otherwise exactly zero.
+    """
+    for ch_i, m_i in ((ch, m), (ch2, m2)):
+        if 2.0 * m_i != round(2.0 * m_i) or abs(m_i) != abs(ch_i.kappa):
+            raise ValueError(f"invalid spinor labels kappa={ch_i.kappa}, m={m_i}")
+    two_k, two_k2 = round(2.0 * ch.kappa), round(2.0 * ch2.kappa)
+    same_orientation = (round(2.0 * m) * two_k2) == (round(2.0 * m2) * two_k)
+    coupled = abs(two_k - two_k2) == 2
+    return 0.5 if (same_orientation and coupled) else 0.0
+
+
+def first_order_shift(coefficients=(1.0, 0.0)) -> float:
+    """First-order field shift of the planar ground-state doublet.
+
+    The ground-state basis functions combine kappa = -1/2 upper and
+    kappa = +1/2 lower spinors, so every angular factor of the perturbation
+    matrix vanishes under the dipole selection rule and the shift is zero
+    for any admissible mixing coefficients.
+    """
+    a, b = coefficients
+    if not math.isclose(abs(a) ** 2 + abs(b) ** 2, 1.0, rel_tol=0.0, abs_tol=1e-12):
+        raise ValueError("mixing coefficients must satisfy |a|^2 + |b|^2 = 1")
+    upper = ChannelIndex(-0.5)
+    lower = ChannelIndex(0.5)
+    matrix = np.empty((2, 2))
+    for i, m in enumerate((0.5, -0.5)):
+        for j, m2 in enumerate((0.5, -0.5)):
+            angular = cos_matrix_element(upper, m, upper, m2) + cos_matrix_element(
+                lower, m, lower, m2
+            )
+            matrix[i, j] = angular
+    eigenvalues = np.linalg.eigvalsh(matrix)
+    return float(eigenvalues[0])

@@ -11,9 +11,6 @@ from diracpol.atom import (
     ALPHA_INV_CODATA2014,
     AtomSpec,
     ChannelIndex,
-    axial_spinor,
-    cos_matrix_element,
-    first_order_shift,
     gamma_half,
     radial_PQ,
 )
@@ -27,14 +24,17 @@ from diracpol.polarizability import (
 from diracpol.specfun import (
     Hyp3F2Params,
     gamma_ratio,
-    hyp3f2_contiguous_rhs,
     hyp3f2_unit,
     laguerre,
     log_gamma,
 )
 from diracpol.sturmian import (
+    axial_spinor,
     channel_first_order_integrals,
+    cos_matrix_element,
+    first_order_shift,
     gauss_laguerre_integral,
+    hyp3f2_contiguous_rhs,
     r_channel_series,
 )
 from diracpol.tablegen import generate_table

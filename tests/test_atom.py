@@ -12,16 +12,18 @@ from diracpol.atom import (
     AtomSpec,
     ChannelIndex,
     SupercriticalError,
-    axial_spinor,
-    cos_matrix_element,
     critical_charge,
-    first_order_shift,
     gamma_half,
     gamma_kappa,
     ground_energy,
     radial_PQ,
 )
-from diracpol.sturmian import gauss_laguerre_integral
+from diracpol.sturmian import (
+    axial_spinor,
+    cos_matrix_element,
+    first_order_shift,
+    gauss_laguerre_integral,
+)
 
 # gamma_{1/2} and the ground energy at Z = 1 with the CODATA 2014 constant,
 # frozen from a 40-digit evaluation of sqrt(1/4 - (alpha Z)^2).

@@ -147,6 +147,13 @@ class TestLimitsCommand:
             -28.0 / 27.0, abs=1e-6
         )
 
+    @pytest.mark.parametrize("alpha_inv", ["1e9", "1e12"])
+    def test_unresolvable_coefficient_exits_2(self, capsys, alpha_inv):
+        assert run(["limits", "--alpha-inv", alpha_inv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: planar relative shift 0 at Z=4.0 is below 1e-08")
+
 
 class TestArgumentErrors:
     def test_unknown_command(self, capsys):

@@ -59,6 +59,22 @@ class TestSurface:
             with pytest.raises(AttributeError):
                 getattr(diracpol, name)
 
+    def test_validation_helpers_live_only_in_the_oracle(self):
+        from diracpol import atom, polarizability, specfun, sturmian
+
+        helpers = (
+            "r_channel_two_term",
+            "hyp3f2_contiguous_rhs",
+            "axial_spinor",
+            "cos_matrix_element",
+            "first_order_shift",
+        )
+        for name in helpers:
+            for module in (diracpol, specfun, atom, polarizability):
+                assert not hasattr(module, name), (module.__name__, name)
+            assert getattr(sturmian, name).__module__ == sturmian.__name__, name
+        assert len(diracpol.__all__) == 32
+
     def test_import_loads_neither_oracle_nor_table_layer(self):
         script = (
             "import sys, diracpol; "

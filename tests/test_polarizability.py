@@ -20,9 +20,9 @@ from diracpol.polarizability import (
     polarizability_sturmian,
     quasirel_coefficient,
     r_channel_closed,
-    r_channel_two_term,
     second_order_energy,
 )
+from diracpol.sturmian import r_channel_two_term
 from tests.table_data import reference_tolerance, reference_value
 
 # Weak-coupling surrogate: a huge inverse fine-structure constant drives
@@ -282,3 +282,18 @@ class TestQuasirelCoefficient:
     def test_non_quadratic_samples_raise(self):
         with pytest.raises(ExtrapolationError):
             quasirel_coefficient("planar", z_values=(68.0, 67.0, 66.0, 65.0, 64.0))
+
+    @pytest.mark.parametrize("dimension", ["planar", "spatial"])
+    @pytest.mark.parametrize("alpha_inv", [1e4, NR_SURROGATE, 1e12])
+    def test_unresolvable_shift_raises(self, dimension, alpha_inv):
+        # At 1e9 and 1e12 every sampled shift is exactly 0, so the residuals
+        # never grow and only the shift floor rejects the samples.
+        with pytest.raises(ExtrapolationError, match="too weak to resolve"):
+            quasirel_coefficient(dimension, alpha_inv=alpha_inv)
+
+    def test_smallest_resolvable_shift(self):
+        # alpha_inv = 1e3: the smallest shift is 2.2e-7, above the floor.
+        assert quasirel_coefficient("planar", alpha_inv=1e3) == pytest.approx(-3.5, abs=1e-8)
+        assert quasirel_coefficient("spatial", alpha_inv=1e3) == pytest.approx(
+            -28.0 / 27.0, abs=2e-8
+        )

@@ -13,11 +13,11 @@ from diracpol.specfun import (
     ConvergenceError,
     Hyp3F2Params,
     gamma_ratio,
-    hyp3f2_contiguous_rhs,
     hyp3f2_unit,
     laguerre,
     log_gamma,
 )
+from diracpol.sturmian import hyp3f2_contiguous_rhs
 
 mpmath.mp.dps = 40
 
