@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 from .atom import ALPHA_INV_CODATA2014, ALPHA_INV_SIGMA_CODATA2014, AtomSpec, ChannelIndex, SupercriticalError
@@ -23,8 +22,6 @@ from .polarizability import (
 )
 from .specfun import ConvergenceError
 
-ALPHA_INV_ENV = "DIRACPOL_ALPHA_INV"
-
 _EXIT_OK = 0
 _EXIT_USAGE = 2
 _EXIT_SUPERCRITICAL = 3
@@ -33,16 +30,6 @@ _EXIT_CONVERGENCE = 4
 
 def _fmt(x: float) -> str:
     return f"{x:.15g}"
-
-
-def _default_alpha_inv() -> float:
-    raw = os.environ.get(ALPHA_INV_ENV)
-    if raw is None:
-        return ALPHA_INV_CODATA2014
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ValueError(f"environment variable {ALPHA_INV_ENV}={raw!r} is not a number") from exc
 
 
 @functools.cache
@@ -58,11 +45,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--alpha-inv",
         type=float,
-        default=None,
-        help=f"inverse fine-structure constant (default: ${ALPHA_INV_ENV} "
-        f"or {ALPHA_INV_CODATA2014})",
+        default=ALPHA_INV_CODATA2014,
+        help=f"inverse fine-structure constant (default: {ALPHA_INV_CODATA2014})",
     )
-    common.add_argument("--tol", type=float, default=None, help="relative series tolerance")
     common.add_argument(
         "--format",
         choices=("text", "csv", "json"),
@@ -95,6 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="closed form vs Sturmian series vs quadrature at one charge",
     )
     p_cross.add_argument("--Z", type=float, required=True, help="nuclear charge")
+    p_cross.add_argument(
+        "--tol", type=float, default=1e-10, help="relative tolerance of the Sturmian series"
+    )
 
     sub.add_parser("limits", parents=[common], help="nonrelativistic and quasi-relativistic reference limits")
     return parser
@@ -118,17 +106,17 @@ def _reldev(a: float, b: float, floor: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), floor)
 
 
-def _run_single(args: argparse.Namespace, alpha_inv: float, tol: float) -> str:
+def _run_single(args: argparse.Namespace) -> str:
     dimension = args.command
-    spec = AtomSpec(args.Z, dimension, alpha_inv)
+    spec = AtomSpec(args.Z, dimension, args.alpha_inv)
     compute = polarizability_planar if dimension == "planar" else polarizability_spatial
-    result = compute(spec, tol)
+    result = compute(spec)
     diag = result.diagnostics
     if args.format == "json":
         payload = {
             "command": dimension,
             "Z": args.Z,
-            "alpha_inv": alpha_inv,
+            "alpha_inv": args.alpha_inv,
             "alpha_1_a0^3": result.value_a0_cubed,
             "Z^4*alpha_1_a0^3": result.scaled_Z4,
             "method": result.method,
@@ -138,7 +126,7 @@ def _run_single(args: argparse.Namespace, alpha_inv: float, tol: float) -> str:
         return _json_document(payload)
     lines = [
         f"Z = {_fmt(args.Z)}",
-        f"alpha_inv = {_fmt(alpha_inv)}",
+        f"alpha_inv = {_fmt(args.alpha_inv)}",
         f"alpha_1 = {_fmt(result.value_a0_cubed)} a0^3",
         f"Z^4*alpha_1 = {_fmt(result.scaled_Z4)} a0^3",
         f"series: terms = {diag.terms_used}, tail <= {diag.tail_estimate:.2e}",
@@ -148,11 +136,11 @@ def _run_single(args: argparse.Namespace, alpha_inv: float, tol: float) -> str:
 
 # Each command imports what only it uses: the table layer, the oracle and
 # json stay out of the closed-form commands' start-up.
-def _run_table(args: argparse.Namespace, alpha_inv: float, tol: float) -> str:
+def _run_table(args: argparse.Namespace) -> str:
     from .tablegen import ConstantSet, generate_table, rows_to_csv, rows_to_json
 
-    consts = ConstantSet(alpha_inv, args.alpha_inv_sigma)
-    rows = generate_table(args.z_min, args.z_max, consts, tol)
+    consts = ConstantSet(args.alpha_inv, args.alpha_inv_sigma)
+    rows = generate_table(args.z_min, args.z_max, consts)
     if args.format == "csv":
         return rows_to_csv(rows)
     if args.format == "json":
@@ -162,15 +150,15 @@ def _run_table(args: argparse.Namespace, alpha_inv: float, tol: float) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_crosscheck(args: argparse.Namespace, alpha_inv: float, tol: float) -> str:
-    from .sturmian import channel_first_order_integrals, r_channel_series
+def _run_crosscheck(args: argparse.Namespace) -> str:
+    from .sturmian import SERIES_TOL_FLOOR, channel_first_order_integrals, r_channel_series
 
-    spec = AtomSpec(args.Z, "planar", alpha_inv)
+    spec = AtomSpec(args.Z, "planar", args.alpha_inv)
     channels = (ChannelIndex(0.5), ChannelIndex(-1.5))
     report = {}
     for ch in channels:
-        closed = r_channel_closed(ch, spec, tol)
-        series, diag = r_channel_series(ch, spec, tol)
+        closed = r_channel_closed(ch, spec)
+        series, diag = r_channel_series(ch, spec, args.tol)
         pairs = channel_first_order_integrals(ch, spec, 3)
         # Exactly-zero integrals are compared on the scale of the channel's
         # largest integral; quadrature returns rounding noise for them.
@@ -191,13 +179,16 @@ def _run_crosscheck(args: argparse.Namespace, alpha_inv: float, tol: float) -> s
             "closed_vs_series": _reldev(closed, series, 1e-300),
             "quadrature_max_dev": quad_dev,
         }
-    closed_alpha = polarizability_planar(spec, tol)
-    series_alpha = polarizability_sturmian(spec, tol)
+    closed_alpha = polarizability_planar(spec)
+    series_alpha = polarizability_sturmian(spec, args.tol)
+    # Report the tolerance the series used: it has validated args.tol by now
+    # and clamps it to its floor.
+    tol = max(args.tol, SERIES_TOL_FLOOR)
     alpha_dev = _reldev(closed_alpha.value_a0_cubed, series_alpha.value_a0_cubed, 1e-300)
     if args.format == "json":
         payload = {
             "Z": args.Z,
-            "alpha_inv": alpha_inv,
+            "alpha_inv": args.alpha_inv,
             "tol": tol,
             "channels": {
                 str(kappa): entry for kappa, entry in report.items()
@@ -207,7 +198,7 @@ def _run_crosscheck(args: argparse.Namespace, alpha_inv: float, tol: float) -> s
             "alpha_1_rel_dev": alpha_dev,
         }
         return _json_document(payload)
-    lines = [f"Z = {_fmt(args.Z)}, alpha_inv = {_fmt(alpha_inv)}, tol = {tol:g}"]
+    lines = [f"Z = {_fmt(args.Z)}, alpha_inv = {_fmt(args.alpha_inv)}, tol = {tol:g}"]
     for kappa, entry in report.items():
         lines.append(
             f"channel kappa = {kappa:+g}: closed = {_fmt(entry['closed'])}, "
@@ -225,11 +216,11 @@ def _run_crosscheck(args: argparse.Namespace, alpha_inv: float, tol: float) -> s
     return "\n".join(lines) + "\n"
 
 
-def _run_limits(args: argparse.Namespace, alpha_inv: float, tol: float) -> str:
+def _run_limits(args: argparse.Namespace) -> str:
     planar_nr = nonrel_limit("planar")
     spatial_nr = nonrel_limit("spatial")
-    planar_c = quasirel_coefficient("planar", alpha_inv=alpha_inv, tol=tol)
-    spatial_c = quasirel_coefficient("spatial", alpha_inv=alpha_inv, tol=tol)
+    planar_c = quasirel_coefficient("planar", alpha_inv=args.alpha_inv)
+    spatial_c = quasirel_coefficient("spatial", alpha_inv=args.alpha_inv)
     if args.format == "json":
         payload = {
             "planar_nonrel_scaled": planar_nr,
@@ -261,20 +252,17 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        alpha_inv = args.alpha_inv if args.alpha_inv is not None else _default_alpha_inv()
         if args.format == "csv" and args.command != "table":
             parser.error("csv output is only defined for the table command")
-        default_tol = 1e-10 if args.command == "crosscheck" else 1e-16
-        tol = args.tol if args.tol is not None else default_tol
 
         if args.command in ("planar", "spatial"):
-            document = _run_single(args, alpha_inv, tol)
+            document = _run_single(args)
         elif args.command == "table":
-            document = _run_table(args, alpha_inv, tol)
+            document = _run_table(args)
         elif args.command == "crosscheck":
-            document = _run_crosscheck(args, alpha_inv, tol)
+            document = _run_crosscheck(args)
         else:
-            document = _run_limits(args, alpha_inv, tol)
+            document = _run_limits(args)
     except SupercriticalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_SUPERCRITICAL

@@ -9,11 +9,14 @@ and spatial polarizabilities and the kappa = -3/2 channel share one kernel,
 2 gamma' + 1; 1) with its Gamma**2 ratio, where only the exponent pair
 (gamma, gamma') and the polynomial factors differ.  Scaled values
 Z**4 * alpha_1 are computed first; the absolute polarizability is recovered
-by a single division.
+by a single division, which refuses a charge so small (below about 1.2e-77)
+that Z**4 leaves the normal doubles.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from typing import Literal, NamedTuple, Sequence
 
 from .atom import (
@@ -53,16 +56,29 @@ class PolarizabilityResult(NamedTuple):
     diagnostics: SeriesDiagnostics | None = None
 
 
+def _over_z4(value: float, spec: AtomSpec) -> float:
+    """value / Z**4; a ValueError when Z**4 is not a normal double or the
+    quotient overflows, i.e. when the charge is too small to resolve."""
+    z4 = spec.Z**4
+    if z4 >= sys.float_info.min:
+        quotient = value / z4
+        if math.isfinite(quotient):
+            return quotient
+    smallest = max(sys.float_info.min, abs(value) / sys.float_info.max) ** 0.25
+    raise ValueError(
+        f"Z={spec.Z!r} is below the smallest allowed charge, about {smallest:.4g}: "
+        "Z**4 leaves the normal double range"
+    )
+
+
 def _reduced_bracket(
-    g: float, gk: float, lower: float, num: float, den: float, tol: float
+    g: float, gk: float, lower: float, num: float, den: float
 ) -> tuple[float, SeriesDiagnostics]:
     """The bracket 1 - coeff * 3F2(d-1, d-1, d+1; d+2, 2gk+1; 1), d = gk - g,
     with coeff = num * Gamma(gk+g+2)**2 / (Gamma(2g+lower) Gamma(2gk+1))
     / (den * (d+1)), and the 3F2 diagnostics."""
     d = gk - g
-    f_val, diag = hyp3f2_unit(
-        Hyp3F2Params(d - 1.0, d - 1.0, d + 1.0, d + 2.0, 2.0 * gk + 1.0), tol
-    )
+    f_val, diag = hyp3f2_unit(Hyp3F2Params(d - 1.0, d - 1.0, d + 1.0, d + 2.0, 2.0 * gk + 1.0))
     coeff = (
         num
         * gamma_ratio([gk + g + 2.0] * 2, [2.0 * g + lower, 2.0 * gk + 1.0])
@@ -71,7 +87,7 @@ def _reduced_bracket(
     return 1.0 - coeff * f_val, diag
 
 
-def r_channel_closed(ch: ChannelIndex, spec: AtomSpec, tol: float = 1e-16) -> float:
+def r_channel_closed(ch: ChannelIndex, spec: AtomSpec) -> float:
     """Closed-form dipole channel integral R_kappa (atomic units).
 
     For kappa = 1/2 the series truncates and the elementary form
@@ -81,57 +97,47 @@ def r_channel_closed(ch: ChannelIndex, spec: AtomSpec, tol: float = 1e-16) -> fl
     kappa = ch.kappa
     _check_dipole(kappa)
     g = gamma_half(spec)
-    z4 = spec.Z**4
     if kappa == 0.5:
-        return g * (g + 1.0) * (2.0 * g + 1.0) * (4.0 * g + 5.0) / (64.0 * z4)
+        return _over_z4(g * (g + 1.0) * (2.0 * g + 1.0) * (4.0 * g + 5.0) / 64.0, spec)
     gk = gamma_kappa(spec, ch)
-    bracket, _ = _reduced_bracket(
-        g, gk, 4.0, ((2.0 * kappa + 1.0) * g + 2.0) ** 2, 1.0, tol
-    )
-    prefactor = -(g + 1.0) * (2.0 * g + 1.0) * (2.0 * g + 3.0) / (
-        32.0 * z4 * (2.0 * kappa + 1.0)
+    bracket, _ = _reduced_bracket(g, gk, 4.0, ((2.0 * kappa + 1.0) * g + 2.0) ** 2, 1.0)
+    prefactor = _over_z4(
+        -(g + 1.0) * (2.0 * g + 1.0) * (2.0 * g + 3.0) / (32.0 * (2.0 * kappa + 1.0)), spec
     )
     return prefactor * bracket
 
 
-def second_order_energy(spec: AtomSpec, field_strength: float, tol: float = 1e-16) -> float:
+def second_order_energy(spec: AtomSpec, field_strength: float) -> float:
     """Second-order field shift -(1/4) F**2 (R_{1/2} + R_{-3/2}) of the
     planar ground state, in hartree, for a field in atomic units."""
-    r_sum = r_channel_closed(ChannelIndex(0.5), spec, tol) + r_channel_closed(
-        ChannelIndex(-1.5), spec, tol
-    )
+    r_sum = r_channel_closed(ChannelIndex(0.5), spec) + r_channel_closed(ChannelIndex(-1.5), spec)
     return -0.25 * field_strength**2 * r_sum
 
 
-def polarizability_planar(spec: AtomSpec, tol: float = 1e-16) -> PolarizabilityResult:
+def polarizability_planar(spec: AtomSpec) -> PolarizabilityResult:
     """Ground-state dipole polarizability of a planar Dirac one-electron ion.
 
     Parameters
     ----------
     spec : AtomSpec
         Planar, subcritical ion.
-    tol : float
-        Relative tolerance of the hypergeometric evaluation; the returned
-        value is accurate to max(tol, 1e-15).
 
     Returns
     -------
     PolarizabilityResult
-        Polarizability in a0**3 plus its Z**4-scaled value and series
-        diagnostics.
+        Polarizability in a0**3, accurate to 1e-15, plus its Z**4-scaled
+        value and series diagnostics.
     """
     if spec.dimension != "planar":
         raise ValueError("polarizability_planar needs a planar spec")
     g = gamma_half(spec)
     gk = gamma_kappa(spec, ChannelIndex(-1.5))
-    bracket, diag = _reduced_bracket(
-        g, gk, 3.0, 4.0 * (g - 1.0) ** 2, (g + 1.0) * (4.0 * g + 3.0), tol
-    )
+    bracket, diag = _reduced_bracket(g, gk, 3.0, 4.0 * (g - 1.0) ** 2, (g + 1.0) * (4.0 * g + 3.0))
     scaled = ((g + 1.0) ** 2 * (2.0 * g + 1.0) * (4.0 * g + 3.0) / 128.0) * bracket
-    return PolarizabilityResult(scaled / spec.Z**4, scaled, "closed_form", diag)
+    return PolarizabilityResult(_over_z4(scaled, spec), scaled, "closed_form", diag)
 
 
-def polarizability_spatial(spec: AtomSpec, tol: float = 1e-16) -> PolarizabilityResult:
+def polarizability_spatial(spec: AtomSpec) -> PolarizabilityResult:
     """Ground-state dipole polarizability of a spatial (three-dimensional)
     Dirac one-electron ion, with gamma_1 and gamma_2 the |kappa| = 1 and
     |kappa| = 2 channel exponents."""
@@ -140,11 +146,9 @@ def polarizability_spatial(spec: AtomSpec, tol: float = 1e-16) -> Polarizability
     g1 = gamma_kappa(spec, ChannelIndex(1))
     g2 = gamma_kappa(spec, ChannelIndex(2))
     quartic = 4.0 * g1**2 + 13.0 * g1 + 12.0
-    bracket, diag = _reduced_bracket(
-        g1, g2, 2.0, 2.0 * (g1 - 2.0) ** 2, (g1 + 1.0) * quartic, tol
-    )
+    bracket, diag = _reduced_bracket(g1, g2, 2.0, 2.0 * (g1 - 2.0) ** 2, (g1 + 1.0) * quartic)
     scaled = ((g1 + 1.0) * (2.0 * g1 + 1.0) * quartic / 36.0) * bracket
-    return PolarizabilityResult(scaled / spec.Z**4, scaled, "closed_form", diag)
+    return PolarizabilityResult(_over_z4(scaled, spec), scaled, "closed_form", diag)
 
 
 def polarizability_sturmian(spec: AtomSpec, tol: float = 1e-12) -> PolarizabilityResult:
@@ -197,7 +201,6 @@ def quasirel_coefficient(
     dimension: Dimension,
     z_values: Sequence[float] = (4.0, 2.0, 1.0, 0.5, 0.25),
     alpha_inv: float = ALPHA_INV_CODATA2014,
-    tol: float = 1e-16,
 ) -> float:
     """Leading relativistic correction coefficient c in
     alpha_1 / alpha_1_NR = 1 + c (alpha Z)**2 + O((alpha Z)**4),
@@ -214,7 +217,7 @@ def quasirel_coefficient(
     ys: list[float] = []
     for z in z_values:
         spec = AtomSpec(z, dimension, alpha_inv)
-        shift = compute(spec, tol).scaled_Z4 / limit - 1.0
+        shift = compute(spec).scaled_Z4 / limit - 1.0
         if not abs(shift) >= QUASIREL_SHIFT_FLOOR:
             raise ExtrapolationError(
                 f"{dimension} relative shift {abs(shift):.3g} at Z={z} is below "

@@ -415,7 +415,7 @@ def hyp3f2_contiguous_rhs(p: Hyp3F2Params, tol: float = TOL_FLOOR) -> float:
     return closed - coeff * f_shift
 
 
-def r_channel_two_term(ch: ChannelIndex, spec: AtomSpec, tol: float = 1e-16) -> float:
+def r_channel_two_term(ch: ChannelIndex, spec: AtomSpec) -> float:
     """Dipole channel integral in its unreduced two-hypergeometric form.
 
     Both 3F2 functions share the contiguous structure that the shift
@@ -427,12 +427,8 @@ def r_channel_two_term(ch: ChannelIndex, spec: AtomSpec, tol: float = 1e-16) -> 
     g = gamma_half(spec)
     gk = gamma_kappa(spec, ch)
     d = gk - g
-    f1, _ = hyp3f2_unit(
-        Hyp3F2Params(d - 1.0, d - 1.0, d + 1.0, d + 2.0, 2.0 * gk + 1.0), tol
-    )
-    f2, _ = hyp3f2_unit(
-        Hyp3F2Params(d - 1.0, d - 1.0, d, d + 1.0, 2.0 * gk + 1.0), tol
-    )
+    f1, _ = hyp3f2_unit(Hyp3F2Params(d - 1.0, d - 1.0, d + 1.0, d + 2.0, 2.0 * gk + 1.0))
+    f2, _ = hyp3f2_unit(Hyp3F2Params(d - 1.0, d - 1.0, d, d + 1.0, 2.0 * gk + 1.0))
     prefactor = gamma_ratio(
         [gk + g + 2.0] * 2, [2.0 * g + 1.0, 2.0 * gk + 1.0]
     ) / (64.0 * spec.Z**4)

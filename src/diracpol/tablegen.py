@@ -75,11 +75,11 @@ class TableRow(NamedTuple):
     value_a0_cubed: float
 
 
-def _scaled_at(z: float, alpha_inv: float, tol: float) -> float:
-    return polarizability_planar(AtomSpec(z, "planar", alpha_inv), tol).scaled_Z4
+def _scaled_at(z: float, alpha_inv: float) -> float:
+    return polarizability_planar(AtomSpec(z, "planar", alpha_inv)).scaled_Z4
 
 
-def propagate_uncertainty(Z: float, consts: ConstantSet = ConstantSet(), tol: float = 1e-16) -> float:
+def propagate_uncertainty(Z: float, consts: ConstantSet = ConstantSet()) -> float:
     """One-standard-deviation uncertainty of Z**4 * alpha_1 induced by the
     uncertainty of the inverse fine-structure constant.
 
@@ -91,9 +91,9 @@ def propagate_uncertainty(Z: float, consts: ConstantSet = ConstantSet(), tol: fl
     if consts.alpha_inv_sigma == 0.0:
         return 0.0
     h = _STEP_FACTOR * consts.alpha_inv_sigma
-    center = _scaled_at(Z, consts.alpha_inv, tol)
-    upper = _scaled_at(Z, consts.alpha_inv + h, tol)
-    lower = _scaled_at(Z, consts.alpha_inv - h, tol)
+    center = _scaled_at(Z, consts.alpha_inv)
+    upper = _scaled_at(Z, consts.alpha_inv + h)
+    lower = _scaled_at(Z, consts.alpha_inv - h)
     difference = upper - lower
     derivative = difference / (2.0 * h)
     # A difference at the rounding floor of the 15-digit values carries no
@@ -135,9 +135,7 @@ def format_scaled(value: float, sigma: float) -> tuple[str, int, int]:
     raise ValueError(f"uncertainty {sigma!r} too small to display two digits")
 
 
-def generate_table(
-    z_min: int, z_max: int, consts: ConstantSet = ConstantSet(), tol: float = 1e-16
-) -> list[TableRow]:
+def generate_table(z_min: int, z_max: int, consts: ConstantSet = ConstantSet()) -> list[TableRow]:
     """Compute one row per integer charge in [z_min, z_max].
 
     Every charge must stay subcritical for alpha_inv shifted by the
@@ -147,8 +145,8 @@ def generate_table(
         raise ValueError(f"need 1 <= z_min <= z_max, got ({z_min}, {z_max})")
     rows = []
     for z in range(z_min, z_max + 1):
-        result = polarizability_planar(AtomSpec(z, "planar", consts.alpha_inv), tol)
-        sigma = propagate_uncertainty(z, consts, tol)
+        result = polarizability_planar(AtomSpec(z, "planar", consts.alpha_inv))
+        sigma = propagate_uncertainty(z, consts)
         display, digits, units = format_scaled(result.scaled_Z4, sigma)
         rows.append(
             TableRow(

@@ -133,7 +133,7 @@ def test_criterion_5_oracle_equivalence():
     for z in (1.0, 10.0, 26.0, 40.0, 55.0, 68.0):
         spec = AtomSpec(z, "planar")
         for ch in (ChannelIndex(0.5), ChannelIndex(-1.5)):
-            closed = r_channel_closed(ch, spec, 1e-16)
+            closed = r_channel_closed(ch, spec)
             series, _ = r_channel_series(ch, spec, 1e-12)
             worst_series = max(worst_series, abs(series - closed) / abs(closed))
     worst_quad = 0.0

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from diracpol.cli import ALPHA_INV_ENV, run
+from diracpol.atom import AtomSpec, ChannelIndex
+from diracpol.cli import run
+from diracpol.polarizability import polarizability_planar, r_channel_closed
 
 
 def _capture(capsys, argv):
@@ -48,18 +50,6 @@ class TestPlanarCommand:
         assert code == 0
         assert json.loads(out)["Z^4*alpha_1_a0^3"] == pytest.approx(0.1640625, abs=1e-12)
 
-    def test_alpha_inv_environment_override(self, capsys, monkeypatch):
-        monkeypatch.setenv(ALPHA_INV_ENV, "1e9")
-        code, out = _capture(capsys, ["planar", "--Z", "1", "--format", "json"])
-        assert code == 0
-        assert json.loads(out)["alpha_inv"] == 1e9
-
-    def test_non_numeric_alpha_inv_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv(ALPHA_INV_ENV, "abc")
-        assert run(["planar", "--Z", "1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"error: environment variable {ALPHA_INV_ENV}='abc' is not a number" in captured.err
 
 
 class TestSpatialCommand:
@@ -134,6 +124,38 @@ class TestCrosscheckCommand:
         assert "channel kappa = +0.5" in out
         assert "rel dev" in out
 
+    @pytest.mark.parametrize("z", ["1", "26", "66", "68.5"])
+    def test_checks_the_closed_form_users_get(self, capsys, z):
+        # The closed values are those of the library at its one accuracy,
+        # whatever the series tolerance.
+        code, out = _capture(capsys, ["crosscheck", "--Z", z, "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        spec = AtomSpec(float(z), "planar")
+        for kappa, entry in payload["channels"].items():
+            closed = r_channel_closed(ChannelIndex(float(kappa)), spec)
+            assert entry["closed"].hex() == closed.hex()
+        alpha = polarizability_planar(spec).value_a0_cubed
+        assert payload["alpha_1_closed"].hex() == alpha.hex()
+
+    @pytest.mark.parametrize("tol, used", [("1e-16", 1e-12), ("1e-12", 1e-12), ("1e-8", 1e-8)])
+    def test_reports_the_tolerance_used(self, capsys, tol, used):
+        # The series clamps its tolerance to SERIES_TOL_FLOOR = 1e-12.
+        argv = ["crosscheck", "--Z", "26", "--tol", tol]
+        code, out = _capture(capsys, [*argv, "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["tol"] == used
+        code, out = _capture(capsys, argv)
+        assert code == 0
+        assert f"tol = {used:g}\n" in out
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_invalid_tolerance_exits_2(self, capsys, tol):
+        assert run(["crosscheck", "--Z", "26", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: tol must be positive, got {float(tol)!r}" in captured.err
+
 
 class TestLimitsCommand:
     def test_targets(self, capsys):
@@ -167,6 +189,31 @@ class TestArgumentErrors:
 
     def test_nonpositive_charge(self, capsys):
         assert run(["planar", "--Z", "-1"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["planar", "--Z", "1e-100"],
+            ["planar", "--Z", "1e-80", "--format", "json"],
+            ["spatial", "--Z", "1e-80"],
+            ["crosscheck", "--Z", "1e-90"],
+        ],
+    )
+    def test_charge_below_the_smallest(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: Z={float(argv[2])!r} is below the smallest allowed charge, about 1.2"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["planar", "--Z", "1"], ["spatial", "--Z", "1"], ["table", "--z-max", "2"], ["limits"]],
+    )
+    def test_tol_only_on_crosscheck(self, capsys, argv):
+        assert run([*argv, "--tol", "1e-10"]) == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
     def test_output_in_missing_directory(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.txt"

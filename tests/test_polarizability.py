@@ -3,6 +3,7 @@ two-hypergeometric reduction, planar and spatial values, nonrelativistic
 limits, and quasi-relativistic coefficients."""
 
 import math
+import sys
 import typing
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from tests.table_data import reference_tolerance, reference_value
 NR_SURROGATE = 1e9
 
 
-def reduced_channel(ch, spec, tol=1e-16):
+def reduced_channel(ch, spec):
     """R_kappa of either dipole channel through the shared 3F2 bracket; for
     kappa = 1/2 the exponents coincide (gamma' = gamma) and the series
     truncates, so this is the generic route the elementary form replaces."""
@@ -39,7 +40,7 @@ def reduced_channel(ch, spec, tol=1e-16):
     g = gamma_half(spec)
     gk = gamma_kappa(spec, ch)
     bracket, _ = _reduced_bracket(
-        g, gk, 4.0, ((2.0 * kappa + 1.0) * g + 2.0) ** 2, 1.0, tol
+        g, gk, 4.0, ((2.0 * kappa + 1.0) * g + 2.0) ** 2, 1.0
     )
     prefactor = -(g + 1.0) * (2.0 * g + 1.0) * (2.0 * g + 3.0) / (
         32.0 * spec.Z**4 * (2.0 * kappa + 1.0)
@@ -97,8 +98,8 @@ class TestTwoTermReduction:
         # single-hypergeometric one describe the same channel integral.
         spec = AtomSpec(z, "planar")
         ch = ChannelIndex(kappa)
-        reduced = reduced_channel(ch, spec, 1e-16)
-        unreduced = r_channel_two_term(ch, spec, 1e-16)
+        reduced = reduced_channel(ch, spec)
+        unreduced = r_channel_two_term(ch, spec)
         assert abs(unreduced - reduced) / abs(reduced) <= 1e-12
 
 
@@ -251,6 +252,43 @@ class TestSpatialPolarizability:
     def test_rejects_planar_spec(self):
         with pytest.raises(ValueError, match="polarizability_spatial needs a spatial spec"):
             polarizability_spatial(AtomSpec(1.0, "planar"))
+
+
+class TestSmallestCharge:
+    # Z**4 is 0 at Z = 1e-100 and subnormal at 1e-80, where the quotient
+    # overflows.
+    @pytest.mark.parametrize("z", [1e-80, 1e-100])
+    @pytest.mark.parametrize(
+        "dimension, compute",
+        [("planar", polarizability_planar), ("spatial", polarizability_spatial)],
+    )
+    def test_underflowing_charge_raises(self, z, dimension, compute):
+        message = rf"Z={z!r} is below the smallest allowed charge, about 1\.2"
+        with pytest.raises(ValueError, match=message):
+            compute(AtomSpec(z, dimension))
+
+    @pytest.mark.parametrize("kappa", [0.5, -1.5])
+    def test_channels_share_the_check(self, kappa):
+        with pytest.raises(ValueError, match="Z=1e-90 is below the smallest allowed charge"):
+            r_channel_closed(ChannelIndex(kappa), AtomSpec(1e-90, "planar"))
+
+    def test_boundary(self):
+        # The smallest charge whose Z**4 is a normal double is accepted in
+        # the plane; the spatial value, 4.5 / Z**4, overflows there.
+        z = sys.float_info.min**0.25
+        while z**4 < sys.float_info.min:
+            z = math.nextafter(z, math.inf)
+        while math.nextafter(z, 0.0) ** 4 >= sys.float_info.min:
+            z = math.nextafter(z, 0.0)
+        planar = polarizability_planar(AtomSpec(z, "planar"))
+        assert planar.value_a0_cubed == planar.scaled_Z4 / z**4
+        assert math.isfinite(planar.value_a0_cubed)
+        for ch in (ChannelIndex(0.5), ChannelIndex(-1.5)):
+            assert math.isfinite(r_channel_closed(ch, AtomSpec(z, "planar")))
+        with pytest.raises(ValueError, match="smallest allowed charge"):
+            polarizability_planar(AtomSpec(math.nextafter(z, 0.0), "planar"))
+        with pytest.raises(ValueError, match="smallest allowed charge, about 1.258e-77"):
+            polarizability_spatial(AtomSpec(z, "spatial"))
 
 
 class TestNonrelLimit:

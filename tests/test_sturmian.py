@@ -324,7 +324,7 @@ class TestChannelSeries:
         spec = AtomSpec(z, "planar")
         for ch in CHANNELS:
             series, diag = r_channel_series(ch, spec, 1e-12)
-            closed = r_channel_closed(ch, spec, 1e-16)
+            closed = r_channel_closed(ch, spec)
             assert diag.tail_estimate <= 1e-12
             assert abs(series - closed) / abs(closed) <= 1e-10
 
