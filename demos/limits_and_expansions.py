@@ -1,10 +1,14 @@
 """Weak-coupling behaviour: recover the nonrelativistic constants and
-extract the leading relativistic correction coefficients numerically.
+the leading relativistic correction coefficients.
 
 alpha_1 / alpha_1_NR = 1 + c (alpha Z)^2 + O((alpha Z)^4) with c = -7/2
-for planar atoms and c = -28/27 for spatial ones; Richardson extrapolation
-over a halving charge sequence isolates c without any series expansion of
-the gamma functions.
+for planar atoms and c = -28/27 for spatial ones.  The raw slopes
+(alpha_1 / alpha_1_NR - 1) / (alpha Z)^2 from the closed form show the
+cancellation: the shift is formed by subtracting 1 from a number near 1,
+so a slope keeps only about 1e-16 / |shift| of its digits.  The library
+instead evaluates the shift as a function of x = (alpha Z)^2 with no such
+subtraction; quasirel_coefficient reads c off it at x = 1e-30, exact to
+the last bits and without any extrapolation.
 """
 
 from diracpol import (
@@ -38,11 +42,11 @@ def main() -> None:
         print(f"  {dimension:<7}: {rendered}")
 
     print()
-    print("Richardson-extrapolated coefficients:")
+    print("coefficients from the subtraction-free shift:")
     planar_c = quasirel_coefficient("planar")
     spatial_c = quasirel_coefficient("spatial")
-    print(f"  planar : {planar_c:+.9f}   target -7/2   = {-3.5:+.9f}")
-    print(f"  spatial: {spatial_c:+.9f}   target -28/27 = {-28.0 / 27.0:+.9f}")
+    print(f"  planar : {planar_c!r:<19}  target -7/2   = {-3.5!r}")
+    print(f"  spatial: {spatial_c!r:<19}  target -28/27 = {-28.0 / 27.0!r}")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from .atom import (
     radial_PQ,
 )
 from .polarizability import (
-    ExtrapolationError,
     PolarizabilityResult,
     nonrel_limit,
     polarizability_planar,
@@ -75,7 +74,6 @@ __all__ = [
     "ChannelIndex",
     "ConstantSet",
     "ConvergenceError",
-    "ExtrapolationError",
     "Hyp3F2Params",
     "PolarizabilityResult",
     "PropagationError",

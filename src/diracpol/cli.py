@@ -1,8 +1,8 @@
 """Command-line interface: single-value queries, reference-table emission,
 oracle cross-checks, and limit verification.
 
-Exit codes: 0 success, 2 argument errors (an --output path that cannot be
-written among them), 3 supercritical charge, 4 series convergence failure.
+Exit codes: 0 success, 2 argument errors (an unwritable --output path and a
+non-finite JSON value among them), 3 supercritical, 4 series convergence failure.
 """
 
 from __future__ import annotations
@@ -43,28 +43,29 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--alpha-inv",
-        type=float,
-        default=ALPHA_INV_CODATA2014,
-        help=f"inverse fine-structure constant (default: {ALPHA_INV_CODATA2014})",
-    )
-    common.add_argument(
         "--format",
         choices=("text", "csv", "json"),
         default="text",
         help="output format (csv applies to the table command only)",
     )
     common.add_argument("--output", default=None, help="output file (default: stdout)")
+    coupled = argparse.ArgumentParser(add_help=False, parents=[common])
+    coupled.add_argument(
+        "--alpha-inv",
+        type=float,
+        default=ALPHA_INV_CODATA2014,
+        help=f"inverse fine-structure constant (default: {ALPHA_INV_CODATA2014})",
+    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_planar = sub.add_parser("planar", parents=[common], help="planar (2D) polarizability at one charge")
+    p_planar = sub.add_parser("planar", parents=[coupled], help="planar (2D) polarizability at one charge")
     p_planar.add_argument("--Z", type=float, required=True, help="nuclear charge")
 
-    p_spatial = sub.add_parser("spatial", parents=[common], help="spatial (3D) polarizability at one charge")
+    p_spatial = sub.add_parser("spatial", parents=[coupled], help="spatial (3D) polarizability at one charge")
     p_spatial.add_argument("--Z", type=float, required=True, help="nuclear charge")
 
-    p_table = sub.add_parser("table", parents=[common], help="scaled-polarizability table over a charge range")
+    p_table = sub.add_parser("table", parents=[coupled], help="scaled-polarizability table over a charge range")
     p_table.add_argument("--z-min", type=int, default=1)
     p_table.add_argument("--z-max", type=int, default=68)
     p_table.add_argument(
@@ -76,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cross = sub.add_parser(
         "crosscheck",
-        parents=[common],
+        parents=[coupled],
         help="closed form vs Sturmian series vs quadrature at one charge",
     )
     p_cross.add_argument("--Z", type=float, required=True, help="nuclear charge")
@@ -99,7 +100,8 @@ def _emit(document: str, output: str | None) -> None:
 def _json_document(payload: dict) -> str:
     import json  # only the JSON format needs it
 
-    return json.dumps(payload, indent=2) + "\n"
+    # Refuse inf and nan, which JSON cannot spell, rather than print Infinity.
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _reldev(a: float, b: float, floor: float) -> float:
@@ -219,8 +221,8 @@ def _run_crosscheck(args: argparse.Namespace) -> str:
 def _run_limits(args: argparse.Namespace) -> str:
     planar_nr = nonrel_limit("planar")
     spatial_nr = nonrel_limit("spatial")
-    planar_c = quasirel_coefficient("planar", alpha_inv=args.alpha_inv)
-    spatial_c = quasirel_coefficient("spatial", alpha_inv=args.alpha_inv)
+    planar_c = quasirel_coefficient("planar")
+    spatial_c = quasirel_coefficient("spatial")
     if args.format == "json":
         payload = {
             "planar_nonrel_scaled": planar_nr,

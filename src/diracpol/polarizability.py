@@ -17,34 +17,21 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Literal, NamedTuple, Sequence
+from typing import Literal, NamedTuple
 
-from .atom import (
-    ALPHA_INV_CODATA2014,
-    AtomSpec,
-    ChannelIndex,
-    Dimension,
-    _check_dipole,
-    gamma_half,
-    gamma_kappa,
+import numpy as np
+
+from .atom import AtomSpec, ChannelIndex, Dimension, _check_dipole, gamma_half, gamma_kappa
+from .specfun import (
+    _CHUNK, _NEAR_ONE, MAX_TERMS, TOL_FLOOR, ConvergenceError, Hyp3F2Params, SeriesDiagnostics,
+    _lgamma_series, _tail_bound, _term_ratios, gamma_ratio, hyp3f2_unit, log_gamma,
 )
-from .specfun import Hyp3F2Params, SeriesDiagnostics, gamma_ratio, hyp3f2_unit
 
 Method = Literal["closed_form", "sturmian_series"]
 
 # Nonrelativistic scaled limits Z**4 * alpha_1: 21/128 (planar), 9/2 (spatial).
 NONREL_SCALED_PLANAR = 21.0 / 128.0
 NONREL_SCALED_SPATIAL = 4.5
-
-# quasirel_coefficient rejects a sample whose |alpha_1 / alpha_1_NR - 1| is
-# smaller: too few of its digits are significant (it is exactly 0 at
-# alpha_inv = 1e9; at 1e3 it is 2.2e-7 and the coefficient is right to 1e-8).
-QUASIREL_SHIFT_FLOOR = 1e-8
-
-
-class ExtrapolationError(ArithmeticError):
-    """A sampled shift is too small to extrapolate, or the residuals grow."""
-
 
 class PolarizabilityResult(NamedTuple):
     """Ground-state dipole polarizability with its Z**4-scaled companion;
@@ -160,6 +147,7 @@ def polarizability_sturmian(spec: AtomSpec, tol: float = 1e-12) -> Polarizabilit
 
     if spec.dimension != "planar":
         raise ValueError("polarizability_sturmian needs a planar spec")
+    _over_z4(NONREL_SCALED_PLANAR, spec)  # refuse as the closed form does, before overflow
     r_half, diag_half = r_channel_series(ChannelIndex(0.5), spec, tol)
     r_m32, diag_m32 = r_channel_series(ChannelIndex(-1.5), spec, tol)
     value = 0.5 * (r_half + r_m32)
@@ -180,57 +168,64 @@ def nonrel_limit(dimension: Dimension) -> float:
     raise ValueError(f"unknown dimension {dimension!r}")
 
 
-def _neville_at_zero(xs: Sequence[float], ys: Sequence[float]) -> list[float]:
-    """Diagonal of the Neville tableau extrapolating (xs, ys) to x = 0.
-
-    Returns the sequence of successively higher-order estimates; the last
-    entry is the full extrapolation.
-    """
-    xs = list(xs)
-    tableau = list(ys)
-    diagonal = [tableau[0]]
-    for level in range(1, len(xs)):
-        for i in range(len(xs) - level):
-            x_lo, x_hi = xs[i], xs[i + level]
-            tableau[i] = (x_lo * tableau[i + 1] - x_hi * tableau[i]) / (x_lo - x_hi)
-        diagonal.append(tableau[0])
-    return diagonal
+def _log_gamma_drop(n: float, eps: float) -> float:
+    """ln Gamma(n - eps) - ln Gamma(n) for integer n, to full relative
+    accuracy as eps -> 0; a plain difference once eps > 0.5."""
+    if eps > 0.5:
+        return log_gamma(n - eps) - log_gamma(n)
+    return math.fsum([_lgamma_series(-eps, _NEAR_ONE), *(math.log1p(-eps / j) for j in range(1, int(n)))])
 
 
-def quasirel_coefficient(
-    dimension: Dimension,
-    z_values: Sequence[float] = (4.0, 2.0, 1.0, 0.5, 0.25),
-    alpha_inv: float = ALPHA_INV_CODATA2014,
-) -> float:
-    """Leading relativistic correction coefficient c in
-    alpha_1 / alpha_1_NR = 1 + c (alpha Z)**2 + O((alpha Z)**4),
-    extracted numerically by Richardson extrapolation over a decreasing
-    charge sequence.
+def _hyp3f2_minus_one(p: Hyp3F2Params) -> float:
+    """3F2(p; 1) - 1 summed from k = 1 and stopped relative to itself; the
+    parameters here are nonnegative, so no terms cancel."""
+    blocks, total, t_last = [], 0.0, 1.0
+    for k0 in range(0, MAX_TERMS, _CHUNK):
+        blocks.append(t_last * np.cumprod(_term_ratios(p, np.arange(k0, k0 + _CHUNK, dtype=float))))
+        total += float(blocks[-1].sum())
+        t_last = float(blocks[-1][-1])
+        if _tail_bound(t_last, k0 + _CHUNK + 1, p.balance()) <= TOL_FLOOR * total:
+            return math.fsum(np.concatenate(blocks).tolist())
+    raise ConvergenceError(f"3F2 - 1 did not converge within {MAX_TERMS} terms")
 
-    Raises ExtrapolationError when a sampled |alpha_1 / alpha_1_NR - 1| is
-    below QUASIREL_SHIFT_FLOOR, or when the extrapolation residuals do not
-    shrink, i.e. when the sampled charges are outside the quadratic regime.
-    """
-    limit = nonrel_limit(dimension)
-    compute = polarizability_planar if dimension == "planar" else polarizability_spatial
-    xs: list[float] = []
-    ys: list[float] = []
-    for z in z_values:
-        spec = AtomSpec(z, dimension, alpha_inv)
-        shift = compute(spec).scaled_Z4 / limit - 1.0
-        if not abs(shift) >= QUASIREL_SHIFT_FLOOR:
-            raise ExtrapolationError(
-                f"{dimension} relative shift {abs(shift):.3g} at Z={z} is below "
-                f"{QUASIREL_SHIFT_FLOOR:g}: the coupling is too weak to resolve it"
-            )
-        x = (z / alpha_inv) ** 2
-        xs.append(x)
-        ys.append(shift / x)
-    diagonal = _neville_at_zero(xs, ys)
-    corrections = [abs(b - a) for a, b in zip(diagonal, diagonal[1:])]
-    if len(corrections) >= 2 and corrections[-1] > corrections[0]:
-        raise ExtrapolationError(
-            "extrapolation residuals are not shrinking; the sampled charges "
-            "do not show the expected quadratic scaling"
-        )
-    return diagonal[-1]
+
+def _quasirel_shift(dimension: Dimension, x: float) -> float:
+    """alpha_1 / alpha_1_NR - 1 as a function of x = (alpha Z)**2 alone, with no
+    subtraction of nearly equal numbers.  The exponents g, gk are |kappa| - delta,
+    delta = x / (|kappa| + gamma); every factor of the closed form is its x = 0
+    value times exp(log1p(...)) or exp(_log_gamma_drop(...)), and the 3F2 is 1
+    plus its sum from k = 1.  At x = 0, coeff / bracket is 1/14 or 2/27."""
+    nonrel_limit(dimension)  # rejects an unknown dimension
+    planar = dimension == "planar"
+    lo, hi = (0.5, 1.5) if planar else (1.0, 2.0)
+    gk = math.sqrt(hi * hi - x)
+    dl, dh = x / (lo + math.sqrt(lo * lo - x)), x / (hi + gk)
+    dm = dl - dh  # d - 1
+    if planar:  # prefactor (g+1)**2 (2g+1) (4g+3); num 4 (g-1)**2, den (g+1) (4g+3)
+        log_den = math.log1p(-dl / 1.5) + math.log1p(-0.8 * dl)
+        log_pre = log_den + math.log1p(-dl / 1.5) + math.log1p(-dl)
+        log_num = 2.0 * math.log1p(2.0 * dl)
+    else:  # prefactor (g+1) (2g+1) q, q = 4g**2 + 13g + 12; num 2 (g-2)**2, den (g+1) q
+        log_den = math.log1p(-0.5 * dl) + math.log1p(dl * (4.0 * dl - 21.0) / 29.0)
+        log_pre = log_den + math.log1p(-dl / 1.5)
+        log_num = 2.0 * math.log1p(dl)
+    f_minus_1 = _hyp3f2_minus_one(Hyp3F2Params(dm, dm, 2.0 + dm, 3.0 + dm, 2.0 * gk + 1.0))
+    # coeff = num / den * Gamma(gk+g+2)**2 / (Gamma(2g+lower) Gamma(2gk+1)) / (d+1),
+    # where 2g + lower is 4 at x = 0 in both dimensions.
+    log_coeff_f = math.fsum([
+        log_num - log_den,
+        2.0 * _log_gamma_drop(lo + hi + 2.0, dl + dh),
+        -_log_gamma_drop(4.0, 2.0 * dl),
+        -_log_gamma_drop(2.0 * hi + 1.0, 2.0 * dh),
+        -math.log1p(0.5 * dm),
+        math.log1p(f_minus_1),
+    ])
+    ratio = 1.0 / 14.0 if planar else 2.0 / 27.0
+    return math.expm1(log_pre + math.log1p(-ratio * math.expm1(log_coeff_f)))
+
+
+def quasirel_coefficient(dimension: Dimension) -> float:
+    """Coefficient c in alpha_1 / alpha_1_NR = 1 + c (alpha Z)**2 + O((alpha Z)**4),
+    -7/2 (planar) or -28/27 (spatial): the shift over x at x = 1e-30, where
+    the O(x**2) term is 30 orders of magnitude down.  c does not depend on alpha."""
+    return _quasirel_shift(dimension, 1e-30) / 1e-30

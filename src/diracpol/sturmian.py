@@ -41,6 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .atom import AtomSpec, ChannelIndex, _check_dipole, gamma_half, gamma_kappa, radial_PQ
+from .polarizability import _over_z4
 from .specfun import (
     _TINY, TOL_FLOOR, ConvergenceError, Hyp3F2Params, SeriesDiagnostics, gamma_ratio,
     hyp3f2_unit, laguerre, log_gamma,
@@ -343,6 +344,8 @@ def r_channel_series(
     c = _channel(ch, spec)
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
     tol = max(tol, SERIES_TOL_FLOOR)
 
     terms = [_series_term(*_index_integrals(c, 0)[0])]
@@ -429,9 +432,9 @@ def r_channel_two_term(ch: ChannelIndex, spec: AtomSpec) -> float:
     d = gk - g
     f1, _ = hyp3f2_unit(Hyp3F2Params(d - 1.0, d - 1.0, d + 1.0, d + 2.0, 2.0 * gk + 1.0))
     f2, _ = hyp3f2_unit(Hyp3F2Params(d - 1.0, d - 1.0, d, d + 1.0, 2.0 * gk + 1.0))
-    prefactor = gamma_ratio(
-        [gk + g + 2.0] * 2, [2.0 * g + 1.0, 2.0 * gk + 1.0]
-    ) / (64.0 * spec.Z**4)
+    prefactor = _over_z4(
+        gamma_ratio([gk + g + 2.0] * 2, [2.0 * g + 1.0, 2.0 * gk + 1.0]) / 64.0, spec
+    )
     brace = (
         g * ((2.0 * kappa + 1.0) * g + 4.0) / (d + 1.0) * f1
         - (gk + g) / (2.0 * kappa + 1.0) * f2

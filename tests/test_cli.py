@@ -34,6 +34,14 @@ class TestPlanarCommand:
         assert code == 3
         assert "Z < alpha_inv/2" in capsys.readouterr().err
 
+    def test_non_finite_json_value_exits_2(self, capsys):
+        # JSON has no spelling for inf; the command refuses rather than
+        # print the nonstandard Infinity.
+        assert run(["planar", "--Z", "1", "--alpha-inv", "inf", "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Out of range float values are not JSON compliant")
+
     def test_json_round_trip(self, capsys):
         code, out = _capture(capsys, ["planar", "--Z", "26", "--format", "json"])
         assert code == 0
@@ -149,6 +157,12 @@ class TestCrosscheckCommand:
         assert code == 0
         assert f"tol = {used:g}\n" in out
 
+    def test_infinite_tolerance_exits_2(self, capsys):
+        assert run(["crosscheck", "--Z", "26", "--tol", "inf", "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tol must be finite, got inf")
+
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
     def test_invalid_tolerance_exits_2(self, capsys, tol):
         assert run(["crosscheck", "--Z", "26", "--tol", tol]) == 2
@@ -170,11 +184,10 @@ class TestLimitsCommand:
         )
 
     @pytest.mark.parametrize("alpha_inv", ["1e9", "1e12"])
-    def test_unresolvable_coefficient_exits_2(self, capsys, alpha_inv):
+    def test_alpha_inv_not_on_limits(self, capsys, alpha_inv):
+        # The coefficients do not depend on alpha.
         assert run(["limits", "--alpha-inv", alpha_inv]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: planar relative shift 0 at Z=4.0 is below 1e-08")
+        assert "unrecognized arguments: --alpha-inv" in capsys.readouterr().err
 
 
 class TestArgumentErrors:

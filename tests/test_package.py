@@ -73,7 +73,7 @@ class TestSurface:
             for module in (diracpol, specfun, atom, polarizability):
                 assert not hasattr(module, name), (module.__name__, name)
             assert getattr(sturmian, name).__module__ == sturmian.__name__, name
-        assert len(diracpol.__all__) == 32
+        assert len(diracpol.__all__) == 31
 
     def test_import_loads_neither_oracle_nor_table_layer(self):
         script = (

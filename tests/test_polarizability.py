@@ -7,13 +7,15 @@ import sys
 import typing
 from fractions import Fraction
 
+import hypothesis
+import mpmath
 import pytest
+from hypothesis import strategies as st
 
 from diracpol.atom import ALPHA_INV_CODATA2014, AtomSpec, ChannelIndex, gamma_half, gamma_kappa
 from diracpol.polarizability import (
-    ExtrapolationError,
     Method,
-    _neville_at_zero,
+    _quasirel_shift,
     _reduced_bracket,
     nonrel_limit,
     polarizability_planar,
@@ -290,6 +292,16 @@ class TestSmallestCharge:
         with pytest.raises(ValueError, match="smallest allowed charge, about 1.258e-77"):
             polarizability_spatial(AtomSpec(z, "spatial"))
 
+    def test_two_term_form_shares_the_check(self):
+        with pytest.raises(ValueError, match="Z=1e-100 is below the smallest allowed charge"):
+            r_channel_two_term(ChannelIndex(0.5), AtomSpec(1e-100, "planar"))
+
+    def test_sturmian_polarizability_shares_the_check(self):
+        # The series overflows to inf here; the closed form's refusal, with
+        # the same smallest charge, comes first.
+        with pytest.raises(ValueError, match=r"Z=1e-100 is below the smallest allowed charge, about 1\.221e-77"):
+            polarizability_sturmian(AtomSpec(1e-100, "planar"))
+
 
 class TestNonrelLimit:
     def test_planar_value(self):
@@ -305,6 +317,46 @@ class TestNonrelLimit:
             nonrel_limit("volumetric")
 
 
+QUASIREL_TARGETS = {"planar": -3.5, "spatial": -28.0 / 27.0}
+
+
+def _shift_reference(dimension, x):
+    """alpha_1 / alpha_1_NR - 1 at x = (alpha Z)**2 from the closed form in
+    70-digit mpmath: the subtraction loses log10(1/x) <= 30 digits, which
+    leaves 40.  3F2 - 1 is summed from k = 1 by Levin's transform."""
+    with mpmath.workdps(70):
+        x = mpmath.mpf(x)
+        if dimension == "planar":
+            g, gk = mpmath.sqrt(mpmath.mpf(1) / 4 - x), mpmath.sqrt(mpmath.mpf(9) / 4 - x)
+            lower = 2 * g + 3
+            poly = (g + 1) ** 2 * (2 * g + 1) * (4 * g + 3) / 128
+            pre = 4 * (g - 1) ** 2 / ((g + 1) * (4 * g + 3))
+        else:
+            g, gk = mpmath.sqrt(1 - x), mpmath.sqrt(4 - x)
+            quadratic = 4 * g**2 + 13 * g + 12
+            lower = 2 * g + 2
+            poly = (g + 1) * (2 * g + 1) * quadratic / 36
+            pre = 2 * (g - 2) ** 2 / ((g + 1) * quadratic)
+        d = gk - g
+        a1, a2, a3, b1, b2 = d - 1, d - 1, d + 1, d + 2, 2 * gk + 1
+        terms = [a1 * a2 * a3 / (b1 * b2)]
+
+        def term(k):
+            k = int(k)
+            while len(terms) <= k:
+                j = len(terms)
+                terms.append(
+                    terms[-1] * (a1 + j) * (a2 + j) * (a3 + j) / ((b1 + j) * (b2 + j) * (j + 1))
+                )
+            return terms[k]
+
+        f = 1 + mpmath.nsum(term, [0, mpmath.inf], method="levin")
+        coeff = pre * mpmath.gamma(gk + g + 2) ** 2 / (
+            mpmath.gamma(lower) * mpmath.gamma(b2) * (d + 1)
+        )
+        return poly * (1 - coeff * f) / mpmath.mpf(nonrel_limit(dimension)) - 1
+
+
 class TestQuasirelCoefficient:
     def test_planar_coefficient(self):
         assert quasirel_coefficient("planar") == pytest.approx(-3.5, abs=1e-6)
@@ -312,26 +364,55 @@ class TestQuasirelCoefficient:
     def test_spatial_coefficient(self):
         assert quasirel_coefficient("spatial") == pytest.approx(-28.0 / 27.0, abs=1e-6)
 
-    def test_extrapolator_reproduces_constants(self):
-        xs = [0.1, 0.05, 0.025]
-        assert _neville_at_zero(xs, [0.0, 0.0, 0.0])[-1] == 0.0
-        assert _neville_at_zero(xs, [2.5, 2.5, 2.5])[-1] == pytest.approx(2.5, rel=1e-15)
-
-    def test_non_quadratic_samples_raise(self):
-        with pytest.raises(ExtrapolationError):
-            quasirel_coefficient("planar", z_values=(68.0, 67.0, 66.0, 65.0, 64.0))
-
     @pytest.mark.parametrize("dimension", ["planar", "spatial"])
-    @pytest.mark.parametrize("alpha_inv", [1e4, NR_SURROGATE, 1e12])
-    def test_unresolvable_shift_raises(self, dimension, alpha_inv):
-        # At 1e9 and 1e12 every sampled shift is exactly 0, so the residuals
-        # never grow and only the shift floor rejects the samples.
-        with pytest.raises(ExtrapolationError, match="too weak to resolve"):
-            quasirel_coefficient(dimension, alpha_inv=alpha_inv)
+    @pytest.mark.parametrize("alpha_inv", [1e8, NR_SURROGATE, 1e12])
+    def test_weak_coupling_slope(self, dimension, alpha_inv):
+        # Unresolvable from scaled_Z4 / limit - 1, which is exactly 0 from
+        # alpha_inv of about 3e8 on: the shift at Z = 1 still carries the
+        # exact coefficient, the (alpha Z)**4 term being below rounding.
+        x = (1.0 / alpha_inv) ** 2
+        target = QUASIREL_TARGETS[dimension]
+        assert abs(_quasirel_shift(dimension, x) / x - target) <= 2 * math.ulp(target)
 
     def test_smallest_resolvable_shift(self):
-        # alpha_inv = 1e3: the smallest shift is 2.2e-7, above the floor.
-        assert quasirel_coefficient("planar", alpha_inv=1e3) == pytest.approx(-3.5, abs=1e-8)
-        assert quasirel_coefficient("spatial", alpha_inv=1e3) == pytest.approx(
-            -28.0 / 27.0, abs=2e-8
-        )
+        # Down to x = 1e-300 the shift is c * x to the last bits, and the
+        # coefficient is exact to 2 ulp.
+        for dimension, target in QUASIREL_TARGETS.items():
+            assert abs(quasirel_coefficient(dimension) - target) <= 2 * math.ulp(target)
+            for x in (1e-300, 1e-200, 1e-100, 1e-30):
+                assert abs(_quasirel_shift(dimension, x) / x - target) <= 2 * math.ulp(target)
+
+    def test_unknown_dimension(self):
+        with pytest.raises(ValueError, match="unknown dimension"):
+            quasirel_coefficient("volumetric")
+
+
+class TestQuasirelShift:
+    # Largest sampled x: 0.2 of the planar critical 0.25, 0.9 of the spatial 1.
+    X_MAX = {"planar": 0.2, "spatial": 0.9}
+
+    @pytest.mark.parametrize("dimension", ["planar", "spatial"])
+    def test_against_mpmath(self, dimension):
+        @hypothesis.settings(max_examples=20, derandomize=True, database=None, deadline=None)
+        @hypothesis.given(st.floats(math.log(1e-30), math.log(self.X_MAX[dimension])))
+        def check(log_x):
+            x = min(math.exp(log_x), self.X_MAX[dimension])
+            got = _quasirel_shift(dimension, x)
+            if x <= 1e-30:
+                expected = QUASIREL_TARGETS[dimension] * x
+            else:
+                expected = float(_shift_reference(dimension, x))
+            assert abs(got - expected) <= 1e-15 * abs(expected)
+
+        check()
+
+    @pytest.mark.parametrize("dimension, z_max", [("planar", 68), ("spatial", 136)])
+    def test_closed_form_agrees_on_integer_charges(self, dimension, z_max):
+        # limits reports the shift; it must be the shift of the closed form
+        # that planar and spatial return.
+        compute = polarizability_planar if dimension == "planar" else polarizability_spatial
+        limit = nonrel_limit(dimension)
+        for z in range(1, z_max + 1):
+            library = compute(AtomSpec(float(z), dimension)).scaled_Z4 / limit - 1.0
+            shift = _quasirel_shift(dimension, (z / ALPHA_INV_CODATA2014) ** 2)
+            assert abs(library - shift) <= 8 * sys.float_info.epsilon, z
