@@ -24,7 +24,7 @@ import numpy as np
 from .atom import AtomSpec, ChannelIndex, Dimension, _check_dipole, gamma_half, gamma_kappa
 from .specfun import (
     _CHUNK, _NEAR_ONE, MAX_TERMS, TOL_FLOOR, ConvergenceError, Hyp3F2Params, SeriesDiagnostics,
-    _lgamma_series, _tail_bound, _term_ratios, gamma_ratio, hyp3f2_unit, log_gamma,
+    _chunk_terms, _exact_sum, _lgamma_series, _ratio_params, _tail_bound, hyp3f2_unit, log_gamma,
 )
 
 Method = Literal["closed_form", "sturmian_series"]
@@ -66,11 +66,10 @@ def _reduced_bracket(
     / (den * (d+1)), and the 3F2 diagnostics."""
     d = gk - g
     f_val, diag = hyp3f2_unit(Hyp3F2Params(d - 1.0, d - 1.0, d + 1.0, d + 2.0, 2.0 * gk + 1.0))
-    coeff = (
-        num
-        * gamma_ratio([gk + g + 2.0] * 2, [2.0 * g + lower, 2.0 * gk + 1.0])
-        / (den * (d + 1.0))
-    )
+    # gamma_ratio([gk+g+2] * 2, [2g+lower, 2gk+1]) bit for bit, with one
+    # log-gamma fewer: doubling a double is exact.
+    logs = [2.0 * log_gamma(gk + g + 2.0), -log_gamma(2.0 * g + lower), -log_gamma(2.0 * gk + 1.0)]
+    coeff = num * math.exp(math.fsum(logs)) / (den * (d + 1.0))
     return 1.0 - coeff * f_val, diag
 
 
@@ -147,7 +146,6 @@ def polarizability_sturmian(spec: AtomSpec, tol: float = 1e-12) -> Polarizabilit
 
     if spec.dimension != "planar":
         raise ValueError("polarizability_sturmian needs a planar spec")
-    _over_z4(NONREL_SCALED_PLANAR, spec)  # refuse as the closed form does, before overflow
     r_half, diag_half = r_channel_series(ChannelIndex(0.5), spec, tol)
     r_m32, diag_m32 = r_channel_series(ChannelIndex(-1.5), spec, tol)
     value = 0.5 * (r_half + r_m32)
@@ -179,13 +177,13 @@ def _log_gamma_drop(n: float, eps: float) -> float:
 def _hyp3f2_minus_one(p: Hyp3F2Params) -> float:
     """3F2(p; 1) - 1 summed from k = 1 and stopped relative to itself; the
     parameters here are nonnegative, so no terms cancel."""
-    blocks, total, t_last = [], 0.0, 1.0
+    params, blocks, total, t_last = _ratio_params(p), [], 0.0, 1.0
     for k0 in range(0, MAX_TERMS, _CHUNK):
-        blocks.append(t_last * np.cumprod(_term_ratios(p, np.arange(k0, k0 + _CHUNK, dtype=float))))
+        blocks.append(_chunk_terms(params, np.arange(k0, k0 + _CHUNK, dtype=float), t_last)[1])
         total += float(blocks[-1].sum())
         t_last = float(blocks[-1][-1])
         if _tail_bound(t_last, k0 + _CHUNK + 1, p.balance()) <= TOL_FLOOR * total:
-            return math.fsum(np.concatenate(blocks).tolist())
+            return _exact_sum(np.concatenate(blocks))
     raise ConvergenceError(f"3F2 - 1 did not converge within {MAX_TERMS} terms")
 
 

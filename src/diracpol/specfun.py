@@ -1,8 +1,12 @@
 """Special-function kernels: log-gamma, gamma ratios, generalized Laguerre
 polynomials, and the generalized hypergeometric 3F2 at unit argument.
 
-All series are accumulated with error-free transformations (``math.fsum``
-over exactly computed term blocks), targeting full double precision.
+Every series returns the correctly rounded sum of its computed terms, the
+value ``math.fsum`` gives.  The 3F2 terms are summed in numpy by
+``_exact_sum``: one error-free split into high parts that add exactly and
+low parts whose rounded sum is bracketed by a proven error bound; the rare
+sum that the bracket cannot decide (a near tie, a zero, a non-finite term)
+goes to ``math.fsum``.  The short log-gamma sums use ``math.fsum`` directly.
 """
 
 from __future__ import annotations
@@ -273,14 +277,61 @@ def laguerre(n: int, alpha: float, x):
     return float(out[0]) if scalar else out
 
 
-def _term_ratios(p: Hyp3F2Params, k: np.ndarray) -> np.ndarray:
-    """Ratios t_{k+1}/t_k of the unit-argument series for the given k block."""
-    return (
-        (p.a1 + k)
-        * (p.a2 + k)
-        * (p.a3 + k)
-        / ((p.b1 + k) * (p.b2 + k) * (1.0 + k))
-    )
+def _ratio_params(p: Hyp3F2Params) -> np.ndarray:
+    """Column (a1, a2, a3, b1, b2, 1) that ``_chunk_terms`` shifts by k."""
+    return np.array([*p, 1.0])[:, None]
+
+
+def _chunk_terms(
+    params: np.ndarray, k: np.ndarray, t_last: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ratios t_{k+1}/t_k of the unit-argument series for the block k, and the
+    terms t_last * cumprod(ratios).  One broadcast add shifts the six
+    parameters of ``_ratio_params``; the products are formed in place in the
+    order ((a1+k)(a2+k))(a3+k) / (((b1+k)(b2+k))(1+k))."""
+    s = params + k
+    np.multiply(s[0], s[1], out=s[0])
+    np.multiply(s[0], s[2], out=s[0])
+    np.multiply(s[3], s[4], out=s[3])
+    np.multiply(s[3], s[5], out=s[3])
+    ratios = np.divide(s[0], s[3], out=s[0])
+    block = np.cumprod(ratios)  # a fresh array: a view of s would keep all six rows alive
+    block *= t_last
+    return ratios, block
+
+
+def _exact_sum(terms: np.ndarray) -> float:
+    """The correctly rounded sum of ``terms``, equal to
+    ``math.fsum(terms.tolist())`` bit for bit.
+
+    One error-free extraction (ExtractVector of Rump, Ogita and Oishi,
+    "Accurate floating-point summation part I", SIAM J. Sci. Comput. 31,
+    2008): with max|p| < 2**e and 2**m > n + 2, sigma = 2**(e + m) splits
+    each term p into q = (p + sigma) - sigma, on a grid coarse enough that
+    the q add up exactly in any order, and the exact remainder r = p - q.
+    Summed in any order, the r err by at most delta = n**2 * 2**-104 * sigma.
+    When both ends of that interval, added to the q sum, round to the same
+    double, that double is the correctly rounded sum.  Otherwise (a near
+    tie), and for a non-finite term or a sigma or delta outside the normal
+    doubles, the terms go to math.fsum.  A zero sum always does, with the
+    sign of zero that fsum gives: the ends differ, and a sum of two doubles
+    rounds to zero only when it is exactly zero, so they cannot both.
+    """
+    n = terms.size
+    mu = float(np.abs(terms).max()) if n else 0.0
+    if 0.0 < mu < math.inf:
+        e = math.frexp(mu)[1]  # mu < 2**e
+        m = (n + 2).bit_length()  # 2**m > n + 2
+        if e + m <= 1023 and e + m - 104 >= -1022:
+            sigma = math.ldexp(1.0, e + m)
+            q = (terms + sigma) - sigma
+            tau = float(q.sum())
+            rho = float((terms - q).sum())
+            delta = math.ldexp(n * n, e + m - 104)
+            lo = tau + math.nextafter(rho - delta, -math.inf)
+            if lo == tau + math.nextafter(rho + delta, math.inf):
+                return lo
+    return math.fsum(terms.tolist())
 
 
 def _tail_bound(term: float, k: int, balance: float) -> float:
@@ -297,7 +348,13 @@ def _tail_bound(term: float, k: int, balance: float) -> float:
 def hyp3f2_unit(
     p: Hyp3F2Params, tol: float = TOL_FLOOR
 ) -> tuple[float, SeriesDiagnostics]:
-    """Evaluate 3F2(a1, a2, a3; b1, b2; 1) by compensated direct summation.
+    """Evaluate 3F2(a1, a2, a3; b1, b2; 1) by direct summation.
+
+    Terms are formed in blocks of ``_CHUNK`` by a cumulative product of the
+    term ratios; the series stops once the power-law tail bound falls below
+    ``tol`` times the running block sum.  The value is the correctly rounded
+    sum of all terms (``_exact_sum``, bit for bit ``math.fsum``, which it
+    falls back to when its error bracket cannot decide the rounding).
 
     Parameters
     ----------
@@ -327,12 +384,8 @@ def hyp3f2_unit(
             raise ConvergenceError(
                 f"truncating series needs {n_trunc + 1} terms, cap is {MAX_TERMS}"
             )
-        terms = np.empty(n_trunc + 1)
-        terms[0] = 1.0
-        if n_trunc > 0:
-            k = np.arange(n_trunc, dtype=float)
-            terms[1:] = np.cumprod(_term_ratios(p, k))
-        value = math.fsum(terms.tolist())
+        k = np.arange(n_trunc, dtype=float)
+        value = _exact_sum(np.concatenate(([1.0], _chunk_terms(_ratio_params(p), k, 1.0)[1])))
         return value, SeriesDiagnostics(n_trunc + 1, 0.0)
 
     balance = p.balance()
@@ -347,23 +400,21 @@ def hyp3f2_unit(
         0.0, -p.a1, -p.a2, -p.a3, -p.b1, -p.b2
     )
 
-    blocks: list[np.ndarray] = []
-    block = np.array([1.0])
-    blocks.append(block)
+    params = _ratio_params(p)
+    blocks = [np.ones(1)]
     approx = 1.0
     t_last = 1.0
     k0 = 1  # index of the next term to compute
     while k0 <= MAX_TERMS:
         k = np.arange(k0 - 1, k0 - 1 + _CHUNK, dtype=float)
-        ratios = _term_ratios(p, k)
-        block = t_last * np.cumprod(ratios)
+        ratios, block = _chunk_terms(params, k, t_last)
         blocks.append(block)
         approx += float(block.sum())
         t_last = float(block[-1])
         k0 += _CHUNK
         if t_last == 0.0:
             break
-        if k0 > k_safe + 2 and np.all(ratios > 0.0) and np.all(ratios < 1.0):
+        if k0 > k_safe + 2 and ratios.min() > 0.0 and ratios.max() < 1.0:
             tail = _tail_bound(t_last, k0, balance)
             if tail <= tol * max(abs(approx), _TINY):
                 break
@@ -372,7 +423,7 @@ def hyp3f2_unit(
             f"3F2 series did not reach tol={tol:g} within {MAX_TERMS} terms"
         )
 
-    value = math.fsum(np.concatenate(blocks).tolist())
+    value = _exact_sum(np.concatenate(blocks))
     scale = max(abs(value), _TINY)
     tail_rel = 0.0 if t_last == 0.0 else _tail_bound(t_last, k0, balance) / scale
     return value, SeriesDiagnostics(k0, tail_rel)

@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .atom import AtomSpec, ChannelIndex, _check_dipole, gamma_half, gamma_kappa, radial_PQ
-from .polarizability import _over_z4
+from .polarizability import NONREL_SCALED_PLANAR, _over_z4
 from .specfun import (
     _TINY, TOL_FLOOR, ConvergenceError, Hyp3F2Params, SeriesDiagnostics, gamma_ratio,
     hyp3f2_unit, laguerre, log_gamma,
@@ -95,6 +95,7 @@ class _Channel(NamedTuple):
 
 def _channel(ch: ChannelIndex, spec: AtomSpec) -> _Channel:
     _check_dipole(ch.kappa)
+    _over_z4(NONREL_SCALED_PLANAR, spec)  # refuse as the closed form does, before overflow
     z, g, gk = spec.Z, gamma_half(spec), gamma_kappa(spec, ch)
     d = gk - g
     return _Channel(

@@ -2,7 +2,9 @@
 two-hypergeometric reduction, planar and spatial values, nonrelativistic
 limits, and quasi-relativistic coefficients."""
 
+import hashlib
 import math
+import random
 import sys
 import typing
 from fractions import Fraction
@@ -12,7 +14,9 @@ import mpmath
 import pytest
 from hypothesis import strategies as st
 
-from diracpol.atom import ALPHA_INV_CODATA2014, AtomSpec, ChannelIndex, gamma_half, gamma_kappa
+from diracpol.atom import (
+    ALPHA_INV_CODATA2014, AtomSpec, ChannelIndex, critical_charge, gamma_half, gamma_kappa,
+)
 from diracpol.polarizability import (
     Method,
     _quasirel_shift,
@@ -145,6 +149,34 @@ class TestPinnedValues:
     def test_planar(self, z, alpha_inv, expected):
         spec = AtomSpec(z, "planar", alpha_inv)
         assert polarizability_planar(spec).scaled_Z4.hex() == expected
+
+    def test_pinned_bits_on_a_grid(self):
+        # float.hex of both values and the series diagnostics of about 600
+        # seeded charges per dimension, at alpha_inv and at the table's
+        # central-difference points alpha_inv -+ 3.1e-4, plus both
+        # quasi-relativistic coefficients, hashed.  The hash was taken before
+        # the 3F2 terms were summed outside math.fsum; every bit must stay.
+        lines = []
+        for dimension, closed in (("planar", polarizability_planar), ("spatial", polarizability_spatial)):
+            rng = random.Random(f"grid-{dimension}")
+            alpha_invs = [ALPHA_INV_CODATA2014 + h for h in (0.0, -3.1e-4, 3.1e-4)]
+            z_max = critical_charge(dimension, min(alpha_invs))
+            charges = [math.exp(rng.uniform(math.log(1e-6), math.log(z_max))) for _ in range(240)]
+            charges += [rng.uniform(0.0, z_max) for _ in range(240)]
+            charges += [float(z) for z in range(1, int(z_max) + 1)]
+            for alpha_inv in alpha_invs:
+                z_crit = math.nextafter(critical_charge(dimension, alpha_inv), 0.0)
+                for z in [*charges, z_crit]:
+                    result = closed(AtomSpec(z, dimension, alpha_inv))
+                    diag = result.diagnostics
+                    lines.append(
+                        f"{result.value_a0_cubed.hex()} {result.scaled_Z4.hex()} "
+                        f"{diag.terms_used} {diag.tail_estimate.hex()}"
+                    )
+            lines.append(quasirel_coefficient(dimension).hex())
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "5abe571ff96c8b265e6c64982d7ab0a897d2d104ca141ebddf745174c9f8c94f"
+        )
 
 
 class TestSecondOrderEnergy:

@@ -4,14 +4,17 @@ Laguerre recurrence, and the 3F2 series at unit argument."""
 import hashlib
 import math
 
+import hypothesis
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
 from diracpol.specfun import (
     ConvergenceError,
     Hyp3F2Params,
+    _exact_sum,
     gamma_ratio,
     hyp3f2_unit,
     laguerre,
@@ -264,6 +267,117 @@ class TestHyp3F2Unit:
             closed = gamma_ratio([b2, b2 - a1 - a2], [b2 - a1, b2 - a2])
             assert abs(value - closed) / abs(closed) <= 10.0 * tol
             checked += 1
+
+
+def _fsum_outcome(terms: list[float]):
+    """float.hex of math.fsum(terms), or the type of the error it raises."""
+    try:
+        return math.fsum(terms).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def _exact_sum_outcome(terms: list[float]):
+    try:
+        return _exact_sum(np.array(terms, dtype=float)).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+@st.composite
+def _hard_sums(draw) -> list[float]:
+    """Seeded arrays of 1 to 5000 terms: mixed signs, binary exponents over
+    up to +-1000 (about +-300 decades), and in two of the modes heavy
+    cancellation, exact or down to a relative 2**-60."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 5000))
+    lo = draw(st.integers(-1000, 1000))
+    hi = draw(st.integers(lo, 1000))
+    mode = draw(st.sampled_from(["mixed", "same sign", "cancel", "near cancel"]))
+    terms = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(lo, hi + 1, n))
+    if mode == "same sign":
+        terms = np.abs(terms)
+    elif mode == "cancel":
+        half = terms[: (n + 1) // 2]
+        terms = np.concatenate([half, -half[: n - half.size]])
+    elif mode == "near cancel":
+        half = terms[: (n + 1) // 2]
+        wobble = 1.0 + np.ldexp(rng.uniform(-1.0, 1.0, half.size), -60)
+        terms = np.concatenate([half, -(half * wobble)[: n - half.size]])
+    rng.shuffle(terms)
+    return terms.tolist()
+
+
+class TestExactSum:
+    # _exact_sum replaces math.fsum over the 3F2 terms; it must return the
+    # same double, including the sign of zero, and the same errors.
+    @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(_hard_sums())
+    def test_equals_fsum(self, terms):
+        assert _exact_sum_outcome(terms) == _fsum_outcome(terms)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [1.0, 2.0**-53],
+            [2.0**-53, 1.0],
+            [1.0, 2.0**-53, 2.0**-106],
+            [1.0, 2.0**-53, -(2.0**-106)],
+            [1.0 + 2.0**-52, 2.0**-53],
+            [-1.0, -(2.0**-53)],
+            [2.0**900, 2.0**847, 2.0**-900],
+            [1.0, 2.0**-53, 2.0**-1074],
+            [3.0, 2.0**-52, 1.0, -(2.0**-53)] * 7,
+        ],
+    )
+    def test_exact_ties(self, terms):
+        assert _exact_sum_outcome(terms) == _fsum_outcome(terms)
+
+    @pytest.mark.parametrize(
+        "terms", [[0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0] * 700, [0.0] * 700, [1.0, -1.0]]
+    )
+    def test_zeros_keep_their_sign(self, terms):
+        assert _exact_sum_outcome(terms) == _fsum_outcome(terms)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [math.inf, 1.0],
+            [-math.inf, -1.0, 2.0],
+            [math.inf, -math.inf],
+            [math.nan, 1.0],
+            [1.0, math.nan, math.inf],
+            [1e308, 1e308],
+            [1.7e308, -1e308, 1e308],
+            [5e-324, 5e-324, -1e-320],
+        ],
+    )
+    def test_non_finite_terms_and_overflow_match_fsum(self, terms):
+        assert _exact_sum_outcome(terms) == _fsum_outcome(terms)
+
+    def test_low_sum_error_is_bracketed(self):
+        # The high parts sum to 3 units of their grid; the low parts cancel
+        # to 2**-30 relative, so numpy's sum of them is off by many of the
+        # result's ulps.  Without the error bound delta about one seed in
+        # five comes out wrong.
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            x = np.ldexp(rng.uniform(1.0, 2.0, 500), rng.integers(-60, -44, 500))
+            wobble = 1.0 + np.ldexp(rng.uniform(-1.0, 1.0, 500), -30)
+            terms = np.concatenate([[1.0, -1.0, 3.0 * 2.0**-42], x, -x * wobble])
+            rng.shuffle(terms)
+            assert _exact_sum(terms) == math.fsum(terms.tolist()), seed
+
+    def test_fallback_and_fast_path(self, monkeypatch):
+        # An exact tie cannot be decided from the bracketed low sum and goes
+        # to math.fsum; a plain sum of positive terms never does.
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda xs: calls.append(len(xs)) or fsum(xs))
+        assert _exact_sum(np.array([1.0, 2.0**-53, 2.0**-200])) == 1.0 + 2.0**-52
+        assert calls == [3]
+        assert _exact_sum(np.arange(1.0, 1001.0) / 7.0) == fsum((np.arange(1.0, 1001.0) / 7.0).tolist())
+        assert calls == [3]
 
 
 class TestContiguousIdentity:

@@ -356,6 +356,22 @@ class TestChannelSeries:
             r_channel_series(ChannelIndex(-0.5), spec, 1e-12)
 
 
+class TestSmallestCharge:
+    # At Z = 1e-100, Z**4 is 0: the series read inf and the first-order
+    # integrals about 1e199 before the closed form's refusal came first.
+    MESSAGE = r"Z=1e-100 is below the smallest allowed charge, about 1\.221e-77"
+
+    @pytest.mark.parametrize("ch", CHANNELS)
+    def test_series_shares_the_closed_form_check(self, ch):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            r_channel_series(ch, AtomSpec(1e-100, "planar"))
+
+    @pytest.mark.parametrize("ch", CHANNELS)
+    def test_first_order_integrals_share_the_closed_form_check(self, ch):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            channel_first_order_integrals(ch, AtomSpec(1e-100, "planar"), 1)
+
+
 class TestLaguerreIntegralFormula:
     def test_weighted_moments_against_closed_form(self):
         # integral of rho**g e**-rho L_n^(a)(rho) over (0, inf) equals
