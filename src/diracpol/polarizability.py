@@ -19,12 +19,10 @@ import math
 import sys
 from typing import Literal, NamedTuple
 
-import numpy as np
-
 from .atom import AtomSpec, ChannelIndex, Dimension, _check_dipole, gamma_half, gamma_kappa
 from .specfun import (
-    _CHUNK, _NEAR_ONE, MAX_TERMS, TOL_FLOOR, ConvergenceError, Hyp3F2Params, SeriesDiagnostics,
-    _chunk_terms, _exact_sum, _lgamma_series, _ratio_params, _tail_bound, hyp3f2_unit, log_gamma,
+    _NEAR_ONE, MAX_TERMS, TOL_FLOOR, ConvergenceError, Hyp3F2Params, SeriesDiagnostics, _exact_sum,
+    _lgamma_series, _predicted_chunks, _summed_chunks, _tail_bound, hyp3f2_unit, log_gamma,
 )
 
 Method = Literal["closed_form", "sturmian_series"]
@@ -177,14 +175,15 @@ def _log_gamma_drop(n: float, eps: float) -> float:
 def _hyp3f2_minus_one(p: Hyp3F2Params) -> float:
     """3F2(p; 1) - 1 summed from k = 1 and stopped relative to itself; the
     parameters here are nonnegative, so no terms cancel."""
-    params, blocks, total, t_last = _ratio_params(p), [], 0.0, 1.0
-    for k0 in range(0, MAX_TERMS, _CHUNK):
-        blocks.append(_chunk_terms(params, np.arange(k0, k0 + _CHUNK, dtype=float), t_last)[1])
-        total += float(blocks[-1].sum())
-        t_last = float(blocks[-1][-1])
-        if _tail_bound(t_last, k0 + _CHUNK + 1, p.balance()) <= TOL_FLOOR * total:
-            return _exact_sum(np.concatenate(blocks))
-    raise ConvergenceError(f"3F2 - 1 did not converge within {MAX_TERMS} terms")
+    balance = p.balance()
+    # The sum is about its first term, so that term scales the prediction.
+    chunks = _predicted_chunks(p, balance, TOL_FLOOR * abs(p.a1 * p.a2 * p.a3 / (p.b1 * p.b2)))
+    found = _summed_chunks(
+        p, chunks, 0.0, lambda total, t_last, k0, _: _tail_bound(t_last, k0, balance) <= TOL_FLOOR * total
+    )
+    if found is None:
+        raise ConvergenceError(f"3F2 - 1 did not converge within {MAX_TERMS} terms")
+    return _exact_sum(found[0][1:])
 
 
 def _quasirel_shift(dimension: Dimension, x: float) -> float:

@@ -1,6 +1,11 @@
 """Special-function kernels: log-gamma, gamma ratios, generalized Laguerre
 polynomials, and the generalized hypergeometric 3F2 at unit argument.
 
+The 3F2 terms come in chunks of 512.  One numpy pass (``_term_rows``)
+computes as many chunks as the series is predicted to need, at most 16, and
+the stop test is replayed on them chunk by chunk, so the terms, their count
+and the tail estimate are those of computing one chunk at a time.
+
 Every series returns the correctly rounded sum of its computed terms, the
 value ``math.fsum`` gives.  The 3F2 terms are summed in numpy by
 ``_exact_sum``: one error-free split into high parts that add exactly and
@@ -13,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,6 +30,10 @@ TOL_FLOOR = 1e-16
 MAX_TERMS = 200_000
 
 _CHUNK = 512
+# Chunks starting at or below MAX_TERMS: the most a series sums.
+_MAX_CHUNKS = (MAX_TERMS - 1) // _CHUNK + 1
+# Chunks one numpy pass computes at most; it bounds the pass's temporaries.
+_MAX_BATCH = 16
 
 # Smallest positive normal double; a floor for relative-error scales.
 _TINY = sys.float_info.min
@@ -204,7 +213,8 @@ def _lgamma_one_to_two(u: float) -> float:
 
 def log_gamma(x: float) -> float:
     """Natural log of Gamma(x) for positive real x, accurate to a few ulp
-    relative error including the neighbourhoods of the zeros at 1 and 2."""
+    relative error including the neighbourhoods of the zeros at 1 and 2;
+    inf at x = inf, as ``math.lgamma`` gives."""
     if not x > 0.0:
         raise ValueError(f"log_gamma requires x > 0, got {x!r}")
     if x == 1.0 or x == 2.0:
@@ -225,6 +235,8 @@ def log_gamma(x: float) -> float:
         pieces = [_lgamma_series(y - 2.0, _NEAR_TWO)]
         pieces.extend(math.log(y + j) for j in range(steps))
         return math.fsum(pieces)
+    if x == math.inf:
+        return x
     # Stirling series with Bernoulli corrections.
     inv2 = 1.0 / (x * x)
     correction = 0.0
@@ -277,27 +289,90 @@ def laguerre(n: int, alpha: float, x):
     return float(out[0]) if scalar else out
 
 
-def _ratio_params(p: Hyp3F2Params) -> np.ndarray:
-    """Column (a1, a2, a3, b1, b2, 1) that ``_chunk_terms`` shifts by k."""
-    return np.array([*p, 1.0])[:, None]
+def _term_rows(p: Hyp3F2Params, rows: np.ndarray, k_first: int, t_first: float) -> np.ndarray:
+    """Fill the C-contiguous 2-D array ``rows`` with the terms t_{k_first+1},
+    t_{k_first+2}, ... of the unit-argument series p, given t_{k_first} =
+    t_first, and return the ratios t_{k+1}/t_k in the same shape.
+
+    Each ratio is ((a1+k)(a2+k))(a3+k) / (((b1+k)(b2+k))(1+k)), formed in
+    place.  The cumulative product restarts at every row, and each row is
+    then scaled by the last term of the row before (the first by t_first),
+    so a row holds the bits that computing the rows one at a time gives.
+    """
+    flat = rows.reshape(-1)  # a view, used as scratch until the products land
+    k = np.arange(k_first, k_first + flat.size, dtype=float)
+    num = k + p.a1
+    num *= np.add(k, p.a2, out=flat)
+    num *= np.add(k, p.a3, out=flat)
+    np.add(k, p.b1, out=flat)
+    k += p.b2
+    flat *= k
+    del k  # freed before the arange of 1 + k, so two temporaries at most
+    flat *= np.arange(k_first + 1, k_first + 1 + flat.size, dtype=float)
+    ratios = np.divide(num, flat, out=num).reshape(rows.shape)
+    np.multiply.accumulate(ratios, axis=1, out=rows)  # np.cumprod, less call overhead
+    if len(rows) > 1:
+        lasts = np.concatenate(([t_first], rows[:-1, -1]))
+        rows *= np.multiply.accumulate(lasts)[:, None]
+    elif t_first != 1.0:  # a sum's first pass starts from t_0 = 1
+        rows *= t_first
+    return ratios
 
 
-def _chunk_terms(
-    params: np.ndarray, k: np.ndarray, t_last: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ratios t_{k+1}/t_k of the unit-argument series for the block k, and the
-    terms t_last * cumprod(ratios).  One broadcast add shifts the six
-    parameters of ``_ratio_params``; the products are formed in place in the
-    order ((a1+k)(a2+k))(a3+k) / (((b1+k)(b2+k))(1+k))."""
-    s = params + k
-    np.multiply(s[0], s[1], out=s[0])
-    np.multiply(s[0], s[2], out=s[0])
-    np.multiply(s[3], s[4], out=s[3])
-    np.multiply(s[3], s[5], out=s[3])
-    ratios = np.divide(s[0], s[3], out=s[0])
-    block = np.cumprod(ratios)  # a fresh array: a view of s would keep all six rows alive
-    block *= t_last
-    return ratios, block
+def _predicted_chunks(p: Hyp3F2Params, balance: float, tol: float) -> int:
+    """Chunks of ``_CHUNK`` terms after which the tail bound of a sum near 1
+    is predicted to fall below ``tol``; a hint only, 1 on any domain error.
+
+    Terms decay like C k**-(s+1), s the balance and C = Gamma(b1) Gamma(b2)
+    / (Gamma(a1) Gamma(a2) Gamma(a3)), so the bound |t_K| K / (s - 1) <= tol
+    holds from K = (C / (tol (s - 1)))**(1/s) on.
+    """
+    denom = balance - 1.0 if balance > 1.0 else balance
+    lg = math.lgamma
+    try:
+        log_c = lg(p.b1) + lg(p.b2) - lg(p.a1) - lg(p.a2) - lg(p.a3)
+        log_k = (log_c - math.log(tol * denom)) / balance
+        return max(1, math.ceil((math.exp(min(log_k, math.log(MAX_TERMS))) - 1.0) / _CHUNK))
+    except (ValueError, OverflowError):
+        return 1
+
+
+def _summed_chunks(
+    p: Hyp3F2Params, chunks: int, approx: float, done: Callable[[float, float, int, np.ndarray], bool]
+) -> tuple[np.ndarray, float, int] | None:
+    """Sum the unit-argument series p in chunks of ``_CHUNK`` terms until
+    ``done(approx, t_last, k0, ratios)`` holds after a chunk.
+
+    ``approx`` is the running sum, to which each chunk's numpy sum is added
+    in order; t_last is the chunk's last term, k0 the index of the next
+    term and ratios the chunk's term ratios.  Returns (terms, t_last, k0)
+    with terms = t_0 = 1, t_1, ..., t_{k0-1}, or None when no chunk
+    starting at or below MAX_TERMS passes.  The passes cover the ``chunks``
+    predicted, then doubling counts, at most ``_MAX_BATCH`` chunks each;
+    chunks past the stopping one are dropped, so ``chunks`` changes the
+    time, never the result.
+    """
+    chunks = min(chunks, _MAX_CHUNKS)
+    terms = np.empty(1 + chunks * _CHUNK)
+    terms[0] = 1.0
+    t_last, k0 = 1.0, 1  # k0 = 1 + _CHUNK * (chunks summed)
+    while k0 <= MAX_TERMS:
+        summed = k0 // _CHUNK
+        if summed == chunks:
+            chunks = min(2 * summed, _MAX_CHUNKS)
+            grown = np.empty(1 + chunks * _CHUNK)
+            grown[:k0] = terms
+            terms = grown
+        batch = min(chunks - summed, _MAX_BATCH)
+        rows = terms[k0 : k0 + batch * _CHUNK].reshape(batch, _CHUNK)
+        ratios = _term_rows(p, rows, k0 - 1, t_last)
+        sums = np.add.reduce(rows, axis=1).tolist()  # each row's own pairwise sum
+        for j, (chunk_sum, t_last) in enumerate(zip(sums, rows[:, -1].tolist())):
+            approx += chunk_sum
+            k0 += _CHUNK
+            if done(approx, t_last, k0, ratios[j]):
+                return terms[:k0], t_last, k0
+    return None
 
 
 def _exact_sum(terms: np.ndarray) -> float:
@@ -350,11 +425,16 @@ def hyp3f2_unit(
 ) -> tuple[float, SeriesDiagnostics]:
     """Evaluate 3F2(a1, a2, a3; b1, b2; 1) by direct summation.
 
-    Terms are formed in blocks of ``_CHUNK`` by a cumulative product of the
-    term ratios; the series stops once the power-law tail bound falls below
-    ``tol`` times the running block sum.  The value is the correctly rounded
-    sum of all terms (``_exact_sum``, bit for bit ``math.fsum``, which it
-    falls back to when its error bracket cannot decide the rounding).
+    Terms are formed in chunks of ``_CHUNK`` by a cumulative product of the
+    term ratios; the series stops after the first chunk whose power-law tail
+    bound falls below ``tol`` times the running sum of the chunk sums.  One
+    numpy pass computes as many chunks as the asymptotic decay of the terms
+    predicts (``_predicted_chunks``), at most ``_MAX_BATCH``, and the stop
+    test is replayed on them chunk by chunk, so the prediction changes the
+    time, never the result.  A truncating series is one cumulative product
+    over all its ratios.  The value is the correctly rounded sum of all
+    terms (``_exact_sum``, bit for bit ``math.fsum``, which it falls back to
+    when its error bracket cannot decide the rounding).
 
     Parameters
     ----------
@@ -370,12 +450,16 @@ def hyp3f2_unit(
 
     Raises
     ------
+    ValueError
+        If ``tol`` is not positive or not finite.
     ConvergenceError
         If the series does not converge (non-truncating with non-positive
         denominator excess) or needs more than ``MAX_TERMS`` terms.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
     tol = max(tol, TOL_FLOOR)
 
     n_trunc = p.truncation_order()
@@ -384,9 +468,10 @@ def hyp3f2_unit(
             raise ConvergenceError(
                 f"truncating series needs {n_trunc + 1} terms, cap is {MAX_TERMS}"
             )
-        k = np.arange(n_trunc, dtype=float)
-        value = _exact_sum(np.concatenate(([1.0], _chunk_terms(_ratio_params(p), k, 1.0)[1])))
-        return value, SeriesDiagnostics(n_trunc + 1, 0.0)
+        terms = np.empty(n_trunc + 1)
+        terms[0] = 1.0
+        _term_rows(p, terms[1:].reshape(1, n_trunc), 0, 1.0)
+        return _exact_sum(terms), SeriesDiagnostics(n_trunc + 1, 0.0)
 
     balance = p.balance()
     if balance <= 0.0:
@@ -400,30 +485,21 @@ def hyp3f2_unit(
         0.0, -p.a1, -p.a2, -p.a3, -p.b1, -p.b2
     )
 
-    params = _ratio_params(p)
-    blocks = [np.ones(1)]
-    approx = 1.0
-    t_last = 1.0
-    k0 = 1  # index of the next term to compute
-    while k0 <= MAX_TERMS:
-        k = np.arange(k0 - 1, k0 - 1 + _CHUNK, dtype=float)
-        ratios, block = _chunk_terms(params, k, t_last)
-        blocks.append(block)
-        approx += float(block.sum())
-        t_last = float(block[-1])
-        k0 += _CHUNK
-        if t_last == 0.0:
-            break
-        if k0 > k_safe + 2 and ratios.min() > 0.0 and ratios.max() < 1.0:
-            tail = _tail_bound(t_last, k0, balance)
-            if tail <= tol * max(abs(approx), _TINY):
-                break
-    else:
+    def done(approx: float, t_last: float, k0: int, ratios: np.ndarray) -> bool:
+        return t_last == 0.0 or (
+            k0 > k_safe + 2
+            and _tail_bound(t_last, k0, balance) <= tol * max(abs(approx), _TINY)
+            and ratios.min() > 0.0
+            and ratios.max() < 1.0
+        )
+
+    found = _summed_chunks(p, _predicted_chunks(p, balance, tol), 1.0, done)
+    if found is None:
         raise ConvergenceError(
             f"3F2 series did not reach tol={tol:g} within {MAX_TERMS} terms"
         )
-
-    value = _exact_sum(np.concatenate(blocks))
+    terms, t_last, k0 = found
+    value = _exact_sum(terms)
     scale = max(abs(value), _TINY)
     tail_rel = 0.0 if t_last == 0.0 else _tail_bound(t_last, k0, balance) / scale
     return value, SeriesDiagnostics(k0, tail_rel)

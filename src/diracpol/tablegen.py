@@ -11,7 +11,7 @@ integer in units of the last displayed digit.
 from __future__ import annotations
 
 import math
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from typing import NamedTuple
 
 from .atom import ALPHA_INV_CODATA2014, ALPHA_INV_SIGMA_CODATA2014, AtomSpec
@@ -120,19 +120,30 @@ def format_scaled(value: float, sigma: float) -> tuple[str, int, int]:
     if sigma == 0.0:
         # No propagated uncertainty: show full double precision, no digits
         # flagged as uncertain.
-        quantum = Decimal(1).scaleb(-16)
-        return str(Decimal(value).quantize(quantum, rounding=ROUND_HALF_EVEN)), 16, 0
-    if not sigma > 0.0:
-        raise ValueError("format_scaled needs a non-negative uncertainty")
-    for digits in range(1, 40):
+        return _quantized(value, 16), 16, 0
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"format_scaled needs a finite non-negative uncertainty, got {sigma!r}")
+    # units(d) = round(sigma * 10**d) never decreases in d and is 0 for every
+    # d < log10(0.5 / sigma), so the search starts at the floor of that,
+    # taken as a difference of logs since 0.5 / sigma overflows for a
+    # subnormal sigma.
+    first = max(1, math.floor(math.log10(0.5) - math.log10(sigma)))
+    for digits in range(first, 40):
         units = int(
             Decimal(sigma).scaleb(digits).quantize(Decimal(1), rounding=ROUND_HALF_EVEN)
         )
         if units >= 10:
-            quantum = Decimal(1).scaleb(-digits)
-            display = str(Decimal(value).quantize(quantum, rounding=ROUND_HALF_EVEN))
-            return display, digits, units
+            return _quantized(value, digits), digits, units
     raise ValueError(f"uncertainty {sigma!r} too small to display two digits")
+
+
+def _quantized(value: float, digits: int) -> str:
+    """``value`` rounded half-even to ``digits`` decimals, in a context with
+    room for every digit of the result."""
+    exact = Decimal(value)
+    with localcontext() as ctx:
+        ctx.prec = max(ctx.prec, exact.adjusted() + digits + 2)
+        return str(exact.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_HALF_EVEN))
 
 
 def generate_table(z_min: int, z_max: int, consts: ConstantSet = ConstantSet()) -> list[TableRow]:

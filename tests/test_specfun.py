@@ -3,6 +3,7 @@ Laguerre recurrence, and the 3F2 series at unit argument."""
 
 import hashlib
 import math
+import tracemalloc
 
 import hypothesis
 import mpmath
@@ -11,9 +12,14 @@ import pytest
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
+from diracpol import polarizability, specfun
+from diracpol.atom import ALPHA_INV_CODATA2014, AtomSpec, critical_charge
 from diracpol.specfun import (
+    MAX_TERMS,
+    TOL_FLOOR,
     ConvergenceError,
     Hyp3F2Params,
+    SeriesDiagnostics,
     _exact_sum,
     gamma_ratio,
     hyp3f2_unit,
@@ -31,6 +37,9 @@ class TestLogGamma:
 
     def test_gamma_of_half(self):
         assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-15)
+
+    def test_infinity_gives_infinity(self):
+        assert log_gamma(math.inf) == math.inf == math.lgamma(math.inf)
 
     def test_gamma_of_ten_is_log_nine_factorial(self):
         assert log_gamma(10.0) == pytest.approx(math.log(362880.0), rel=1e-15)
@@ -225,6 +234,11 @@ class TestHyp3F2Unit:
         with pytest.raises(ValueError):
             hyp3f2_unit(Hyp3F2Params(0.5, 0.5, 0.5, 2.0, 2.0), tol=0.0)
 
+    def test_tolerance_rejects_infinity(self):
+        # An infinite tol would pass the stop test after the first chunk.
+        with pytest.raises(ValueError, match="tol must be finite"):
+            hyp3f2_unit(Hyp3F2Params(0.5, 0.5, 0.5, 2.0, 2.0), tol=math.inf)
+
     def test_monotone_partial_sums_and_tail_dominates_remainder(self):
         # For all-positive parameters the terms are positive, so partial
         # sums increase monotonically; the reported tail estimate must
@@ -267,6 +281,198 @@ class TestHyp3F2Unit:
             closed = gamma_ratio([b2, b2 - a1 - a2], [b2 - a1, b2 - a2])
             assert abs(value - closed) / abs(closed) <= 10.0 * tol
             checked += 1
+
+
+def _chunk_terms_reference(p: Hyp3F2Params, k: np.ndarray, t_last: float):
+    """Ratios and terms of one block of k, as the unbatched loop formed them."""
+    s = np.array([*p, 1.0])[:, None] + k
+    np.multiply(s[0], s[1], out=s[0])
+    np.multiply(s[0], s[2], out=s[0])
+    np.multiply(s[3], s[4], out=s[3])
+    np.multiply(s[3], s[5], out=s[3])
+    ratios = np.divide(s[0], s[3], out=s[0])
+    block = np.cumprod(ratios)
+    block *= t_last
+    return ratios, block
+
+
+def _hyp3f2_unit_reference(p: Hyp3F2Params, tol: float):
+    """hyp3f2_unit as one 512-term chunk per numpy pass, each chunk tested
+    before the next is computed; summed by math.fsum."""
+    tol = max(tol, TOL_FLOOR)
+    n_trunc = p.truncation_order()
+    if n_trunc is not None:
+        _, block = _chunk_terms_reference(p, np.arange(n_trunc, dtype=float), 1.0)
+        return math.fsum([1.0, *block.tolist()]), SeriesDiagnostics(n_trunc + 1, 0.0)
+    balance = p.balance()
+    if balance <= 0.0:
+        raise ConvergenceError(
+            f"series diverges at unit argument: b-sum - a-sum = {balance} <= 0"
+        )
+    k_safe = max(0.0, -p.a1, -p.a2, -p.a3, -p.b1, -p.b2)
+    blocks = [np.ones(1)]
+    approx, t_last, k0 = 1.0, 1.0, 1
+    while k0 <= MAX_TERMS:
+        k = np.arange(k0 - 1, k0 - 1 + 512, dtype=float)
+        ratios, block = _chunk_terms_reference(p, k, t_last)
+        blocks.append(block)
+        approx += float(block.sum())
+        t_last = float(block[-1])
+        k0 += 512
+        if t_last == 0.0:
+            break
+        if k0 > k_safe + 2 and ratios.min() > 0.0 and ratios.max() < 1.0:
+            tail = specfun._tail_bound(t_last, k0, balance)
+            if tail <= tol * max(abs(approx), specfun._TINY):
+                break
+    else:
+        raise ConvergenceError(
+            f"3F2 series did not reach tol={tol:g} within {MAX_TERMS} terms"
+        )
+    value = math.fsum(np.concatenate(blocks).tolist())
+    scale = max(abs(value), specfun._TINY)
+    tail_rel = 0.0 if t_last == 0.0 else specfun._tail_bound(t_last, k0, balance) / scale
+    return value, SeriesDiagnostics(k0, tail_rel)
+
+
+def _hyp3f2_minus_one_reference(p: Hyp3F2Params) -> float:
+    """polarizability._hyp3f2_minus_one with one chunk per numpy pass."""
+    blocks, total, t_last = [], 0.0, 1.0
+    for k0 in range(0, MAX_TERMS, 512):
+        blocks.append(_chunk_terms_reference(p, np.arange(k0, k0 + 512, dtype=float), t_last)[1])
+        total += float(blocks[-1].sum())
+        t_last = float(blocks[-1][-1])
+        if specfun._tail_bound(t_last, k0 + 512 + 1, p.balance()) <= TOL_FLOOR * total:
+            return math.fsum(np.concatenate(blocks).tolist())
+    raise ConvergenceError(f"3F2 - 1 did not converge within {MAX_TERMS} terms")
+
+
+def _outcome(f, *args):
+    """float.hex of the value and tail estimate and the term count, or the
+    type and message of the error raised."""
+    try:
+        value = f(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(value, float):
+        return value.hex()
+    value, diag = value
+    return value.hex(), diag.terms_used, diag.tail_estimate.hex()
+
+
+def _closed_form_parameter_sets() -> list[Hyp3F2Params]:
+    """The 3F2 parameters of the closed forms at seeded charges in both
+    dimensions, at alpha_inv and alpha_inv +- 3.1e-4, each set including
+    the largest subcritical charge."""
+    captured = []
+
+    def spy(p, tol=TOL_FLOOR):
+        captured.append(p)
+        return hyp3f2_unit(p, tol)
+
+    rng = np.random.default_rng(1313)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polarizability, "hyp3f2_unit", spy)
+        for alpha_inv in (ALPHA_INV_CODATA2014, ALPHA_INV_CODATA2014 + 3.1e-4, ALPHA_INV_CODATA2014 - 3.1e-4):
+            for dim, closed in (("planar", polarizability.polarizability_planar), ("spatial", polarizability.polarizability_spatial)):
+                z_crit = critical_charge(dim, alpha_inv)
+                charges = z_crit * rng.random(60) ** 0.3
+                for z in [*charges.tolist(), math.nextafter(z_crit, 0.0)]:
+                    closed(AtomSpec(z, dim, alpha_inv))
+    return captured
+
+
+def _general_cases() -> list[tuple[Hyp3F2Params, float]]:
+    """Seeded parameter sets with negative numerators and slow or fast
+    convergence, log-uniform tol in [1e-16, 1e-6], truncating orders
+    around 512 and 1024, and a series that reaches MAX_TERMS."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    while len(cases) < 75:
+        a = rng.uniform(-6.0, 6.0, 3)
+        b1 = rng.uniform(0.1, 8.0)
+        balance = rng.uniform(0.0, 1.0) if len(cases) < 15 else rng.uniform(1.0, 4.0)
+        b2 = a.sum() - b1 + balance
+        if not balance > 0.0 or b2 <= 0.05 or b2 == round(b2):
+            continue
+        cases.append((Hyp3F2Params(*a, b1, b2), 10.0 ** rng.uniform(-16.0, -6.0)))
+    for n in (511, 512, 513, 1023, 1024, 1025):
+        a2, a3 = rng.uniform(0.1, 2.0, 2)
+        b1, b2 = rng.uniform(2.0, 8.0, 2)
+        cases.append((Hyp3F2Params(a2, -float(n), a3, b1, b2), 1e-12))
+    cases.append((Hyp3F2Params(0.5, 0.5, 0.5, 1.0, 0.51), 1e-16))  # balance 0.01
+    return cases
+
+
+@pytest.fixture(scope="module")
+def closed_form_parameter_sets():
+    return _closed_form_parameter_sets()
+
+
+class TestBatchedChunks:
+    # The 3F2 chunks are computed several per numpy pass and the stop test
+    # is replayed on them; values, term counts, tail estimates and errors
+    # must be those of the loop that computed and tested one chunk at a
+    # time, whatever the chunk-count prediction says.
+    @pytest.fixture(params=[None, 1, specfun._MAX_BATCH, specfun._MAX_CHUNKS], ids=lambda n: f"predict-{n}")
+    def prediction(self, request, monkeypatch):
+        if request.param is not None:
+            for module in (specfun, polarizability):
+                monkeypatch.setattr(module, "_predicted_chunks", lambda *args, n=request.param: n)
+        return request.param
+
+    def test_closed_form_parameters(self, prediction, closed_form_parameter_sets):
+        for p in closed_form_parameter_sets:
+            assert _outcome(hyp3f2_unit, p, TOL_FLOOR) == _outcome(_hyp3f2_unit_reference, p, TOL_FLOOR), p
+
+    def test_general_parameters(self, prediction):
+        outcomes = []
+        for p, tol in _general_cases():
+            outcome = _outcome(hyp3f2_unit, p, tol)
+            assert outcome == _outcome(_hyp3f2_unit_reference, p, tol), (p, tol)
+            outcomes.append(outcome[0])
+        # Both the converged and the capped series are covered.
+        assert ConvergenceError in outcomes
+        assert sum(isinstance(o, str) for o in outcomes) >= 40
+
+    def test_shift_series(self, prediction):
+        # The parameters of the quasi-relativistic shift, over (alpha Z)**2.
+        for x in np.geomspace(1e-30, 0.2, 40).tolist():
+            for lo, hi in ((0.5, 1.5), (1.0, 2.0)):
+                gk = math.sqrt(hi * hi - x)
+                dm = x / (lo + math.sqrt(lo * lo - x)) - x / (hi + gk)
+                p = Hyp3F2Params(dm, dm, 2.0 + dm, 3.0 + dm, 2.0 * gk + 1.0)
+                assert _outcome(polarizability._hyp3f2_minus_one, p) == _outcome(_hyp3f2_minus_one_reference, p), p
+
+    def test_prediction_is_exact_or_one_over_on_channel_parameters(self, closed_form_parameter_sets):
+        for p in closed_form_parameter_sets:
+            chunks = (hyp3f2_unit(p)[1].terms_used - 1) // 512
+            assert chunks <= specfun._predicted_chunks(p, p.balance(), TOL_FLOOR) <= chunks + 1, p
+
+    def test_row_sums_equal_one_dimensional_sums(self):
+        # The chunk sums of a pass come from one reduction over its rows;
+        # each must be the pairwise sum of the row alone.
+        rng = np.random.default_rng(77)
+        for _ in range(2000):
+            rows = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 17)), 512))
+            rows = np.ldexp(rows, rng.integers(-40, 40, rows.shape))
+            sums = np.add.reduce(rows, axis=1).tolist()
+            assert sums == [row.copy().sum() for row in rows]
+
+    def test_near_critical_call_peak_memory(self):
+        # One planar call at the largest subcritical charge (9729 terms)
+        # peaked at 336.6 KiB of traced allocations with one chunk per
+        # numpy pass (numpy 2.4); the batched passes must not need more.
+        spec = AtomSpec(math.nextafter(critical_charge("planar"), 0.0), "planar")
+        polarizability.polarizability_planar(spec)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            polarizability.polarizability_planar(spec)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 344_666
 
 
 def _fsum_outcome(terms: list[float]):

@@ -3,6 +3,7 @@ digit display convention, serialization determinism."""
 
 import json
 import math
+import random
 from decimal import ROUND_HALF_EVEN, Decimal
 
 import pytest
@@ -75,6 +76,46 @@ class TestFormatScaled:
         display, digits, units = format_scaled(0.5, 0.0)
         assert units == 0
         assert float(display) == 0.5
+
+    def test_matches_a_search_from_one_decimal(self):
+        # The search starts at the first decimal count that can reach ten
+        # units; the result must be that of searching from 1 on, for random
+        # uncertainties and at the 9.5, 0.95 and 0.5 boundaries of a decade.
+        rng = random.Random(29)
+        sigmas = [rng.uniform(0.5, 10.0) * 10.0 ** rng.randint(-25, 2) for _ in range(5000)]
+        for k in range(-25, 3):
+            for mantissa in (9.5, 0.95, 0.5, 5.0, 1.0):
+                x = mantissa * 10.0**k
+                sigmas += [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+        for sigma in sigmas:
+            value = rng.uniform(-3.0, 3.0)
+            assert format_scaled(value, sigma) == _format_from_one_decimal(value, sigma), sigma
+
+    def test_more_digits_than_the_default_decimal_context(self):
+        # 31 significant digits: the default 28-digit context cannot hold
+        # the quantized value.
+        assert format_scaled(0.5, 1e-29) == ("0." + "5" + "0" * 29, 30, 10)
+        assert format_scaled(1e13, 0.0) == ("10000000000000." + "0" * 16, 16, 0)
+
+    @pytest.mark.parametrize("sigma", [-1e-3, math.nan, math.inf])
+    def test_rejects_negative_and_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="finite non-negative uncertainty"):
+            format_scaled(0.5, sigma)
+
+    def test_too_small_sigma_raises(self):
+        for sigma in (1e-41, 5e-324):
+            with pytest.raises(ValueError, match="too small"):
+                format_scaled(0.5, sigma)
+
+
+def _format_from_one_decimal(value: float, sigma: float) -> tuple[str, int, int]:
+    """format_scaled's digit search as it was: every decimal count from 1."""
+    for digits in range(1, 40):
+        units = int(Decimal(sigma).scaleb(digits).quantize(Decimal(1), rounding=ROUND_HALF_EVEN))
+        if units >= 10:
+            quantum = Decimal(1).scaleb(-digits)
+            return str(Decimal(value).quantize(quantum, rounding=ROUND_HALF_EVEN)), digits, units
+    raise ValueError(f"uncertainty {sigma!r} too small to display two digits")
 
 
 class TestGenerateTable:
