@@ -30,7 +30,6 @@ from .specfun import (
     ConvergenceError,
     Hyp3F2Params,
     SeriesDiagnostics,
-    gamma_ratio,
     hyp3f2_unit,
     laguerre,
     log_gamma,
@@ -83,7 +82,6 @@ __all__ = [
     "critical_charge",
     "gamma_half",
     "gamma_kappa",
-    "gamma_ratio",
     "generate_table",
     "ground_energy",
     "hyp3f2_unit",

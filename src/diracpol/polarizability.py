@@ -21,8 +21,7 @@ from typing import Literal, NamedTuple
 
 from .atom import AtomSpec, ChannelIndex, Dimension, _check_dipole, gamma_half, gamma_kappa
 from .specfun import (
-    _NEAR_ONE, MAX_TERMS, TOL_FLOOR, ConvergenceError, Hyp3F2Params, SeriesDiagnostics, _exact_sum,
-    _lgamma_series, _predicted_chunks, _summed_chunks, _tail_bound, hyp3f2_unit, log_gamma,
+    Hyp3F2Params, SeriesDiagnostics, hyp3f2_minus_one, hyp3f2_unit, log_gamma, log_gamma_drop,
 )
 
 Method = Literal["closed_form", "sturmian_series"]
@@ -64,7 +63,7 @@ def _reduced_bracket(
     / (den * (d+1)), and the 3F2 diagnostics."""
     d = gk - g
     f_val, diag = hyp3f2_unit(Hyp3F2Params(d - 1.0, d - 1.0, d + 1.0, d + 2.0, 2.0 * gk + 1.0))
-    # gamma_ratio([gk+g+2] * 2, [2g+lower, 2gk+1]) bit for bit, with one
+    # sturmian.gamma_ratio([gk+g+2] * 2, [2g+lower, 2gk+1]) bit for bit, with one
     # log-gamma fewer: doubling a double is exact.
     logs = [2.0 * log_gamma(gk + g + 2.0), -log_gamma(2.0 * g + lower), -log_gamma(2.0 * gk + 1.0)]
     coeff = num * math.exp(math.fsum(logs)) / (den * (d + 1.0))
@@ -164,33 +163,11 @@ def nonrel_limit(dimension: Dimension) -> float:
     raise ValueError(f"unknown dimension {dimension!r}")
 
 
-def _log_gamma_drop(n: float, eps: float) -> float:
-    """ln Gamma(n - eps) - ln Gamma(n) for integer n, to full relative
-    accuracy as eps -> 0; a plain difference once eps > 0.5."""
-    if eps > 0.5:
-        return log_gamma(n - eps) - log_gamma(n)
-    return math.fsum([_lgamma_series(-eps, _NEAR_ONE), *(math.log1p(-eps / j) for j in range(1, int(n)))])
-
-
-def _hyp3f2_minus_one(p: Hyp3F2Params) -> float:
-    """3F2(p; 1) - 1 summed from k = 1 and stopped relative to itself; the
-    parameters here are nonnegative, so no terms cancel."""
-    balance = p.balance()
-    # The sum is about its first term, so that term scales the prediction.
-    chunks = _predicted_chunks(p, balance, TOL_FLOOR * abs(p.a1 * p.a2 * p.a3 / (p.b1 * p.b2)))
-    found = _summed_chunks(
-        p, chunks, 0.0, lambda total, t_last, k0, _: _tail_bound(t_last, k0, balance) <= TOL_FLOOR * total
-    )
-    if found is None:
-        raise ConvergenceError(f"3F2 - 1 did not converge within {MAX_TERMS} terms")
-    return _exact_sum(found[0][1:])
-
-
 def _quasirel_shift(dimension: Dimension, x: float) -> float:
     """alpha_1 / alpha_1_NR - 1 as a function of x = (alpha Z)**2 alone, with no
     subtraction of nearly equal numbers.  The exponents g, gk are |kappa| - delta,
     delta = x / (|kappa| + gamma); every factor of the closed form is its x = 0
-    value times exp(log1p(...)) or exp(_log_gamma_drop(...)), and the 3F2 is 1
+    value times exp(log1p(...)) or exp(log_gamma_drop(...)), and the 3F2 is 1
     plus its sum from k = 1.  At x = 0, coeff / bracket is 1/14 or 2/27."""
     nonrel_limit(dimension)  # rejects an unknown dimension
     planar = dimension == "planar"
@@ -206,14 +183,14 @@ def _quasirel_shift(dimension: Dimension, x: float) -> float:
         log_den = math.log1p(-0.5 * dl) + math.log1p(dl * (4.0 * dl - 21.0) / 29.0)
         log_pre = log_den + math.log1p(-dl / 1.5)
         log_num = 2.0 * math.log1p(dl)
-    f_minus_1 = _hyp3f2_minus_one(Hyp3F2Params(dm, dm, 2.0 + dm, 3.0 + dm, 2.0 * gk + 1.0))
+    f_minus_1 = hyp3f2_minus_one(Hyp3F2Params(dm, dm, 2.0 + dm, 3.0 + dm, 2.0 * gk + 1.0))
     # coeff = num / den * Gamma(gk+g+2)**2 / (Gamma(2g+lower) Gamma(2gk+1)) / (d+1),
     # where 2g + lower is 4 at x = 0 in both dimensions.
     log_coeff_f = math.fsum([
         log_num - log_den,
-        2.0 * _log_gamma_drop(lo + hi + 2.0, dl + dh),
-        -_log_gamma_drop(4.0, 2.0 * dl),
-        -_log_gamma_drop(2.0 * hi + 1.0, 2.0 * dh),
+        2.0 * log_gamma_drop(lo + hi + 2.0, dl + dh),
+        -log_gamma_drop(4.0, 2.0 * dl),
+        -log_gamma_drop(2.0 * hi + 1.0, 2.0 * dh),
         -math.log1p(0.5 * dm),
         math.log1p(f_minus_1),
     ])

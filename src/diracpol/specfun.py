@@ -1,10 +1,13 @@
-"""Special-function kernels: log-gamma, gamma ratios, generalized Laguerre
-polynomials, and the generalized hypergeometric 3F2 at unit argument.
+"""Special-function kernels: log-gamma, generalized Laguerre polynomials,
+and the generalized hypergeometric 3F2 at unit argument.
 
-The 3F2 terms come in chunks of 512.  One numpy pass (``_term_rows``)
-computes as many chunks as the series is predicted to need, at most 16, and
-the stop test is replayed on them chunk by chunk, so the terms, their count
-and the tail estimate are those of computing one chunk at a time.
+Every 3F2 series that does not truncate is summed by one routine,
+``_convergent_terms``: terms in chunks of 512, as many chunks per numpy pass
+(``_term_rows``) as the series is predicted to need, at most 16, and one
+stop rule replayed on them chunk by chunk, so the terms, their count and
+the tail bound are those of computing one chunk at a time.  It serves
+``hyp3f2_unit`` (the series from its leading 1) and ``hyp3f2_minus_one``
+(the series from its first term, for the relativistic shift).
 
 Every series returns the correctly rounded sum of its computed terms, the
 value ``math.fsum`` gives.  The 3F2 terms are summed in numpy by
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -249,14 +252,12 @@ def log_gamma(x: float) -> float:
     )
 
 
-def gamma_ratio(numerators, denominators) -> float:
-    """Product of Gamma over ``numerators`` divided by Gamma over
-    ``denominators``, formed through summed log-gamma differences so that
-    no intermediate Gamma value is materialized.
-    """
-    logs = [log_gamma(x) for x in numerators]
-    logs.extend(-log_gamma(x) for x in denominators)
-    return math.exp(math.fsum(logs))
+def log_gamma_drop(n: float, eps: float) -> float:
+    """ln Gamma(n - eps) - ln Gamma(n) for integer n >= 1, to full relative
+    accuracy as eps -> 0; a plain difference once eps > 0.5."""
+    if eps > 0.5:
+        return log_gamma(n - eps) - log_gamma(n)
+    return math.fsum([_lgamma_series(-eps, _NEAR_ONE), *(math.log1p(-eps / j) for j in range(1, int(n)))])
 
 
 def laguerre(n: int, alpha: float, x):
@@ -337,22 +338,33 @@ def _predicted_chunks(p: Hyp3F2Params, balance: float, tol: float) -> int:
         return 1
 
 
-def _summed_chunks(
-    p: Hyp3F2Params, chunks: int, approx: float, done: Callable[[float, float, int, np.ndarray], bool]
-) -> tuple[np.ndarray, float, int] | None:
-    """Sum the unit-argument series p in chunks of ``_CHUNK`` terms until
-    ``done(approx, t_last, k0, ratios)`` holds after a chunk.
+def _convergent_terms(p: Hyp3F2Params, tol: float, first: int) -> tuple[np.ndarray, int, float]:
+    """The terms t_first, ..., t_{k0-1} of the convergent unit-argument
+    series p (first = 0 for 3F2, 1 for 3F2 - 1), with k0 and the tail bound.
 
-    ``approx`` is the running sum, to which each chunk's numpy sum is added
-    in order; t_last is the chunk's last term, k0 the index of the next
-    term and ratios the chunk's term ratios.  Returns (terms, t_last, k0)
-    with terms = t_0 = 1, t_1, ..., t_{k0-1}, or None when no chunk
-    starting at or below MAX_TERMS passes.  The passes cover the ``chunks``
-    predicted, then doubling counts, at most ``_MAX_BATCH`` chunks each;
-    chunks past the stopping one are dropped, so ``chunks`` changes the
-    time, never the result.
+    The terms come in chunks of ``_CHUNK``; each chunk's numpy sum is added
+    in order to a running sum of the terms from t_first.  The series stops
+    after the first chunk whose last term t_{k0-1} is zero, or whose
+    power-law tail bound |t_{k0-1}| k0 / (s - 1), s the balance (s for s <=
+    1, where no tight tolerance is reachable anyway), is at most ``tol``
+    times the running sum, past the index from which every factor of the
+    term ratio is positive and with every ratio of the chunk in (0, 1).
+    The passes cover the chunks ``_predicted_chunks`` gives, then doubling
+    counts, at most ``_MAX_BATCH`` chunks each; chunks past the stopping one
+    are dropped, so the prediction changes the time, never the result.
     """
-    chunks = min(chunks, _MAX_CHUNKS)
+    balance = p.balance()
+    if balance <= 0.0:
+        raise ConvergenceError(
+            f"series diverges at unit argument: b-sum - a-sum = {balance} <= 0"
+        )
+    denom = balance - 1.0 if balance > 1.0 else balance
+    k_safe = max(0.0, -p.a1, -p.a2, -p.a3, -p.b1, -p.b2)
+    if first == 0:
+        approx = scale = 1.0
+    else:  # 3F2 - 1 is about its first term, which scales the prediction
+        approx, scale = 0.0, abs(p.a1 * p.a2 * p.a3 / (p.b1 * p.b2))
+    chunks = min(_predicted_chunks(p, balance, tol * scale), _MAX_CHUNKS)
     terms = np.empty(1 + chunks * _CHUNK)
     terms[0] = 1.0
     t_last, k0 = 1.0, 1  # k0 = 1 + _CHUNK * (chunks summed)
@@ -370,9 +382,17 @@ def _summed_chunks(
         for j, (chunk_sum, t_last) in enumerate(zip(sums, rows[:, -1].tolist())):
             approx += chunk_sum
             k0 += _CHUNK
-            if done(approx, t_last, k0, ratios[j]):
-                return terms[:k0], t_last, k0
-    return None
+            tail = abs(t_last) * k0 / denom
+            if t_last == 0.0 or (
+                k0 > k_safe + 2
+                and tail <= tol * max(abs(approx), _TINY)
+                and ratios[j].min() > 0.0
+                and ratios[j].max() < 1.0
+            ):
+                return terms[first:k0], k0, tail
+    raise ConvergenceError(
+        f"3F2 series did not reach tol={tol:g} within {MAX_TERMS} terms"
+    )
 
 
 def _exact_sum(terms: np.ndarray) -> float:
@@ -409,32 +429,20 @@ def _exact_sum(terms: np.ndarray) -> float:
     return math.fsum(terms.tolist())
 
 
-def _tail_bound(term: float, k: int, balance: float) -> float:
-    """Power-law remainder estimate after the k-th term.
-
-    Terms decay like k**(-balance-1); the integral bound gives
-    |t_k| * k / (balance - 1).  For balance <= 1 the weaker |t_k| * k /
-    balance is used (such series cannot reach tight tolerances anyway).
-    """
-    denom = balance - 1.0 if balance > 1.0 else balance
-    return abs(term) * k / denom
-
-
 def hyp3f2_unit(
     p: Hyp3F2Params, tol: float = TOL_FLOOR
 ) -> tuple[float, SeriesDiagnostics]:
     """Evaluate 3F2(a1, a2, a3; b1, b2; 1) by direct summation.
 
-    Terms are formed in chunks of ``_CHUNK`` by a cumulative product of the
-    term ratios; the series stops after the first chunk whose power-law tail
-    bound falls below ``tol`` times the running sum of the chunk sums.  One
-    numpy pass computes as many chunks as the asymptotic decay of the terms
-    predicts (``_predicted_chunks``), at most ``_MAX_BATCH``, and the stop
-    test is replayed on them chunk by chunk, so the prediction changes the
-    time, never the result.  A truncating series is one cumulative product
-    over all its ratios.  The value is the correctly rounded sum of all
-    terms (``_exact_sum``, bit for bit ``math.fsum``, which it falls back to
-    when its error bracket cannot decide the rounding).
+    A series that does not truncate takes its terms from
+    ``_convergent_terms``, the one routine that sums every such 3F2 here
+    (``hyp3f2_minus_one`` too): chunks of ``_CHUNK`` terms, each a
+    cumulative product of the term ratios, stopped after the first chunk
+    whose power-law tail bound falls below ``tol`` times the running sum of
+    the chunk sums.  A truncating series is one cumulative product over all
+    its ratios.  The value is the correctly rounded sum of all terms
+    (``_exact_sum``, bit for bit ``math.fsum``, which it falls back to when
+    its error bracket cannot decide the rounding).
 
     Parameters
     ----------
@@ -473,33 +481,14 @@ def hyp3f2_unit(
         _term_rows(p, terms[1:].reshape(1, n_trunc), 0, 1.0)
         return _exact_sum(terms), SeriesDiagnostics(n_trunc + 1, 0.0)
 
-    balance = p.balance()
-    if balance <= 0.0:
-        raise ConvergenceError(
-            f"series diverges at unit argument: b-sum - a-sum = {balance} <= 0"
-        )
-
-    # All factors of the term ratio are positive beyond this index, which is
-    # where the power-law tail estimate becomes trustworthy.
-    k_safe = max(
-        0.0, -p.a1, -p.a2, -p.a3, -p.b1, -p.b2
-    )
-
-    def done(approx: float, t_last: float, k0: int, ratios: np.ndarray) -> bool:
-        return t_last == 0.0 or (
-            k0 > k_safe + 2
-            and _tail_bound(t_last, k0, balance) <= tol * max(abs(approx), _TINY)
-            and ratios.min() > 0.0
-            and ratios.max() < 1.0
-        )
-
-    found = _summed_chunks(p, _predicted_chunks(p, balance, tol), 1.0, done)
-    if found is None:
-        raise ConvergenceError(
-            f"3F2 series did not reach tol={tol:g} within {MAX_TERMS} terms"
-        )
-    terms, t_last, k0 = found
+    terms, k0, tail = _convergent_terms(p, tol, 0)
     value = _exact_sum(terms)
-    scale = max(abs(value), _TINY)
-    tail_rel = 0.0 if t_last == 0.0 else _tail_bound(t_last, k0, balance) / scale
-    return value, SeriesDiagnostics(k0, tail_rel)
+    return value, SeriesDiagnostics(k0, tail / max(abs(value), _TINY))
+
+
+def hyp3f2_minus_one(p: Hyp3F2Params) -> float:
+    """3F2(p; 1) - 1, summed from its first term and stopped at ``TOL_FLOOR``
+    relative to itself, so it keeps full relative accuracy when it is tiny.
+    Meant for parameters whose terms are all nonnegative, so none cancel."""
+    return _exact_sum(_convergent_terms(p, TOL_FLOOR, 1)[0])
+

@@ -27,9 +27,10 @@ rule is built with numpy alone (``roots_genlaguerre``) and is exact for
 
 The other checks: ``hyp3f2_contiguous_rhs`` (the contiguous-shift identity
 of 3F2 at unit argument), ``r_channel_two_term`` (a dipole channel integral
-in its unreduced two-3F2 form), and ``axial_spinor``, ``cos_matrix_element``
-and ``first_order_shift``, the planar angular algebra by which the
-first-order field shift of the ground state vanishes.
+in its unreduced two-3F2 form), ``gamma_ratio`` (the Gamma ratio both of
+them take), and ``axial_spinor``, ``cos_matrix_element`` and
+``first_order_shift``, the planar angular algebra by which the first-order
+field shift of the ground state vanishes.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ import numpy as np
 from .atom import AtomSpec, ChannelIndex, _check_dipole, gamma_half, gamma_kappa, radial_PQ
 from .polarizability import NONREL_SCALED_PLANAR, _over_z4
 from .specfun import (
-    _TINY, TOL_FLOOR, ConvergenceError, Hyp3F2Params, SeriesDiagnostics, gamma_ratio,
-    hyp3f2_unit, laguerre, log_gamma,
+    _TINY, TOL_FLOOR, ConvergenceError, Hyp3F2Params, SeriesDiagnostics, hyp3f2_unit, laguerre,
+    log_gamma,
 )
 
 # Accuracy floor of the series oracle; requests below it are clamped.
@@ -381,6 +382,16 @@ def _pair_tail(prev_mag: float, mag: float, n: int) -> float:
     if decay <= 1.0:
         return math.inf
     return mag * n / (decay - 1.0)
+
+
+def gamma_ratio(numerators, denominators) -> float:
+    """Product of Gamma over ``numerators`` divided by Gamma over
+    ``denominators``, formed through summed log-gamma differences so that
+    no intermediate Gamma value is materialized.
+    """
+    logs = [log_gamma(x) for x in numerators]
+    logs.extend(-log_gamma(x) for x in denominators)
+    return math.exp(math.fsum(logs))
 
 
 def hyp3f2_contiguous_rhs(p: Hyp3F2Params, tol: float = TOL_FLOOR) -> float:

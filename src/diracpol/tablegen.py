@@ -115,7 +115,8 @@ def format_scaled(value: float, sigma: float) -> tuple[str, int, int]:
     Returns (display string, decimal places, two-digit uncertainty).  The
     decimal count is the smallest for which the uncertainty rounds to at
     least 10 units of the last digit; the central value is rounded
-    half-even on its decimal representation.
+    half-even on its decimal representation.  An uncertainty of 9.95 or
+    more, which rounds to 100 units at one decimal, raises ``ValueError``.
     """
     if sigma == 0.0:
         # No propagated uncertainty: show full double precision, no digits
@@ -123,6 +124,8 @@ def format_scaled(value: float, sigma: float) -> tuple[str, int, int]:
         return _quantized(value, 16), 16, 0
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"format_scaled needs a finite non-negative uncertainty, got {sigma!r}")
+    if Decimal(sigma).scaleb(1) >= Decimal("99.5"):
+        raise ValueError(f"uncertainty {sigma!r} too large to display two digits")
     # units(d) = round(sigma * 10**d) never decreases in d and is 0 for every
     # d < log10(0.5 / sigma), so the search starts at the floor of that,
     # taken as a difference of logs since 0.5 / sigma overflows for a

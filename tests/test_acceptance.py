@@ -23,7 +23,6 @@ from diracpol.polarizability import (
 )
 from diracpol.specfun import (
     Hyp3F2Params,
-    gamma_ratio,
     hyp3f2_unit,
     laguerre,
     log_gamma,
@@ -33,6 +32,7 @@ from diracpol.sturmian import (
     channel_first_order_integrals,
     cos_matrix_element,
     first_order_shift,
+    gamma_ratio,
     gauss_laguerre_integral,
     hyp3f2_contiguous_rhs,
     r_channel_series,

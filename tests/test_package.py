@@ -2,6 +2,7 @@
 names, which modules ``import diracpol`` loads, and the records' repr,
 value semantics and immutability."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -23,6 +24,19 @@ from diracpol import (
 from diracpol.sturmian import RadialIntegralPair
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _referenced_names(path: Path) -> set[str]:
+    """Every name, attribute and imported name that the module's code uses."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
 
 
 class TestSurface:
@@ -68,12 +82,30 @@ class TestSurface:
             "axial_spinor",
             "cos_matrix_element",
             "first_order_shift",
+            "gamma_ratio",
         )
         for name in helpers:
             for module in (diracpol, specfun, atom, polarizability):
                 assert not hasattr(module, name), (module.__name__, name)
             assert getattr(sturmian, name).__module__ == sturmian.__name__, name
-        assert len(diracpol.__all__) == 31
+        assert len(diracpol.__all__) == 30
+
+    def test_only_specfun_knows_how_a_3f2_is_summed(self):
+        # The closed form asks specfun for a 3F2 or a 3F2 - 1; the chunks,
+        # their prediction, the stop rule and the exact sum stay inside it.
+        tree = ast.parse((SRC / "diracpol" / "polarizability.py").read_text())
+        imported = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "specfun"
+            for alias in node.names
+        ]
+        assert "hyp3f2_minus_one" in imported
+        assert [name for name in imported if name.startswith("_")] == []
+        internals = {"_CHUNK", "_term_rows", "_exact_sum", "_predicted_chunks", "_convergent_terms"}
+        for path in sorted((SRC / "diracpol").glob("*.py")):
+            if path.name != "specfun.py":
+                assert _referenced_names(path).isdisjoint(internals), path.name
 
     def test_import_loads_neither_oracle_nor_table_layer(self):
         script = (

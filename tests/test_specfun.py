@@ -21,12 +21,12 @@ from diracpol.specfun import (
     Hyp3F2Params,
     SeriesDiagnostics,
     _exact_sum,
-    gamma_ratio,
     hyp3f2_unit,
     laguerre,
     log_gamma,
+    log_gamma_drop,
 )
-from diracpol.sturmian import hyp3f2_contiguous_rhs
+from diracpol.sturmian import gamma_ratio, hyp3f2_contiguous_rhs
 
 mpmath.mp.dps = 40
 
@@ -101,6 +101,26 @@ class TestLogGamma:
         assert hashlib.sha256(bits.encode()).hexdigest() == (
             "fef6bfdb9be5169f8b05eeb8ea0498efa1de17e0f37b1279e7680336ac4a5809"
         )
+
+
+class TestLogGammaDrop:
+    # The relativistic shift takes ln Gamma(n - eps) - ln Gamma(n) at n = 4
+    # and 5 only; eps <= 0.5 is the series branch, eps > 0.5 the plain
+    # difference of two log-gammas.
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("branch", ["series", "difference"])
+    def test_relative_error_against_mpmath(self, n, branch):
+        rng = np.random.default_rng(41 + n)
+        if branch == "series":
+            eps_values = 10.0 ** rng.uniform(-300.0, math.log10(0.5), 300)
+        else:
+            eps_values = 0.5 + (1.4 - 0.5) * (1.0 - rng.random(300))  # (0.5, 1.4]
+        for eps in eps_values.tolist():
+            # Enough digits that n - eps is exact for every eps drawn.
+            with mpmath.workdps(40 + math.ceil(-math.log10(eps))):
+                exact = mpmath.loggamma(n - mpmath.mpf(eps)) - mpmath.loggamma(n)
+                rel = abs(mpmath.mpf(log_gamma_drop(float(n), eps)) - exact) / abs(exact)
+            assert rel <= 8 * 2.0**-52, (n, eps)
 
 
 class TestGammaRatio:
@@ -310,6 +330,7 @@ def _hyp3f2_unit_reference(p: Hyp3F2Params, tol: float):
             f"series diverges at unit argument: b-sum - a-sum = {balance} <= 0"
         )
     k_safe = max(0.0, -p.a1, -p.a2, -p.a3, -p.b1, -p.b2)
+    denom = balance - 1.0 if balance > 1.0 else balance
     blocks = [np.ones(1)]
     approx, t_last, k0 = 1.0, 1.0, 1
     while k0 <= MAX_TERMS:
@@ -322,7 +343,7 @@ def _hyp3f2_unit_reference(p: Hyp3F2Params, tol: float):
         if t_last == 0.0:
             break
         if k0 > k_safe + 2 and ratios.min() > 0.0 and ratios.max() < 1.0:
-            tail = specfun._tail_bound(t_last, k0, balance)
+            tail = abs(t_last) * k0 / denom
             if tail <= tol * max(abs(approx), specfun._TINY):
                 break
     else:
@@ -331,18 +352,20 @@ def _hyp3f2_unit_reference(p: Hyp3F2Params, tol: float):
         )
     value = math.fsum(np.concatenate(blocks).tolist())
     scale = max(abs(value), specfun._TINY)
-    tail_rel = 0.0 if t_last == 0.0 else specfun._tail_bound(t_last, k0, balance) / scale
+    tail_rel = 0.0 if t_last == 0.0 else abs(t_last) * k0 / denom / scale
     return value, SeriesDiagnostics(k0, tail_rel)
 
 
 def _hyp3f2_minus_one_reference(p: Hyp3F2Params) -> float:
-    """polarizability._hyp3f2_minus_one with one chunk per numpy pass."""
+    """specfun.hyp3f2_minus_one with one chunk per numpy pass."""
+    balance = p.balance()
+    denom = balance - 1.0 if balance > 1.0 else balance
     blocks, total, t_last = [], 0.0, 1.0
     for k0 in range(0, MAX_TERMS, 512):
         blocks.append(_chunk_terms_reference(p, np.arange(k0, k0 + 512, dtype=float), t_last)[1])
         total += float(blocks[-1].sum())
         t_last = float(blocks[-1][-1])
-        if specfun._tail_bound(t_last, k0 + 512 + 1, p.balance()) <= TOL_FLOOR * total:
+        if abs(t_last) * (k0 + 512 + 1) / denom <= TOL_FLOOR * total:
             return math.fsum(np.concatenate(blocks).tolist())
     raise ConvergenceError(f"3F2 - 1 did not converge within {MAX_TERMS} terms")
 
@@ -417,8 +440,7 @@ class TestBatchedChunks:
     @pytest.fixture(params=[None, 1, specfun._MAX_BATCH, specfun._MAX_CHUNKS], ids=lambda n: f"predict-{n}")
     def prediction(self, request, monkeypatch):
         if request.param is not None:
-            for module in (specfun, polarizability):
-                monkeypatch.setattr(module, "_predicted_chunks", lambda *args, n=request.param: n)
+            monkeypatch.setattr(specfun, "_predicted_chunks", lambda *args, n=request.param: n)
         return request.param
 
     def test_closed_form_parameters(self, prediction, closed_form_parameter_sets):
@@ -442,7 +464,7 @@ class TestBatchedChunks:
                 gk = math.sqrt(hi * hi - x)
                 dm = x / (lo + math.sqrt(lo * lo - x)) - x / (hi + gk)
                 p = Hyp3F2Params(dm, dm, 2.0 + dm, 3.0 + dm, 2.0 * gk + 1.0)
-                assert _outcome(polarizability._hyp3f2_minus_one, p) == _outcome(_hyp3f2_minus_one_reference, p), p
+                assert _outcome(specfun.hyp3f2_minus_one, p) == _outcome(_hyp3f2_minus_one_reference, p), p
 
     def test_prediction_is_exact_or_one_over_on_channel_parameters(self, closed_form_parameter_sets):
         for p in closed_form_parameter_sets:

@@ -89,7 +89,12 @@ class TestFormatScaled:
                 sigmas += [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
         for sigma in sigmas:
             value = rng.uniform(-3.0, 3.0)
-            assert format_scaled(value, sigma) == _format_from_one_decimal(value, sigma), sigma
+            expected = _format_from_one_decimal(value, sigma)
+            if expected[2] >= 100:  # three or more uncertain digits
+                with pytest.raises(ValueError, match="too large"):
+                    format_scaled(value, sigma)
+            else:
+                assert format_scaled(value, sigma) == expected, sigma
 
     def test_more_digits_than_the_default_decimal_context(self):
         # 31 significant digits: the default 28-digit context cannot hold
@@ -101,6 +106,14 @@ class TestFormatScaled:
     def test_rejects_negative_and_non_finite_sigma(self, sigma):
         with pytest.raises(ValueError, match="finite non-negative uncertainty"):
             format_scaled(0.5, sigma)
+
+    def test_too_large_sigma_raises(self):
+        # From 9.95 on, one decimal already shows 100 units or more; 1e27
+        # once overflowed the 28-digit Decimal context instead.
+        assert format_scaled(0.5, 9.9) == ("0.5", 1, 99)
+        for sigma in (9.95 + 2e-15, 12.0, 1e27, 1e308):
+            with pytest.raises(ValueError, match="too large"):
+                format_scaled(0.5, sigma)
 
     def test_too_small_sigma_raises(self):
         for sigma in (1e-41, 5e-324):
