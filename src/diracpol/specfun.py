@@ -254,10 +254,20 @@ def log_gamma(x: float) -> float:
 
 def log_gamma_drop(n: float, eps: float) -> float:
     """ln Gamma(n - eps) - ln Gamma(n) for integer n >= 1, to full relative
-    accuracy as eps -> 0; a plain difference once eps > 0.5."""
-    if eps > 0.5:
-        return log_gamma(n - eps) - log_gamma(n)
-    return math.fsum([_lgamma_series(-eps, _NEAR_ONE), *(math.log1p(-eps / j) for j in range(1, int(n)))])
+    accuracy as eps -> 0.
+
+    For eps <= 0.5 it is ln Gamma(1 - eps) + sum_{j < n} log1p(-eps / j);
+    for 0.5 < eps < 1.5 and n >= 2, with t = 1 - eps (exact), it is
+    ln Gamma(1 + t) + sum_{j < n - 1} log1p(t / j) - ln(n - 1), so no two
+    log-gammas cancel; beyond that a plain difference."""
+    if eps <= 0.5:
+        steps = (math.log1p(-eps / j) for j in range(1, int(n)))
+        return math.fsum([_lgamma_series(-eps, _NEAR_ONE), *steps])
+    if eps < 1.5 and n >= 2.0:
+        t = 1.0 - eps
+        steps = (math.log1p(t / j) for j in range(1, int(n) - 1))
+        return math.fsum([_lgamma_series(t, _NEAR_ONE), *steps, -math.log(n - 1.0)])
+    return log_gamma(n - eps) - log_gamma(n)
 
 
 def laguerre(n: int, alpha: float, x):
@@ -282,12 +292,20 @@ def laguerre(n: int, alpha: float, x):
         raise ValueError(f"laguerre requires n >= -1, got n={n}")
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    prev, cur = np.zeros_like(xs), np.ones_like(xs)  # L_{-1}, L_0
+    out = _laguerre_table(n, alpha, np.atleast_1d(xs))[-1]
+    return float(out[0]) if scalar else out
+
+
+def _laguerre_table(n: int, alpha: float, xs: np.ndarray) -> list[np.ndarray]:
+    """[L_{-1}, L_0, ..., L_n] of order alpha at the float array xs, from one
+    run of the three-term recurrence; entry k + 1 is laguerre(k, alpha, xs)
+    bit for bit."""
+    prev, cur = np.zeros_like(xs), np.ones_like(xs)
+    table = [prev, cur][: n + 2]
     for k in range(n):
         prev, cur = cur, ((2 * k + alpha + 1.0 - xs) * cur - (k + alpha) * prev) / (k + 1.0)
-    out = prev if n == -1 else cur
-    return float(out[0]) if scalar else out
+        table.append(cur)
+    return table
 
 
 def _term_rows(p: Hyp3F2Params, rows: np.ndarray, k_first: int, t_first: float) -> np.ndarray:

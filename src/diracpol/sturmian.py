@@ -18,12 +18,16 @@ it and |n_r| and evaluate the pieces that depend on |n_r| alone once for both
 signs of n_r: ``_index_integrals`` for the closed first-order integrals and
 ``_doublets`` for the Sturmian doublet (S, T) that the quadrature integrates.
 Since every index of a channel is integrated on the same nodes, the
-ground-state doublet and the Sturmian envelope are evaluated on them once.
-The series stops on a plain running sum and returns one ``math.fsum`` of its
-terms.  Two caches outlive a call: a table of log n!, which does not depend
-on the input, and the last 64 quadrature rules.  The quadrature's 16-node
-rule is built with numpy alone (``roots_genlaguerre``) and is exact for
-|n_r| <= 31.
+ground-state doublet, the Sturmian envelope and the Laguerre polynomials of
+every degree the channel needs (one run of the recurrence,
+``_sturmian_parts``) are evaluated on them once; ``_doublets`` scales the
+envelope by each index's norm, a scalar.  The series stops on a plain
+running sum and returns one ``math.fsum`` of its terms.  Two caches outlive
+a call: a table of log n!, which does not depend on the input, and the last
+64 quadrature rules, each with its weights divided by the weight function,
+so that a quadrature is one product with the integrand's values and one
+``math.fsum``.  The quadrature's 16-node rule is built with numpy alone
+(``roots_genlaguerre``) and is exact for |n_r| <= 31.
 
 The other checks: ``hyp3f2_contiguous_rhs`` (the contiguous-shift identity
 of 3F2 at unit argument), ``r_channel_two_term`` (a dipole channel integral
@@ -44,8 +48,8 @@ import numpy as np
 from .atom import AtomSpec, ChannelIndex, _check_dipole, gamma_half, gamma_kappa, radial_PQ
 from .polarizability import NONREL_SCALED_PLANAR, _over_z4
 from .specfun import (
-    _TINY, TOL_FLOOR, ConvergenceError, Hyp3F2Params, SeriesDiagnostics, hyp3f2_unit, laguerre,
-    log_gamma,
+    _TINY, TOL_FLOOR, ConvergenceError, Hyp3F2Params, SeriesDiagnostics, _laguerre_table,
+    hyp3f2_unit, log_gamma,
 )
 
 # Accuracy floor of the series oracle; requests below it are clamped.
@@ -179,19 +183,22 @@ def _index_integrals(c: _Channel, n: int) -> list[tuple[float, float, float]]:
     return out
 
 
-def _log_envelope(c: _Channel, x):
-    """gamma_kappa * log(x) - x / 2, the log of the doublets' envelope at
-    x = 4Zr without its normalization; it does not depend on n_r."""
-    return c.gk * np.log(x) - 0.5 * x
+def _sturmian_parts(c: _Channel, x, n_max: int) -> tuple:
+    """What the doublets of every |n_r| <= n_max take from x = 4Zr: the
+    envelope (4Zr)**gamma_kappa * exp(-2Zr) without its normalization, and
+    [L_{-1}, L_0, ..., L_{n_max}] of order 2 gamma_kappa, from one run of
+    the Laguerre recurrence.  Neither depends on the sign of n_r."""
+    return np.exp(c.gk * np.log(x) - 0.5 * x), _laguerre_table(n_max, 2.0 * c.gk, x)
 
 
-def _doublets(c: _Channel, n: int, x, log_envelope) -> list[tuple]:
-    """Sturmian doublets (S, T) at x = 4Zr of n_r = n and, for n > 0, of
-    n_r = -n; log_envelope is _log_envelope(c, x).
+def _doublets(c: _Channel, n: int, envelope, laguerres) -> list[tuple]:
+    """Sturmian doublets (S, T) of n_r = n and, for n > 0, of n_r = -n, from
+    the envelope and Laguerre values of _sturmian_parts(c, x, m), m >= n.
 
-    Both components share the envelope (4Zr)**gamma_kappa * exp(-2Zr) and a
-    two-term Laguerre bracket; for n_r = 0 the bracket collapses to its L_0
-    term since L_{-1} is identically zero.  Both signs share the Laguerre
+    Both components share the envelope (4Zr)**gamma_kappa * exp(-2Zr),
+    scaled by the norm of the index, and a two-term Laguerre bracket in
+    L_{n-1} and L_n; for n_r = 0 the bracket collapses to its L_0 term
+    since L_{-1} is identically zero.  Both signs share the Laguerre
     polynomials and the log-gammas of |n_r|; only N, and with it the norm
     and the bracket, differ between them.
     """
@@ -201,16 +208,17 @@ def _doublets(c: _Channel, n: int, x, log_envelope) -> list[tuple]:
     # without the 1 +- 2g, in pieces: the head before N, the tail after it.
     log_head = _log_factorial(n) + math.log(n2gk) - math.log(4.0 * c.z)
     log_tail = log_gamma(n2gk)
-    low = laguerre(n - 1, 2.0 * gk, x)
-    lag_n = laguerre(n, 2.0 * gk, x)
+    low, lag_n = laguerres[n], laguerres[n + 1]
     root_plus = math.sqrt(1.0 + 2.0 * c.g)
     root_minus = math.sqrt(1.0 - 2.0 * c.g)
     out = []
     for nn in _caps(n, gk, kappa):
-        lognorm = 0.5 * (log_head - math.log(nn * (nn - kappa)) - log_tail)
-        envelope = np.exp(log_envelope + lognorm)
+        norm = math.exp(0.5 * (log_head - math.log(nn * (nn - kappa)) - log_tail))
         high = (nn - kappa) / n2gk * lag_n
-        out.append((root_plus * envelope * (low - high), -root_minus * envelope * (low + high)))
+        out.append((
+            (root_plus * norm) * envelope * (low - high),
+            (-root_minus * norm) * envelope * (low + high),
+        ))
     return out
 
 
@@ -235,58 +243,54 @@ def roots_genlaguerre(weight_power: float):
 
 @lru_cache(maxsize=64)
 def _laguerre_rule(weight_power: float):
-    """Nodes x and weights of roots_genlaguerre, and weight_power * log(x)."""
+    """Nodes x of roots_genlaguerre and its weights divided by the weight
+    function, W = w * exp(x) / x**weight_power, so that sum(W * f(x))
+    integrates f itself."""
     x, w = roots_genlaguerre(weight_power)
-    return x, w, weight_power * np.log(x)
+    return x, w * np.exp(x) / x**weight_power
 
 
 def gauss_laguerre_integral(func, weight_power: float, scale: float) -> float:
     """Integrate func over (0, inf) assuming func(r) behaves like
     (scale*r)**weight_power * exp(-scale*r) * smooth(scale*r).
 
-    The smooth remainder is recovered in log space, so integrands may be
-    evaluated in their natural (exponentially small) form.  The rule has
-    _RULE_NODES = 16 nodes, so it is exact, up to rounding, when that
-    remainder is a polynomial of degree <= 31.
+    func is evaluated at the nodes r = x / scale and multiplied by the rule's
+    pre-scaled weights, so integrands may be evaluated in their natural
+    (exponentially small) form, and zeros and signs pass through unchanged.
+    The rule has _RULE_NODES = 16 nodes, so it is exact, up to rounding, when
+    the smooth remainder is a polynomial of degree <= 31.
     """
-    x, w, log_weight = _laguerre_rule(weight_power)
-    r = x / scale
-    fvals = np.asarray(func(r), dtype=float)
-    signs = np.sign(fvals)
-    with np.errstate(divide="ignore"):
-        logrest = np.log(np.abs(fvals)) + x - log_weight
-    rest = np.where(signs == 0.0, 0.0, signs * np.exp(logrest))
-    return math.fsum(w * rest) / scale
+    x, weights = _laguerre_rule(weight_power)
+    return math.fsum((weights * func(x / scale)).tolist()) / scale
 
 
 class _Nodes(NamedTuple):
     """One channel's quadrature nodes r, with the ground-state doublet
-    (P, Q) and the log of the Sturmian envelope on them."""
+    (P, Q), the Sturmian envelope and the Laguerre values on them."""
 
     power: float
     scale: float
     p: np.ndarray
     q: np.ndarray
-    x: np.ndarray  # 4Zr
-    log_envelope: np.ndarray
+    envelope: np.ndarray
+    laguerres: list[np.ndarray]  # L_{-1}, ..., L_{n_max} of order 2 gamma_kappa
 
 
-def _nodes(c: _Channel, spec: AtomSpec) -> _Nodes:
+def _nodes(c: _Channel, spec: AtomSpec, n_max: int) -> _Nodes:
     # Every index of a channel has the weight power gamma_{1/2} +
     # gamma_kappa + 1, so it is integrated on the same nodes r = x / 4Z.
     power = c.g + c.gk + 1.0
     scale = 4.0 * c.z
     r = _laguerre_rule(power)[0] / scale
     p, q = radial_PQ(spec, r)
-    x = scale * r
-    return _Nodes(power, scale, p, q, x, _log_envelope(c, x))
+    return _Nodes(power, scale, p, q, *_sturmian_parts(c, scale * r, n_max))
 
 
 def _quadrature_integrals(c: _Channel, n: int, nodes: _Nodes) -> list[RadialIntegralPair]:
     """Quadrature integrals of n_r = n and, for n > 0, of n_r = -n; the two
     integrals of an index are evaluated on one set of doublets."""
     out = []
-    for nn, (s, t) in zip(_caps(n, c.gk, c.kappa), _doublets(c, n, nodes.x, nodes.log_envelope)):
+    for nn, (s, t) in zip(_caps(n, c.gk, c.kappa), _doublets(c, n, nodes.envelope, nodes.laguerres)):
         qt = nodes.q * t
 
         def integral(weight: float) -> float:
@@ -314,7 +318,7 @@ def channel_first_order_integrals(
     and each |n_r| once for both signs.
     """
     c = _channel(ch, spec)
-    nodes = _nodes(c, spec)
+    nodes = _nodes(c, spec, n_max)
     by_index = {}
     for n in range(n_max + 1):
         exact = _index_integrals(c, n)

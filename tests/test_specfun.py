@@ -21,12 +21,13 @@ from diracpol.specfun import (
     Hyp3F2Params,
     SeriesDiagnostics,
     _exact_sum,
+    _laguerre_table,
     hyp3f2_unit,
     laguerre,
     log_gamma,
     log_gamma_drop,
 )
-from diracpol.sturmian import gamma_ratio, hyp3f2_contiguous_rhs
+from diracpol.sturmian import _laguerre_rule, gamma_ratio, hyp3f2_contiguous_rhs
 
 mpmath.mp.dps = 40
 
@@ -105,8 +106,11 @@ class TestLogGamma:
 
 class TestLogGammaDrop:
     # The relativistic shift takes ln Gamma(n - eps) - ln Gamma(n) at n = 4
-    # and 5 only; eps <= 0.5 is the series branch, eps > 0.5 the plain
-    # difference of two log-gammas.
+    # and 5 only; eps <= 0.5 is the series branch about 1, and 0.5 < eps <
+    # 1.5 the series about 1 - eps shifted by n - 2 steps, which replaced a
+    # difference of two log-gammas (hence the branch name).
+    BOUND = {"series": 8 * 2.0**-52, "difference": 2 * 2.0**-52}
+
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("branch", ["series", "difference"])
     def test_relative_error_against_mpmath(self, n, branch):
@@ -120,7 +124,7 @@ class TestLogGammaDrop:
             with mpmath.workdps(40 + math.ceil(-math.log10(eps))):
                 exact = mpmath.loggamma(n - mpmath.mpf(eps)) - mpmath.loggamma(n)
                 rel = abs(mpmath.mpf(log_gamma_drop(float(n), eps)) - exact) / abs(exact)
-            assert rel <= 8 * 2.0**-52, (n, eps)
+            assert rel <= self.BOUND[branch], (n, eps)
 
 
 class TestGammaRatio:
@@ -187,6 +191,33 @@ class TestLaguerre:
     def test_rejects_degree_below_minus_one(self):
         with pytest.raises(ValueError):
             laguerre(-2, 0.5, 1.0)
+
+    @pytest.mark.parametrize("alpha", [-0.9, 0.0, 1.0, 2.9, 9.05])
+    def test_table_is_laguerre_bit_for_bit(self, alpha):
+        # One run of the recurrence gives every degree the value laguerre
+        # gives it, on quadrature nodes and at random points, in arrays and
+        # one point at a time; both equal the recurrence run to each degree
+        # on its own in plain floats.
+        rng = np.random.default_rng(23)
+        points = [_laguerre_rule(power)[0] for power in (alpha, 1.37)]
+        points.append(rng.uniform(0.0, 60.0, 16))
+        for xs in points:
+            table = _laguerre_table(31, alpha, xs)
+            assert len(table) == 33
+            for n in range(-1, 32):
+                want = [float.hex(_laguerre_one_degree(n, alpha, x)) for x in xs.tolist()]
+                assert [float.hex(v) for v in table[n + 1].tolist()] == want
+                assert [float.hex(v) for v in laguerre(n, alpha, xs).tolist()] == want
+                for x, v in zip(xs.tolist()[::5], want[::5]):
+                    assert float.hex(laguerre(n, alpha, x)) == v
+
+
+def _laguerre_one_degree(n: int, alpha: float, x: float) -> float:
+    """L_n^(alpha)(x) by the recurrence that laguerre runs, on one float."""
+    prev, cur = 0.0, 1.0
+    for k in range(n):
+        prev, cur = cur, ((2 * k + alpha + 1.0 - x) * cur - (k + alpha) * prev) / (k + 1.0)
+    return prev if n == -1 else cur
 
 
 def _term_ratios_oracle(p: Hyp3F2Params, k: np.ndarray) -> np.ndarray:

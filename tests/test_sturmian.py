@@ -21,9 +21,11 @@ from diracpol.sturmian import (
     _channel,
     _doublets,
     _index_integrals,
-    _log_envelope,
+    _laguerre_rule,
     _log_factorial,
     _mu,
+    _nodes,
+    _sturmian_parts,
     channel_first_order_integrals,
     gauss_laguerre_integral,
     r_channel_series,
@@ -53,7 +55,7 @@ def _st(n_r: int, ch: ChannelIndex, spec: AtomSpec, r):
     """Sturmian doublet (S, T) of one index at r, from the shared kernel."""
     c = _channel(ch, spec)
     x = 4.0 * spec.Z * np.asarray(r, dtype=float)
-    return _doublets(c, abs(n_r), x, _log_envelope(c, x))[n_r < 0]
+    return _doublets(c, abs(n_r), *_sturmian_parts(c, x, abs(n_r)))[n_r < 0]
 
 
 def _integrals(n_r: int, ch: ChannelIndex, spec: AtomSpec) -> tuple[float, float, float]:
@@ -195,6 +197,26 @@ class TestSturmianST:
         assert s == pytest.approx(s_live, rel=1e-12)
         assert t == pytest.approx(t_live, rel=1e-12)
 
+    @pytest.mark.parametrize("z", [1e-3, 26.0, 68.5])
+    def test_channel_laguerre_values_are_laguerre_bit_for_bit(self, z):
+        # The channel's one recurrence gives each degree the bits of
+        # laguerre(n, 2 gamma_kappa, x), on its nodes and at random points.
+        spec = AtomSpec(z, "planar")
+        rng = np.random.default_rng(29)
+        for ch in CHANNELS:
+            c = _channel(ch, spec)
+            nodes = _nodes(c, spec, 31)
+            x_nodes = nodes.scale * (_laguerre_rule(nodes.power)[0] / nodes.scale)
+            x_random = rng.uniform(0.0, 60.0, 16)
+            for x, table in (
+                (x_nodes, nodes.laguerres),
+                (x_random, _sturmian_parts(c, x_random, 31)[1]),
+            ):
+                assert len(table) == 33
+                for n in range(-1, 32):
+                    want = laguerre(n, 2.0 * c.gk, x).tolist()
+                    assert [float.hex(v) for v in table[n + 1].tolist()] == [float.hex(v) for v in want]
+
     def test_pointwise_negative_index(self):
         spec = AtomSpec(26.0, "planar")
         s, t = _st(-2, ChannelIndex(-1.5), spec, 0.3)
@@ -228,6 +250,41 @@ class TestGaussLaguerreRule:
     def test_rejects_non_integrable_weight(self, alpha):
         with pytest.raises(ValueError, match="weight_power must exceed -1"):
             roots_genlaguerre(alpha)
+
+
+class TestGaussLaguerreIntegral:
+    # The integrand itself is multiplied by the rule's pre-scaled weights:
+    # moments, a sign change and an identically zero integrand, over weight
+    # powers and scales that span the oracle's and more.
+    POWERS = (-0.9, 0.0, 1.37, 3.5)
+    SCALES = (0.004, 4.0, 272.0)
+
+    @pytest.mark.parametrize("power", POWERS)
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_moments(self, power, scale):
+        # integral of (s r)**(p + k) e**(-s r) dr over (0, inf) is Gamma(p + k + 1) / s.
+        for k in range(32):
+            got = gauss_laguerre_integral(
+                lambda r: (scale * r) ** (power + k) * np.exp(-scale * r), power, scale
+            )
+            assert got == pytest.approx(math.gamma(power + k + 1.0) / scale, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("power", POWERS)
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_sign_changing_integrand(self, power, scale):
+        # L_1^(p)(x) = p + 1 - x changes sign at x = p + 1 and is orthogonal
+        # to 1 under the weight x**p e**-x, so the integral vanishes.
+        def func(r):
+            x = scale * r
+            return (power + 1.0 - x) * x**power * np.exp(-x)
+
+        got = gauss_laguerre_integral(func, power, scale)
+        assert abs(got) <= 1e-13 * math.gamma(power + 1.0) / scale
+
+    @pytest.mark.parametrize("power", POWERS)
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_zero_integrand_is_exactly_zero(self, power, scale):
+        assert gauss_laguerre_integral(np.zeros_like, power, scale) == 0.0
 
 
 class TestFirstOrderIntegrals:
