@@ -22,11 +22,18 @@ ground-state doublet, the Sturmian envelope and the Laguerre polynomials of
 every degree the channel needs (one run of the recurrence,
 ``_sturmian_parts``) are evaluated on them once; ``_doublets`` scales the
 envelope by each index's norm, a scalar.  The series stops on a plain
-running sum and returns one ``math.fsum`` of its terms.  Two caches outlive
-a call: a table of log n!, which does not depend on the input, and the last
-64 quadrature rules, each with its weights divided by the weight function,
-so that a quadrature is one product with the integrand's values and one
-``math.fsum``.  The quadrature's 16-node rule is built with numpy alone
+running sum and returns one ``math.fsum`` of its terms.  Four caches outlive
+a call.  Two do not depend on the charge: a table of log n! (at most
+100,001 entries) and the last 64 quadrature rules, each with its weights
+divided by the weight function, so that a quadrature is one product with
+the integrand's values and one ``math.fsum``.  Two serve only reuse within
+one charge: the last 2 channels (``_channel``) and the last 1024 indices
+(``_index_integrals``, as tuples), which hold both channels of any charge
+(788 indices at most, just below the critical charge at the tol floor).  A
+crosscheck sums each channel series twice and takes |n_r| <= 3 a third
+time; the later passes read these two caches, so each index is evaluated
+once per charge and the later passes return the bits of the first.  Errors
+are not cached.  The quadrature's 16-node rule is built with numpy alone
 (``roots_genlaguerre``) and is exact for |n_r| <= 31.
 
 The other checks: ``hyp3f2_contiguous_rhs`` (the contiguous-shift identity
@@ -57,6 +64,10 @@ SERIES_TOL_FLOOR = 1e-12
 
 _MAX_PAIRS = 100_000
 _STOP_STREAK = 5
+# Cached indices: both channels of one charge, so that a crosscheck's second
+# pass over a series and its |n_r| <= 3 integrals are read back, not redone.
+# The most one charge needs is 788 (Z just below critical, tol at its floor).
+_INDEX_CACHE = 1024
 # Nodes of the quadrature rule, exact through degree 2 * 16 - 1 = 31.
 _RULE_NODES = 16
 
@@ -98,13 +109,16 @@ class _Channel(NamedTuple):
     log_gamma_d1: float | None  # log Gamma(d - 1), only when d - 1 > 0
 
 
+@lru_cache(maxsize=2)  # the two dipole channels of one charge
 def _channel(ch: ChannelIndex, spec: AtomSpec) -> _Channel:
     _check_dipole(ch.kappa)
     _over_z4(NONREL_SCALED_PLANAR, spec)  # refuse as the closed form does, before overflow
-    z, g, gk = spec.Z, gamma_half(spec), gamma_kappa(spec, ch)
+    # Z = 26 and Z = 26.0 are one cache key: store plain floats, so that
+    # either spelling gets the same values of the same type back.
+    z, g, gk = float(spec.Z), gamma_half(spec), gamma_kappa(spec, ch)
     d = gk - g
     return _Channel(
-        ch.kappa,
+        float(ch.kappa),
         z,
         g,
         gk,
@@ -145,7 +159,8 @@ def _gamma_shift_ratio(d: float, n: int, log_gamma_d1: float | None) -> tuple[fl
     return sign, logmag
 
 
-def _index_integrals(c: _Channel, n: int) -> list[tuple[float, float, float]]:
+@lru_cache(maxsize=_INDEX_CACHE)
+def _index_integrals(c: _Channel, n: int) -> tuple[tuple[float, float, float], ...]:
     """(plain, mu_weighted, mu) of n_r = n and, for n > 0, of n_r = -n.
 
     Both signs share the log-gammas of |n_r|; only N, mu and the brace
@@ -156,7 +171,7 @@ def _index_integrals(c: _Channel, n: int) -> list[tuple[float, float, float]]:
     caps = _caps(n, gk, kappa)
     sign_r, log_r = _gamma_shift_ratio(d, n, c.log_gamma_d1)
     if sign_r == 0.0:
-        return [(0.0, 0.0, _mu(n, gk, nn, g)) for nn in caps]
+        return tuple((0.0, 0.0, _mu(n, gk, nn, g)) for nn in caps)
 
     log_n = math.log(2.0) + _log_factorial(n)
     log_n2gk = log_gamma(n + 2.0 * gk + 1.0)
@@ -180,7 +195,7 @@ def _index_integrals(c: _Channel, n: int) -> list[tuple[float, float, float]]:
             brace = 2.0 * g * (nd - 2.0) - (nn + kappa) + (nn + 0.5) / nd * linear
             mu_weighted = -0.5 * (mu_val - 1.0) * (nn - kappa) * brace * magnitude
         out.append((plain, mu_weighted, mu_val))
-    return out
+    return tuple(out)
 
 
 def _sturmian_parts(c: _Channel, x, n_max: int) -> tuple:

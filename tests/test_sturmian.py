@@ -2,7 +2,9 @@
 closed-form first-order integrals against quadrature, and the symmetric
 channel series."""
 
+import hashlib
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -11,10 +13,13 @@ import pytest
 from diracpol.atom import (
     AtomSpec,
     ChannelIndex,
+    critical_charge,
     gamma_half,
     gamma_kappa,
     radial_PQ,
 )
+from diracpol.cli import run
+from diracpol.polarizability import polarizability_sturmian
 from diracpol.specfun import laguerre, log_gamma
 from diracpol.sturmian import (
     _caps,
@@ -427,6 +432,142 @@ class TestSmallestCharge:
     def test_first_order_integrals_share_the_closed_form_check(self, ch):
         with pytest.raises(ValueError, match=self.MESSAGE):
             channel_first_order_integrals(ch, AtomSpec(1e-100, "planar"), 1)
+
+
+def _pinned_charges() -> list[float]:
+    """40 seeded planar charges log-uniform over [1e-3, Z_crit), then 12.3456
+    and 68.5."""
+    rng = random.Random(16)
+    lo, hi = math.log(1e-3), math.log(critical_charge("planar"))
+    return [math.exp(rng.uniform(lo, hi)) for _ in range(40)] + [12.3456, 68.5]
+
+
+def _clear_charge_caches() -> None:
+    _channel.cache_clear()
+    _index_integrals.cache_clear()
+
+
+class TestCaches:
+    # SHA-256 of the concatenated crosscheck --format json stdout of
+    # _pinned_charges(), taken before _channel and _index_integrals were
+    # cached.
+    PINNED = "1b551e0a5cc3ff1486d5c8e04b1bb46db35389e059ad7fbdc52534dbe17707fc"
+    CACHES = (_channel, _index_integrals, _log_factorial, _laguerre_rule)
+
+    @staticmethod
+    def _crosscheck(capsys, z: float, *extra: str) -> str:
+        assert run(["crosscheck", "--Z", repr(z), "--format", "json", *extra]) == 0
+        return capsys.readouterr().out
+
+    @staticmethod
+    def _digest(outputs) -> str:
+        return hashlib.sha256("".join(outputs).encode()).hexdigest()
+
+    def test_crosscheck_bytes_are_pinned_cold_and_warm(self, capsys):
+        charges = _pinned_charges()
+        cold = []
+        for z in charges:
+            _clear_charge_caches()
+            cold.append(self._crosscheck(capsys, z))
+        assert self._digest(cold) == self.PINNED
+        # Warm: each charge finds the entries of whichever charges ran
+        # before it, and its own from its first pass over each series.
+        order = list(range(len(charges)))
+        random.Random(61).shuffle(order)
+        warm = {i: self._crosscheck(capsys, charges[i]) for i in order}
+        assert self._digest(warm[i] for i in range(len(charges))) == self.PINNED
+
+    def test_caches_are_bounded(self, capsys):
+        assert _channel.cache_info().maxsize == 2
+        for cache in self.CACHES:
+            assert cache.cache_info().maxsize is not None
+        # Three charges near critical need 700-788 indices each at the tol
+        # floor, so the index cache has to evict.
+        zc = critical_charge("planar")
+        rng = random.Random(50)
+        charges = [math.exp(rng.uniform(math.log(1e-3), math.log(zc))) for _ in range(47)]
+        charges += [68.5, math.nextafter(zc, 0.0), 68.51]
+        for z in charges:
+            self._crosscheck(capsys, z, "--tol", "1e-12")
+        for cache in self.CACHES:
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize
+        assert _index_integrals.cache_info().currsize == _index_integrals.cache_info().maxsize
+
+    @pytest.mark.parametrize("z", [1e-3, 12.3456, 68.5])
+    def test_cached_values_equal_fresh_values(self, z):
+        # Read back after the series has filled the caches, every entry has
+        # the bits of a fresh evaluation, and is immutable.
+        spec = AtomSpec(z, "planar")
+        for ch in CHANNELS:
+            _, diag = r_channel_series(ch, spec, 1e-12)
+            c, fresh_c = _channel(ch, spec), _channel.__wrapped__(ch, spec)
+            assert [None if v is None else float.hex(v) for v in c] == [
+                None if v is None else float.hex(v) for v in fresh_c
+            ]
+            for n in range((diag.terms_used + 1) // 2):
+                cached = _index_integrals(c, n)
+                assert isinstance(cached, tuple)
+                assert all(isinstance(row, tuple) for row in cached)
+                fresh = _index_integrals.__wrapped__(c, n)
+                assert [[float.hex(v) for v in row] for row in cached] == [
+                    [float.hex(v) for v in row] for row in fresh
+                ]
+
+    @pytest.mark.parametrize("z", [1, 26, 68])
+    def test_integer_and_float_charge_give_same_bytes(self, z):
+        # AtomSpec(26) and AtomSpec(26.0) are one cache key; cold or warm,
+        # either spelling must give the same values of the same types.
+        def outputs(spec):
+            values = []
+            for ch in CHANNELS:
+                values.append(r_channel_series(ch, spec, 1e-12))
+                values.append(channel_first_order_integrals(ch, spec, 3))
+            values.append(polarizability_sturmian(spec, 1e-12))
+            return repr(values)
+
+        runs = []
+        for first, second in ((z, float(z)), (float(z), z)):
+            _clear_charge_caches()
+            runs.append(outputs(AtomSpec(first, "planar")))
+            runs.append(outputs(AtomSpec(second, "planar")))
+        assert len(set(runs)) == 1
+
+    @pytest.mark.parametrize("z", [26, np.float64(26.0), True])
+    def test_channel_holds_plain_floats(self, z):
+        # Every spelling of an equal charge shares the entry of the first,
+        # so the entry must not carry the first caller's number type.
+        for ch in (ChannelIndex(0.5), ChannelIndex(np.float64(-1.5))):
+            c = _channel.__wrapped__(ch, AtomSpec(z, "planar"))
+            assert all(type(v) is float for v in c if v is not None)
+
+    def test_errors_are_not_cached(self, capsys):
+        # At this charge _channel succeeds and _index_integrals(c, 1) reaches
+        # log_gamma(0.0) (the n = 1 Gamma ratio of _gamma_shift_ratio): a
+        # cached channel must not turn the second call into anything else.
+        argv = ["crosscheck", "--Z", "1.6424084441835034e-06"]
+        first = (run(argv), capsys.readouterr())
+        second = (run(argv), capsys.readouterr())
+        assert first == second
+        assert first[0] == 2 and "log_gamma requires x > 0" in first[1].err
+        argv = ["crosscheck", "--Z", "26", "--tol", "-1"]
+        assert (run(argv), capsys.readouterr()) == (run(argv), capsys.readouterr())
+
+    @pytest.mark.parametrize("tol", [-1e-12, 0.0, math.nan, math.inf])
+    def test_invalid_tol_raises_on_every_call(self, tol):
+        spec = AtomSpec(26.0, "planar")
+        for _ in range(2):
+            for ch in CHANNELS:
+                with pytest.raises(ValueError, match="tol must be"):
+                    r_channel_series(ch, spec, tol)
+            with pytest.raises(ValueError, match="tol must be"):
+                polarizability_sturmian(spec, tol)
+
+    @pytest.mark.parametrize("ch", CHANNELS)
+    def test_refused_charge_raises_on_every_call(self, ch):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="below the smallest allowed charge"):
+                r_channel_series(ch, AtomSpec(1e-100, "planar"))
 
 
 class TestLaguerreIntegralFormula:
