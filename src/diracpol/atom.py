@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from typing import Literal, NamedTuple
 
-import numpy as np
-
 from .specfun import _validated_make, log_gamma
 
 # Inverse fine-structure constant (CODATA 2014) and its one-standard-deviation
@@ -159,6 +157,8 @@ def radial_PQ(spec: AtomSpec, r):
     component Q carries the prefactor sqrt(1 - 2*gamma) with the positive
     sign convention, so Q/P is a positive constant.
     """
+    import numpy as np  # only the oracle evaluates radial functions
+
     if spec.dimension != "planar":
         raise ValueError("radial_PQ describes planar ground states")
     rs = np.asarray(r, dtype=float)

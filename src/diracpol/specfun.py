@@ -2,28 +2,39 @@
 and the generalized hypergeometric 3F2 at unit argument.
 
 Every 3F2 series that does not truncate is summed by one routine,
-``_convergent_terms``: terms in chunks of 512, as many chunks per numpy pass
-(``_term_rows``) as the series is predicted to need, at most 16, and one
-stop rule replayed on them chunk by chunk, so the terms, their count and
-the tail bound are those of computing one chunk at a time.  It serves
-``hyp3f2_unit`` (the series from its leading 1) and ``hyp3f2_minus_one``
-(the series from its first term, for the relativistic shift).
+``_convergent_terms``: terms in chunks of 512, stopped by one rule
+(``_StopRule``) after the first chunk whose tail bound is small enough.  It
+serves ``hyp3f2_unit`` (the series from its leading 1) and
+``hyp3f2_minus_one`` (the series from its first term, for the relativistic
+shift).  Two producers give the same terms, term count and tail bound:
 
-Every series returns the correctly rounded sum of its computed terms, the
-value ``math.fsum`` gives.  The 3F2 terms are summed in numpy by
-``_exact_sum``: one error-free split into high parts that add exactly and
-low parts whose rounded sum is bracketed by a proven error bound; the rare
-sum that the bracket cannot decide (a near tie, a zero, a non-finite term)
-goes to ``math.fsum``.  The short log-gamma sums use ``math.fsum`` directly.
+- a pure-Python one, one chunk at a time, used while numpy is not loaded
+  and until the process has computed ``_PURE_BUDGET`` = 2**14 terms with
+  it, so that the closed-form commands never import numpy.  Its running
+  sum for the stop test is sequential; a test that falls within the sum's
+  error bound of the threshold is redone by numpy;
+- a numpy one, as many chunks per pass (``_term_rows``) as the series is
+  predicted to need, at most 16, with the stop rule replayed chunk by
+  chunk, so the terms, their count and the tail bound are those of
+  computing one chunk at a time.
+
+numpy is imported only by the functions that use it.  Every series returns
+the correctly rounded sum of its computed terms, the value ``math.fsum``
+gives: a pure-Python series through ``math.fsum`` itself, a numpy one
+through ``_exact_sum``, one error-free split into high parts that add
+exactly and low parts whose rounded sum is bracketed by a proven error
+bound; the rare sum that the bracket cannot decide (a near tie, a zero, a
+non-finite term) goes to ``math.fsum``.  The short log-gamma sums use
+``math.fsum`` directly.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from itertools import accumulate
+from operator import mul
 from typing import NamedTuple
-
-import numpy as np
 
 # Relative tolerance floor for series evaluation; requests below it are
 # clamped since plain doubles cannot certify tighter results.
@@ -37,6 +48,13 @@ _CHUNK = 512
 _MAX_CHUNKS = (MAX_TERMS - 1) // _CHUNK + 1
 # Chunks one numpy pass computes at most; it bounds the pass's temporaries.
 _MAX_BATCH = 16
+
+# Terms the pure-Python producer computes at most in one process, about 5 ms
+# of work against about 100 ms for importing numpy: more than the 15,873 of
+# the longest closed-form series (spatial at the last double below Z_crit).
+_PURE_BUDGET = 1 << 14
+# Terms the pure-Python producer has computed in this process.
+_pure_spent = 0
 
 # Smallest positive normal double; a floor for relative-error scales.
 _TINY = sys.float_info.min
@@ -288,6 +306,8 @@ def laguerre(n: int, alpha: float, x):
     float or ndarray
         Polynomial value(s); scalar input yields a scalar.
     """
+    import numpy as np
+
     if n < -1:
         raise ValueError(f"laguerre requires n >= -1, got n={n}")
     xs = np.asarray(x, dtype=float)
@@ -300,6 +320,8 @@ def _laguerre_table(n: int, alpha: float, xs: np.ndarray) -> list[np.ndarray]:
     """[L_{-1}, L_0, ..., L_n] of order alpha at the float array xs, from one
     run of the three-term recurrence; entry k + 1 is laguerre(k, alpha, xs)
     bit for bit."""
+    import numpy as np
+
     prev, cur = np.zeros_like(xs), np.ones_like(xs)
     table = [prev, cur][: n + 2]
     for k in range(n):
@@ -318,6 +340,8 @@ def _term_rows(p: Hyp3F2Params, rows: np.ndarray, k_first: int, t_first: float) 
     then scaled by the last term of the row before (the first by t_first),
     so a row holds the bits that computing the rows one at a time gives.
     """
+    import numpy as np
+
     flat = rows.reshape(-1)  # a view, used as scratch until the products land
     k = np.arange(k_first, k_first + flat.size, dtype=float)
     num = k + p.a1
@@ -338,6 +362,36 @@ def _term_rows(p: Hyp3F2Params, rows: np.ndarray, k_first: int, t_first: float) 
     return ratios
 
 
+def _pure_terms(
+    p: Hyp3F2Params, k_first: int, n: int, t_first: float
+) -> tuple[list[float], list[float]] | None:
+    """The ratios t_{k+1}/t_k for k = k_first, ..., k_first + n - 1 and the
+    terms t_{k_first+1}, ..., t_{k_first+n} of the series p, given
+    t_{k_first} = t_first, as plain floats: the bits ``_term_rows`` puts in
+    one row, from the same operations in the same order; None for a zero
+    denominator."""
+    a1, a2, a3, b1, b2 = p
+    try:
+        ratios = [
+            ((k + a1) * (k + a2)) * (k + a3) / (((k + b1) * (k + b2)) * (k + 1.0))
+            for k in map(float, range(k_first, k_first + n))
+        ]
+    except ZeroDivisionError:  # an underflowed denominator, which numpy divides by
+        return None
+    terms = list(accumulate(ratios, mul))
+    if t_first != 1.0:
+        terms = [t * t_first for t in terms]
+    return ratios, terms
+
+
+def _pure_allowance() -> float:
+    """Terms the pure-Python producer may still compute in this process:
+    none once numpy is loaded, and ``_PURE_BUDGET`` in all."""
+    if "numpy" in sys.modules:
+        return 0
+    return _PURE_BUDGET - _pure_spent
+
+
 def _predicted_chunks(p: Hyp3F2Params, balance: float, tol: float) -> int:
     """Chunks of ``_CHUNK`` terms after which the tail bound of a sum near 1
     is predicted to fall below ``tol``; a hint only, 1 on any domain error.
@@ -356,33 +410,133 @@ def _predicted_chunks(p: Hyp3F2Params, balance: float, tol: float) -> int:
         return 1
 
 
-def _convergent_terms(p: Hyp3F2Params, tol: float, first: int) -> tuple[np.ndarray, int, float]:
-    """The terms t_first, ..., t_{k0-1} of the convergent unit-argument
-    series p (first = 0 for 3F2, 1 for 3F2 - 1), with k0 and the tail bound.
+def _tail_test(tail: float, tol: float, approx: float, slack: float) -> bool | None:
+    """Whether tail <= tol * max(|s|, _TINY) for the running sum s of the
+    numpy producer, given that s lies within ``slack`` > 0 of ``approx``:
+    True, False, or None when s could fall on either side."""
+    if tail != tail:  # a NaN tail fails the test whatever the sum
+        return False
+    high = abs(approx) + slack
+    if not high < math.inf:  # an overflowing or NaN sum: no bracket
+        return None
+    # tol * max(|s|, _TINY) rounds monotonically in |s|, so its values at
+    # the ends of the bracket, each rounded outwards, bound it.
+    low = math.nextafter(abs(approx) - slack, -math.inf)
+    if tail <= tol * max(low, _TINY):
+        return True
+    if not tail <= tol * max(math.nextafter(high, math.inf), _TINY):
+        return False
+    return None
 
-    The terms come in chunks of ``_CHUNK``; each chunk's numpy sum is added
-    in order to a running sum of the terms from t_first.  The series stops
-    after the first chunk whose last term t_{k0-1} is zero, or whose
-    power-law tail bound |t_{k0-1}| k0 / (s - 1), s the balance (s for s <=
-    1, where no tight tolerance is reachable anyway), is at most ``tol``
-    times the running sum, past the index from which every factor of the
-    term ratio is positive and with every ratio of the chunk in (0, 1).
-    The passes cover the chunks ``_predicted_chunks`` gives, then doubling
-    counts, at most ``_MAX_BATCH`` chunks each; chunks past the stopping one
-    are dropped, so the prediction changes the time, never the result.
+
+class _StopRule:
+    """The stop rule of the convergent unit-argument series p at tolerance
+    tol, which both term producers apply after every chunk.
+
+    The series stops after the first chunk whose last term t_{k0-1} is zero,
+    or whose power-law tail bound |t_{k0-1}| k0 / (s - 1), s the balance (s
+    for s <= 1, where no tight tolerance is reachable anyway), is at most
+    ``tol`` times the running sum of the terms, past the index from which
+    every factor of the term ratio is positive and with every ratio of the
+    chunk in (0, 1).
     """
-    balance = p.balance()
-    if balance <= 0.0:
-        raise ConvergenceError(
-            f"series diverges at unit argument: b-sum - a-sum = {balance} <= 0"
+
+    __slots__ = ("tol", "balance", "denom", "k_min")
+
+    def __init__(self, p: Hyp3F2Params, tol: float) -> None:
+        balance = p.balance()
+        if balance <= 0.0:
+            raise ConvergenceError(
+                f"series diverges at unit argument: b-sum - a-sum = {balance} <= 0"
+            )
+        self.tol = tol
+        self.balance = balance
+        self.denom = balance - 1.0 if balance > 1.0 else balance
+        self.k_min = max(0.0, -p.a1, -p.a2, -p.a3, -p.b1, -p.b2) + 2
+
+    def stops(self, k0: int, t_last: float, approx: float, slack: float, ratio_range) -> float | bool | None:
+        """The tail bound if the series stops after the chunk that ends at
+        t_{k0-1}, with running sum ``approx`` known to within ``slack``;
+        False if it goes on, and None when the slack leaves the tail test
+        open.  ``ratio_range()`` gives the least and the greatest ratio of
+        the chunk and is called last."""
+        tail = abs(t_last) * k0 / self.denom
+        if t_last == 0.0:
+            return tail
+        if not k0 > self.k_min:
+            return False
+        if slack:
+            verdict = _tail_test(tail, self.tol, approx, slack)
+        else:
+            verdict = tail <= self.tol * max(abs(approx), _TINY)
+        if verdict is False:
+            return False
+        lo, hi = ratio_range()
+        if not (lo > 0.0 and hi < 1.0):
+            return False
+        return tail if verdict else None
+
+    def capped(self) -> ConvergenceError:
+        return ConvergenceError(
+            f"3F2 series did not reach tol={self.tol:g} within {MAX_TERMS} terms"
         )
-    denom = balance - 1.0 if balance > 1.0 else balance
-    k_safe = max(0.0, -p.a1, -p.a2, -p.a3, -p.b1, -p.b2)
+
+
+def _pure_convergent(p: Hyp3F2Params, rule: _StopRule, first: int, allowance: float):
+    """The terms t_first, ..., t_{k0-1} as a list, k0 and the tail bound,
+    computed one chunk at a time in plain floats; None when the next chunk
+    would exceed ``allowance`` terms or the stop test is left open.
+
+    The running sum of the stop test adds the chunks in order, each summed
+    in order, so it differs from the numpy producer's, whose chunk sums are
+    pairwise, by at most 2 gamma_k0 sum|t| (gamma_n = n u / (1 - n u),
+    Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 4.2);
+    ``_tail_test`` decides only what holds for every sum in that bracket.
+    """
+    global _pure_spent
+    terms = [1.0] if first == 0 else []
+    approx = magnitude = 1.0 if first == 0 else 0.0  # sums of t and of |t|
+    t_last, k0 = 1.0, 1  # k0 = 1 + _CHUNK * (chunks summed)
+    try:
+        while k0 <= MAX_TERMS:
+            if k0 - 1 + _CHUNK > allowance:
+                return None
+            made = _pure_terms(p, k0 - 1, _CHUNK, t_last)
+            if made is None:
+                return None
+            ratios, chunk = made
+            terms += chunk
+            t_last = chunk[-1]
+            approx += sum(chunk)
+            magnitude += sum(map(abs, chunk))
+            k0 += _CHUNK
+            # 4 k0 u >= 2 gamma_k0 with room for the rounding of magnitude;
+            # below 2**1022 no partial sum of either producer overflows.
+            slack = max(k0 * magnitude * 2.0**-51, _TINY) if magnitude < 2.0**1022 else math.inf
+            tail = rule.stops(k0, t_last, approx, slack, lambda: (min(ratios), max(ratios)))
+            if tail is not False:
+                return None if tail is None else (terms, k0, tail)
+        raise rule.capped()
+    finally:
+        _pure_spent += k0 - 1
+
+
+def _numpy_convergent(p: Hyp3F2Params, rule: _StopRule, first: int):
+    """The terms t_first, ..., t_{k0-1} as an array, k0 and the tail bound.
+
+    The passes cover the chunks ``_predicted_chunks`` gives, then doubling
+    counts, at most ``_MAX_BATCH`` chunks each, and the stop rule is replayed
+    on them chunk by chunk, each chunk's numpy sum added in order to the
+    running sum; chunks past the stopping one are dropped, so the prediction
+    changes the time, never the result.
+    """
+    import numpy as np
+
     if first == 0:
         approx = scale = 1.0
     else:  # 3F2 - 1 is about its first term, which scales the prediction
         approx, scale = 0.0, abs(p.a1 * p.a2 * p.a3 / (p.b1 * p.b2))
-    chunks = min(_predicted_chunks(p, balance, tol * scale), _MAX_CHUNKS)
+    chunks = min(_predicted_chunks(p, rule.balance, rule.tol * scale), _MAX_CHUNKS)
     terms = np.empty(1 + chunks * _CHUNK)
     terms[0] = 1.0
     t_last, k0 = 1.0, 1  # k0 = 1 + _CHUNK * (chunks summed)
@@ -400,22 +554,36 @@ def _convergent_terms(p: Hyp3F2Params, tol: float, first: int) -> tuple[np.ndarr
         for j, (chunk_sum, t_last) in enumerate(zip(sums, rows[:, -1].tolist())):
             approx += chunk_sum
             k0 += _CHUNK
-            tail = abs(t_last) * k0 / denom
-            if t_last == 0.0 or (
-                k0 > k_safe + 2
-                and tail <= tol * max(abs(approx), _TINY)
-                and ratios[j].min() > 0.0
-                and ratios[j].max() < 1.0
-            ):
+            tail = rule.stops(k0, t_last, approx, 0.0, lambda: (ratios[j].min(), ratios[j].max()))
+            if tail is not False:
                 return terms[first:k0], k0, tail
-    raise ConvergenceError(
-        f"3F2 series did not reach tol={tol:g} within {MAX_TERMS} terms"
-    )
+    raise rule.capped()
 
 
-def _exact_sum(terms: np.ndarray) -> float:
+def _convergent_terms(p: Hyp3F2Params, tol: float, first: int):
+    """The terms t_first, ..., t_{k0-1} of the convergent unit-argument
+    series p (first = 0 for 3F2, 1 for 3F2 - 1), with k0 and the tail bound.
+
+    The terms come in chunks of ``_CHUNK`` and stop by ``_StopRule``.  Until
+    numpy is loaded, and within the process's ``_PURE_BUDGET``, they come
+    from the pure-Python producer, as a list; past the budget, when its
+    running sum cannot settle the stop test, or for a denominator that
+    underflows to zero, from numpy's, as an array.
+    Both give the same terms, k0 and tail bound.
+    """
+    rule = _StopRule(p, tol)
+    allowance = _pure_allowance()
+    if allowance >= _CHUNK:
+        found = _pure_convergent(p, rule, first, allowance)
+        if found is not None:
+            return found
+    return _numpy_convergent(p, rule, first)
+
+
+def _exact_sum(terms) -> float:
     """The correctly rounded sum of ``terms``, equal to
-    ``math.fsum(terms.tolist())`` bit for bit.
+    ``math.fsum(terms.tolist())`` bit for bit; a list (the pure-Python
+    producer's terms) goes to ``math.fsum`` itself.
 
     One error-free extraction (ExtractVector of Rump, Ogita and Oishi,
     "Accurate floating-point summation part I", SIAM J. Sci. Comput. 31,
@@ -430,6 +598,10 @@ def _exact_sum(terms: np.ndarray) -> float:
     sign of zero that fsum gives: the ends differ, and a sum of two doubles
     rounds to zero only when it is exactly zero, so they cannot both.
     """
+    if isinstance(terms, list):
+        return math.fsum(terms)
+    import numpy as np
+
     n = terms.size
     mu = float(np.abs(terms).max()) if n else 0.0
     if 0.0 < mu < math.inf:
@@ -458,9 +630,10 @@ def hyp3f2_unit(
     cumulative product of the term ratios, stopped after the first chunk
     whose power-law tail bound falls below ``tol`` times the running sum of
     the chunk sums.  A truncating series is one cumulative product over all
-    its ratios.  The value is the correctly rounded sum of all terms
-    (``_exact_sum``, bit for bit ``math.fsum``, which it falls back to when
-    its error bracket cannot decide the rounding).
+    its ratios, in plain floats while the pure-Python budget lasts.  The
+    value is the correctly rounded sum of all terms (``_exact_sum``, bit for
+    bit ``math.fsum``, which it falls back to when its error bracket cannot
+    decide the rounding).
 
     Parameters
     ----------
@@ -482,6 +655,7 @@ def hyp3f2_unit(
         If the series does not converge (non-truncating with non-positive
         denominator excess) or needs more than ``MAX_TERMS`` terms.
     """
+    global _pure_spent
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     if not math.isfinite(tol):
@@ -494,9 +668,16 @@ def hyp3f2_unit(
             raise ConvergenceError(
                 f"truncating series needs {n_trunc + 1} terms, cap is {MAX_TERMS}"
             )
-        terms = np.empty(n_trunc + 1)
-        terms[0] = 1.0
-        _term_rows(p, terms[1:].reshape(1, n_trunc), 0, 1.0)
+        made = _pure_terms(p, 0, n_trunc, 1.0) if n_trunc <= _pure_allowance() else None
+        if made is not None:
+            _pure_spent += n_trunc
+            terms = [1.0, *made[1]]
+        else:
+            import numpy as np
+
+            terms = np.empty(n_trunc + 1)
+            terms[0] = 1.0
+            _term_rows(p, terms[1:].reshape(1, n_trunc), 0, 1.0)
         return _exact_sum(terms), SeriesDiagnostics(n_trunc + 1, 0.0)
 
     terms, k0, tail = _convergent_terms(p, tol, 0)
@@ -509,4 +690,3 @@ def hyp3f2_minus_one(p: Hyp3F2Params) -> float:
     relative to itself, so it keeps full relative accuracy when it is tiny.
     Meant for parameters whose terms are all nonnegative, so none cancel."""
     return _exact_sum(_convergent_terms(p, TOL_FLOOR, 1)[0])
-

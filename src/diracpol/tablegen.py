@@ -14,7 +14,9 @@ import math
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from typing import NamedTuple
 
-from .atom import ALPHA_INV_CODATA2014, ALPHA_INV_SIGMA_CODATA2014, AtomSpec
+from .atom import (
+    ALPHA_INV_CODATA2014, ALPHA_INV_SIGMA_CODATA2014, AtomSpec, SupercriticalError, critical_charge,
+)
 from .polarizability import polarizability_planar
 from .specfun import _validated_make
 
@@ -79,6 +81,25 @@ def _scaled_at(z: float, alpha_inv: float) -> float:
     return polarizability_planar(AtomSpec(z, "planar", alpha_inv)).scaled_Z4
 
 
+def _check_step(Z: float, consts: ConstantSet, h: float) -> None:
+    """Refuse a propagation step h that takes alpha_inv to zero or below, or
+    Z to the critical charge, naming alpha_inv_sigma and the step rather
+    than the shifted constant."""
+    shifted = consts.alpha_inv - h
+    if shifted > 0.0 and Z < critical_charge("planar", shifted):
+        return
+    step = (
+        f"the propagation step 1e4 * alpha_inv_sigma = {h!r} "
+        f"(alpha_inv_sigma = {consts.alpha_inv_sigma!r})"
+    )
+    if not shifted > 0.0:
+        raise ValueError(f"{step} takes alpha_inv = {consts.alpha_inv!r} to {shifted!r}")
+    raise SupercriticalError(
+        f"Z={Z} is supercritical at alpha_inv - step: {step} needs "
+        f"Z < (alpha_inv - step)/2 = {critical_charge('planar', shifted)!r}"
+    )
+
+
 def propagate_uncertainty(Z: float, consts: ConstantSet = ConstantSet()) -> float:
     """One-standard-deviation uncertainty of Z**4 * alpha_1 induced by the
     uncertainty of the inverse fine-structure constant.
@@ -86,11 +107,15 @@ def propagate_uncertainty(Z: float, consts: ConstantSet = ConstantSet()) -> floa
     The derivative is taken by central difference with step
     1e4 * alpha_inv_sigma; a symmetric second-difference check must show a
     curvature contribution below 1% of the derivative, otherwise
-    PropagationError is raised.
+    PropagationError is raised.  A step that takes alpha_inv to zero or
+    below raises ValueError, and one that leaves Z at or above the critical
+    charge of alpha_inv - step raises SupercriticalError, both before any
+    evaluation and naming alpha_inv_sigma and the step.
     """
     if consts.alpha_inv_sigma == 0.0:
         return 0.0
     h = _STEP_FACTOR * consts.alpha_inv_sigma
+    _check_step(Z, consts, h)
     center = _scaled_at(Z, consts.alpha_inv)
     upper = _scaled_at(Z, consts.alpha_inv + h)
     lower = _scaled_at(Z, consts.alpha_inv - h)

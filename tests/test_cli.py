@@ -2,6 +2,7 @@
 output determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from diracpol.atom import AtomSpec, ChannelIndex
+from diracpol.atom import ALPHA_INV_CODATA2014, AtomSpec, ChannelIndex
 from diracpol.cli import run
 from diracpol.polarizability import polarizability_planar, r_channel_closed
 
@@ -112,6 +113,20 @@ class TestTableCommand:
     def test_non_finite_sigma(self, capsys, sigma):
         assert run(["table", "--z-max", "2", "--alpha-inv-sigma", sigma]) == 2
         assert f"alpha_inv_sigma must be finite, got {sigma}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sigma, code, shown",
+        [
+            ("2e-4", 3, "Z=68 is supercritical at alpha_inv - step"),
+            ("1e300", 2, "takes alpha_inv = 137.035999139 to -1.0000000000000001e+304"),
+        ],
+    )
+    def test_step_beyond_the_domain_names_sigma(self, capsys, sigma, code, shown):
+        # The propagation step 1e4 * sigma, not --alpha-inv, is what fails.
+        assert run(["table", "--z-min", "68", "--z-max", "68", "--alpha-inv-sigma", sigma]) == code
+        err = capsys.readouterr().err
+        assert shown in err
+        assert f"alpha_inv_sigma = {float(sigma)!r}" in err
 
 
 class TestCrosscheckCommand:
@@ -330,7 +345,7 @@ class TestImportDiet:
         print(" ".join(m for m in {watched!r} if m in sys.modules))
         """
     )
-    CLOSED_FORM_UNUSED = ("diracpol.sturmian", "diracpol.tablegen", "dataclasses", "json", "decimal")
+    CLOSED_FORM_UNUSED = ("diracpol.sturmian", "diracpol.tablegen", "dataclasses", "json", "decimal", "numpy")
 
     @pytest.mark.parametrize(
         "argvs, watched",
@@ -339,11 +354,40 @@ class TestImportDiet:
                 [["planar", "--Z", "26"], ["spatial", "--Z", "3"], ["limits"]],
                 CLOSED_FORM_UNUSED,
             ),
+            # The longest closed-form series, 15,873 terms, within the
+            # 16,384 the pure-Python 3F2 producer may compute.
+            (
+                [["spatial", "--Z", repr(math.nextafter(ALPHA_INV_CODATA2014, 0.0))]],
+                CLOSED_FORM_UNUSED,
+            ),
             ([["table", "--format", "csv"]], ("diracpol.sturmian",)),
             ([["crosscheck", "--Z", "12.3"]], ("diracpol.tablegen",)),
         ],
-        ids=["closed-form", "table", "crosscheck"],
+        ids=["closed-form", "spatial-near-critical", "table", "crosscheck"],
     )
     def test_commands_load_only_what_they_use(self, argvs, watched):
         proc = self._fresh(self.UNUSED.format(argvs=argvs, watched=watched))
         assert proc.stdout.split() == []
+
+    def test_table_crossing_the_pure_budget_keeps_the_golden_bytes(self):
+        # The table's series pass the pure-Python producer's budget after
+        # a few rows, and numpy computes the rest.
+        script = textwrap.dedent(
+            """
+            import contextlib, io, sys
+            from diracpol import specfun
+            from diracpol.cli import run
+
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = run(["table", "--format", "csv"])
+            print(code, "numpy" in sys.modules, specfun._pure_spent)
+            sys.stdout.write(out.getvalue())
+            """
+        )
+        status, csv = self._fresh(script).stdout.split("\n", 1)
+        code, numpy_loaded, spent = status.split()
+        assert (code, numpy_loaded) == ("0", "True")
+        assert 0 < int(spent) <= 2**14
+        golden = Path(__file__).resolve().parents[1] / "bench" / "golden_table.csv"
+        assert csv.encode() == golden.read_bytes()

@@ -107,6 +107,49 @@ class TestSurface:
             if path.name != "specfun.py":
                 assert _referenced_names(path).isdisjoint(internals), path.name
 
+    def test_only_the_oracle_imports_numpy_when_it_loads(self):
+        # Function bodies may import numpy; what runs at import may not.
+        def module_level(body):
+            for node in body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                yield node
+                for field in ("body", "orelse", "finalbody", "handlers"):
+                    yield from module_level(getattr(node, field, []))
+
+        for path in sorted((SRC / "diracpol").glob("*.py")):
+            imported = set()
+            for node in module_level(ast.parse(path.read_text()).body):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                    imported.add(node.module.split(".")[0])
+            if path.name != "sturmian.py":
+                assert "numpy" not in imported, path.name
+
+    def test_import_loads_no_numpy_and_its_users_still_work(self):
+        script = (
+            "import sys, diracpol; "
+            "print('numpy' in sys.modules); "
+            "print(repr(diracpol.laguerre(3, 0.75, 1.25))); "
+            "p, q = diracpol.radial_PQ(diracpol.AtomSpec(26), [0.01, 0.1]); "
+            "print(repr(p.tolist()), repr(q.tolist()))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        p, q = diracpol.radial_PQ(AtomSpec(26), [0.01, 0.1])
+        assert proc.stdout.splitlines() == [
+            "False",
+            repr(diracpol.laguerre(3, 0.75, 1.25)),
+            f"{p.tolist()!r} {q.tolist()!r}",
+        ]
+
     def test_import_loads_neither_oracle_nor_table_layer(self):
         script = (
             "import sys, diracpol; "

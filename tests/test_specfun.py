@@ -463,14 +463,31 @@ def closed_form_parameter_sets():
     return _closed_form_parameter_sets()
 
 
+def _force_pure_producer(monkeypatch):
+    """Make every 3F2 here come from the pure-Python producer: an unlimited
+    allowance, and a numpy producer that fails if it is reached."""
+    def numpy_used(*args):
+        raise AssertionError("the numpy producer was used")
+
+    monkeypatch.setattr(specfun, "_pure_allowance", lambda: math.inf)
+    monkeypatch.setattr(specfun, "_term_rows", numpy_used)
+
+
 class TestBatchedChunks:
     # The 3F2 chunks are computed several per numpy pass and the stop test
     # is replayed on them; values, term counts, tail estimates and errors
     # must be those of the loop that computed and tested one chunk at a
-    # time, whatever the chunk-count prediction says.
-    @pytest.fixture(params=[None, 1, specfun._MAX_BATCH, specfun._MAX_CHUNKS], ids=lambda n: f"predict-{n}")
+    # time, whatever the chunk-count prediction says.  The pure-Python
+    # producer, which computes one chunk at a time in plain floats and
+    # predicts nothing, must give them too.
+    @pytest.fixture(
+        params=[None, 1, specfun._MAX_BATCH, specfun._MAX_CHUNKS, "pure"],
+        ids=lambda n: "pure-python" if n == "pure" else f"predict-{n}",
+    )
     def prediction(self, request, monkeypatch):
-        if request.param is not None:
+        if request.param == "pure":
+            _force_pure_producer(monkeypatch)
+        elif request.param is not None:
             monkeypatch.setattr(specfun, "_predicted_chunks", lambda *args, n=request.param: n)
         return request.param
 
@@ -496,6 +513,83 @@ class TestBatchedChunks:
                 dm = x / (lo + math.sqrt(lo * lo - x)) - x / (hi + gk)
                 p = Hyp3F2Params(dm, dm, 2.0 + dm, 3.0 + dm, 2.0 * gk + 1.0)
                 assert _outcome(specfun.hyp3f2_minus_one, p) == _outcome(_hyp3f2_minus_one_reference, p), p
+
+    def test_undecided_stop_test_is_redone_by_numpy(self, monkeypatch, closed_form_parameter_sets):
+        # A tail test that the pure producer's running sum cannot settle
+        # sends the whole series to numpy, which returns the same result.
+        numpy_calls, left_open = [], []
+
+        def undecided(tail, tol, approx, slack):
+            left_open.append(approx)
+            return None
+
+        def numpy_convergent(*args, wrapped=specfun._numpy_convergent):
+            numpy_calls.append(args[0])
+            return wrapped(*args)
+
+        monkeypatch.setattr(specfun, "_pure_allowance", lambda: math.inf)
+        monkeypatch.setattr(specfun, "_tail_test", undecided)
+        monkeypatch.setattr(specfun, "_numpy_convergent", numpy_convergent)
+        sets = closed_form_parameter_sets[::25]
+        for p in sets:
+            assert _outcome(hyp3f2_unit, p, TOL_FLOOR) == _outcome(_hyp3f2_unit_reference, p, TOL_FLOOR), p
+        assert numpy_calls == sets
+        assert len(left_open) == len(sets)
+
+    def test_numpy_serves_every_series_once_loaded(self, monkeypatch, closed_form_parameter_sets):
+        # numpy is loaded here, so the pure-Python producer has no allowance
+        # and computes nothing.
+        def pure_used(*args):
+            raise AssertionError("the pure-Python producer was used")
+
+        monkeypatch.setattr(specfun, "_pure_terms", pure_used)
+        spent = specfun._pure_spent
+        assert specfun._pure_allowance() == 0
+        for p in closed_form_parameter_sets[::10]:
+            hyp3f2_unit(p)
+        hyp3f2_unit(Hyp3F2Params(0.5, -3.0, 1.5, 2.0, 2.5))
+        assert specfun._pure_spent == spent
+
+    @pytest.mark.parametrize("allowance", [0, 511, 512, 2048])
+    def test_exhausted_allowance_is_redone_by_numpy(self, monkeypatch, allowance, closed_form_parameter_sets):
+        # A series that would pass the pure producer's allowance is redone
+        # by numpy; what the pure producer computed is charged all the same.
+        monkeypatch.setattr(specfun, "_pure_allowance", lambda: allowance)
+        monkeypatch.setattr(specfun, "_pure_spent", 0)
+        charged = 0
+        for p in closed_form_parameter_sets[::10]:
+            assert _outcome(hyp3f2_unit, p, TOL_FLOOR) == _outcome(_hyp3f2_unit_reference, p, TOL_FLOOR), p
+            terms = hyp3f2_unit(p)[1].terms_used
+            charged += 2 * min(terms - 1, allowance // 512 * 512)
+        assert specfun._pure_spent == charged
+
+    @pytest.mark.parametrize("a1", [-1.5, -3.0], ids=["convergent", "truncating"])
+    def test_underflowed_denominator_is_left_to_numpy(self, monkeypatch, a1):
+        # (k + b1)(k + b2) rounds to zero at k = 0: Python's division would
+        # raise where numpy's gives inf, so numpy computes the series.
+        monkeypatch.setattr(specfun, "_pure_allowance", lambda: math.inf)
+        p = Hyp3F2Params(a1, 0.7, 0.8, 1e-200, 1e-200)
+        with np.errstate(all="ignore"):
+            assert _outcome(hyp3f2_unit, p, TOL_FLOOR) == _outcome(_hyp3f2_unit_reference, p, TOL_FLOOR)
+
+    @hypothesis.settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(
+        st.floats(-1e20, 1e20),
+        st.floats(1e-16, 1e-6),
+        st.floats(0.0, 1e-9),
+        st.floats(-2.0, 2.0),
+        st.floats(-1.0, 1.0),
+    )
+    def test_tail_test_decides_only_what_holds_across_the_slack(self, approx, tol, rel, offset, where):
+        # The tail falls within two slacks of the threshold; every sum
+        # within the slack of approx must agree with a decided verdict.
+        slack = abs(approx) * rel
+        tail = tol * abs(approx) * (1.0 + offset * rel)
+        hypothesis.assume(slack > 0.0)
+        verdict = specfun._tail_test(tail, tol, approx, slack)
+        for s in (approx - slack, approx + where * slack, approx + slack, approx):
+            exact = tail <= tol * max(abs(s), specfun._TINY)
+            assert verdict is None or verdict == exact, (s, verdict, exact)
 
     def test_prediction_is_exact_or_one_over_on_channel_parameters(self, closed_form_parameter_sets):
         for p in closed_form_parameter_sets:

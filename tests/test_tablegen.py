@@ -8,6 +8,7 @@ from decimal import ROUND_HALF_EVEN, Decimal
 
 import pytest
 
+from diracpol.atom import SupercriticalError
 from diracpol.tablegen import (
     CSV_HEADER,
     ConstantSet,
@@ -50,6 +51,23 @@ class TestPropagateUncertainty:
         consts = ConstantSet(alpha_inv_sigma=1e-4)  # step becomes 1.0
         with pytest.raises(PropagationError):
             propagate_uncertainty(68, consts)
+
+    @pytest.mark.parametrize(
+        "sigma, error, shown",
+        [
+            # (alpha_inv - 2.0) / 2 = 67.5179995695 < 68
+            (2e-4, SupercriticalError, "(alpha_inv - step)/2 = 67.5179995695"),
+            (1e300, ValueError, "to -1.0000000000000001e+304"),
+        ],
+    )
+    def test_step_that_leaves_the_domain_names_sigma(self, sigma, error, shown):
+        consts = ConstantSet(alpha_inv_sigma=sigma)
+        with pytest.raises(error) as info:
+            propagate_uncertainty(68, consts)
+        message = str(info.value)
+        assert f"1e4 * alpha_inv_sigma = {1e4 * sigma!r} (alpha_inv_sigma = {sigma!r})" in message
+        assert shown in message
+        assert "alpha_inv must be positive" not in message
 
 
 class TestFormatScaled:
