@@ -311,21 +311,19 @@ def laguerre(n: int, alpha: float, x):
     if n < -1:
         raise ValueError(f"laguerre requires n >= -1, got n={n}")
     xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    out = _laguerre_table(n, alpha, np.atleast_1d(xs))[-1]
-    return float(out[0]) if scalar else out
+    out = np.array(_laguerre_table(n, alpha, xs.ravel().tolist())[-1]).reshape(xs.shape)
+    return float(out) if xs.ndim == 0 else out
 
 
-def _laguerre_table(n: int, alpha: float, xs: np.ndarray) -> list[np.ndarray]:
-    """[L_{-1}, L_0, ..., L_n] of order alpha at the float array xs, from one
-    run of the three-term recurrence; entry k + 1 is laguerre(k, alpha, xs)
-    bit for bit."""
-    import numpy as np
-
-    prev, cur = np.zeros_like(xs), np.ones_like(xs)
+def _laguerre_table(n: int, alpha: float, xs) -> list[tuple[float, ...]]:
+    """[L_{-1}, L_0, ..., L_n] of order alpha at the floats xs, one tuple over
+    xs per degree, from one run of the three-term recurrence in plain floats;
+    entry k + 1 is laguerre(k, alpha, xs) bit for bit."""
+    prev, cur = (0.0,) * len(xs), (1.0,) * len(xs)
     table = [prev, cur][: n + 2]
     for k in range(n):
-        prev, cur = cur, ((2 * k + alpha + 1.0 - xs) * cur - (k + alpha) * prev) / (k + 1.0)
+        a, b, k1 = 2 * k + alpha + 1.0, k + alpha, k + 1.0
+        prev, cur = cur, tuple(((a - x) * l1 - b * l0) / k1 for x, l0, l1 in zip(xs, prev, cur))
         table.append(cur)
     return table
 

@@ -24,17 +24,22 @@ every degree the channel needs (one run of the recurrence,
 envelope by each index's norm, a scalar.  The series stops on a plain
 running sum and returns one ``math.fsum`` of its terms.  Four caches outlive
 a call.  Two do not depend on the charge: a table of log n! (at most
-100,001 entries) and the last 64 quadrature rules, each with its weights
-divided by the weight function, so that a quadrature is one product with
-the integrand's values and one ``math.fsum``.  Two serve only reuse within
-one charge: the last 2 channels (``_channel``) and the last 1024 indices
-(``_index_integrals``, as tuples), which hold both channels of any charge
-(788 indices at most, just below the critical charge at the tol floor).  A
-crosscheck sums each channel series twice and takes |n_r| <= 3 a third
-time; the later passes read these two caches, so each index is evaluated
-once per charge and the later passes return the bits of the first.  Errors
-are not cached.  The quadrature's 16-node rule is built with numpy alone
-(``roots_genlaguerre``) and is exact for |n_r| <= 31.
+100,001 entries) and the last 64 quadrature rules, keyed by weight power and
+size, each with its weights divided by the weight function, so that a
+quadrature is one product with the integrand's values and one
+``math.fsum``.  Two serve only reuse within one charge: the last 2 channels
+(``_channel``) and the last 1024 indices (``_index_integrals``, as tuples),
+which hold both channels of any charge (788 indices at most, just below the
+critical charge at the tol floor).  A crosscheck sums each channel series
+twice and takes |n_r| <= 3 a third time; the later passes read these two
+caches, so each index is evaluated once per charge and the later passes
+return the bits of the first.  Errors are not cached.
+
+The quadrature side runs on plain floats: ``roots_genlaguerre`` builds a
+rule of any size by Newton iteration on the Laguerre recurrence, and the
+integrals of |n_r| <= n_max take an n_max + 1 node rule, exact for the
+degree-|n_r| remainder of every index.  Only ``axial_spinor`` and
+``first_order_shift`` below import numpy, when called.
 
 The other checks: ``hyp3f2_contiguous_rhs`` (the contiguous-shift identity
 of 3F2 at unit argument), ``r_channel_two_term`` (a dipole channel integral
@@ -50,9 +55,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
-from .atom import AtomSpec, ChannelIndex, _check_dipole, gamma_half, gamma_kappa, radial_PQ
+from .atom import AtomSpec, ChannelIndex, _check_dipole, gamma_half, gamma_kappa
 from .polarizability import NONREL_SCALED_PLANAR, _over_z4
 from .specfun import (
     _TINY, TOL_FLOOR, ConvergenceError, Hyp3F2Params, SeriesDiagnostics, _laguerre_table,
@@ -68,8 +71,12 @@ _STOP_STREAK = 5
 # pass over a series and its |n_r| <= 3 integrals are read back, not redone.
 # The most one charge needs is 788 (Z just below critical, tol at its floor).
 _INDEX_CACHE = 1024
-# Nodes of the quadrature rule, exact through degree 2 * 16 - 1 = 31.
+# Default nodes of a Gauss-Laguerre rule, exact through degree 2 * 16 - 1 = 31.
 _RULE_NODES = 16
+# Newton iteration for its nodes: a step below _NEWTON_RTOL * x leaves an
+# error far below rounding, and one more evaluation gives the weight.
+_NEWTON_RTOL = 1e-10
+_NEWTON_STEPS = 100
 
 
 class RadialIntegralPair(NamedTuple):
@@ -199,11 +206,13 @@ def _index_integrals(c: _Channel, n: int) -> tuple[tuple[float, float, float], .
 
 
 def _sturmian_parts(c: _Channel, x, n_max: int) -> tuple:
-    """What the doublets of every |n_r| <= n_max take from x = 4Zr: the
-    envelope (4Zr)**gamma_kappa * exp(-2Zr) without its normalization, and
-    [L_{-1}, L_0, ..., L_{n_max}] of order 2 gamma_kappa, from one run of
-    the Laguerre recurrence.  Neither depends on the sign of n_r."""
-    return np.exp(c.gk * np.log(x) - 0.5 * x), _laguerre_table(n_max, 2.0 * c.gk, x)
+    """What the doublets of every |n_r| <= n_max take from the floats
+    x = 4Zr: the envelope (4Zr)**gamma_kappa * exp(-2Zr) without its
+    normalization, and [L_{-1}, L_0, ..., L_{n_max}] of order 2 gamma_kappa,
+    each a tuple over x, from one run of the Laguerre recurrence.  Neither
+    depends on the sign of n_r."""
+    envelope = tuple(math.exp(c.gk * math.log(xi) - 0.5 * xi) for xi in x)
+    return envelope, _laguerre_table(n_max, 2.0 * c.gk, x)
 
 
 def _doublets(c: _Channel, n: int, envelope, laguerres) -> list[tuple]:
@@ -229,90 +238,161 @@ def _doublets(c: _Channel, n: int, envelope, laguerres) -> list[tuple]:
     out = []
     for nn in _caps(n, gk, kappa):
         norm = math.exp(0.5 * (log_head - math.log(nn * (nn - kappa)) - log_tail))
-        high = (nn - kappa) / n2gk * lag_n
+        ratio = (nn - kappa) / n2gk
+        plus, minus = root_plus * norm, -root_minus * norm
         out.append((
-            (root_plus * norm) * envelope * (low - high),
-            (-root_minus * norm) * envelope * (low + high),
+            tuple(plus * e * (lo - ratio * hi) for e, lo, hi in zip(envelope, low, lag_n)),
+            tuple(minus * e * (lo + ratio * hi) for e, lo, hi in zip(envelope, low, lag_n)),
         ))
     return out
 
 
-def roots_genlaguerre(weight_power: float):
-    """Nodes and weights of the _RULE_NODES-point generalized Gauss-Laguerre
-    rule for the weight x**weight_power * exp(-x) on (0, inf).
+def roots_genlaguerre(weight_power: float, nodes: int = _RULE_NODES):
+    """Nodes and weights, two tuples of floats, of the ``nodes``-point
+    generalized Gauss-Laguerre rule for the weight x**weight_power * exp(-x)
+    on (0, inf); the rule is exact for polynomials of degree <= 2 nodes - 1.
 
-    The nodes are the eigenvalues of the Jacobi matrix of the generalized
-    Laguerre polynomials (diagonal 2i + alpha + 1, off-diagonal
-    sqrt(i (i + alpha))); each weight is Gamma(alpha + 1) times the squared
-    first component of its normalized eigenvector (Golub and Welsch 1969).
+    Each node is a root of L_m of order alpha = weight_power, m = nodes,
+    found by Newton iteration from the starting guesses of ``gaulag``
+    (Numerical Recipes, 2nd ed., sec. 4.5).  The three-term recurrence runs
+    in the form that keeps its relative accuracy near x = 0: with
+    p_k = L_k / B_k, B_k = binom(k + alpha, k), and d_k = p_k - p_{k-1},
+    d_{k+1} = -x / (k + alpha + 1) p_k + k / (k + alpha + 1) d_k, and
+    p_m' = m d_m / x.  The weight of a node x is
+    Gamma(alpha + 1) x / (m (m + alpha) B_{m-1} p_{m-1}(x)**2), with
+    p_{m-1} = p_m - d_m.
     """
-    alpha = weight_power
+    alpha, m = weight_power, nodes
     if not alpha > -1.0:
         raise ValueError(f"weight_power must exceed -1, got {alpha!r}")
-    i = np.arange(_RULE_NODES, dtype=float)
-    off = np.sqrt(i[1:] * (i[1:] + alpha))
-    jacobi = np.diag(2.0 * i + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
-    nodes, vectors = np.linalg.eigh(jacobi)
-    return nodes, math.gamma(alpha + 1.0) * vectors[0] ** 2
+    if m < 1:
+        raise ValueError(f"nodes must be at least 1, got {m!r}")
+    dens = [k + alpha + 1.0 for k in range(m)]
+    steps = [(dens[k], k / dens[k]) for k in range(1, m)]
+    binom = 1.0  # B_{m-1}
+    for k in range(1, m):
+        binom *= 1.0 + alpha / k
+    front = math.gamma(alpha + 1.0) / (m * (m + alpha) * binom)
+    xs: list[float] = []
+    ws: list[float] = []
+    x = 0.0
+    for i in range(m):
+        if i == 0:
+            x = (1.0 + alpha) * (3.0 + 0.92 * alpha) / (1.0 + 2.4 * m + 1.8 * alpha)
+        elif i == 1:
+            x += (15.0 + 6.25 * alpha) / (1.0 + 0.9 * alpha + 2.5 * m)
+        else:
+            ai = i - 1.0
+            x += (
+                ((1.0 + 2.55 * ai) / (1.9 * ai) + 1.26 * ai * alpha / (1.0 + 3.5 * ai))
+                * (x - xs[i - 2]) / (1.0 + 0.3 * alpha)
+            )
+        done = False
+        for _ in range(_NEWTON_STEPS):
+            d = -x / dens[0]
+            p = d + 1.0
+            for den, ratio in steps:
+                d = -x / den * p + ratio * d
+                p += d
+            if done:
+                break
+            step = p * x / (m * d)
+            x -= step
+            # Quadratic convergence: the step after this one is below rounding.
+            done = abs(step) <= _NEWTON_RTOL * x
+        else:  # out of steps, or the last one never evaluated
+            done = False
+        if not done or not x > (xs[-1] if xs else 0.0):
+            raise ConvergenceError(
+                f"Newton iteration missed node {i} of the {m}-node Gauss-Laguerre rule "
+                f"for weight_power={alpha!r}"
+            )
+        q = p - d
+        xs.append(x)
+        ws.append(front * x / q / q)
+    return tuple(xs), tuple(ws)
 
 
 @lru_cache(maxsize=64)
-def _laguerre_rule(weight_power: float):
+def _laguerre_rule(weight_power: float, nodes: int = _RULE_NODES):
     """Nodes x of roots_genlaguerre and its weights divided by the weight
-    function, W = w * exp(x) / x**weight_power, so that sum(W * f(x))
-    integrates f itself."""
-    x, w = roots_genlaguerre(weight_power)
-    return x, w * np.exp(x) / x**weight_power
+    function, W = w * exp(x) / x**weight_power, formed in log space, so that
+    sum(W * f(x)) integrates f itself."""
+    x, w = roots_genlaguerre(weight_power, nodes)
+    return x, tuple(
+        math.exp(math.log(wi) + xi - weight_power * math.log(xi)) for xi, wi in zip(x, w)
+    )
 
 
-def gauss_laguerre_integral(func, weight_power: float, scale: float) -> float:
+def gauss_laguerre_integral(func, weight_power: float, scale: float, nodes: int = _RULE_NODES) -> float:
     """Integrate func over (0, inf) assuming func(r) behaves like
     (scale*r)**weight_power * exp(-scale*r) * smooth(scale*r).
 
-    func is evaluated at the nodes r = x / scale and multiplied by the rule's
-    pre-scaled weights, so integrands may be evaluated in their natural
-    (exponentially small) form, and zeros and signs pass through unchanged.
-    The rule has _RULE_NODES = 16 nodes, so it is exact, up to rounding, when
-    the smooth remainder is a polynomial of degree <= 31.
+    func is called once, with the list of nodes r = x / scale, and returns
+    the integrand's values there (any sequence of numbers); they are
+    multiplied by the rule's pre-scaled weights, so integrands may be
+    evaluated in their natural (exponentially small) form, and zeros and
+    signs pass through unchanged.  With ``nodes`` = m the rule is exact, up
+    to rounding, when the smooth remainder is a polynomial of degree
+    <= 2m - 1 (31 for the default 16 nodes).
     """
-    x, weights = _laguerre_rule(weight_power)
-    return math.fsum((weights * func(x / scale)).tolist()) / scale
+    x, weights = _laguerre_rule(weight_power, nodes)
+    values = func([xi / scale for xi in x])
+    return math.fsum([w * f for w, f in zip(weights, values)]) / scale
 
 
 class _Nodes(NamedTuple):
     """One channel's quadrature nodes r, with the ground-state doublet
-    (P, Q), the Sturmian envelope and the Laguerre values on them."""
+    (P, Q), the Sturmian envelope and the Laguerre values on them, each a
+    tuple over the nodes."""
 
     power: float
     scale: float
-    p: np.ndarray
-    q: np.ndarray
-    envelope: np.ndarray
-    laguerres: list[np.ndarray]  # L_{-1}, ..., L_{n_max} of order 2 gamma_kappa
+    p: tuple[float, ...]
+    q: tuple[float, ...]
+    envelope: tuple[float, ...]
+    laguerres: list[tuple[float, ...]]  # L_{-1}, ..., L_{n_max} of order 2 gamma_kappa
 
 
-def _nodes(c: _Channel, spec: AtomSpec, n_max: int) -> _Nodes:
+def _radial_pq(c: _Channel, x) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The ground-state pair (P, Q) of atom.radial_PQ at the points x = 4Zr,
+    in plain floats: the shape (4Zr)**g exp(-2Zr) with the norm
+    sqrt(2Z / Gamma(2g + 1)), times sqrt(1 + 2g) and sqrt(1 - 2g)."""
+    log_norm = 0.5 * (math.log(2.0 * c.z) - c.log_gamma_2g1)
+    shape = [math.exp(c.g * math.log(xi) - 0.5 * xi + log_norm) for xi in x]
+    root_plus, root_minus = math.sqrt(1.0 + 2.0 * c.g), math.sqrt(1.0 - 2.0 * c.g)
+    return tuple(root_plus * s for s in shape), tuple(root_minus * s for s in shape)
+
+
+def _nodes(c: _Channel, n_max: int) -> _Nodes:
     # Every index of a channel has the weight power gamma_{1/2} +
-    # gamma_kappa + 1, so it is integrated on the same nodes r = x / 4Z.
+    # gamma_kappa + 1, so it is integrated on the same nodes r = x / 4Z, and
+    # its remainder has degree |n_r| <= n_max: n_max + 1 nodes are exact.
+    # Everything is evaluated at 4Z r, for the r gauss_laguerre_integral passes.
     power = c.g + c.gk + 1.0
     scale = 4.0 * c.z
-    r = _laguerre_rule(power)[0] / scale
-    p, q = radial_PQ(spec, r)
-    return _Nodes(power, scale, p, q, *_sturmian_parts(c, scale * r, n_max))
+    x = [scale * (xi / scale) for xi in _laguerre_rule(power, n_max + 1)[0]]
+    return _Nodes(power, scale, *_radial_pq(c, x), *_sturmian_parts(c, x, n_max))
 
 
 def _quadrature_integrals(c: _Channel, n: int, nodes: _Nodes) -> list[RadialIntegralPair]:
     """Quadrature integrals of n_r = n and, for n > 0, of n_r = -n; the two
     integrals of an index are evaluated on one set of doublets."""
+    size = len(nodes.p)
     out = []
     for nn, (s, t) in zip(_caps(n, c.gk, c.kappa), _doublets(c, n, nodes.envelope, nodes.laguerres)):
-        qt = nodes.q * t
+        qt = [qi * ti for qi, ti in zip(nodes.q, t)]
 
         def integral(weight: float) -> float:
             # r (weight P S + Q T); gauss_laguerre_integral passes the nodes
             # r that P, S and T were evaluated at.
             return gauss_laguerre_integral(
-                lambda r: r * (weight * nodes.p * s + qt), nodes.power, nodes.scale
+                lambda r: [
+                    ri * (weight * pi * si + qti) for ri, pi, si, qti in zip(r, nodes.p, s, qt)
+                ],
+                nodes.power,
+                nodes.scale,
+                size,
             )
 
         out.append(RadialIntegralPair(integral(1.0), integral(_mu(n, c.gk, nn, c.g))))
@@ -330,10 +410,11 @@ def channel_first_order_integrals(
     (4Zr)**(gamma_{1/2} + gamma_kappa + 1), so the remaining factor is a
     polynomial of degree |n_r| and the rule is exact up to rounding.  The
     channel's constants, nodes and ground-state doublet are computed once,
-    and each |n_r| once for both signs.
+    and each |n_r| once for both signs.  The rule has n_max + 1 nodes, so it
+    is exact for every n_max.
     """
     c = _channel(ch, spec)
-    nodes = _nodes(c, spec, n_max)
+    nodes = _nodes(c, n_max)
     by_index = {}
     for n in range(n_max + 1):
         exact = _index_integrals(c, n)
@@ -484,6 +565,8 @@ def axial_spinor(ch: ChannelIndex, m: float, phi):
     """
     if 2.0 * m != round(2.0 * m) or abs(m) != abs(ch.kappa):
         raise ValueError(f"m must equal +-kappa, got m={m} for kappa={ch.kappa}")
+    import numpy as np  # only the check-only helpers take arrays
+
     phis = np.asarray(phi, dtype=float)
     norm = 1.0 / math.sqrt(2.0 * math.pi)
     upper = np.zeros(phis.shape, dtype=complex)
@@ -519,6 +602,8 @@ def first_order_shift(coefficients=(1.0, 0.0)) -> float:
     matrix vanishes under the dipole selection rule and the shift is zero
     for any admissible mixing coefficients.
     """
+    import numpy as np
+
     a, b = coefficients
     if not math.isclose(abs(a) ** 2 + abs(b) ** 2, 1.0, rel_tol=0.0, abs_tol=1e-12):
         raise ValueError("mixing coefficients must satisfy |a|^2 + |b|^2 = 1")

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from diracpol.atom import ALPHA_INV_CODATA2014, AtomSpec, ChannelIndex
+from diracpol.atom import ALPHA_INV_CODATA2014, AtomSpec, ChannelIndex, critical_charge
 from diracpol.cli import run
 from diracpol.polarizability import polarizability_planar, r_channel_closed
 
@@ -362,12 +362,50 @@ class TestImportDiet:
             ),
             ([["table", "--format", "csv"]], ("diracpol.sturmian",)),
             ([["crosscheck", "--Z", "12.3"]], ("diracpol.tablegen",)),
+            # The oracle runs on plain floats.
+            (
+                [
+                    ["crosscheck", "--Z", z, *fmt]
+                    for z in ("1e-3", "26")
+                    for fmt in ([], ["--format", "json"])
+                ],
+                ("diracpol.tablegen", "numpy"),
+            ),
         ],
-        ids=["closed-form", "spatial-near-critical", "table", "crosscheck"],
+        ids=["closed-form", "spatial-near-critical", "table", "crosscheck", "crosscheck-without-numpy"],
     )
     def test_commands_load_only_what_they_use(self, argvs, watched):
         proc = self._fresh(self.UNUSED.format(argvs=argvs, watched=watched))
         assert proc.stdout.split() == []
+
+    @pytest.mark.parametrize(
+        "z, numpy_after",
+        [
+            ("26", False),
+            # Two 9,729-term 3F2 sums pass the pure-Python producer's budget,
+            # so numpy loads part-way through the command.
+            (repr(math.nextafter(critical_charge("planar"), 0.0)), True),
+        ],
+        ids=["Z=26", "near-critical"],
+    )
+    def test_cold_crosscheck_bytes_equal_a_run_with_numpy_loaded(self, capsys, z, numpy_after):
+        script = textwrap.dedent(
+            """
+            import contextlib, io, sys
+            from diracpol.cli import run
+
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = run({argv!r})
+            print(code, "numpy" in sys.modules)
+            sys.stdout.write(out.getvalue())
+            """
+        )
+        argv = ["crosscheck", "--Z", z, "--format", "json"]
+        status, cold = self._fresh(script.format(argv=argv)).stdout.split("\n", 1)
+        assert status == f"0 {numpy_after}"
+        assert "numpy" in sys.modules
+        assert _capture(capsys, argv) == (0, cold)
 
     def test_table_crossing_the_pure_budget_keeps_the_golden_bytes(self):
         # The table's series pass the pure-Python producer's budget after

@@ -107,7 +107,7 @@ class TestSurface:
             if path.name != "specfun.py":
                 assert _referenced_names(path).isdisjoint(internals), path.name
 
-    def test_only_the_oracle_imports_numpy_when_it_loads(self):
+    def test_no_module_imports_numpy_when_it_loads(self):
         # Function bodies may import numpy; what runs at import may not.
         def module_level(body):
             for node in body:
@@ -124,8 +124,7 @@ class TestSurface:
                     imported.update(alias.name.split(".")[0] for alias in node.names)
                 elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
                     imported.add(node.module.split(".")[0])
-            if path.name != "sturmian.py":
-                assert "numpy" not in imported, path.name
+            assert "numpy" not in imported, path.name
 
     def test_import_loads_no_numpy_and_its_users_still_work(self):
         script = (

@@ -199,14 +199,14 @@ class TestLaguerre:
         # one point at a time; both equal the recurrence run to each degree
         # on its own in plain floats.
         rng = np.random.default_rng(23)
-        points = [_laguerre_rule(power)[0] for power in (alpha, 1.37)]
+        points = [np.array(_laguerre_rule(power)[0]) for power in (alpha, 1.37)]
         points.append(rng.uniform(0.0, 60.0, 16))
         for xs in points:
-            table = _laguerre_table(31, alpha, xs)
+            table = _laguerre_table(31, alpha, xs.tolist())
             assert len(table) == 33
             for n in range(-1, 32):
                 want = [float.hex(_laguerre_one_degree(n, alpha, x)) for x in xs.tolist()]
-                assert [float.hex(v) for v in table[n + 1].tolist()] == want
+                assert [float.hex(v) for v in table[n + 1]] == want
                 assert [float.hex(v) for v in laguerre(n, alpha, xs).tolist()] == want
                 for x, v in zip(xs.tolist()[::5], want[::5]):
                     assert float.hex(laguerre(n, alpha, x)) == v

@@ -20,7 +20,7 @@ from diracpol.atom import (
 )
 from diracpol.cli import run
 from diracpol.polarizability import polarizability_sturmian
-from diracpol.specfun import laguerre, log_gamma
+from diracpol.specfun import ConvergenceError, laguerre, log_gamma
 from diracpol.sturmian import (
     _caps,
     _channel,
@@ -30,6 +30,7 @@ from diracpol.sturmian import (
     _log_factorial,
     _mu,
     _nodes,
+    _radial_pq,
     _sturmian_parts,
     channel_first_order_integrals,
     gauss_laguerre_integral,
@@ -40,6 +41,10 @@ from diracpol.sturmian import (
 mpmath.mp.dps = 40
 
 CHANNELS = (ChannelIndex(0.5), ChannelIndex(-1.5))
+
+# The crosscheck contract for closed first-order integrals against their
+# quadrature, on the scale of the channel's largest integral.
+QUADRATURE_TOL = 1e-12
 
 # Sturmian doublet at r = 1 for Z = 26, n_r = 2, kappa = 1/2, frozen from a
 # 40-digit term-by-term evaluation of the defining expression.
@@ -57,10 +62,12 @@ def _mu_of(n_r: int, ch: ChannelIndex, spec: AtomSpec) -> float:
 
 
 def _st(n_r: int, ch: ChannelIndex, spec: AtomSpec, r):
-    """Sturmian doublet (S, T) of one index at r, from the shared kernel."""
+    """Sturmian doublet (S, T) of one index at the point r, or as arrays at
+    each point of the sequence r, from the shared kernel."""
     c = _channel(ch, spec)
-    x = 4.0 * spec.Z * np.asarray(r, dtype=float)
-    return _doublets(c, abs(n_r), *_sturmian_parts(c, x, abs(n_r)))[n_r < 0]
+    x = (4.0 * spec.Z * np.atleast_1d(np.asarray(r, dtype=float))).tolist()
+    s, t = _doublets(c, abs(n_r), *_sturmian_parts(c, x, abs(n_r)))[n_r < 0]
+    return (s[0], t[0]) if np.ndim(r) == 0 else (np.array(s), np.array(t))
 
 
 def _integrals(n_r: int, ch: ChannelIndex, spec: AtomSpec) -> tuple[float, float, float]:
@@ -68,24 +75,27 @@ def _integrals(n_r: int, ch: ChannelIndex, spec: AtomSpec) -> tuple[float, float
     return _index_integrals(_channel(ch, spec), abs(n_r))[n_r < 0]
 
 
-def _one_rule_per_integrand(n_r: int, ch: ChannelIndex, spec: AtomSpec) -> tuple[float, float]:
-    """(plain, mu_weighted) of one index, one Gauss-Laguerre rule per integrand."""
+def _one_rule_per_integrand(
+    n_r: int, ch: ChannelIndex, spec: AtomSpec, nodes: int
+) -> tuple[float, float]:
+    """(plain, mu_weighted) of one index, one Gauss-Laguerre rule per
+    integrand, each evaluated on its own from the nodes r it is passed."""
+    c = _channel(ch, spec)
     power = gamma_half(spec) + gamma_kappa(spec, ch) + 1.0
     mu_val = _integrals(n_r, ch, spec)[2]
 
-    def plain(r):
-        p, q = radial_PQ(spec, r)
-        s, t = _st(n_r, ch, spec, r)
-        return r * (p * s + q * t)
+    def integrand(weight):
+        def func(r):
+            x = [4.0 * spec.Z * ri for ri in r]
+            p, q = _radial_pq(c, x)
+            s, t = _doublets(c, abs(n_r), *_sturmian_parts(c, x, abs(n_r)))[n_r < 0]
+            return [ri * (weight * pi * si + qi * ti) for ri, pi, si, qi, ti in zip(r, p, s, q, t)]
 
-    def weighted(r):
-        p, q = radial_PQ(spec, r)
-        s, t = _st(n_r, ch, spec, r)
-        return r * (mu_val * p * s + q * t)
+        return func
 
     return (
-        gauss_laguerre_integral(plain, power, 4.0 * spec.Z),
-        gauss_laguerre_integral(weighted, power, 4.0 * spec.Z),
+        gauss_laguerre_integral(integrand(1.0), power, 4.0 * spec.Z, nodes),
+        gauss_laguerre_integral(integrand(mu_val), power, 4.0 * spec.Z, nodes),
     )
 
 
@@ -210,17 +220,28 @@ class TestSturmianST:
         rng = np.random.default_rng(29)
         for ch in CHANNELS:
             c = _channel(ch, spec)
-            nodes = _nodes(c, spec, 31)
-            x_nodes = nodes.scale * (_laguerre_rule(nodes.power)[0] / nodes.scale)
-            x_random = rng.uniform(0.0, 60.0, 16)
+            nodes = _nodes(c, 31)
+            x_nodes = [nodes.scale * (x / nodes.scale) for x in _laguerre_rule(nodes.power, 32)[0]]
+            x_random = rng.uniform(0.0, 60.0, 16).tolist()
             for x, table in (
                 (x_nodes, nodes.laguerres),
                 (x_random, _sturmian_parts(c, x_random, 31)[1]),
             ):
                 assert len(table) == 33
                 for n in range(-1, 32):
-                    want = laguerre(n, 2.0 * c.gk, x).tolist()
-                    assert [float.hex(v) for v in table[n + 1].tolist()] == [float.hex(v) for v in want]
+                    want = laguerre(n, 2.0 * c.gk, np.array(x)).tolist()
+                    assert [float.hex(v) for v in table[n + 1]] == [float.hex(v) for v in want]
+
+    @pytest.mark.parametrize("z", [1e-3, 26.0, 68.5])
+    def test_ground_doublet_matches_radial_pq(self, z):
+        # The quadrature's plain-float (P, Q) against atom.radial_PQ.
+        spec = AtomSpec(z, "planar")
+        c = _channel(CHANNELS[0], spec)
+        r = np.random.default_rng(31).uniform(0.0, 60.0, 16) / (4.0 * z)
+        p, q = _radial_pq(c, (4.0 * z * r).tolist())
+        want_p, want_q = radial_PQ(spec, r)
+        np.testing.assert_allclose(p, want_p, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(q, want_q, rtol=1e-14, atol=0.0)
 
     def test_pointwise_negative_index(self):
         spec = AtomSpec(26.0, "planar")
@@ -239,7 +260,7 @@ class TestGaussLaguerreRule:
 
         nodes, weights = roots_genlaguerre(alpha)
         ref_nodes, ref_weights = scipy_roots_genlaguerre(16, alpha)
-        assert nodes.shape == weights.shape == (16,)
+        assert len(nodes) == len(weights) == 16
         np.testing.assert_allclose(nodes, ref_nodes, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(weights, ref_weights, rtol=1e-12, atol=0.0)
 
@@ -248,13 +269,69 @@ class TestGaussLaguerreRule:
         # integral of x**(alpha + k) e**-x over (0, inf) is Gamma(alpha + k + 1).
         nodes, weights = roots_genlaguerre(alpha)
         for k in range(32):
-            moment = math.fsum(weights * nodes**k)
+            moment = math.fsum(w * x**k for x, w in zip(nodes, weights))
             assert moment == pytest.approx(math.gamma(alpha + k + 1.0), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_m_nodes_are_exact_through_degree_2m_minus_1(self, alpha):
+        # m = 16 is the default rule of test_exact_through_degree_31.
+        for m in range(1, 16):
+            nodes, weights = roots_genlaguerre(alpha, m)
+            assert len(nodes) == len(weights) == m
+            assert all(0.0 < a < b for a, b in zip(nodes, nodes[1:]))
+            for k in range(2 * m):
+                moment = math.fsum(w * x**k for x, w in zip(nodes, weights))
+                assert moment == pytest.approx(math.gamma(alpha + k + 1.0), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_at_least_as_close_to_mpmath_as_scipy(self, alpha):
+        # The worst relative error over nodes and weights, against the rule
+        # polished to 40 digits: each node by Newton steps on the
+        # recurrence in mpmath, each weight from
+        # Gamma(m + alpha + 1) x / (m! (m + 1)**2 L_{m+1}(x)**2).
+        from scipy.special import roots_genlaguerre as scipy_roots_genlaguerre
+
+        m, a = 16, mpmath.mpf(alpha)
+
+        def lag(n, order, x):
+            prev, cur = mpmath.mpf(0), mpmath.mpf(1)
+            for k in range(n):
+                prev, cur = cur, ((2 * k + order + 1 - x) * cur - (k + order) * prev) / (k + 1)
+            return cur
+
+        nodes, weights = roots_genlaguerre(alpha, m)
+        ref = []
+        for x0 in nodes:
+            x = mpmath.mpf(x0)
+            for _ in range(5):
+                x += lag(m, a, x) / lag(m - 1, a + 1, x)
+            w = mpmath.gamma(m + a + 1) * x / (mpmath.factorial(m) * (m + 1) ** 2 * lag(m + 1, a, x) ** 2)
+            ref.append((x, w))
+
+        def worst(rule_nodes, rule_weights):
+            return max(
+                max(abs(float(mpmath.mpf(x) / rx - 1)), abs(float(mpmath.mpf(w) / rw - 1)))
+                for x, w, (rx, rw) in zip(rule_nodes, rule_weights, ref)
+            )
+
+        ref_nodes, ref_weights = scipy_roots_genlaguerre(m, alpha)
+        assert worst(nodes, weights) <= worst(ref_nodes.tolist(), ref_weights.tolist())
 
     @pytest.mark.parametrize("alpha", [-1.0, -2.5, math.nan])
     def test_rejects_non_integrable_weight(self, alpha):
         with pytest.raises(ValueError, match="weight_power must exceed -1"):
             roots_genlaguerre(alpha)
+
+    def test_rejects_an_empty_rule(self):
+        with pytest.raises(ValueError, match="nodes must be at least 1"):
+            roots_genlaguerre(0.5, 0)
+
+    def test_refuses_nodes_out_of_order(self):
+        # For a large weight power and many nodes, Newton from the gaulag
+        # guess lands at or below the node before; the rule is refused, not
+        # returned short of a node.
+        with pytest.raises(ConvergenceError, match="missed node 73 of the 80-node"):
+            roots_genlaguerre(20.0, 80)
 
 
 class TestGaussLaguerreIntegral:
@@ -270,7 +347,9 @@ class TestGaussLaguerreIntegral:
         # integral of (s r)**(p + k) e**(-s r) dr over (0, inf) is Gamma(p + k + 1) / s.
         for k in range(32):
             got = gauss_laguerre_integral(
-                lambda r: (scale * r) ** (power + k) * np.exp(-scale * r), power, scale
+                lambda r: (scale * np.asarray(r)) ** (power + k) * np.exp(-scale * np.asarray(r)),
+                power,
+                scale,
             )
             assert got == pytest.approx(math.gamma(power + k + 1.0) / scale, rel=1e-13, abs=0.0)
 
@@ -280,7 +359,7 @@ class TestGaussLaguerreIntegral:
         # L_1^(p)(x) = p + 1 - x changes sign at x = p + 1 and is orthogonal
         # to 1 under the weight x**p e**-x, so the integral vanishes.
         def func(r):
-            x = scale * r
+            x = scale * np.asarray(r)
             return (power + 1.0 - x) * x**power * np.exp(-x)
 
         got = gauss_laguerre_integral(func, power, scale)
@@ -306,6 +385,17 @@ class TestFirstOrderIntegrals:
                 else:
                     assert abs(x - y) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("kappa", [0.5, -1.5])
+    def test_quadrature_is_exact_up_to_index_40(self, kappa):
+        # The rule grows with n_max: 41 nodes integrate |n_r| <= 40, where
+        # a fixed 16-node rule is exact only through |n_r| = 31.
+        pairs = channel_first_order_integrals(ChannelIndex(kappa), AtomSpec(26.0, "planar"), 40)
+        assert len(pairs) == 81
+        scale = max(max(abs(a.plain), abs(a.mu_weighted)) for a, _ in pairs)
+        for exact, quad in pairs:
+            assert abs(exact.plain - quad.plain) <= QUADRATURE_TOL * scale
+            assert abs(exact.mu_weighted - quad.mu_weighted) <= QUADRATURE_TOL * scale
+
     @pytest.mark.parametrize("z", [0.05, 26.0, 68.0])
     def test_quadrature_equals_one_rule_per_integrand(self, z):
         # Each integrand rebuilt from the doublets and integrated on its own:
@@ -314,7 +404,7 @@ class TestFirstOrderIntegrals:
         for ch in CHANNELS:
             pairs = channel_first_order_integrals(ch, spec, 3)
             for n_r, (_, quad) in zip(range(-3, 4), pairs):
-                plain, weighted = _one_rule_per_integrand(n_r, ch, spec)
+                plain, weighted = _one_rule_per_integrand(n_r, ch, spec, 4)
                 assert quad.plain == plain
                 assert quad.mu_weighted == weighted
 
@@ -328,7 +418,7 @@ class TestFirstOrderIntegrals:
             assert len(pairs) == 7
             for n_r, (exact, quad) in zip(range(-3, 4), pairs):
                 plain_exact, weighted_exact, _ = _integrals(n_r, ch, spec)
-                plain_quad, weighted_quad = _one_rule_per_integrand(n_r, ch, spec)
+                plain_quad, weighted_quad = _one_rule_per_integrand(n_r, ch, spec, 4)
                 for got, want in (
                     (exact, (plain_exact, weighted_exact)),
                     (quad, (plain_quad, weighted_quad)),
@@ -450,8 +540,9 @@ def _clear_charge_caches() -> None:
 class TestCaches:
     # SHA-256 of the concatenated crosscheck --format json stdout of
     # _pinned_charges(), taken before _channel and _index_integrals were
-    # cached.
-    PINNED = "1b551e0a5cc3ff1486d5c8e04b1bb46db35389e059ad7fbdc52534dbe17707fc"
+    # cached, and taken again when the quadrature moved to an n_max + 1 node
+    # Newton rule, which changed only the quadrature_max_dev fields.
+    PINNED = "d66b23b20754c59e27a00ab6bf69544321157c995de00588ddab8f6bd8fc8c43"
     CACHES = (_channel, _index_integrals, _log_factorial, _laguerre_rule)
 
     @staticmethod
