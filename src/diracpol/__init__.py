@@ -31,7 +31,6 @@ from .specfun import (
     Hyp3F2Params,
     SeriesDiagnostics,
     hyp3f2_unit,
-    laguerre,
     log_gamma,
 )
 # The table layer loads on first access (PEP 562), so that ``import diracpol``
@@ -85,7 +84,6 @@ __all__ = [
     "generate_table",
     "ground_energy",
     "hyp3f2_unit",
-    "laguerre",
     "log_gamma",
     "nonrel_limit",
     "polarizability_planar",

@@ -1,22 +1,26 @@
-"""Special-function kernels: log-gamma, generalized Laguerre polynomials,
-and the generalized hypergeometric 3F2 at unit argument.
+"""Special-function kernels: log-gamma, the generalized Laguerre
+recurrence, and the generalized hypergeometric 3F2 at unit argument.
 
-Every 3F2 series that does not truncate is summed by one routine,
-``_convergent_terms``: terms in chunks of 512, stopped by one rule
-(``_StopRule``) after the first chunk whose tail bound is small enough.  It
-serves ``hyp3f2_unit`` (the series from its leading 1) and
-``hyp3f2_minus_one`` (the series from its first term, for the relativistic
-shift).  Two producers give the same terms, term count and tail bound:
+Every 3F2 series that does not truncate is summed by one loop,
+``_convergent_terms``: terms in chunks of 512, stopped after the first chunk
+whose tail bound is small enough against a running sum that adds each
+chunk's terms in order, then the chunk sums in order.  It serves
+``hyp3f2_unit`` (the series from its leading 1) and ``hyp3f2_minus_one``
+(the series from its first term, for the relativistic shift).  Two
+producers give the loop the same terms, so the same term count and tail
+bound, and their chunk sums agree bit for bit:
 
-- a pure-Python one, one chunk at a time, used while numpy is not loaded
-  and until the process has computed ``_PURE_BUDGET`` = 2**14 terms with
-  it, so that the closed-form commands never import numpy.  Its running
-  sum for the stop test is sequential; a test that falls within the sum's
-  error bound of the threshold is redone by numpy;
-- a numpy one, as many chunks per pass (``_term_rows``) as the series is
-  predicted to need, at most 16, with the stop rule replayed chunk by
-  chunk, so the terms, their count and the tail bound are those of
-  computing one chunk at a time.
+- ``_pure_terms``, one chunk at a time in plain floats, summed by
+  ``functools.reduce(operator.add, chunk)``; not by ``sum``, which is
+  compensated from Python 3.12 on.  It serves while numpy is not loaded and
+  until the process has computed ``_PURE_BUDGET`` = 2**14 terms with it, so
+  that the closed-form commands never import numpy.  A series that would
+  pass the budget, or whose denominator underflows to zero, is redone from
+  its start by numpy;
+- ``_term_rows``, as many chunks per numpy pass as the series is predicted
+  to need, at most 16, summed by ``np.add.accumulate`` along each row; the
+  loop tests them chunk by chunk, so the result is that of computing one
+  chunk at a time.
 
 numpy is imported only by the functions that use it.  Every series returns
 the correctly rounded sum of its computed terms, the value ``math.fsum``
@@ -32,8 +36,9 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import reduce
 from itertools import accumulate
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 # Relative tolerance floor for series evaluation; requests below it are
@@ -288,37 +293,11 @@ def log_gamma_drop(n: float, eps: float) -> float:
     return log_gamma(n - eps) - log_gamma(n)
 
 
-def laguerre(n: int, alpha: float, x):
-    """Generalized Laguerre polynomial L_n^(alpha)(x) by the three-term
-    recurrence, with L_{-1} defined to be identically zero.
-
-    Parameters
-    ----------
-    n : int
-        Degree, n >= -1.
-    alpha : float
-        Order parameter, alpha > -1.
-    x : float or ndarray
-        Evaluation point(s), x >= 0.
-
-    Returns
-    -------
-    float or ndarray
-        Polynomial value(s); scalar input yields a scalar.
-    """
-    import numpy as np
-
-    if n < -1:
-        raise ValueError(f"laguerre requires n >= -1, got n={n}")
-    xs = np.asarray(x, dtype=float)
-    out = np.array(_laguerre_table(n, alpha, xs.ravel().tolist())[-1]).reshape(xs.shape)
-    return float(out) if xs.ndim == 0 else out
-
-
 def _laguerre_table(n: int, alpha: float, xs) -> list[tuple[float, ...]]:
-    """[L_{-1}, L_0, ..., L_n] of order alpha at the floats xs, one tuple over
-    xs per degree, from one run of the three-term recurrence in plain floats;
-    entry k + 1 is laguerre(k, alpha, xs) bit for bit."""
+    """[L_{-1}, L_0, ..., L_n] of the generalized Laguerre polynomials of
+    order alpha at the floats xs, one tuple over xs per degree, from one run
+    of the three-term recurrence in plain floats, L_{-1} being zero:
+    (k + 1) L_{k+1} = (2k + alpha + 1 - x) L_k - (k + alpha) L_{k-1}."""
     prev, cur = (0.0,) * len(xs), (1.0,) * len(xs)
     table = [prev, cur][: n + 2]
     for k in range(n):
@@ -367,7 +346,8 @@ def _pure_terms(
     terms t_{k_first+1}, ..., t_{k_first+n} of the series p, given
     t_{k_first} = t_first, as plain floats: the bits ``_term_rows`` puts in
     one row, from the same operations in the same order; None for a zero
-    denominator."""
+    denominator.  The n terms are charged to ``_pure_spent``."""
+    global _pure_spent
     a1, a2, a3, b1, b2 = p
     try:
         ratios = [
@@ -376,6 +356,7 @@ def _pure_terms(
         ]
     except ZeroDivisionError:  # an underflowed denominator, which numpy divides by
         return None
+    _pure_spent += n
     terms = list(accumulate(ratios, mul))
     if t_first != 1.0:
         terms = [t * t_first for t in terms]
@@ -408,174 +389,84 @@ def _predicted_chunks(p: Hyp3F2Params, balance: float, tol: float) -> int:
         return 1
 
 
-def _tail_test(tail: float, tol: float, approx: float, slack: float) -> bool | None:
-    """Whether tail <= tol * max(|s|, _TINY) for the running sum s of the
-    numpy producer, given that s lies within ``slack`` > 0 of ``approx``:
-    True, False, or None when s could fall on either side."""
-    if tail != tail:  # a NaN tail fails the test whatever the sum
-        return False
-    high = abs(approx) + slack
-    if not high < math.inf:  # an overflowing or NaN sum: no bracket
-        return None
-    # tol * max(|s|, _TINY) rounds monotonically in |s|, so its values at
-    # the ends of the bracket, each rounded outwards, bound it.
-    low = math.nextafter(abs(approx) - slack, -math.inf)
-    if tail <= tol * max(low, _TINY):
-        return True
-    if not tail <= tol * max(math.nextafter(high, math.inf), _TINY):
-        return False
-    return None
-
-
-class _StopRule:
-    """The stop rule of the convergent unit-argument series p at tolerance
-    tol, which both term producers apply after every chunk.
-
-    The series stops after the first chunk whose last term t_{k0-1} is zero,
-    or whose power-law tail bound |t_{k0-1}| k0 / (s - 1), s the balance (s
-    for s <= 1, where no tight tolerance is reachable anyway), is at most
-    ``tol`` times the running sum of the terms, past the index from which
-    every factor of the term ratio is positive and with every ratio of the
-    chunk in (0, 1).
-    """
-
-    __slots__ = ("tol", "balance", "denom", "k_min")
-
-    def __init__(self, p: Hyp3F2Params, tol: float) -> None:
-        balance = p.balance()
-        if balance <= 0.0:
-            raise ConvergenceError(
-                f"series diverges at unit argument: b-sum - a-sum = {balance} <= 0"
-            )
-        self.tol = tol
-        self.balance = balance
-        self.denom = balance - 1.0 if balance > 1.0 else balance
-        self.k_min = max(0.0, -p.a1, -p.a2, -p.a3, -p.b1, -p.b2) + 2
-
-    def stops(self, k0: int, t_last: float, approx: float, slack: float, ratio_range) -> float | bool | None:
-        """The tail bound if the series stops after the chunk that ends at
-        t_{k0-1}, with running sum ``approx`` known to within ``slack``;
-        False if it goes on, and None when the slack leaves the tail test
-        open.  ``ratio_range()`` gives the least and the greatest ratio of
-        the chunk and is called last."""
-        tail = abs(t_last) * k0 / self.denom
-        if t_last == 0.0:
-            return tail
-        if not k0 > self.k_min:
-            return False
-        if slack:
-            verdict = _tail_test(tail, self.tol, approx, slack)
-        else:
-            verdict = tail <= self.tol * max(abs(approx), _TINY)
-        if verdict is False:
-            return False
-        lo, hi = ratio_range()
-        if not (lo > 0.0 and hi < 1.0):
-            return False
-        return tail if verdict else None
-
-    def capped(self) -> ConvergenceError:
-        return ConvergenceError(
-            f"3F2 series did not reach tol={self.tol:g} within {MAX_TERMS} terms"
-        )
-
-
-def _pure_convergent(p: Hyp3F2Params, rule: _StopRule, first: int, allowance: float):
-    """The terms t_first, ..., t_{k0-1} as a list, k0 and the tail bound,
-    computed one chunk at a time in plain floats; None when the next chunk
-    would exceed ``allowance`` terms or the stop test is left open.
-
-    The running sum of the stop test adds the chunks in order, each summed
-    in order, so it differs from the numpy producer's, whose chunk sums are
-    pairwise, by at most 2 gamma_k0 sum|t| (gamma_n = n u / (1 - n u),
-    Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 4.2);
-    ``_tail_test`` decides only what holds for every sum in that bracket.
-    """
-    global _pure_spent
-    terms = [1.0] if first == 0 else []
-    approx = magnitude = 1.0 if first == 0 else 0.0  # sums of t and of |t|
-    t_last, k0 = 1.0, 1  # k0 = 1 + _CHUNK * (chunks summed)
-    try:
-        while k0 <= MAX_TERMS:
-            if k0 - 1 + _CHUNK > allowance:
-                return None
-            made = _pure_terms(p, k0 - 1, _CHUNK, t_last)
-            if made is None:
-                return None
-            ratios, chunk = made
-            terms += chunk
-            t_last = chunk[-1]
-            approx += sum(chunk)
-            magnitude += sum(map(abs, chunk))
-            k0 += _CHUNK
-            # 4 k0 u >= 2 gamma_k0 with room for the rounding of magnitude;
-            # below 2**1022 no partial sum of either producer overflows.
-            slack = max(k0 * magnitude * 2.0**-51, _TINY) if magnitude < 2.0**1022 else math.inf
-            tail = rule.stops(k0, t_last, approx, slack, lambda: (min(ratios), max(ratios)))
-            if tail is not False:
-                return None if tail is None else (terms, k0, tail)
-        raise rule.capped()
-    finally:
-        _pure_spent += k0 - 1
-
-
-def _numpy_convergent(p: Hyp3F2Params, rule: _StopRule, first: int):
-    """The terms t_first, ..., t_{k0-1} as an array, k0 and the tail bound.
-
-    The passes cover the chunks ``_predicted_chunks`` gives, then doubling
-    counts, at most ``_MAX_BATCH`` chunks each, and the stop rule is replayed
-    on them chunk by chunk, each chunk's numpy sum added in order to the
-    running sum; chunks past the stopping one are dropped, so the prediction
-    changes the time, never the result.
-    """
-    import numpy as np
-
-    if first == 0:
-        approx = scale = 1.0
-    else:  # 3F2 - 1 is about its first term, which scales the prediction
-        approx, scale = 0.0, abs(p.a1 * p.a2 * p.a3 / (p.b1 * p.b2))
-    chunks = min(_predicted_chunks(p, rule.balance, rule.tol * scale), _MAX_CHUNKS)
-    terms = np.empty(1 + chunks * _CHUNK)
-    terms[0] = 1.0
-    t_last, k0 = 1.0, 1  # k0 = 1 + _CHUNK * (chunks summed)
-    while k0 <= MAX_TERMS:
-        summed = k0 // _CHUNK
-        if summed == chunks:
-            chunks = min(2 * summed, _MAX_CHUNKS)
-            grown = np.empty(1 + chunks * _CHUNK)
-            grown[:k0] = terms
-            terms = grown
-        batch = min(chunks - summed, _MAX_BATCH)
-        rows = terms[k0 : k0 + batch * _CHUNK].reshape(batch, _CHUNK)
-        ratios = _term_rows(p, rows, k0 - 1, t_last)
-        sums = np.add.reduce(rows, axis=1).tolist()  # each row's own pairwise sum
-        for j, (chunk_sum, t_last) in enumerate(zip(sums, rows[:, -1].tolist())):
-            approx += chunk_sum
-            k0 += _CHUNK
-            tail = rule.stops(k0, t_last, approx, 0.0, lambda: (ratios[j].min(), ratios[j].max()))
-            if tail is not False:
-                return terms[first:k0], k0, tail
-    raise rule.capped()
-
-
 def _convergent_terms(p: Hyp3F2Params, tol: float, first: int):
     """The terms t_first, ..., t_{k0-1} of the convergent unit-argument
     series p (first = 0 for 3F2, 1 for 3F2 - 1), with k0 and the tail bound.
 
-    The terms come in chunks of ``_CHUNK`` and stop by ``_StopRule``.  Until
-    numpy is loaded, and within the process's ``_PURE_BUDGET``, they come
-    from the pure-Python producer, as a list; past the budget, when its
-    running sum cannot settle the stop test, or for a denominator that
-    underflows to zero, from numpy's, as an array.
-    Both give the same terms, k0 and tail bound.
+    The terms come in chunks of ``_CHUNK``.  The series stops after the
+    first chunk whose last term t_{k0-1} is zero, or whose power-law tail
+    bound |t_{k0-1}| k0 / (s - 1), s the balance (s for s <= 1, where no
+    tight tolerance is reachable anyway), is at most ``tol`` times the
+    running sum, past the index from which every factor of the term ratio
+    is positive and with every ratio of the chunk in (0, 1).  The running
+    sum adds each chunk's terms in order, then the chunk sums in order.
+
+    Until numpy is loaded, and within the process's ``_PURE_BUDGET``, the
+    chunks come one at a time from ``_pure_terms``, as a list.  A series
+    that would pass the budget, or whose denominator underflows to zero, is
+    redone from its start by ``_term_rows``, into an array, as many chunks
+    per pass as ``_predicted_chunks`` gives, then doubling counts, at most
+    ``_MAX_BATCH`` each; the chunks past the stopping one are dropped, so
+    the prediction changes the time, never the result.  Both producers
+    give the same terms, k0 and tail bound.
     """
-    rule = _StopRule(p, tol)
+    balance = p.balance()
+    if balance <= 0.0:
+        raise ConvergenceError(
+            f"series diverges at unit argument: b-sum - a-sum = {balance} <= 0"
+        )
+    denom = balance - 1.0 if balance > 1.0 else balance
+    k_min = max(0.0, -p.a1, -p.a2, -p.a3, -p.b1, -p.b2) + 2
     allowance = _pure_allowance()
-    if allowance >= _CHUNK:
-        found = _pure_convergent(p, rule, first, allowance)
-        if found is not None:
-            return found
-    return _numpy_convergent(p, rule, first)
+    pure = allowance >= _CHUNK
+    head = 1.0 if first == 0 else 0.0  # the running sum before the first chunk
+    terms, approx, t_last, k0 = [1.0], head, 1.0, 1  # k0 = 1 + _CHUNK * (chunks summed)
+    chunks = 0  # the chunks the numpy array holds
+    while k0 <= MAX_TERMS:
+        if pure:
+            made = _pure_terms(p, k0 - 1, _CHUNK, t_last) if k0 - 1 + _CHUNK <= allowance else None
+            if made is None:  # numpy redoes the series from its start
+                pure = False
+                terms, approx, t_last, k0 = [1.0], head, 1.0, 1
+                continue
+            ratios, chunk = made
+            terms += chunk
+            ratios, sums, lasts = [ratios], [reduce(add, chunk)], [chunk[-1]]
+            least, greatest = min, max
+        else:
+            import numpy as np
+
+            summed = k0 // _CHUNK
+            if summed == chunks:  # the first pass, or the array is full
+                if summed:
+                    chunks = 2 * summed
+                else:  # 3F2 - 1 is about its first term, which scales the prediction
+                    scale = 1.0 if first == 0 else abs(p.a1 * p.a2 * p.a3 / (p.b1 * p.b2))
+                    chunks = _predicted_chunks(p, balance, tol * scale)
+                chunks = min(chunks, _MAX_CHUNKS)
+                grown = np.empty(1 + chunks * _CHUNK)
+                grown[:k0] = terms
+                terms = grown
+            batch = min(chunks - summed, _MAX_BATCH)
+            rows = terms[k0 : k0 + batch * _CHUNK].reshape(batch, _CHUNK)
+            ratios = _term_rows(p, rows, k0 - 1, t_last)
+            sums = np.add.accumulate(rows, axis=1)[:, -1].tolist()
+            lasts = rows[:, -1].tolist()
+            least, greatest = np.ndarray.min, np.ndarray.max
+        for j, (chunk_sum, t_last) in enumerate(zip(sums, lasts)):
+            approx += chunk_sum
+            k0 += _CHUNK
+            tail = abs(t_last) * k0 / denom
+            if t_last == 0.0 or (
+                k0 > k_min
+                and tail <= tol * max(abs(approx), _TINY)
+                and least(ratios[j]) > 0.0
+                and greatest(ratios[j]) < 1.0
+            ):
+                return terms[first:k0], k0, tail
+    raise ConvergenceError(
+        f"3F2 series did not reach tol={tol:g} within {MAX_TERMS} terms"
+    )
 
 
 def _exact_sum(terms) -> float:
@@ -626,9 +517,11 @@ def hyp3f2_unit(
     ``_convergent_terms``, the one routine that sums every such 3F2 here
     (``hyp3f2_minus_one`` too): chunks of ``_CHUNK`` terms, each a
     cumulative product of the term ratios, stopped after the first chunk
-    whose power-law tail bound falls below ``tol`` times the running sum of
-    the chunk sums.  A truncating series is one cumulative product over all
-    its ratios, in plain floats while the pure-Python budget lasts.  The
+    whose power-law tail bound falls below ``tol`` times the running sum,
+    which adds each chunk in order and then the chunk sums in order.  A
+    truncating series is one cumulative product over all its ratios, from
+    the same two producers, in plain floats while the pure-Python budget
+    lasts.  The
     value is the correctly rounded sum of all terms (``_exact_sum``, bit for
     bit ``math.fsum``, which it falls back to when its error bracket cannot
     decide the rounding).
@@ -653,7 +546,6 @@ def hyp3f2_unit(
         If the series does not converge (non-truncating with non-positive
         denominator excess) or needs more than ``MAX_TERMS`` terms.
     """
-    global _pure_spent
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     if not math.isfinite(tol):
@@ -667,15 +559,14 @@ def hyp3f2_unit(
                 f"truncating series needs {n_trunc + 1} terms, cap is {MAX_TERMS}"
             )
         made = _pure_terms(p, 0, n_trunc, 1.0) if n_trunc <= _pure_allowance() else None
-        if made is not None:
-            _pure_spent += n_trunc
-            terms = [1.0, *made[1]]
-        else:
+        if made is None:
             import numpy as np
 
             terms = np.empty(n_trunc + 1)
             terms[0] = 1.0
             _term_rows(p, terms[1:].reshape(1, n_trunc), 0, 1.0)
+        else:
+            terms = [1.0, *made[1]]
         return _exact_sum(terms), SeriesDiagnostics(n_trunc + 1, 0.0)
 
     terms, k0, tail = _convergent_terms(p, tol, 0)

@@ -319,6 +319,11 @@ def _laguerre_rule(weight_power: float, nodes: int = _RULE_NODES):
     function, W = w * exp(x) / x**weight_power, formed in log space, so that
     sum(W * f(x)) integrates f itself."""
     x, w = roots_genlaguerre(weight_power, nodes)
+    if 0.0 in w:
+        raise ValueError(
+            f"the {nodes}-node Gauss-Laguerre rule of weight power {weight_power!r} "
+            "has weights that underflow to zero; use fewer nodes"
+        )
     return x, tuple(
         math.exp(math.log(wi) + xi - weight_power * math.log(xi)) for xi, wi in zip(x, w)
     )

@@ -23,8 +23,8 @@ from diracpol.polarizability import (
 )
 from diracpol.specfun import (
     Hyp3F2Params,
+    _laguerre_table,
     hyp3f2_unit,
-    laguerre,
     log_gamma,
 )
 from diracpol.sturmian import (
@@ -205,10 +205,9 @@ def test_criterion_6_special_function_suite():
     for _ in range(10):
         alpha = float(rng.uniform(-0.5, 5.0))
         x = float(rng.uniform(0.0, 60.0))
+        table = [row[0] for row in _laguerre_table(201, alpha, [x])]
         for n in range(1, 201, 10):
-            low = laguerre(n - 1, alpha, x)
-            mid = laguerre(n, alpha, x)
-            high = laguerre(n + 1, alpha, x)
+            low, mid, high = table[n : n + 3]
             terms = ((n + 1) * high, (2 * n + alpha + 1 - x) * mid, (n + alpha) * low)
             residual = abs(terms[0] - terms[1] + terms[2])
             scale = max(max(abs(t) for t in terms), 1.0)
@@ -225,7 +224,7 @@ def test_criterion_6_special_function_suite():
         if any(abs(a - g + j) < 0.3 for j in range(n)):
             continue
         nodes, weights = roots_genlaguerre(200, g)
-        sampled = laguerre(n, a, nodes)
+        sampled = np.array(_laguerre_table(n, a, nodes.tolist())[-1])
         quad = math.fsum(weights * sampled)
         closed = math.exp(log_gamma(g + 1.0) - log_gamma(n + 1.0))
         for j in range(n):

@@ -88,11 +88,12 @@ class TestSurface:
             for module in (diracpol, specfun, atom, polarizability):
                 assert not hasattr(module, name), (module.__name__, name)
             assert getattr(sturmian, name).__module__ == sturmian.__name__, name
-        assert len(diracpol.__all__) == 30
+        assert len(diracpol.__all__) == 29
 
     def test_only_specfun_knows_how_a_3f2_is_summed(self):
         # The closed form asks specfun for a 3F2 or a 3F2 - 1; the chunks,
-        # their prediction, the stop rule and the exact sum stay inside it.
+        # their two producers and budget, their prediction, the stop rule and
+        # the exact sum stay inside it.
         tree = ast.parse((SRC / "diracpol" / "polarizability.py").read_text())
         imported = [
             alias.name
@@ -102,7 +103,17 @@ class TestSurface:
         ]
         assert "hyp3f2_minus_one" in imported
         assert [name for name in imported if name.startswith("_")] == []
-        internals = {"_CHUNK", "_term_rows", "_exact_sum", "_predicted_chunks", "_convergent_terms"}
+        internals = {
+            "_CHUNK",
+            "_MAX_BATCH",
+            "_PURE_BUDGET",
+            "_convergent_terms",
+            "_exact_sum",
+            "_predicted_chunks",
+            "_pure_allowance",
+            "_pure_terms",
+            "_term_rows",
+        }
         for path in sorted((SRC / "diracpol").glob("*.py")):
             if path.name != "specfun.py":
                 assert _referenced_names(path).isdisjoint(internals), path.name
@@ -130,7 +141,6 @@ class TestSurface:
         script = (
             "import sys, diracpol; "
             "print('numpy' in sys.modules); "
-            "print(repr(diracpol.laguerre(3, 0.75, 1.25))); "
             "p, q = diracpol.radial_PQ(diracpol.AtomSpec(26), [0.01, 0.1]); "
             "print(repr(p.tolist()), repr(q.tolist()))"
         )
@@ -145,7 +155,6 @@ class TestSurface:
         p, q = diracpol.radial_PQ(AtomSpec(26), [0.01, 0.1])
         assert proc.stdout.splitlines() == [
             "False",
-            repr(diracpol.laguerre(3, 0.75, 1.25)),
             f"{p.tolist()!r} {q.tolist()!r}",
         ]
 

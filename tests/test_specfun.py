@@ -4,6 +4,8 @@ Laguerre recurrence, and the 3F2 series at unit argument."""
 import hashlib
 import math
 import tracemalloc
+from functools import reduce
+from operator import add
 
 import hypothesis
 import mpmath
@@ -23,7 +25,6 @@ from diracpol.specfun import (
     _exact_sum,
     _laguerre_table,
     hyp3f2_unit,
-    laguerre,
     log_gamma,
     log_gamma_drop,
 )
@@ -147,20 +148,25 @@ class TestGammaRatio:
             gamma_ratio([1.0, -2.0], [3.0])
 
 
+def _laguerre(n: int, alpha: float, x: float) -> float:
+    """L_n^(alpha)(x) from the plain-float table of every degree."""
+    return _laguerre_table(n, alpha, [x])[-1][0]
+
+
 class TestLaguerre:
     def test_degree_minus_one_is_zero(self):
-        assert laguerre(-1, 1.23, 0.7) == 0.0
-        assert laguerre(-1, 0.4, np.array([0.0, 2.0])).tolist() == [0.0, 0.0]
+        assert _laguerre_table(-1, 1.23, [0.7]) == [(0.0,)]
+        assert _laguerre_table(-1, 0.4, [0.0, 2.0]) == [(0.0, 0.0)]
 
     def test_degree_zero_is_one(self):
-        assert laguerre(0, 0.9, 5.0) == 1.0
+        assert _laguerre_table(0, 0.9, [5.0]) == [(0.0,), (1.0,)]
 
     def test_degree_one(self):
         alpha, x = 1.7, 0.3
-        assert laguerre(1, alpha, x) == pytest.approx(alpha + 1.0 - x, rel=1e-15)
+        assert _laguerre(1, alpha, x) == pytest.approx(alpha + 1.0 - x, rel=1e-15)
 
     def test_value_at_origin(self):
-        assert laguerre(2, 0.0, 0.0) == pytest.approx(1.0, rel=1e-15)
+        assert _laguerre(2, 0.0, 0.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_against_scipy(self):
         rng = np.random.default_rng(11)
@@ -168,7 +174,7 @@ class TestLaguerre:
             n = int(rng.integers(0, 30))
             alpha = float(rng.uniform(-0.9, 6.0))
             x = float(rng.uniform(0.0, 40.0))
-            assert laguerre(n, alpha, x) == pytest.approx(
+            assert _laguerre(n, alpha, x) == pytest.approx(
                 float(eval_genlaguerre(n, alpha, x)), rel=1e-10, abs=1e-12
             )
 
@@ -179,41 +185,35 @@ class TestLaguerre:
         for _ in range(20):
             alpha = float(rng.uniform(-0.5, 5.0))
             x = float(rng.uniform(0.0, 60.0))
+            table = [row[0] for row in _laguerre_table(201, alpha, [x])]
             for n in range(1, 201, 7):
-                low = laguerre(n - 1, alpha, x)
-                mid = laguerre(n, alpha, x)
-                high = laguerre(n + 1, alpha, x)
+                low, mid, high = table[n : n + 3]
                 terms = ((n + 1) * high, (2 * n + alpha + 1 - x) * mid, (n + alpha) * low)
                 residual = abs(terms[0] - terms[1] + terms[2])
                 scale = max(abs(t) for t in terms)
                 assert residual <= 8.0 * math.ulp(max(scale, 1.0))
 
-    def test_rejects_degree_below_minus_one(self):
-        with pytest.raises(ValueError):
-            laguerre(-2, 0.5, 1.0)
-
     @pytest.mark.parametrize("alpha", [-0.9, 0.0, 1.0, 2.9, 9.05])
     def test_table_is_laguerre_bit_for_bit(self, alpha):
-        # One run of the recurrence gives every degree the value laguerre
-        # gives it, on quadrature nodes and at random points, in arrays and
-        # one point at a time; both equal the recurrence run to each degree
-        # on its own in plain floats.
+        # One run of the recurrence gives every degree the value of the
+        # recurrence run to that degree on its own in plain floats, on
+        # quadrature nodes and at random points, over many points and at
+        # one point at a time.
         rng = np.random.default_rng(23)
-        points = [np.array(_laguerre_rule(power)[0]) for power in (alpha, 1.37)]
-        points.append(rng.uniform(0.0, 60.0, 16))
+        points = [list(_laguerre_rule(power)[0]) for power in (alpha, 1.37)]
+        points.append(rng.uniform(0.0, 60.0, 16).tolist())
         for xs in points:
-            table = _laguerre_table(31, alpha, xs.tolist())
+            table = _laguerre_table(31, alpha, xs)
             assert len(table) == 33
             for n in range(-1, 32):
-                want = [float.hex(_laguerre_one_degree(n, alpha, x)) for x in xs.tolist()]
+                want = [float.hex(_laguerre_one_degree(n, alpha, x)) for x in xs]
                 assert [float.hex(v) for v in table[n + 1]] == want
-                assert [float.hex(v) for v in laguerre(n, alpha, xs).tolist()] == want
-                for x, v in zip(xs.tolist()[::5], want[::5]):
-                    assert float.hex(laguerre(n, alpha, x)) == v
+                for x, v in zip(xs[::5], want[::5]):
+                    assert float.hex(_laguerre(n, alpha, x)) == v
 
 
 def _laguerre_one_degree(n: int, alpha: float, x: float) -> float:
-    """L_n^(alpha)(x) by the recurrence that laguerre runs, on one float."""
+    """L_n^(alpha)(x) by the recurrence that _laguerre_table runs, on one float."""
     prev, cur = 0.0, 1.0
     for k in range(n):
         prev, cur = cur, ((2 * k + alpha + 1.0 - x) * cur - (k + alpha) * prev) / (k + 1.0)
@@ -347,9 +347,15 @@ def _chunk_terms_reference(p: Hyp3F2Params, k: np.ndarray, t_last: float):
     return ratios, block
 
 
-def _hyp3f2_unit_reference(p: Hyp3F2Params, tol: float):
+def _in_order_sum(block: np.ndarray) -> float:
+    return reduce(add, block.tolist())
+
+
+def _hyp3f2_unit_reference(p: Hyp3F2Params, tol: float, chunk_sum=_in_order_sum):
     """hyp3f2_unit as one 512-term chunk per numpy pass, each chunk tested
-    before the next is computed; summed by math.fsum."""
+    before the next is computed against the running sum of the chunk sums,
+    each chunk added in order unless ``chunk_sum`` says otherwise; summed by
+    math.fsum."""
     tol = max(tol, TOL_FLOOR)
     n_trunc = p.truncation_order()
     if n_trunc is not None:
@@ -368,7 +374,7 @@ def _hyp3f2_unit_reference(p: Hyp3F2Params, tol: float):
         k = np.arange(k0 - 1, k0 - 1 + 512, dtype=float)
         ratios, block = _chunk_terms_reference(p, k, t_last)
         blocks.append(block)
-        approx += float(block.sum())
+        approx += chunk_sum(block)
         t_last = float(block[-1])
         k0 += 512
         if t_last == 0.0:
@@ -388,13 +394,14 @@ def _hyp3f2_unit_reference(p: Hyp3F2Params, tol: float):
 
 
 def _hyp3f2_minus_one_reference(p: Hyp3F2Params) -> float:
-    """specfun.hyp3f2_minus_one with one chunk per numpy pass."""
+    """specfun.hyp3f2_minus_one with one chunk per numpy pass, each added
+    in order to the running sum of the stop test."""
     balance = p.balance()
     denom = balance - 1.0 if balance > 1.0 else balance
     blocks, total, t_last = [], 0.0, 1.0
     for k0 in range(0, MAX_TERMS, 512):
         blocks.append(_chunk_terms_reference(p, np.arange(k0, k0 + 512, dtype=float), t_last)[1])
-        total += float(blocks[-1].sum())
+        total += _in_order_sum(blocks[-1])
         t_last = float(blocks[-1][-1])
         if abs(t_last) * (k0 + 512 + 1) / denom <= TOL_FLOOR * total:
             return math.fsum(np.concatenate(blocks).tolist())
@@ -463,6 +470,32 @@ def closed_form_parameter_sets():
     return _closed_form_parameter_sets()
 
 
+def _threshold_cases(parameter_sets: list[Hyp3F2Params]) -> list[tuple[Hyp3F2Params, float]]:
+    """(p, tol) for which the one-chunk reference stops after another chunk
+    when its running sum adds each chunk pairwise instead of in order: tol
+    is tail / |running sum| at some chunk of p, within an ulp."""
+    cases = []
+    for p in parameter_sets:
+        denom = p.balance() - 1.0
+        approx, t_last = 1.0, 1.0
+        for k0 in range(513, 4 * 512 + 2, 512):
+            _, block = _chunk_terms_reference(p, np.arange(k0 - 513, k0 - 1, dtype=float), t_last)
+            approx += _in_order_sum(block)
+            t_last = float(block[-1])
+            ratio = abs(t_last) * k0 / denom / abs(approx)
+            for tol in (math.nextafter(ratio, 0.0), ratio, math.nextafter(ratio, 1.0)):
+                if tol >= TOL_FLOOR and _outcome(_hyp3f2_unit_reference, p, tol) != _outcome(
+                    _hyp3f2_unit_reference, p, tol, lambda b: float(b.sum())
+                ):
+                    cases.append((p, tol))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def threshold_cases(closed_form_parameter_sets):
+    return _threshold_cases(closed_form_parameter_sets)
+
+
 def _force_pure_producer(monkeypatch):
     """Make every 3F2 here come from the pure-Python producer: an unlimited
     allowance, and a numpy producer that fails if it is reached."""
@@ -514,27 +547,13 @@ class TestBatchedChunks:
                 p = Hyp3F2Params(dm, dm, 2.0 + dm, 3.0 + dm, 2.0 * gk + 1.0)
                 assert _outcome(specfun.hyp3f2_minus_one, p) == _outcome(_hyp3f2_minus_one_reference, p), p
 
-    def test_undecided_stop_test_is_redone_by_numpy(self, monkeypatch, closed_form_parameter_sets):
-        # A tail test that the pure producer's running sum cannot settle
-        # sends the whole series to numpy, which returns the same result.
-        numpy_calls, left_open = [], []
-
-        def undecided(tail, tol, approx, slack):
-            left_open.append(approx)
-            return None
-
-        def numpy_convergent(*args, wrapped=specfun._numpy_convergent):
-            numpy_calls.append(args[0])
-            return wrapped(*args)
-
-        monkeypatch.setattr(specfun, "_pure_allowance", lambda: math.inf)
-        monkeypatch.setattr(specfun, "_tail_test", undecided)
-        monkeypatch.setattr(specfun, "_numpy_convergent", numpy_convergent)
-        sets = closed_form_parameter_sets[::25]
-        for p in sets:
-            assert _outcome(hyp3f2_unit, p, TOL_FLOOR) == _outcome(_hyp3f2_unit_reference, p, TOL_FLOOR), p
-        assert numpy_calls == sets
-        assert len(left_open) == len(sets)
+    def test_stop_test_at_its_threshold_follows_the_in_order_sum(self, prediction, threshold_cases):
+        # At these tolerances a pairwise running sum would stop the series
+        # after another chunk than the in-order one; each producer must
+        # follow the in-order sum.
+        assert len(threshold_cases) >= 20
+        for p, tol in threshold_cases:
+            assert _outcome(hyp3f2_unit, p, tol) == _outcome(_hyp3f2_unit_reference, p, tol), (p, tol)
 
     def test_numpy_serves_every_series_once_loaded(self, monkeypatch, closed_form_parameter_sets):
         # numpy is loaded here, so the pure-Python producer has no allowance
@@ -572,39 +591,34 @@ class TestBatchedChunks:
         with np.errstate(all="ignore"):
             assert _outcome(hyp3f2_unit, p, TOL_FLOOR) == _outcome(_hyp3f2_unit_reference, p, TOL_FLOOR)
 
-    @hypothesis.settings(max_examples=500, derandomize=True, database=None, deadline=None)
-    @hypothesis.given(
-        st.floats(-1e20, 1e20),
-        st.floats(1e-16, 1e-6),
-        st.floats(0.0, 1e-9),
-        st.floats(-2.0, 2.0),
-        st.floats(-1.0, 1.0),
-    )
-    def test_tail_test_decides_only_what_holds_across_the_slack(self, approx, tol, rel, offset, where):
-        # The tail falls within two slacks of the threshold; every sum
-        # within the slack of approx must agree with a decided verdict.
-        slack = abs(approx) * rel
-        tail = tol * abs(approx) * (1.0 + offset * rel)
-        hypothesis.assume(slack > 0.0)
-        verdict = specfun._tail_test(tail, tol, approx, slack)
-        for s in (approx - slack, approx + where * slack, approx + slack, approx):
-            exact = tail <= tol * max(abs(s), specfun._TINY)
-            assert verdict is None or verdict == exact, (s, verdict, exact)
-
     def test_prediction_is_exact_or_one_over_on_channel_parameters(self, closed_form_parameter_sets):
         for p in closed_form_parameter_sets:
             chunks = (hyp3f2_unit(p)[1].terms_used - 1) // 512
             assert chunks <= specfun._predicted_chunks(p, p.balance(), TOL_FLOOR) <= chunks + 1, p
 
-    def test_row_sums_equal_one_dimensional_sums(self):
-        # The chunk sums of a pass come from one reduction over its rows;
-        # each must be the pairwise sum of the row alone.
+    def test_row_sums_equal_plain_float_in_order_sums(self, monkeypatch, closed_form_parameter_sets):
+        # The stop test's running sum adds each chunk in order: numpy along
+        # the rows of a pass, the pure-Python producer by reduce.  They must
+        # agree bit for bit on rows where pairwise sums, numpy's default,
+        # differ; the pure producer must not use builtin sum, which is
+        # compensated from Python 3.12 on.
         rng = np.random.default_rng(77)
+        pairwise_differs = 0
         for _ in range(2000):
             rows = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 17)), 512))
             rows = np.ldexp(rows, rng.integers(-40, 40, rows.shape))
-            sums = np.add.reduce(rows, axis=1).tolist()
-            assert sums == [row.copy().sum() for row in rows]
+            in_order = [reduce(add, row) for row in rows.tolist()]
+            assert np.add.accumulate(rows, axis=1)[:, -1].tolist() == in_order
+            pairwise_differs += np.add.reduce(rows, axis=1).tolist() != in_order
+        assert pairwise_differs > 1000
+
+        def builtin_sum(*args):
+            raise AssertionError("the pure-Python producer summed a chunk with sum()")
+
+        _force_pure_producer(monkeypatch)
+        monkeypatch.setattr(specfun, "sum", builtin_sum, raising=False)
+        for p in closed_form_parameter_sets[::10]:
+            assert _outcome(hyp3f2_unit, p, TOL_FLOOR) == _outcome(_hyp3f2_unit_reference, p, TOL_FLOOR), p
 
     def test_near_critical_call_peak_memory(self):
         # One planar call at the largest subcritical charge (9729 terms)

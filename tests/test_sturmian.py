@@ -20,7 +20,7 @@ from diracpol.atom import (
 )
 from diracpol.cli import run
 from diracpol.polarizability import polarizability_sturmian
-from diracpol.specfun import ConvergenceError, laguerre, log_gamma
+from diracpol.specfun import ConvergenceError, _laguerre_table, log_gamma
 from diracpol.sturmian import (
     _caps,
     _channel,
@@ -214,8 +214,9 @@ class TestSturmianST:
 
     @pytest.mark.parametrize("z", [1e-3, 26.0, 68.5])
     def test_channel_laguerre_values_are_laguerre_bit_for_bit(self, z):
-        # The channel's one recurrence gives each degree the bits of
-        # laguerre(n, 2 gamma_kappa, x), on its nodes and at random points.
+        # The channel's one recurrence gives each degree the bits of the
+        # recurrence of order 2 gamma_kappa run to that degree alone, on its
+        # nodes and at random points.
         spec = AtomSpec(z, "planar")
         rng = np.random.default_rng(29)
         for ch in CHANNELS:
@@ -229,7 +230,7 @@ class TestSturmianST:
             ):
                 assert len(table) == 33
                 for n in range(-1, 32):
-                    want = laguerre(n, 2.0 * c.gk, np.array(x)).tolist()
+                    want = _laguerre_table(n, 2.0 * c.gk, x)[-1]
                     assert [float.hex(v) for v in table[n + 1]] == [float.hex(v) for v in want]
 
     @pytest.mark.parametrize("z", [1e-3, 26.0, 68.5])
@@ -332,6 +333,16 @@ class TestGaussLaguerreRule:
         # returned short of a node.
         with pytest.raises(ConvergenceError, match="missed node 73 of the 80-node"):
             roots_genlaguerre(20.0, 80)
+
+    def test_refuses_weights_that_underflow(self):
+        # The smallest weights of a 201-node rule underflow to zero, where
+        # the pre-scaled weights would take their log; the refusal names
+        # the node count, for the channel integrals that ask for it too.
+        assert min(roots_genlaguerre(3.0, 200)[1]) == 0.0
+        with pytest.raises(ValueError, match="the 200-node Gauss-Laguerre rule"):
+            _laguerre_rule(3.0, 200)
+        with pytest.raises(ValueError, match="the 201-node Gauss-Laguerre rule"):
+            channel_first_order_integrals(ChannelIndex(-1.5), AtomSpec(26), 200)
 
 
 class TestGaussLaguerreIntegral:
@@ -680,7 +691,7 @@ class TestLaguerreIntegralFormula:
                 # makes the relative comparison ill-conditioned.
                 continue
             nodes, weights = roots_genlaguerre(200, g)
-            sampled = laguerre(n, a, nodes)
+            sampled = np.array(_laguerre_table(n, a, nodes.tolist())[-1])
             quad = math.fsum(weights * sampled)
             closed = math.exp(log_gamma(g + 1.0) - log_gamma(n + 1.0))
             for j in range(n):
