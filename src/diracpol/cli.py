@@ -13,6 +13,9 @@ import sys
 
 from .atom import ALPHA_INV_CODATA2014, ALPHA_INV_SIGMA_CODATA2014, AtomSpec, ChannelIndex, SupercriticalError
 from .polarizability import (
+    _m32_channel,
+    _planar_alpha,
+    _planar_kernel,
     nonrel_limit,
     polarizability_planar,
     polarizability_spatial,
@@ -156,10 +159,14 @@ def _run_crosscheck(args: argparse.Namespace) -> str:
     from .sturmian import SERIES_TOL_FLOOR, channel_first_order_integrals, r_channel_series
 
     spec = AtomSpec(args.Z, "planar", args.alpha_inv)
-    channels = (ChannelIndex(0.5), ChannelIndex(-1.5))
+    half = ChannelIndex(0.5)
+    r_half = r_channel_closed(half, spec)
+    # R_{-3/2} and alpha_1 share one 3F2 kernel, and each keeps the bits of
+    # r_channel_closed and polarizability_planar.
+    kernel = _planar_kernel(spec)
+    closed_alpha = _planar_alpha(kernel, spec)
     report = {}
-    for ch in channels:
-        closed = r_channel_closed(ch, spec)
+    for ch, closed in ((half, r_half), (ChannelIndex(-1.5), _m32_channel(kernel, spec))):
         series, diag = r_channel_series(ch, spec, args.tol)
         pairs = channel_first_order_integrals(ch, spec, 3)
         # Exactly-zero integrals are compared on the scale of the channel's
@@ -181,7 +188,6 @@ def _run_crosscheck(args: argparse.Namespace) -> str:
             "closed_vs_series": _reldev(closed, series, 1e-300),
             "quadrature_max_dev": quad_dev,
         }
-    closed_alpha = polarizability_planar(spec)
     series_alpha = polarizability_sturmian(spec, args.tol)
     # Report the tolerance the series used: it has validated args.tol by now
     # and clamps it to its floor.

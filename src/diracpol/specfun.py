@@ -30,13 +30,18 @@ exactly and low parts whose rounded sum is bracketed by a proven error
 bound; the rare sum that the bracket cannot decide (a near tie, a zero, a
 non-finite term) goes to ``math.fsum``.  The short log-gamma sums use
 ``math.fsum`` directly.
+
+``log_gamma`` reduces an argument below 12 to a point t of a zeta series
+about 1 or 2 and keeps the last ``_SERIES_CACHE`` = 32 series values by
+(t, point), so the ladders x0 + n of the Sturmian oracle, which reduce to a
+few t, sum each series once.  ``log_gamma_drop`` sums its series uncached.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import add, mul
 from typing import NamedTuple
@@ -230,11 +235,28 @@ def _lgamma_series(t: float, series: tuple[float, tuple[float, ...]]) -> float:
     return math.fsum(terms)
 
 
+# Series values log_gamma keeps, dropping the least recently used.  The
+# Sturmian oracle asks for ln Gamma at x0 + n, n = 0, 1, 2, ..., which reduce
+# to a few points t.  The 68-row table asks for about 600 distinct t, so a
+# repeated table never reads the entries of the one before.
+_SERIES_CACHE = 32
+
+
+@lru_cache(maxsize=_SERIES_CACHE)
+def _reduced_series(t: float, point: int) -> float:
+    """ln Gamma(point + t), point 1 or 2, by ``_lgamma_series``, remembered by
+    (t, point).  The key must not be the coefficient tuple, whose hash costs
+    more than a cached call saves, and t must not be -0.0, which the cache
+    would take for 0.0: ``log_gamma`` never passes it (a difference of equal
+    doubles is +0.0), and ``log_gamma_drop``, which does, sums uncached."""
+    return _lgamma_series(t, _NEAR_ONE if point == 1 else _NEAR_TWO)
+
+
 def _lgamma_one_to_two(u: float) -> float:
-    """ln Gamma(1 + u) for u in [0, 1]; u is the exactly shifted argument."""
+    """ln Gamma(1 + u) for u in (0, 1); u is the exactly shifted argument."""
     if u <= 0.5:
-        return _lgamma_series(u, _NEAR_ONE)
-    return _lgamma_series(u - 1.0, _NEAR_TWO)
+        return _reduced_series(u, 1)
+    return _reduced_series(u - 1.0, 2)
 
 
 def log_gamma(x: float) -> float:
@@ -252,13 +274,13 @@ def log_gamma(x: float) -> float:
     if x <= 2.0:
         return _lgamma_one_to_two(x - 1.0)
     if x <= 3.0:
-        return _lgamma_series(x - 2.0, _NEAR_TWO)
+        return _reduced_series(x - 2.0, 2)
     if x < 12.0:
-        # Downward recurrence to (2, 3]; every piece is positive, so the
+        # Downward recurrence to [2, 3); every piece is positive, so the
         # compensated sum keeps full relative accuracy.
         steps = int(x - 2.0)
         y = x - steps
-        pieces = [_lgamma_series(y - 2.0, _NEAR_TWO)]
+        pieces = [_reduced_series(y - 2.0, 2)]
         pieces.extend(math.log(y + j) for j in range(steps))
         return math.fsum(pieces)
     if x == math.inf:

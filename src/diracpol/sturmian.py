@@ -33,7 +33,10 @@ which hold both channels of any charge (788 indices at most, just below the
 critical charge at the tol floor).  A crosscheck sums each channel series
 twice and takes |n_r| <= 3 a third time; the later passes read these two
 caches, so each index is evaluated once per charge and the later passes
-return the bits of the first.  Errors are not cached.
+return the bits of the first.  Errors are not cached.  Beneath them,
+``specfun.log_gamma`` keeps its last 32 series values: the log-gammas of an
+index, at x0 + |n_r| for a few x0 per channel, reduce to a few series
+arguments, so most indices read their series back.
 
 The quadrature side runs on plain floats: ``roots_genlaguerre`` builds a
 rule of any size by Newton iteration on the Laguerre recurrence, and the

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from diracpol import cli, polarizability
 from diracpol.atom import ALPHA_INV_CODATA2014, AtomSpec, ChannelIndex, critical_charge
 from diracpol.cli import run
 from diracpol.polarizability import polarizability_planar, r_channel_closed
@@ -158,6 +159,36 @@ class TestCrosscheckCommand:
         for kappa, entry in payload["channels"].items():
             closed = r_channel_closed(ChannelIndex(float(kappa)), spec)
             assert entry["closed"].hex() == closed.hex()
+        alpha = polarizability_planar(spec).value_a0_cubed
+        assert payload["alpha_1_closed"].hex() == alpha.hex()
+
+    @pytest.mark.parametrize(
+        "z, alpha_inv",
+        [
+            (1e-3, ALPHA_INV_CODATA2014),
+            (26.0, ALPHA_INV_CODATA2014),
+            (68.5, ALPHA_INV_CODATA2014),
+            (math.nextafter(critical_charge("planar"), 0.0), ALPHA_INV_CODATA2014),
+            (26.0, math.inf),
+            (26.0, ALPHA_INV_CODATA2014 + 3.1e-4),
+            (math.nextafter(critical_charge("planar", 137.1), 0.0), 137.1),
+        ],
+    )
+    def test_one_kernel_gives_the_public_bits(self, monkeypatch, z, alpha_inv):
+        # R_{-3/2} and alpha_1 share one 3F2 sum, and each keeps the bits of
+        # the public function that sums it alone.  The payload is read before
+        # it becomes JSON, which has no spelling for alpha_inv = inf.
+        calls = []
+        hyp = polarizability.hyp3f2_unit
+        monkeypatch.setattr(polarizability, "hyp3f2_unit", lambda *a: calls.append(a) or hyp(*a))
+        monkeypatch.setattr(cli, "_json_document", lambda payload: payload)
+        argv = ["crosscheck", "--Z", repr(z), "--alpha-inv", repr(alpha_inv), "--format", "json"]
+        payload = cli._run_crosscheck(cli._build_parser().parse_args(argv))
+        assert len(calls) == 1
+        spec = AtomSpec(z, "planar", alpha_inv)
+        for kappa in (0.5, -1.5):
+            closed = r_channel_closed(ChannelIndex(kappa), spec)
+            assert payload["channels"][str(kappa)]["closed"].hex() == closed.hex()
         alpha = polarizability_planar(spec).value_a0_cubed
         assert payload["alpha_1_closed"].hex() == alpha.hex()
 
@@ -362,12 +393,16 @@ class TestImportDiet:
             ),
             ([["table", "--format", "csv"]], ("diracpol.sturmian",)),
             ([["crosscheck", "--Z", "12.3"]], ("diracpol.tablegen",)),
-            # The oracle runs on plain floats.
+            # The oracle runs on plain floats, and the near-critical 3F2 sum
+            # fits the pure-Python budget that the four others leave.
             (
                 [
-                    ["crosscheck", "--Z", z, *fmt]
-                    for z in ("1e-3", "26")
-                    for fmt in ([], ["--format", "json"])
+                    *(
+                        ["crosscheck", "--Z", z, *fmt]
+                        for z in ("1e-3", "26")
+                        for fmt in ([], ["--format", "json"])
+                    ),
+                    ["crosscheck", "--Z", repr(math.nextafter(critical_charge("planar"), 0.0))],
                 ],
                 ("diracpol.tablegen", "numpy"),
             ),
@@ -382,9 +417,9 @@ class TestImportDiet:
         "z, numpy_after",
         [
             ("26", False),
-            # Two 9,729-term 3F2 sums pass the pure-Python producer's budget,
-            # so numpy loads part-way through the command.
-            (repr(math.nextafter(critical_charge("planar"), 0.0)), True),
+            # One 9,729-term 3F2 sum, shared by the channel and alpha_1, fits
+            # the pure-Python producer's 16,384-term budget.
+            (repr(math.nextafter(critical_charge("planar"), 0.0)), False),
         ],
         ids=["Z=26", "near-critical"],
     )

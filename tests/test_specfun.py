@@ -105,6 +105,39 @@ class TestLogGamma:
         )
 
 
+class TestSeriesCache:
+    # log_gamma keeps the last _SERIES_CACHE series values, keyed by the
+    # reduced argument t and the expansion point.  Every branch that sums a
+    # series, and ladders x0 + n that reduce to a few t, must give the bits
+    # of the same reduction with each series summed afresh.
+    XS = [
+        0.3, 0.75,  # (0, 1): the series about 1, then about 2
+        1.2, 1.25, 1.7, 2.0,  # (1, 2]
+        2.25, 2.5, 3.0,  # (2, 3]; 2.25 shares t = 0.25 with 1.25
+        4.0, 5.9, 11.5,  # (3, 12); 4.0 reduces to t = +0.0
+        *(x0 + n for x0 in (0.3, 0.75, 1.2, 2.5, 3.3) for n in range(13)),
+    ]
+
+    def test_cached_values_keep_the_uncached_bits(self, monkeypatch):
+        specfun._reduced_series.cache_clear()
+        first = [log_gamma(x).hex() for x in self.XS]
+        assert specfun._reduced_series.cache_info().hits > 0  # within the ladders
+        again = [log_gamma(x).hex() for x in self.XS]
+        with pytest.raises(ValueError):
+            log_gamma(0.0)
+        monkeypatch.setattr(specfun, "_reduced_series", specfun._reduced_series.__wrapped__)
+        fresh = [log_gamma(x).hex() for x in self.XS]
+        assert first == again == fresh
+
+    def test_a_table_leaves_at_most_maxsize_entries(self):
+        from diracpol.tablegen import generate_table
+
+        generate_table(1, 68)
+        info = specfun._reduced_series.cache_info()
+        assert info.maxsize == specfun._SERIES_CACHE == 32
+        assert 0 < info.currsize <= info.maxsize
+
+
 class TestLogGammaDrop:
     # The relativistic shift takes ln Gamma(n - eps) - ln Gamma(n) at n = 4
     # and 5 only; eps <= 0.5 is the series branch about 1, and 0.5 < eps <
