@@ -138,9 +138,13 @@ def gamma_kappa(spec: AtomSpec, ch: ChannelIndex) -> float:
     return math.sqrt((ak - az) * (ak + az))
 
 
+# The ground-state channel, built and validated once.
+_KAPPA_HALF = ChannelIndex(0.5)
+
+
 def gamma_half(spec: AtomSpec) -> float:
     """Ground-state exponent of a planar spec (the kappa = +-1/2 channel)."""
-    return gamma_kappa(spec, ChannelIndex(0.5))
+    return gamma_kappa(spec, _KAPPA_HALF)
 
 
 def ground_energy(spec: AtomSpec) -> float:

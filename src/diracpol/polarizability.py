@@ -22,7 +22,9 @@ import math
 import sys
 from typing import Literal, NamedTuple
 
-from .atom import AtomSpec, ChannelIndex, Dimension, _check_dipole, gamma_half, gamma_kappa
+from .atom import (
+    _KAPPA_HALF, AtomSpec, ChannelIndex, Dimension, _check_dipole, gamma_half, gamma_kappa,
+)
 from .specfun import (
     Hyp3F2Params, SeriesDiagnostics, hyp3f2_minus_one, hyp3f2_unit, log_gamma, log_gamma_drop,
 )
@@ -32,6 +34,12 @@ Method = Literal["closed_form", "sturmian_series"]
 # Nonrelativistic scaled limits Z**4 * alpha_1: 21/128 (planar), 9/2 (spatial).
 NONREL_SCALED_PLANAR = 21.0 / 128.0
 NONREL_SCALED_SPATIAL = 4.5
+
+# The other dipole channel and the spatial channels, built and validated once.
+_KAPPA_M32 = ChannelIndex(-1.5)
+_KAPPA_1 = ChannelIndex(1)
+_KAPPA_2 = ChannelIndex(2)
+
 
 class PolarizabilityResult(NamedTuple):
     """Ground-state dipole polarizability with its Z**4-scaled companion;
@@ -101,7 +109,7 @@ def _reduced_bracket(
 
 def _planar_kernel(spec: AtomSpec) -> _Kernel:
     """The kernel of a planar spec, which R_{-3/2} and alpha_1 share."""
-    return _bracket_kernel(gamma_half(spec), gamma_kappa(spec, ChannelIndex(-1.5)))
+    return _bracket_kernel(gamma_half(spec), gamma_kappa(spec, _KAPPA_M32))
 
 
 def _m32_channel(k: _Kernel, spec: AtomSpec) -> float:
@@ -118,7 +126,10 @@ def _planar_alpha(k: _Kernel, spec: AtomSpec) -> PolarizabilityResult:
     g = k.g
     bracket = _finish_bracket(k, 3.0, 4.0 * (g - 1.0) ** 2, (g + 1.0) * (4.0 * g + 3.0))
     scaled = ((g + 1.0) ** 2 * (2.0 * g + 1.0) * (4.0 * g + 3.0) / 128.0) * bracket
-    return PolarizabilityResult(_over_z4(scaled, spec), scaled, "closed_form", k.diag)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__.
+    return tuple.__new__(
+        PolarizabilityResult, (_over_z4(scaled, spec), scaled, "closed_form", k.diag)
+    )
 
 
 def r_channel_closed(ch: ChannelIndex, spec: AtomSpec) -> float:
@@ -138,7 +149,7 @@ def r_channel_closed(ch: ChannelIndex, spec: AtomSpec) -> float:
 def second_order_energy(spec: AtomSpec, field_strength: float) -> float:
     """Second-order field shift -(1/4) F**2 (R_{1/2} + R_{-3/2}) of the
     planar ground state, in hartree, for a field in atomic units."""
-    r_sum = r_channel_closed(ChannelIndex(0.5), spec) + r_channel_closed(ChannelIndex(-1.5), spec)
+    r_sum = r_channel_closed(_KAPPA_HALF, spec) + r_channel_closed(_KAPPA_M32, spec)
     return -0.25 * field_strength**2 * r_sum
 
 
@@ -167,12 +178,14 @@ def polarizability_spatial(spec: AtomSpec) -> PolarizabilityResult:
     |kappa| = 2 channel exponents."""
     if spec.dimension != "spatial":
         raise ValueError("polarizability_spatial needs a spatial spec")
-    g1 = gamma_kappa(spec, ChannelIndex(1))
-    g2 = gamma_kappa(spec, ChannelIndex(2))
+    g1 = gamma_kappa(spec, _KAPPA_1)
+    g2 = gamma_kappa(spec, _KAPPA_2)
     quartic = 4.0 * g1**2 + 13.0 * g1 + 12.0
     bracket, diag = _reduced_bracket(g1, g2, 2.0, 2.0 * (g1 - 2.0) ** 2, (g1 + 1.0) * quartic)
     scaled = ((g1 + 1.0) * (2.0 * g1 + 1.0) * quartic / 36.0) * bracket
-    return PolarizabilityResult(_over_z4(scaled, spec), scaled, "closed_form", diag)
+    return tuple.__new__(
+        PolarizabilityResult, (_over_z4(scaled, spec), scaled, "closed_form", diag)
+    )
 
 
 def polarizability_sturmian(spec: AtomSpec, tol: float = 1e-12) -> PolarizabilityResult:
@@ -184,8 +197,8 @@ def polarizability_sturmian(spec: AtomSpec, tol: float = 1e-12) -> Polarizabilit
 
     if spec.dimension != "planar":
         raise ValueError("polarizability_sturmian needs a planar spec")
-    r_half, diag_half = r_channel_series(ChannelIndex(0.5), spec, tol)
-    r_m32, diag_m32 = r_channel_series(ChannelIndex(-1.5), spec, tol)
+    r_half, diag_half = r_channel_series(_KAPPA_HALF, spec, tol)
+    r_m32, diag_m32 = r_channel_series(_KAPPA_M32, spec, tol)
     value = 0.5 * (r_half + r_m32)
     diag = SeriesDiagnostics(
         diag_half.terms_used + diag_m32.terms_used,

@@ -22,7 +22,8 @@ bound, and their chunk sums agree bit for bit:
   loop tests them chunk by chunk, so the result is that of computing one
   chunk at a time.
 
-numpy is imported only by the functions that use it.  Every series returns
+numpy is imported by the first numpy pass of the process, into the module
+global ``_np``; nothing imports it at module load.  Every series returns
 the correctly rounded sum of its computed terms, the value ``math.fsum``
 gives: a pure-Python series through ``math.fsum`` itself, a numpy one
 through ``_exact_sum``, one error-free split into high parts that add
@@ -68,6 +69,18 @@ _pure_spent = 0
 
 # Smallest positive normal double; a floor for relative-error scales.
 _TINY = sys.float_info.min
+
+# numpy, bound by ``_numpy`` on the first numpy pass, so that the closed-form
+# commands never load it.
+_np = None
+
+
+def _numpy():
+    """numpy, imported into ``_np`` by the first call in the process."""
+    global _np
+    if _np is None:
+        import numpy as _np
+    return _np
 
 
 class ConvergenceError(ArithmeticError):
@@ -329,33 +342,41 @@ def _laguerre_table(n: int, alpha: float, xs) -> list[tuple[float, ...]]:
     return table
 
 
-def _term_rows(p: Hyp3F2Params, rows: np.ndarray, k_first: int, t_first: float) -> np.ndarray:
+def _term_rows(p: Hyp3F2Params, rows: _np.ndarray, k_first: int, t_first: float) -> _np.ndarray:
     """Fill the C-contiguous 2-D array ``rows`` with the terms t_{k_first+1},
     t_{k_first+2}, ... of the unit-argument series p, given t_{k_first} =
     t_first, and return the ratios t_{k+1}/t_k in the same shape.
 
     Each ratio is ((a1+k)(a2+k))(a3+k) / (((b1+k)(b2+k))(1+k)), formed in
-    place.  The cumulative product restarts at every row, and each row is
-    then scaled by the last term of the row before (the first by t_first),
-    so a row holds the bits that computing the rows one at a time gives.
+    place with two temporaries: one arange, whose two views are k and 1 + k,
+    and the numerator.  The denominator comes first, in ``rows``, with b2 + k
+    in the numerator's buffer, and a3 + k last, over k.  When a1 == a2, as in
+    every 3F2 of the closed forms, (a1+k)(a2+k) is the square of one sum;
+    otherwise a2 + k takes a third temporary.  The cumulative product
+    restarts at every row, and each row is then scaled by the last term of
+    the row before (the first by t_first), so a row holds the bits that
+    computing the rows one at a time gives.  numpy must be loaded by
+    ``_numpy``.
     """
-    import numpy as np
-
-    flat = rows.reshape(-1)  # a view, used as scratch until the products land
-    k = np.arange(k_first, k_first + flat.size, dtype=float)
-    num = k + p.a1
-    num *= np.add(k, p.a2, out=flat)
-    num *= np.add(k, p.a3, out=flat)
-    np.add(k, p.b1, out=flat)
-    k += p.b2
-    flat *= k
-    del k  # freed before the arange of 1 + k, so two temporaries at most
-    flat *= np.arange(k_first + 1, k_first + 1 + flat.size, dtype=float)
-    ratios = np.divide(num, flat, out=num).reshape(rows.shape)
-    np.multiply.accumulate(ratios, axis=1, out=rows)  # np.cumprod, less call overhead
+    flat = rows.reshape(-1)  # a view, the denominator until the terms land
+    ks = _np.arange(k_first, k_first + flat.size + 1, dtype=float)
+    k = ks[:-1]
+    num = _np.add(k, p.b2)
+    _np.add(k, p.b1, out=flat)
+    flat *= num
+    flat *= ks[1:]  # 1 + k; the last use of that view
+    _np.add(k, p.a1, out=num)
+    if p.a1 == p.a2:
+        num *= num
+    else:
+        num *= k + p.a2
+    num *= _np.add(k, p.a3, out=k)
+    del ks, k  # freed before the scaling below, whose product takes a temporary
+    ratios = _np.divide(num, flat, out=num).reshape(rows.shape)
+    _np.multiply.accumulate(ratios, axis=1, out=rows)  # np.cumprod, less call overhead
     if len(rows) > 1:
-        lasts = np.concatenate(([t_first], rows[:-1, -1]))
-        rows *= np.multiply.accumulate(lasts)[:, None]
+        lasts = _np.concatenate(([t_first], rows[:-1, -1]))
+        rows *= _np.multiply.accumulate(lasts)[:, None]
     elif t_first != 1.0:  # a sum's first pass starts from t_0 = 1
         rows *= t_first
     return ratios
@@ -456,25 +477,24 @@ def _convergent_terms(p: Hyp3F2Params, tol: float, first: int):
             ratios, sums, lasts = [ratios], [reduce(add, chunk)], [chunk[-1]]
             least, greatest = min, max
         else:
-            import numpy as np
-
             summed = k0 // _CHUNK
             if summed == chunks:  # the first pass, or the array is full
                 if summed:
-                    chunks = 2 * summed
+                    chunks = min(2 * summed, _MAX_CHUNKS)
+                    grown = _np.empty(1 + chunks * _CHUNK)
+                    grown[:k0] = terms
                 else:  # 3F2 - 1 is about its first term, which scales the prediction
                     scale = 1.0 if first == 0 else abs(p.a1 * p.a2 * p.a3 / (p.b1 * p.b2))
-                    chunks = _predicted_chunks(p, balance, tol * scale)
-                chunks = min(chunks, _MAX_CHUNKS)
-                grown = np.empty(1 + chunks * _CHUNK)
-                grown[:k0] = terms
+                    chunks = min(_predicted_chunks(p, balance, tol * scale), _MAX_CHUNKS)
+                    grown = _numpy().empty(1 + chunks * _CHUNK)
+                    grown[0] = 1.0  # t_0, the one term before the first pass
                 terms = grown
             batch = min(chunks - summed, _MAX_BATCH)
             rows = terms[k0 : k0 + batch * _CHUNK].reshape(batch, _CHUNK)
             ratios = _term_rows(p, rows, k0 - 1, t_last)
-            sums = np.add.accumulate(rows, axis=1)[:, -1].tolist()
+            sums = _np.add.accumulate(rows, axis=1)[:, -1].tolist()
             lasts = rows[:, -1].tolist()
-            least, greatest = np.ndarray.min, np.ndarray.max
+            least, greatest = _np.ndarray.min, _np.ndarray.max
         for j, (chunk_sum, t_last) in enumerate(zip(sums, lasts)):
             approx += chunk_sum
             k0 += _CHUNK
@@ -501,6 +521,8 @@ def _exact_sum(terms) -> float:
     2008): with max|p| < 2**e and 2**m > n + 2, sigma = 2**(e + m) splits
     each term p into q = (p + sigma) - sigma, on a grid coarse enough that
     the q add up exactly in any order, and the exact remainder r = p - q.
+    max|p| is the larger of max p and -min p, and q, then -r = q - p, are
+    formed in one buffer, whose sum negated is that of the r bit for bit.
     Summed in any order, the r err by at most delta = n**2 * 2**-104 * sigma.
     When both ends of that interval, added to the q sum, round to the same
     double, that double is the correctly rounded sum.  Otherwise (a near
@@ -511,18 +533,18 @@ def _exact_sum(terms) -> float:
     """
     if isinstance(terms, list):
         return math.fsum(terms)
-    import numpy as np
-
     n = terms.size
-    mu = float(np.abs(terms).max()) if n else 0.0
+    mu = float(max(terms.max(), -terms.min())) if n else 0.0
     if 0.0 < mu < math.inf:
         e = math.frexp(mu)[1]  # mu < 2**e
         m = (n + 2).bit_length()  # 2**m > n + 2
         if e + m <= 1023 and e + m - 104 >= -1022:
             sigma = math.ldexp(1.0, e + m)
-            q = (terms + sigma) - sigma
-            tau = float(q.sum())
-            rho = float((terms - q).sum())
+            buf = terms + sigma
+            buf -= sigma  # q
+            tau = float(buf.sum())
+            buf -= terms  # -r, exactly: negating commutes with every rounding
+            rho = -float(buf.sum())
             delta = math.ldexp(n * n, e + m - 104)
             lo = tau + math.nextafter(rho - delta, -math.inf)
             if lo == tau + math.nextafter(rho + delta, math.inf):
@@ -574,7 +596,10 @@ def hyp3f2_unit(
         raise ValueError(f"tol must be finite, got {tol!r}")
     tol = max(tol, TOL_FLOOR)
 
-    n_trunc = p.truncation_order()
+    # Only a non-positive numerator can truncate the series.
+    n_trunc = None
+    if p.a1 <= 0.0 or p.a2 <= 0.0 or p.a3 <= 0.0:
+        n_trunc = p.truncation_order()
     if n_trunc is not None:
         if n_trunc + 1 > MAX_TERMS:
             raise ConvergenceError(
@@ -582,18 +607,17 @@ def hyp3f2_unit(
             )
         made = _pure_terms(p, 0, n_trunc, 1.0) if n_trunc <= _pure_allowance() else None
         if made is None:
-            import numpy as np
-
-            terms = np.empty(n_trunc + 1)
+            terms = _numpy().empty(n_trunc + 1)
             terms[0] = 1.0
             _term_rows(p, terms[1:].reshape(1, n_trunc), 0, 1.0)
         else:
             terms = [1.0, *made[1]]
-        return _exact_sum(terms), SeriesDiagnostics(n_trunc + 1, 0.0)
+        return _exact_sum(terms), tuple.__new__(SeriesDiagnostics, (n_trunc + 1, 0.0))
 
     terms, k0, tail = _convergent_terms(p, tol, 0)
     value = _exact_sum(terms)
-    return value, SeriesDiagnostics(k0, tail / max(abs(value), _TINY))
+    # tuple.__new__ skips the NamedTuple's Python-level __new__.
+    return value, tuple.__new__(SeriesDiagnostics, (k0, tail / max(abs(value), _TINY)))
 
 
 def hyp3f2_minus_one(p: Hyp3F2Params) -> float:

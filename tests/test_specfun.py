@@ -479,7 +479,9 @@ def _closed_form_parameter_sets() -> list[Hyp3F2Params]:
 def _general_cases() -> list[tuple[Hyp3F2Params, float]]:
     """Seeded parameter sets with negative numerators and slow or fast
     convergence, log-uniform tol in [1e-16, 1e-6], truncating orders
-    around 512 and 1024, and a series that reaches MAX_TERMS."""
+    around 512 and 1024, and a series that reaches MAX_TERMS; then sets with
+    a1 == a2, whose numerator product the numpy producer forms as a square,
+    and one with a2 an ulp above a1, which it must not."""
     rng = np.random.default_rng(2024)
     cases = []
     while len(cases) < 75:
@@ -495,6 +497,15 @@ def _general_cases() -> list[tuple[Hyp3F2Params, float]]:
         b1, b2 = rng.uniform(2.0, 8.0, 2)
         cases.append((Hyp3F2Params(a2, -float(n), a3, b1, b2), 1e-12))
     cases.append((Hyp3F2Params(0.5, 0.5, 0.5, 1.0, 0.51), 1e-16))  # balance 0.01
+    for n in (511, 512, 1024):
+        # Denominators of order n keep the squared binomial terms finite.
+        a3 = rng.uniform(0.1, 2.0)
+        b1, b2 = rng.uniform(0.5 * n, 2.0 * n, 2)
+        cases.append((Hyp3F2Params(-float(n), -float(n), a3, b1, b2), 1e-12))
+    a1, a3 = rng.uniform(0.1, 2.0, 2)
+    a2 = math.nextafter(a1, math.inf)
+    b1 = rng.uniform(0.5, 2.0)
+    cases.append((Hyp3F2Params(a1, a2, a3, b1, a1 + a2 + a3 - b1 + 3.5), 1e-12))
     return cases
 
 
