@@ -32,6 +32,10 @@ bound; the rare sum that the bracket cannot decide (a near tie, a zero, a
 non-finite term) goes to ``math.fsum``.  The short log-gamma sums use
 ``math.fsum`` directly.
 
+``hyp3f2_unit`` remembers its last call's arguments and result, one entry
+compared by ``==``, and returns that result when the next call repeats them:
+each row of the planar table sums its central 3F2 twice in a row.
+
 ``log_gamma`` reduces an argument below 12 to a point t of a zeta series
 about 1 or 2 and keeps the last ``_SERIES_CACHE`` = 32 series values by
 (t, point), so the ladders x0 + n of the Sturmian oracle, which reduce to a
@@ -293,6 +297,9 @@ def log_gamma(x: float) -> float:
         # compensated sum keeps full relative accuracy.
         steps = int(x - 2.0)
         y = x - steps
+        if steps == 1:
+            # One rounded addition of two doubles is what fsum returns.
+            return _reduced_series(y - 2.0, 2) + math.log(y)
         pieces = [_reduced_series(y - 2.0, 2)]
         pieces.extend(math.log(y + j) for j in range(steps))
         return math.fsum(pieces)
@@ -552,6 +559,13 @@ def _exact_sum(terms) -> float:
     return math.fsum(terms.tolist())
 
 
+# (p, tol, (value, diagnostics)) of hyp3f2_unit's last call that returned,
+# one tuple so that no key is read with another call's result.  One entry:
+# a miss costs no hashing, and a table, which starts at its first row's
+# centre and ends at its last row's lower point, never reads the one before.
+_last_sum = (None, None, None)
+
+
 def hyp3f2_unit(
     p: Hyp3F2Params, tol: float = TOL_FLOOR
 ) -> tuple[float, SeriesDiagnostics]:
@@ -565,10 +579,15 @@ def hyp3f2_unit(
     which adds each chunk in order and then the chunk sums in order.  A
     truncating series is one cumulative product over all its ratios, from
     the same two producers, in plain floats while the pure-Python budget
-    lasts.  The
-    value is the correctly rounded sum of all terms (``_exact_sum``, bit for
-    bit ``math.fsum``, which it falls back to when its error bracket cannot
-    decide the rounding).
+    lasts.  The value is the correctly rounded sum of all terms
+    (``_exact_sum``, bit for bit ``math.fsum``, which it falls back to when
+    its error bracket cannot decide the rounding).
+
+    A call with the ``Hyp3F2Params`` and clamped ``tol`` of the last call
+    that returned gets that call's (value, diagnostics) back, the same
+    tuple, and sums nothing: the sum is a function of (p, tol) alone.  Any
+    other call sums and becomes the one remembered; a call that raises
+    leaves it as it was.
 
     Parameters
     ----------
@@ -595,6 +614,11 @@ def hyp3f2_unit(
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol!r}")
     tol = max(tol, TOL_FLOOR)
+    global _last_sum
+    last = _last_sum
+    # Type first: a plain tuple, or a subclass, never replays nor is replayed.
+    if type(p) is Hyp3F2Params is type(last[0]) and p == last[0] and tol == last[1]:
+        return last[2]
 
     # Only a non-positive numerator can truncate the series.
     n_trunc = None
@@ -612,12 +636,14 @@ def hyp3f2_unit(
             _term_rows(p, terms[1:].reshape(1, n_trunc), 0, 1.0)
         else:
             terms = [1.0, *made[1]]
-        return _exact_sum(terms), tuple.__new__(SeriesDiagnostics, (n_trunc + 1, 0.0))
-
-    terms, k0, tail = _convergent_terms(p, tol, 0)
-    value = _exact_sum(terms)
-    # tuple.__new__ skips the NamedTuple's Python-level __new__.
-    return value, tuple.__new__(SeriesDiagnostics, (k0, tail / max(abs(value), _TINY)))
+        result = _exact_sum(terms), tuple.__new__(SeriesDiagnostics, (n_trunc + 1, 0.0))
+    else:
+        terms, k0, tail = _convergent_terms(p, tol, 0)
+        value = _exact_sum(terms)
+        # tuple.__new__ skips the NamedTuple's Python-level __new__.
+        result = value, tuple.__new__(SeriesDiagnostics, (k0, tail / max(abs(value), _TINY)))
+    _last_sum = (p, tol, result)
+    return result
 
 
 def hyp3f2_minus_one(p: Hyp3F2Params) -> float:

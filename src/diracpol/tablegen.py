@@ -116,6 +116,8 @@ def propagate_uncertainty(Z: float, consts: ConstantSet = ConstantSet()) -> floa
         return 0.0
     h = _STEP_FACTOR * consts.alpha_inv_sigma
     _check_step(Z, consts, h)
+    # generate_table has just evaluated this point for the row's value, so
+    # specfun.hyp3f2_unit reads its 3F2 back from its one-entry memo.
     center = _scaled_at(Z, consts.alpha_inv)
     upper = _scaled_at(Z, consts.alpha_inv + h)
     lower = _scaled_at(Z, consts.alpha_inv - h)

@@ -6,6 +6,7 @@ import math
 import tracemalloc
 from functools import reduce
 from operator import add
+from pathlib import Path
 
 import hypothesis
 import mpmath
@@ -74,6 +75,17 @@ class TestLogGamma:
                 continue
             rel = float(abs(mpmath.mpf(got) - exact) / abs(exact))
             assert rel <= 4.0 * eps
+
+    def test_one_step_recurrence_adds_two_pieces_as_fsum_does(self):
+        # On (3, 4) ln Gamma(x) is the series at x - 3 plus ln(x - 1), added
+        # once; a correctly rounded addition of two doubles is fsum's value.
+        rng = np.random.default_rng(34)
+        xs = [math.nextafter(3.0, 4.0), math.nextafter(4.0, 3.0)]
+        xs += (3.0 + rng.random(100_000)).tolist()
+        for x in xs:
+            if 3.0 < x < 4.0:
+                pieces = [specfun._reduced_series(x - 3.0, 2), math.log(x - 1.0)]
+                assert log_gamma(x) == math.fsum(pieces), x
 
     @pytest.mark.parametrize(
         "x, bits",
@@ -540,12 +552,19 @@ def threshold_cases(closed_form_parameter_sets):
     return _threshold_cases(closed_form_parameter_sets)
 
 
+def _forget_last_sum(monkeypatch):
+    """Empty hyp3f2_unit's one-entry memo, so that the next call sums."""
+    monkeypatch.setattr(specfun, "_last_sum", (None, None, None))
+
+
 def _force_pure_producer(monkeypatch):
     """Make every 3F2 here come from the pure-Python producer: an unlimited
-    allowance, and a numpy producer that fails if it is reached."""
+    allowance, and a numpy producer that fails if it is reached.  The memo
+    is emptied, so no earlier sum is read back in its place."""
     def numpy_used(*args):
         raise AssertionError("the numpy producer was used")
 
+    _forget_last_sum(monkeypatch)
     monkeypatch.setattr(specfun, "_pure_allowance", lambda: math.inf)
     monkeypatch.setattr(specfun, "_term_rows", numpy_used)
 
@@ -562,6 +581,7 @@ class TestBatchedChunks:
         ids=lambda n: "pure-python" if n == "pure" else f"predict-{n}",
     )
     def prediction(self, request, monkeypatch):
+        _forget_last_sum(monkeypatch)
         if request.param == "pure":
             _force_pure_producer(monkeypatch)
         elif request.param is not None:
@@ -617,13 +637,17 @@ class TestBatchedChunks:
     def test_exhausted_allowance_is_redone_by_numpy(self, monkeypatch, allowance, closed_form_parameter_sets):
         # A series that would pass the pure producer's allowance is redone
         # by numpy; what the pure producer computed is charged all the same.
+        # The repeated call is read back from the memo and charges nothing.
+        _forget_last_sum(monkeypatch)
         monkeypatch.setattr(specfun, "_pure_allowance", lambda: allowance)
         monkeypatch.setattr(specfun, "_pure_spent", 0)
         charged = 0
         for p in closed_form_parameter_sets[::10]:
             assert _outcome(hyp3f2_unit, p, TOL_FLOOR) == _outcome(_hyp3f2_unit_reference, p, TOL_FLOOR), p
+            spent = specfun._pure_spent
             terms = hyp3f2_unit(p)[1].terms_used
-            charged += 2 * min(terms - 1, allowance // 512 * 512)
+            assert specfun._pure_spent == spent
+            charged += min(terms - 1, allowance // 512 * 512)
         assert specfun._pure_spent == charged
 
     @pytest.mark.parametrize("a1", [-1.5, -3.0], ids=["convergent", "truncating"])
@@ -678,6 +702,83 @@ class TestBatchedChunks:
         finally:
             tracemalloc.stop()
         assert peak <= 344_666
+
+
+class TestLastSumMemo:
+    # hyp3f2_unit remembers the (p, tol) and result of its last call that
+    # returned, and gives that result back to a call that repeats them.
+    P = Hyp3F2Params(0.3, 0.3, 2.3, 3.3, 4.1)
+
+    @pytest.fixture
+    def sums(self, monkeypatch):
+        """The parameter sets _convergent_terms sums, from an empty memo."""
+        summed = []
+        convergent_terms = specfun._convergent_terms
+
+        def counted(p, tol, first):
+            summed.append(p)
+            return convergent_terms(p, tol, first)
+
+        _forget_last_sum(monkeypatch)
+        monkeypatch.setattr(specfun, "_convergent_terms", counted)
+        return summed
+
+    def test_a_table_sums_each_central_3f2_once(self, monkeypatch, sums):
+        from diracpol.tablegen import generate_table, rows_to_csv
+
+        calls = []
+        monkeypatch.setattr(polarizability, "hyp3f2_unit", lambda *a: calls.append(a) or hyp3f2_unit(*a))
+        csv = rows_to_csv(generate_table(1, 68))
+        assert (len(calls), len(sums)) == (272, 204)
+        golden = Path(__file__).resolve().parents[1] / "bench" / "golden_table.csv"
+        assert csv.encode() == golden.read_bytes()
+
+    def test_a_repeat_reads_back_the_same_result(self, sums):
+        first = hyp3f2_unit(self.P)
+        assert hyp3f2_unit(self.P) is first
+        assert hyp3f2_unit(self.P, 1e-20) is first  # clamped to TOL_FLOOR
+        assert len(sums) == 1
+
+    def test_another_tol_sums_again(self, sums):
+        loose = hyp3f2_unit(self.P, 1e-8)
+        tight = hyp3f2_unit(self.P)
+        assert len(sums) == 2
+        assert loose[1].terms_used < tight[1].terms_used
+        assert hyp3f2_unit(self.P, 1e-8) == loose
+        assert len(sums) == 3
+
+    def test_a_call_that_raises_keeps_the_entry(self, sums):
+        result = hyp3f2_unit(self.P)
+        entry = specfun._last_sum
+        with pytest.raises(ConvergenceError):
+            hyp3f2_unit(Hyp3F2Params(3.0, 3.0, 3.0, 1.0, 1.0))
+        with pytest.raises(ValueError):
+            hyp3f2_unit(self.P, math.nan)
+        with pytest.raises(ConvergenceError):
+            hyp3f2_unit(Hyp3F2Params(-(MAX_TERMS + 1.0), 1.0, 1.0, 2.0, 2.0))
+        assert specfun._last_sum is entry
+        assert hyp3f2_unit(self.P) is result
+        assert len(sums) == 2
+
+    def test_signed_zero_arguments_give_equal_results(self, monkeypatch):
+        # Tuple equality takes -0.0 for 0.0, so one reads the other's
+        # entry; both truncate at order 0 and sum to 1.
+        for a in (0.0, -0.0):
+            _forget_last_sum(monkeypatch)
+            fresh = _outcome(hyp3f2_unit, Hyp3F2Params(a, 1.5, 2.5, 3.0, 4.0))
+            for b in (0.0, -0.0):
+                assert _outcome(hyp3f2_unit, Hyp3F2Params(b, 1.5, 2.5, 3.0, 4.0)) == fresh
+            assert fresh == ((1.0).hex(), 1, (0.0).hex())
+
+    def test_a_plain_tuple_is_refused_as_without_the_memo(self, monkeypatch):
+        _forget_last_sum(monkeypatch)
+        with pytest.raises(AttributeError) as without:
+            hyp3f2_unit(tuple(self.P))
+        hyp3f2_unit(self.P)
+        with pytest.raises(AttributeError) as with_entry:
+            hyp3f2_unit(tuple(self.P))
+        assert str(with_entry.value) == str(without.value)
+        assert specfun._last_sum[0] is self.P
 
 
 def _fsum_outcome(terms: list[float]):
