@@ -625,6 +625,7 @@ class TestBatchedChunks:
         def pure_used(*args):
             raise AssertionError("the pure-Python producer was used")
 
+        _forget_last_sum(monkeypatch)
         monkeypatch.setattr(specfun, "_pure_terms", pure_used)
         spent = specfun._pure_spent
         assert specfun._pure_allowance() == 0
@@ -654,6 +655,7 @@ class TestBatchedChunks:
     def test_underflowed_denominator_is_left_to_numpy(self, monkeypatch, a1):
         # (k + b1)(k + b2) rounds to zero at k = 0: Python's division would
         # raise where numpy's gives inf, so numpy computes the series.
+        _forget_last_sum(monkeypatch)
         monkeypatch.setattr(specfun, "_pure_allowance", lambda: math.inf)
         p = Hyp3F2Params(a1, 0.7, 0.8, 1e-200, 1e-200)
         with np.errstate(all="ignore"):
@@ -688,12 +690,16 @@ class TestBatchedChunks:
         for p in closed_form_parameter_sets[::10]:
             assert _outcome(hyp3f2_unit, p, TOL_FLOOR) == _outcome(_hyp3f2_unit_reference, p, TOL_FLOOR), p
 
-    def test_near_critical_call_peak_memory(self):
+    def test_near_critical_call_peak_memory(self, monkeypatch):
         # One planar call at the largest subcritical charge (9729 terms)
         # peaked at 336.6 KiB of traced allocations with one chunk per
         # numpy pass (numpy 2.4); the batched passes must not need more.
+        # The memo is emptied after the warm-up call, so the measured call
+        # sums its series instead of reading the warm-up's back.
         spec = AtomSpec(math.nextafter(critical_charge("planar"), 0.0), "planar")
         polarizability.polarizability_planar(spec)
+        warm = specfun._last_sum
+        _forget_last_sum(monkeypatch)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -701,6 +707,8 @@ class TestBatchedChunks:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
+        assert specfun._last_sum[2] is not warm[2]
+        assert specfun._last_sum[2][1].terms_used == 9729
         assert peak <= 344_666
 
 
