@@ -13,9 +13,6 @@ import sys
 
 from .atom import ALPHA_INV_CODATA2014, ALPHA_INV_SIGMA_CODATA2014, AtomSpec, ChannelIndex, SupercriticalError
 from .polarizability import (
-    _m32_channel,
-    _planar_alpha,
-    _planar_kernel,
     nonrel_limit,
     polarizability_planar,
     polarizability_spatial,
@@ -159,14 +156,13 @@ def _run_crosscheck(args: argparse.Namespace) -> str:
     from .sturmian import SERIES_TOL_FLOOR, channel_first_order_integrals, r_channel_series
 
     spec = AtomSpec(args.Z, "planar", args.alpha_inv)
-    half = ChannelIndex(0.5)
-    r_half = r_channel_closed(half, spec)
-    # R_{-3/2} and alpha_1 share one 3F2 kernel, and each keeps the bits of
-    # r_channel_closed and polarizability_planar.
-    kernel = _planar_kernel(spec)
-    closed_alpha = _planar_alpha(kernel, spec)
+    channels = (ChannelIndex(0.5), ChannelIndex(-1.5))
+    # Every closed value before any series, alpha_1 right after R_{-3/2}:
+    # they share one 3F2, which hyp3f2_unit then reads back from its memo.
+    closed_values = [r_channel_closed(ch, spec) for ch in channels]
+    closed_alpha = polarizability_planar(spec)
     report = {}
-    for ch, closed in ((half, r_half), (ChannelIndex(-1.5), _m32_channel(kernel, spec))):
+    for ch, closed in zip(channels, closed_values):
         series, diag = r_channel_series(ch, spec, args.tol)
         pairs = channel_first_order_integrals(ch, spec, 3)
         # Exactly-zero integrals are compared on the scale of the channel's

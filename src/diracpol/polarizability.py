@@ -7,13 +7,13 @@ while kappa = -3/2 carries an irreducible 3F2 at unit argument.  The planar
 and spatial polarizabilities and the kappa = -3/2 channel share one bracket,
 1 - coeff * 3F2(d-1, d-1, d+1; d+2, 2 gamma' + 1; 1) with its Gamma**2
 ratio, where only the exponent pair (gamma, gamma') and the polynomial
-factors differ.  ``_bracket_kernel`` computes what depends on the exponent
-pair alone, the 3F2 and two log-gammas, and ``_finish_bracket`` the rest;
-the planar polarizability and the kappa = -3/2 channel have the same pair,
-so the crosscheck computes one kernel for both.  Scaled values
-Z**4 * alpha_1 are computed first; the absolute polarizability is recovered
-by a single division, which refuses a charge so small (below about 1.2e-77)
-that Z**4 leaves the normal doubles.
+factors differ: ``_reduced_bracket`` evaluates it for all three.  The
+planar polarizability and the kappa = -3/2 channel have the same pair, so
+the same 3F2; the crosscheck computes alpha_1 right after the channel, and
+``hyp3f2_unit`` hands the channel's sum back from its one-entry memo.
+Scaled values Z**4 * alpha_1 are computed first; the absolute
+polarizability is recovered by a single division, which refuses a charge
+so small (below about 1.2e-77) that Z**4 leaves the normal doubles.
 """
 
 from __future__ import annotations
@@ -66,70 +66,19 @@ def _over_z4(value: float, spec: AtomSpec) -> float:
     )
 
 
-class _Kernel(NamedTuple):
-    """What the bracket shares between its (lower, num, den): d = gk - g,
-    F = 3F2(d-1, d-1, d+1; d+2, 2gk+1; 1) with its diagnostics,
-    2 ln Gamma(gk+g+2) and ln Gamma(2gk+1)."""
-
-    g: float
-    d: float
-    f_val: float
-    diag: SeriesDiagnostics
-    log_top: float
-    log_gk: float
-
-
-def _bracket_kernel(g: float, gk: float) -> _Kernel:
-    d = gk - g
-    f_val, diag = hyp3f2_unit(Hyp3F2Params(d - 1.0, d - 1.0, d + 1.0, d + 2.0, 2.0 * gk + 1.0))
-    # Doubling a double is exact.  tuple.__new__ skips the NamedTuple's
-    # Python-level __new__, as specfun's validated records do.
-    log_top, log_gk = 2.0 * log_gamma(gk + g + 2.0), log_gamma(2.0 * gk + 1.0)
-    return tuple.__new__(_Kernel, (g, d, f_val, diag, log_top, log_gk))
-
-
-def _finish_bracket(k: _Kernel, lower: float, num: float, den: float) -> float:
-    """The bracket 1 - coeff * F of kernel k, with coeff = num *
-    Gamma(gk+g+2)**2 / (Gamma(2g+lower) Gamma(2gk+1)) / (den * (d+1))."""
-    g, d, f_val, _, log_top, log_gk = k
-    # sturmian.gamma_ratio([gk+g+2] * 2, [2g+lower, 2gk+1]) bit for bit, with one
-    # log-gamma fewer.
-    logs = [log_top, -log_gamma(2.0 * g + lower), -log_gk]
-    coeff = num * math.exp(math.fsum(logs)) / (den * (d + 1.0))
-    return 1.0 - coeff * f_val
-
-
 def _reduced_bracket(
     g: float, gk: float, lower: float, num: float, den: float
 ) -> tuple[float, SeriesDiagnostics]:
-    """The bracket of exponents (g, gk) and the 3F2 diagnostics."""
-    k = _bracket_kernel(g, gk)
-    return _finish_bracket(k, lower, num, den), k.diag
-
-
-def _planar_kernel(spec: AtomSpec) -> _Kernel:
-    """The kernel of a planar spec, which R_{-3/2} and alpha_1 share."""
-    return _bracket_kernel(gamma_half(spec), gamma_kappa(spec, _KAPPA_M32))
-
-
-def _m32_channel(k: _Kernel, spec: AtomSpec) -> float:
-    """R_{-3/2} from the planar kernel: -(g+1)(2g+1)(2g+3) / (32 (2 kappa + 1)
-    Z**4) times the bracket of lower 4, num ((2 kappa + 1) g + 2)**2 and
-    den 1, at kappa = -3/2."""
-    g = k.g
-    bracket = _finish_bracket(k, 4.0, (2.0 - 2.0 * g) ** 2, 1.0)
-    return _over_z4((g + 1.0) * (2.0 * g + 1.0) * (2.0 * g + 3.0) / 64.0, spec) * bracket
-
-
-def _planar_alpha(k: _Kernel, spec: AtomSpec) -> PolarizabilityResult:
-    """The planar polarizability from the planar kernel."""
-    g = k.g
-    bracket = _finish_bracket(k, 3.0, 4.0 * (g - 1.0) ** 2, (g + 1.0) * (4.0 * g + 3.0))
-    scaled = ((g + 1.0) ** 2 * (2.0 * g + 1.0) * (4.0 * g + 3.0) / 128.0) * bracket
-    # tuple.__new__ skips the NamedTuple's Python-level __new__.
-    return tuple.__new__(
-        PolarizabilityResult, (_over_z4(scaled, spec), scaled, "closed_form", k.diag)
-    )
+    """The bracket 1 - coeff * 3F2(d-1, d-1, d+1; d+2, 2gk+1; 1), d = gk - g,
+    with coeff = num * Gamma(gk+g+2)**2 / (Gamma(2g+lower) Gamma(2gk+1))
+    / (den * (d+1)), and the 3F2 diagnostics."""
+    d = gk - g
+    f_val, diag = hyp3f2_unit(Hyp3F2Params(d - 1.0, d - 1.0, d + 1.0, d + 2.0, 2.0 * gk + 1.0))
+    # sturmian.gamma_ratio([gk+g+2] * 2, [2g+lower, 2gk+1]) bit for bit, with one
+    # log-gamma fewer: doubling a double is exact.
+    logs = [2.0 * log_gamma(gk + g + 2.0), -log_gamma(2.0 * g + lower), -log_gamma(2.0 * gk + 1.0)]
+    coeff = num * math.exp(math.fsum(logs)) / (den * (d + 1.0))
+    return 1.0 - coeff * f_val, diag
 
 
 def r_channel_closed(ch: ChannelIndex, spec: AtomSpec) -> float:
@@ -137,12 +86,15 @@ def r_channel_closed(ch: ChannelIndex, spec: AtomSpec) -> float:
 
     For kappa = 1/2 the series truncates and the elementary form
     gamma(gamma+1)(2*gamma+1)(4*gamma+5) / (64 Z**4) is used; kappa = -3/2
-    takes the reduced 3F2 bracket.
+    is -(g+1)(2g+1)(2g+3) / (32 (2 kappa + 1) Z**4) times the reduced 3F2
+    bracket of lower 4, num ((2 kappa + 1) g + 2)**2 and den 1.
     """
     _check_dipole(ch.kappa)
-    if ch.kappa == -1.5:
-        return _m32_channel(_planar_kernel(spec), spec)
     g = gamma_half(spec)
+    if ch.kappa == -1.5:
+        gk = gamma_kappa(spec, _KAPPA_M32)
+        bracket, _ = _reduced_bracket(g, gk, 4.0, (2.0 - 2.0 * g) ** 2, 1.0)
+        return _over_z4((g + 1.0) * (2.0 * g + 1.0) * (2.0 * g + 3.0) / 64.0, spec) * bracket
     return _over_z4(g * (g + 1.0) * (2.0 * g + 1.0) * (4.0 * g + 5.0) / 64.0, spec)
 
 
@@ -169,7 +121,14 @@ def polarizability_planar(spec: AtomSpec) -> PolarizabilityResult:
     """
     if spec.dimension != "planar":
         raise ValueError("polarizability_planar needs a planar spec")
-    return _planar_alpha(_planar_kernel(spec), spec)
+    g = gamma_half(spec)
+    gk = gamma_kappa(spec, _KAPPA_M32)
+    bracket, diag = _reduced_bracket(g, gk, 3.0, 4.0 * (g - 1.0) ** 2, (g + 1.0) * (4.0 * g + 3.0))
+    scaled = ((g + 1.0) ** 2 * (2.0 * g + 1.0) * (4.0 * g + 3.0) / 128.0) * bracket
+    # tuple.__new__ skips the NamedTuple's Python-level __new__.
+    return tuple.__new__(
+        PolarizabilityResult, (_over_z4(scaled, spec), scaled, "closed_form", diag)
+    )
 
 
 def polarizability_spatial(spec: AtomSpec) -> PolarizabilityResult:

@@ -33,8 +33,10 @@ non-finite term) goes to ``math.fsum``.  The short log-gamma sums use
 ``math.fsum`` directly.
 
 ``hyp3f2_unit`` remembers its last call's arguments and result, one entry
-compared by ``==``, and returns that result when the next call repeats them:
-each row of the planar table sums its central 3F2 twice in a row.
+compared by ``==``, and returns that result when the next call repeats them.
+It has two readers: a planar table row's centre, which the row sums twice in
+a row, and a crosscheck's alpha_1, which follows R_{-3/2} with the same 3F2.
+A ``hyp3f2_unit`` call between the two costs a second sum, never other bits.
 
 ``log_gamma`` reduces an argument below 12 to a point t of a zeta series
 about 1 or 2 and keeps the last ``_SERIES_CACHE`` = 32 series values by
@@ -587,7 +589,9 @@ def hyp3f2_unit(
     that returned gets that call's (value, diagnostics) back, the same
     tuple, and sums nothing: the sum is a function of (p, tol) alone.  Any
     other call sums and becomes the one remembered; a call that raises
-    leaves it as it was.
+    leaves it as it was.  The repeats read back are a planar table row's
+    centre and a crosscheck's alpha_1 after its R_{-3/2}; another call
+    between the two costs time, not bits.
 
     Parameters
     ----------

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from diracpol import cli, polarizability
+from diracpol import cli, polarizability, specfun
 from diracpol.atom import ALPHA_INV_CODATA2014, AtomSpec, ChannelIndex, critical_charge
 from diracpol.cli import run
 from diracpol.polarizability import polarizability_planar, r_channel_closed
@@ -175,16 +175,30 @@ class TestCrosscheckCommand:
         ],
     )
     def test_one_kernel_gives_the_public_bits(self, monkeypatch, z, alpha_inv):
-        # R_{-3/2} and alpha_1 share one 3F2 sum, and each keeps the bits of
-        # the public function that sums it alone.  The payload is read before
-        # it becomes JSON, which has no spelling for alpha_inv = inf.
+        # R_{-3/2} and alpha_1 ask for the same 3F2, and alpha_1's call gets
+        # R_{-3/2}'s result back, the very tuple, so one 3F2 is summed.  Each
+        # keeps the bits of the public function that sums it alone.  The
+        # payload is read before it becomes JSON, which has no spelling for
+        # alpha_inv = inf.
         calls = []
         hyp = polarizability.hyp3f2_unit
-        monkeypatch.setattr(polarizability, "hyp3f2_unit", lambda *a: calls.append(a) or hyp(*a))
+
+        def recording(*args):
+            result = hyp(*args)
+            calls.append((args, result))
+            return result
+
+        # An empty memo: the first call sums, whatever ran before.
+        monkeypatch.setattr(specfun, "_last_sum", (None, None, None))
+        monkeypatch.setattr(polarizability, "hyp3f2_unit", recording)
         monkeypatch.setattr(cli, "_json_document", lambda payload: payload)
         argv = ["crosscheck", "--Z", repr(z), "--alpha-inv", repr(alpha_inv), "--format", "json"]
         payload = cli._run_crosscheck(cli._build_parser().parse_args(argv))
-        assert len(calls) == 1
+        assert len(calls) == 2
+        (first_args, first), (second_args, second) = calls
+        assert type(first_args[0]) is specfun.Hyp3F2Params
+        assert second_args == first_args
+        assert second is first
         spec = AtomSpec(z, "planar", alpha_inv)
         for kappa in (0.5, -1.5):
             closed = r_channel_closed(ChannelIndex(kappa), spec)
@@ -417,8 +431,8 @@ class TestImportDiet:
         "z, numpy_after",
         [
             ("26", False),
-            # One 9,729-term 3F2 sum, shared by the channel and alpha_1, fits
-            # the pure-Python producer's 16,384-term budget.
+            # One 9,729-term 3F2 sum, which alpha_1 reads back from the
+            # channel's call, fits the pure-Python producer's 16,384-term budget.
             (repr(math.nextafter(critical_charge("planar"), 0.0)), False),
         ],
         ids=["Z=26", "near-critical"],

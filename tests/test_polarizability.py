@@ -211,15 +211,46 @@ class TestPlanarPolarizability:
 
     def test_channel_sum_consistency(self):
         # The direct expression equals the mean of the two channel
-        # integrals for every tabulated charge.
-        for z in range(1, 69):
-            spec = AtomSpec(float(z), "planar")
+        # integrals for every tabulated charge, and on the whole planar
+        # domain: Z log-uniform in [1e-6, Z_crit) at a perturbed or infinite
+        # alpha_inv, and the last double below Z_crit.
+        def check(z, alpha_inv):
+            spec = AtomSpec(z, "planar", alpha_inv)
             direct = polarizability_planar(spec).value_a0_cubed
             channel_mean = 0.5 * (
                 r_channel_closed(ChannelIndex(0.5), spec)
                 + r_channel_closed(ChannelIndex(-1.5), spec)
             )
-            assert abs(direct - channel_mean) / direct <= 1e-14, f"Z={z}"
+            deviation = abs(direct - channel_mean) / direct
+            assert deviation <= 1e-14, f"Z={z!r}, alpha_inv={alpha_inv!r}"
+
+        for z in range(1, 69):
+            check(float(z), ALPHA_INV_CODATA2014)
+
+        @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+        @hypothesis.given(
+            st.floats(0.0, 1.0),
+            st.one_of(
+                st.just(math.inf),
+                st.floats(0.5, 2.0).map(lambda scale: scale * ALPHA_INV_CODATA2014),
+            ),
+        )
+        @hypothesis.example(1.0, ALPHA_INV_CODATA2014)
+        @hypothesis.example(1.0, ALPHA_INV_CODATA2014 + 3.1e-4)
+        @hypothesis.example(1.0, 137.1)
+        @hypothesis.example(1.0, 100.0)
+        @hypothesis.example(1.0, math.inf)
+        def sampled(u, alpha_inv):
+            # u = 1 is the last double below Z_crit; alpha_inv = inf has no
+            # critical charge and takes the CODATA range.
+            finite = alpha_inv if alpha_inv < math.inf else ALPHA_INV_CODATA2014
+            zc = critical_charge("planar", finite)
+            z = math.nextafter(zc, 0.0)
+            if u < 1.0:
+                z = min(math.exp(math.log(1e-6) + u * math.log(zc / 1e-6)), z)
+            check(z, alpha_inv)
+
+        sampled()
 
     def test_bounds_and_monotonicity(self):
         previous = math.inf

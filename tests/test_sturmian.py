@@ -18,6 +18,7 @@ from diracpol.atom import (
     gamma_kappa,
     radial_PQ,
 )
+from diracpol import sturmian
 from diracpol.cli import run
 from diracpol.polarizability import polarizability_sturmian
 from diracpol.specfun import ConvergenceError, _laguerre_table, log_gamma
@@ -643,7 +644,7 @@ class TestCaches:
             c = _channel.__wrapped__(ch, AtomSpec(z, "planar"))
             assert all(type(v) is float for v in c if v is not None)
 
-    def test_errors_are_not_cached(self, capsys):
+    def test_errors_are_not_cached(self, capsys, monkeypatch):
         # At this charge _channel succeeds and _index_integrals(c, 1) reaches
         # log_gamma(0.0) (the n = 1 Gamma ratio of _gamma_shift_ratio): a
         # cached channel must not turn the second call into anything else.
@@ -654,6 +655,29 @@ class TestCaches:
         assert first[0] == 2 and "log_gamma requires x > 0" in first[1].err
         argv = ["crosscheck", "--Z", "26", "--tol", "-1"]
         assert (run(argv), capsys.readouterr()) == (run(argv), capsys.readouterr())
+        # The same at any charge: the fifth _gamma_shift_ratio call of a cold
+        # crosscheck raises, after its channels and first index integrals
+        # are cached.  Restored, the next run prints the bytes of a run from
+        # cleared caches.
+        argv = ["crosscheck", "--Z", "26", "--format", "json"]
+        ratio, calls = sturmian._gamma_shift_ratio, []
+
+        def failing_fifth(*args):
+            calls.append(args)
+            if len(calls) == 5:
+                raise ValueError("injected failure")
+            return ratio(*args)
+
+        _clear_charge_caches()
+        with monkeypatch.context() as patch:
+            patch.setattr(sturmian, "_gamma_shift_ratio", failing_fifth)
+            assert run(argv) == 2
+            assert capsys.readouterr() == ("", "error: injected failure\n")
+        assert len(calls) == 5
+        after_failure = (run(argv), capsys.readouterr())
+        _clear_charge_caches()
+        assert after_failure == (run(argv), capsys.readouterr())
+        assert after_failure[0] == 0
 
     @pytest.mark.parametrize("tol", [-1e-12, 0.0, math.nan, math.inf])
     def test_invalid_tol_raises_on_every_call(self, tol):
