@@ -15,7 +15,6 @@ from .atom import (
     gamma_half,
     gamma_kappa,
     ground_energy,
-    radial_PQ,
 )
 from .polarizability import (
     PolarizabilityResult,
@@ -91,7 +90,6 @@ __all__ = [
     "propagate_uncertainty",
     "quasirel_coefficient",
     "r_channel_closed",
-    "radial_PQ",
     "rows_to_csv",
     "rows_to_json",
     "second_order_energy",

@@ -4,8 +4,9 @@ Everything is expressed in Hartree atomic units (hbar = m = e =
 4*pi*eps0 = 1, lengths in Bohr radii), which removes all dimensional
 prefactors from the radial functions.  Planar (two-dimensional) systems use
 half-odd-integer channel indices kappa, spatial (three-dimensional) ones use
-nonzero integers.  The axial spinors and angular algebra that only check
-the closed form are in ``diracpol.sturmian``.
+nonzero integers.  The radial doublet as arrays, the axial spinors and the
+angular algebra only check the closed form; they are test code, in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Literal, NamedTuple
 
-from .specfun import _validated_make, log_gamma
+from .specfun import _validated_make
 
 # Inverse fine-structure constant (CODATA 2014) and its one-standard-deviation
 # uncertainty; the reference tables are pinned to this constant set.
@@ -152,25 +153,3 @@ def ground_energy(spec: AtomSpec) -> float:
     if spec.dimension != "planar":
         raise ValueError("ground_energy is defined for planar specs")
     return 2.0 * gamma_half(spec)
-
-
-def radial_PQ(spec: AtomSpec, r):
-    """Ground-state radial pair (P(r), Q(r)) of a planar spec in atomic units.
-
-    Both components share the shape (4Zr)**gamma * exp(-2Zr); the small
-    component Q carries the prefactor sqrt(1 - 2*gamma) with the positive
-    sign convention, so Q/P is a positive constant.
-    """
-    import numpy as np  # only the oracle evaluates radial functions
-
-    if spec.dimension != "planar":
-        raise ValueError("radial_PQ describes planar ground states")
-    rs = np.asarray(r, dtype=float)
-    gam = gamma_half(spec)
-    z = spec.Z
-    # Norm factors via log-gamma: sqrt(2Z(1 +- 2*gamma) / Gamma(2*gamma + 1)).
-    lognorm = 0.5 * (math.log(2.0 * z) - log_gamma(2.0 * gam + 1.0))
-    shape = np.exp(gam * np.log(4.0 * z * rs) - 2.0 * z * rs + lognorm)
-    p = math.sqrt(1.0 + 2.0 * gam) * shape
-    q = math.sqrt(1.0 - 2.0 * gam) * shape
-    return p, q

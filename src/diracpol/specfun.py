@@ -1,5 +1,5 @@
-"""Special-function kernels: log-gamma, the generalized Laguerre
-recurrence, and the generalized hypergeometric 3F2 at unit argument.
+"""Special-function kernels: log-gamma and the generalized hypergeometric
+3F2 at unit argument.
 
 Every 3F2 series that does not truncate is summed by one loop,
 ``_convergent_terms``: terms in chunks of 512, stopped after the first chunk
@@ -335,20 +335,6 @@ def log_gamma_drop(n: float, eps: float) -> float:
         steps = (math.log1p(t / j) for j in range(1, int(n) - 1))
         return math.fsum([_lgamma_series(t, _NEAR_ONE), *steps, -math.log(n - 1.0)])
     return log_gamma(n - eps) - log_gamma(n)
-
-
-def _laguerre_table(n: int, alpha: float, xs) -> list[tuple[float, ...]]:
-    """[L_{-1}, L_0, ..., L_n] of the generalized Laguerre polynomials of
-    order alpha at the floats xs, one tuple over xs per degree, from one run
-    of the three-term recurrence in plain floats, L_{-1} being zero:
-    (k + 1) L_{k+1} = (2k + alpha + 1 - x) L_k - (k + alpha) L_{k-1}."""
-    prev, cur = (0.0,) * len(xs), (1.0,) * len(xs)
-    table = [prev, cur][: n + 2]
-    for k in range(n):
-        a, b, k1 = 2 * k + alpha + 1.0, k + alpha, k + 1.0
-        prev, cur = cur, tuple(((a - x) * l1 - b * l0) / k1 for x, l0, l1 in zip(xs, prev, cur))
-        table.append(cur)
-    return table
 
 
 def _term_rows(p: Hyp3F2Params, rows: _np.ndarray, k_first: int, t_first: float) -> _np.ndarray:

@@ -1,8 +1,8 @@
 """Validation oracle for the closed-form polarizability: radial
 Dirac-Coulomb Sturmian functions at the planar ground-state energy, the
-explicit symmetric series for the dipole channel integrals, and every other
-helper that exists only to check the closed form.  No closed-form command
-imports this module.  The series has two entry points:
+explicit symmetric series for the dipole channel integrals, and the Gamma
+ratio and contiguous 3F2 identity that check the closed form.  No
+closed-form command imports this module.  The series has two entry points:
 
 - ``r_channel_series`` sums the Sturmian expansion of one dipole channel term
   by term from the closed first-order radial integrals;
@@ -20,19 +20,19 @@ signs of n_r: ``_index_integrals`` for the closed first-order integrals and
 Since every index of a channel is integrated on the same nodes, the
 ground-state doublet, the Sturmian envelope and the Laguerre polynomials of
 every degree the channel needs (one run of the recurrence,
-``_sturmian_parts``) are evaluated on them once; ``_doublets`` scales the
-envelope by each index's norm, a scalar.  The series stops on a plain
-running sum and returns one ``math.fsum`` of its terms.  Four caches outlive
-a call.  Two do not depend on the charge: a table of log n! (at most
-100,001 entries) and the last 64 quadrature rules, keyed by weight power and
-size, each with its weights divided by the weight function, so that a
-quadrature is one product with the integrand's values and one
-``math.fsum``.  Two serve only reuse within one charge: the last 2 channels
-(``_channel``) and the last 1024 indices (``_index_integrals``, as tuples),
-which hold both channels of any charge (788 indices at most, just below the
-critical charge at the tol floor).  A crosscheck sums each channel series
-twice and takes |n_r| <= 3 a third time; the later passes read these two
-caches, so each index is evaluated once per charge and the later passes
+``_laguerre_table``, in ``_sturmian_parts``) are evaluated on them once;
+``_doublets`` scales the envelope by each index's norm, a scalar.  The
+series stops on a plain running sum and returns one ``math.fsum`` of its
+terms.  Four caches outlive a call.  Two do not depend on the charge: a
+table of log n! (at most 100,001 entries) and the last 64 quadrature rules,
+keyed by weight power and size, each with its weights divided by the weight
+function, so that a quadrature is one product with the integrand's values
+and one ``math.fsum``.  Two serve only reuse within one charge: the last 2
+channels (``_channel``) and the last 1024 indices (``_index_integrals``, as
+tuples), which hold both channels of any charge (788 indices at most, just
+below the critical charge at the tol floor).  A crosscheck sums each channel
+series twice and takes |n_r| <= 3 a third time; the later passes read these
+two caches, so each index is evaluated once per charge and the later passes
 return the bits of the first.  Errors are not cached.  Beneath them,
 ``specfun.log_gamma`` keeps its last 32 series values: the log-gammas of an
 index, at x0 + |n_r| for a few x0 per channel, reduce to a few series
@@ -41,15 +41,10 @@ arguments, so most indices read their series back.
 The quadrature side runs on plain floats: ``roots_genlaguerre`` builds a
 rule of any size by Newton iteration on the Laguerre recurrence, and the
 integrals of |n_r| <= n_max take an n_max + 1 node rule, exact for the
-degree-|n_r| remainder of every index.  Only ``axial_spinor`` and
-``first_order_shift`` below import numpy, when called.
+degree-|n_r| remainder of every index.  Nothing here imports numpy.
 
-The other checks: ``hyp3f2_contiguous_rhs`` (the contiguous-shift identity
-of 3F2 at unit argument), ``r_channel_two_term`` (a dipole channel integral
-in its unreduced two-3F2 form), ``gamma_ratio`` (the Gamma ratio both of
-them take), and ``axial_spinor``, ``cos_matrix_element`` and
-``first_order_shift``, the planar angular algebra by which the first-order
-field shift of the ground state vanishes.
+The other checks: ``hyp3f2_contiguous_rhs``, the contiguous-shift identity
+of 3F2 at unit argument, and ``gamma_ratio``, the Gamma ratio it takes.
 """
 
 from __future__ import annotations
@@ -61,8 +56,7 @@ from typing import NamedTuple
 from .atom import AtomSpec, ChannelIndex, _check_dipole, gamma_half, gamma_kappa
 from .polarizability import NONREL_SCALED_PLANAR, _over_z4
 from .specfun import (
-    _TINY, TOL_FLOOR, ConvergenceError, Hyp3F2Params, SeriesDiagnostics, _laguerre_table,
-    hyp3f2_unit, log_gamma,
+    _TINY, TOL_FLOOR, ConvergenceError, Hyp3F2Params, SeriesDiagnostics, hyp3f2_unit, log_gamma,
 )
 
 # Accuracy floor of the series oracle; requests below it are clamped.
@@ -206,6 +200,20 @@ def _index_integrals(c: _Channel, n: int) -> tuple[tuple[float, float, float], .
             mu_weighted = -0.5 * (mu_val - 1.0) * (nn - kappa) * brace * magnitude
         out.append((plain, mu_weighted, mu_val))
     return tuple(out)
+
+
+def _laguerre_table(n: int, alpha: float, xs) -> list[tuple[float, ...]]:
+    """[L_{-1}, L_0, ..., L_n] of the generalized Laguerre polynomials of
+    order alpha at the floats xs, one tuple over xs per degree, from one run
+    of the three-term recurrence in plain floats, L_{-1} being zero:
+    (k + 1) L_{k+1} = (2k + alpha + 1 - x) L_k - (k + alpha) L_{k-1}."""
+    prev, cur = (0.0,) * len(xs), (1.0,) * len(xs)
+    table = [prev, cur][: n + 2]
+    for k in range(n):
+        a, b, k1 = 2 * k + alpha + 1.0, k + alpha, k + 1.0
+        prev, cur = cur, tuple(((a - x) * l1 - b * l0) / k1 for x, l0, l1 in zip(xs, prev, cur))
+        table.append(cur)
+    return table
 
 
 def _sturmian_parts(c: _Channel, x, n_max: int) -> tuple:
@@ -363,8 +371,8 @@ class _Nodes(NamedTuple):
 
 
 def _radial_pq(c: _Channel, x) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The ground-state pair (P, Q) of atom.radial_PQ at the points x = 4Zr,
-    in plain floats: the shape (4Zr)**g exp(-2Zr) with the norm
+    """The planar ground-state pair (P, Q) at the points x = 4Zr, in plain
+    floats: the shape (4Zr)**g exp(-2Zr) with the norm
     sqrt(2Z / Gamma(2g + 1)), times sqrt(1 + 2g) and sqrt(1 - 2g)."""
     log_norm = 0.5 * (math.log(2.0 * c.z) - c.log_gamma_2g1)
     shape = [math.exp(c.g * math.log(xi) - 0.5 * xi + log_norm) for xi in x]
@@ -536,93 +544,3 @@ def hyp3f2_contiguous_rhs(p: Hyp3F2Params, tol: float = TOL_FLOOR) -> float:
     f_shift, _ = hyp3f2_unit(shifted, tol)
     coeff = (p.a1 - p.a3 - 1.0) * (p.a2 - p.a3 - 1.0) / ((p.a3 + 1.0) * pole)
     return closed - coeff * f_shift
-
-
-def r_channel_two_term(ch: ChannelIndex, spec: AtomSpec) -> float:
-    """Dipole channel integral in its unreduced two-hypergeometric form.
-
-    Both 3F2 functions share the contiguous structure that the shift
-    identity removes; this path exists to validate that reduction against
-    :func:`r_channel_closed`.
-    """
-    kappa = ch.kappa
-    _check_dipole(kappa)
-    g = gamma_half(spec)
-    gk = gamma_kappa(spec, ch)
-    d = gk - g
-    f1, _ = hyp3f2_unit(Hyp3F2Params(d - 1.0, d - 1.0, d + 1.0, d + 2.0, 2.0 * gk + 1.0))
-    f2, _ = hyp3f2_unit(Hyp3F2Params(d - 1.0, d - 1.0, d, d + 1.0, 2.0 * gk + 1.0))
-    prefactor = _over_z4(
-        gamma_ratio([gk + g + 2.0] * 2, [2.0 * g + 1.0, 2.0 * gk + 1.0]) / 64.0, spec
-    )
-    brace = (
-        g * ((2.0 * kappa + 1.0) * g + 4.0) / (d + 1.0) * f1
-        - (gk + g) / (2.0 * kappa + 1.0) * f2
-    )
-    return prefactor * brace
-
-
-def axial_spinor(ch: ChannelIndex, m: float, phi):
-    """Two-component axial spinor of the planar problem.
-
-    For m = -kappa only the upper component survives, carrying the phase
-    exp(i(m - 1/2) phi) / sqrt(2 pi); for m = +kappa only the lower one,
-    with exp(i(m + 1/2) phi) / sqrt(2 pi).
-
-    Returns a complex array of shape (2,) + shape(phi).
-    """
-    if 2.0 * m != round(2.0 * m) or abs(m) != abs(ch.kappa):
-        raise ValueError(f"m must equal +-kappa, got m={m} for kappa={ch.kappa}")
-    import numpy as np  # only the check-only helpers take arrays
-
-    phis = np.asarray(phi, dtype=float)
-    norm = 1.0 / math.sqrt(2.0 * math.pi)
-    upper = np.zeros(phis.shape, dtype=complex)
-    lower = np.zeros(phis.shape, dtype=complex)
-    if m == -ch.kappa:
-        upper = norm * np.exp(1j * (m - 0.5) * phis)
-    if m == ch.kappa:
-        lower = norm * np.exp(1j * (m + 0.5) * phis)
-    return np.stack([upper, lower])
-
-
-def cos_matrix_element(ch: ChannelIndex, m: float, ch2: ChannelIndex, m2: float) -> float:
-    """Angular matrix element of cos(phi) between axial spinors.
-
-    Nonzero (value 1/2) only when the channels are dipole-coupled
-    (kappa = kappa' +- 1) and the orientation labels agree (m/kappa =
-    m'/kappa'); otherwise exactly zero.
-    """
-    for ch_i, m_i in ((ch, m), (ch2, m2)):
-        if 2.0 * m_i != round(2.0 * m_i) or abs(m_i) != abs(ch_i.kappa):
-            raise ValueError(f"invalid spinor labels kappa={ch_i.kappa}, m={m_i}")
-    two_k, two_k2 = round(2.0 * ch.kappa), round(2.0 * ch2.kappa)
-    same_orientation = (round(2.0 * m) * two_k2) == (round(2.0 * m2) * two_k)
-    coupled = abs(two_k - two_k2) == 2
-    return 0.5 if (same_orientation and coupled) else 0.0
-
-
-def first_order_shift(coefficients=(1.0, 0.0)) -> float:
-    """First-order field shift of the planar ground-state doublet.
-
-    The ground-state basis functions combine kappa = -1/2 upper and
-    kappa = +1/2 lower spinors, so every angular factor of the perturbation
-    matrix vanishes under the dipole selection rule and the shift is zero
-    for any admissible mixing coefficients.
-    """
-    import numpy as np
-
-    a, b = coefficients
-    if not math.isclose(abs(a) ** 2 + abs(b) ** 2, 1.0, rel_tol=0.0, abs_tol=1e-12):
-        raise ValueError("mixing coefficients must satisfy |a|^2 + |b|^2 = 1")
-    upper = ChannelIndex(-0.5)
-    lower = ChannelIndex(0.5)
-    matrix = np.empty((2, 2))
-    for i, m in enumerate((0.5, -0.5)):
-        for j, m2 in enumerate((0.5, -0.5)):
-            angular = cos_matrix_element(upper, m, upper, m2) + cos_matrix_element(
-                lower, m, lower, m2
-            )
-            matrix[i, j] = angular
-    eigenvalues = np.linalg.eigvalsh(matrix)
-    return float(eigenvalues[0])

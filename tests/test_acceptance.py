@@ -12,7 +12,6 @@ from diracpol.atom import (
     AtomSpec,
     ChannelIndex,
     gamma_half,
-    radial_PQ,
 )
 from diracpol.polarizability import (
     nonrel_limit,
@@ -23,21 +22,19 @@ from diracpol.polarizability import (
 )
 from diracpol.specfun import (
     Hyp3F2Params,
-    _laguerre_table,
     hyp3f2_unit,
     log_gamma,
 )
 from diracpol.sturmian import (
-    axial_spinor,
+    _laguerre_table,
     channel_first_order_integrals,
-    cos_matrix_element,
-    first_order_shift,
     gamma_ratio,
     gauss_laguerre_integral,
     hyp3f2_contiguous_rhs,
     r_channel_series,
 )
 from diracpol.tablegen import generate_table
+from tests.reference import axial_spinor, cos_matrix_element, first_order_shift, radial_PQ
 from tests.table_data import REFERENCE_SCALED, reference_tolerance, reference_value
 
 SPOT_ANCHORS = {

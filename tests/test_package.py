@@ -74,21 +74,28 @@ class TestSurface:
                 getattr(diracpol, name)
 
     def test_validation_helpers_live_only_in_the_oracle(self):
-        from diracpol import atom, polarizability, specfun, sturmian
+        from diracpol import atom, cli, polarizability, specfun, sturmian, tablegen
+        from tests import reference
 
-        helpers = (
+        modules = (diracpol, atom, cli, polarizability, specfun, sturmian, tablegen)
+        for name in (
+            "radial_PQ",
             "r_channel_two_term",
-            "hyp3f2_contiguous_rhs",
             "axial_spinor",
             "cos_matrix_element",
             "first_order_shift",
-            "gamma_ratio",
-        )
-        for name in helpers:
+        ):
+            assert getattr(reference, name).__module__ == reference.__name__, name
+            for module in modules:
+                assert not hasattr(module, name), (module.__name__, name)
+        # The demo takes these two, and a demo imports nothing from tests.
+        for name in ("gamma_ratio", "hyp3f2_contiguous_rhs"):
             for module in (diracpol, specfun, atom, polarizability):
                 assert not hasattr(module, name), (module.__name__, name)
             assert getattr(sturmian, name).__module__ == sturmian.__name__, name
-        assert len(diracpol.__all__) == 29
+        assert sturmian._laguerre_table.__module__ == sturmian.__name__
+        assert not hasattr(specfun, "_laguerre_table")
+        assert len(diracpol.__all__) == 28
 
     def test_only_specfun_knows_how_a_3f2_is_summed(self):
         # The closed form asks specfun for a 3F2 or a 3F2 - 1; the chunks,
@@ -137,12 +144,25 @@ class TestSurface:
                     imported.add(node.module.split(".")[0])
             assert "numpy" not in imported, path.name
 
+    def test_only_specfun_imports_numpy(self):
+        # Anywhere in a module, function bodies included: the code that only
+        # checks results on arrays is test code.
+        for path in sorted((SRC / "diracpol").glob("*.py")):
+            if path.name == "specfun.py":
+                continue
+            imported = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                    imported.add(node.module.split(".")[0])
+            assert "numpy" not in imported, path.name
+
     def test_import_loads_no_numpy_and_its_users_still_work(self):
         script = (
             "import sys, diracpol; "
             "print('numpy' in sys.modules); "
-            "p, q = diracpol.radial_PQ(diracpol.AtomSpec(26), [0.01, 0.1]); "
-            "print(repr(p.tolist()), repr(q.tolist()))"
+            "print(repr(diracpol.polarizability_planar(diracpol.AtomSpec(26)).value_a0_cubed))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script],
@@ -152,11 +172,8 @@ class TestSurface:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        p, q = diracpol.radial_PQ(AtomSpec(26), [0.01, 0.1])
-        assert proc.stdout.splitlines() == [
-            "False",
-            f"{p.tolist()!r} {q.tolist()!r}",
-        ]
+        value = diracpol.polarizability_planar(AtomSpec(26)).value_a0_cubed
+        assert proc.stdout.splitlines() == ["False", repr(value)]
 
     def test_import_loads_neither_oracle_nor_table_layer(self):
         script = (

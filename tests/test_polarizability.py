@@ -29,7 +29,7 @@ from diracpol.polarizability import (
     r_channel_closed,
     second_order_energy,
 )
-from diracpol.sturmian import r_channel_two_term
+from tests.reference import r_channel_two_term
 from tests.table_data import reference_tolerance, reference_value
 
 # Weak-coupling surrogate: a huge inverse fine-structure constant drives

@@ -24,12 +24,11 @@ from diracpol.specfun import (
     Hyp3F2Params,
     SeriesDiagnostics,
     _exact_sum,
-    _laguerre_table,
     hyp3f2_unit,
     log_gamma,
     log_gamma_drop,
 )
-from diracpol.sturmian import _laguerre_rule, gamma_ratio, hyp3f2_contiguous_rhs
+from diracpol.sturmian import _laguerre_rule, _laguerre_table, gamma_ratio, hyp3f2_contiguous_rhs
 
 mpmath.mp.dps = 40
 

@@ -16,18 +16,18 @@ from diracpol.atom import (
     critical_charge,
     gamma_half,
     gamma_kappa,
-    radial_PQ,
 )
 from diracpol import sturmian
 from diracpol.cli import run
 from diracpol.polarizability import polarizability_sturmian
-from diracpol.specfun import ConvergenceError, _laguerre_table, log_gamma
+from diracpol.specfun import ConvergenceError, log_gamma
 from diracpol.sturmian import (
     _caps,
     _channel,
     _doublets,
     _index_integrals,
     _laguerre_rule,
+    _laguerre_table,
     _log_factorial,
     _mu,
     _nodes,
@@ -38,6 +38,7 @@ from diracpol.sturmian import (
     r_channel_series,
     roots_genlaguerre,
 )
+from tests.reference import radial_PQ
 
 mpmath.mp.dps = 40
 
@@ -236,7 +237,7 @@ class TestSturmianST:
 
     @pytest.mark.parametrize("z", [1e-3, 26.0, 68.5])
     def test_ground_doublet_matches_radial_pq(self, z):
-        # The quadrature's plain-float (P, Q) against atom.radial_PQ.
+        # The quadrature's plain-float (P, Q) against reference.radial_PQ.
         spec = AtomSpec(z, "planar")
         c = _channel(CHANNELS[0], spec)
         r = np.random.default_rng(31).uniform(0.0, 60.0, 16) / (4.0 * z)
