@@ -12,22 +12,24 @@ bound, and their chunk sums agree bit for bit:
 
 - ``_pure_terms``, one chunk at a time in plain floats, summed by
   ``functools.reduce(operator.add, chunk)``; not by ``sum``, which is
-  compensated from Python 3.12 on.  It serves while numpy is not loaded and
-  until the process has computed ``_PURE_BUDGET`` = 2**14 terms with it, so
-  that the closed-form commands never import numpy.  A series that would
-  pass the budget, or whose denominator underflows to zero, is redone from
-  its start by numpy;
+  compensated from Python 3.12 on.  A quotient whose denominator underflows
+  to zero is formed as numpy's ``divide`` forms it (``_quotient``);
 - ``_term_rows``, as many chunks per numpy pass as the series is predicted
   to need, at most 16, summed by ``np.add.accumulate`` along each row; the
   loop tests them chunk by chunk, so the result is that of computing one
   chunk at a time.
 
-numpy is imported by the first numpy pass of the process, into the module
-global ``_np``; nothing imports it at module load.  Every series returns
-the correctly rounded sum of its computed terms, the value ``math.fsum``
-gives: a pure-Python series through ``math.fsum`` itself, a numpy one
-through ``_exact_sum``, one error-free split into high parts that add
-exactly and low parts whose rounded sum is bracketed by a proven error
+One rule picks the producer of a series: numpy's when
+``sys.modules.get("numpy")`` is a module, that is when the caller has
+loaded numpy, and the pure-Python one otherwise (a ``None`` entry, which
+blocks the import, counts as not loaded).  diracpol never imports numpy
+itself, so a process that does not load it sums every series in plain
+floats; a caller that sums many series is faster with numpy loaded first,
+and gets the same bits.  Every series
+returns the correctly rounded sum of its computed terms, the value
+``math.fsum`` gives: a pure-Python series through ``math.fsum`` itself, a
+numpy one through ``_exact_sum``, one error-free split into high parts that
+add exactly and low parts whose rounded sum is bracketed by a proven error
 bound; the rare sum that the bracket cannot decide (a near tie, a zero, a
 non-finite term) goes to ``math.fsum``.  The short log-gamma sums use
 ``math.fsum`` directly.
@@ -51,6 +53,7 @@ import sys
 from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import add, mul
+from types import ModuleType
 from typing import NamedTuple
 
 # Relative tolerance floor for series evaluation; requests below it are
@@ -66,27 +69,14 @@ _MAX_CHUNKS = (MAX_TERMS - 1) // _CHUNK + 1
 # Chunks one numpy pass computes at most; it bounds the pass's temporaries.
 _MAX_BATCH = 16
 
-# Terms the pure-Python producer computes at most in one process, about 5 ms
-# of work against about 100 ms for importing numpy: more than the 15,873 of
-# the longest closed-form series (spatial at the last double below Z_crit).
-_PURE_BUDGET = 1 << 14
-# Terms the pure-Python producer has computed in this process.
-_pure_spent = 0
-
 # Smallest positive normal double; a floor for relative-error scales.
 _TINY = sys.float_info.min
 
-# numpy, bound by ``_numpy`` on the first numpy pass, so that the closed-form
-# commands never load it.
-_np = None
 
-
-def _numpy():
-    """numpy, imported into ``_np`` by the first call in the process."""
-    global _np
-    if _np is None:
-        import numpy as _np
-    return _np
+def _loaded_numpy():
+    """numpy if the process has loaded it, else None; never imports it."""
+    np = sys.modules.get("numpy")
+    return np if isinstance(np, ModuleType) else None
 
 
 class ConvergenceError(ArithmeticError):
@@ -337,7 +327,7 @@ def log_gamma_drop(n: float, eps: float) -> float:
     return log_gamma(n - eps) - log_gamma(n)
 
 
-def _term_rows(p: Hyp3F2Params, rows: _np.ndarray, k_first: int, t_first: float) -> _np.ndarray:
+def _term_rows(np, p: Hyp3F2Params, rows: np.ndarray, k_first: int, t_first: float) -> np.ndarray:
     """Fill the C-contiguous 2-D array ``rows`` with the terms t_{k_first+1},
     t_{k_first+2}, ... of the unit-argument series p, given t_{k_first} =
     t_first, and return the ratios t_{k+1}/t_k in the same shape.
@@ -350,63 +340,68 @@ def _term_rows(p: Hyp3F2Params, rows: _np.ndarray, k_first: int, t_first: float)
     otherwise a2 + k takes a third temporary.  The cumulative product
     restarts at every row, and each row is then scaled by the last term of
     the row before (the first by t_first), so a row holds the bits that
-    computing the rows one at a time gives.  numpy must be loaded by
-    ``_numpy``.
+    computing the rows one at a time gives.  ``np`` is the loaded numpy
+    module that ``_loaded_numpy`` returns.
     """
     flat = rows.reshape(-1)  # a view, the denominator until the terms land
-    ks = _np.arange(k_first, k_first + flat.size + 1, dtype=float)
+    ks = np.arange(k_first, k_first + flat.size + 1, dtype=float)
     k = ks[:-1]
-    num = _np.add(k, p.b2)
-    _np.add(k, p.b1, out=flat)
+    num = np.add(k, p.b2)
+    np.add(k, p.b1, out=flat)
     flat *= num
     flat *= ks[1:]  # 1 + k; the last use of that view
-    _np.add(k, p.a1, out=num)
+    np.add(k, p.a1, out=num)
     if p.a1 == p.a2:
         num *= num
     else:
         num *= k + p.a2
-    num *= _np.add(k, p.a3, out=k)
+    num *= np.add(k, p.a3, out=k)
     del ks, k  # freed before the scaling below, whose product takes a temporary
-    ratios = _np.divide(num, flat, out=num).reshape(rows.shape)
-    _np.multiply.accumulate(ratios, axis=1, out=rows)  # np.cumprod, less call overhead
+    ratios = np.divide(num, flat, out=num).reshape(rows.shape)
+    np.multiply.accumulate(ratios, axis=1, out=rows)  # np.cumprod, less call overhead
     if len(rows) > 1:
-        lasts = _np.concatenate(([t_first], rows[:-1, -1]))
-        rows *= _np.multiply.accumulate(lasts)[:, None]
+        lasts = np.concatenate(([t_first], rows[:-1, -1]))
+        rows *= np.multiply.accumulate(lasts)[:, None]
     elif t_first != 1.0:  # a sum's first pass starts from t_0 = 1
         rows *= t_first
     return ratios
 
 
+def _quotient(num: float, den: float) -> float:
+    """num / den as numpy's ``divide`` forms it, also where Python's raises:
+    for den = +-0, +-inf with the signs of num and den, and nan for 0 / 0
+    or a nan num."""
+    if den:
+        return num / den
+    if num == 0.0 or num != num:
+        return math.nan
+    return math.copysign(math.inf, num) * math.copysign(1.0, den)
+
+
 def _pure_terms(
     p: Hyp3F2Params, k_first: int, n: int, t_first: float
-) -> tuple[list[float], list[float]] | None:
+) -> tuple[list[float], list[float]]:
     """The ratios t_{k+1}/t_k for k = k_first, ..., k_first + n - 1 and the
     terms t_{k_first+1}, ..., t_{k_first+n} of the series p, given
     t_{k_first} = t_first, as plain floats: the bits ``_term_rows`` puts in
-    one row, from the same operations in the same order; None for a zero
-    denominator.  The n terms are charged to ``_pure_spent``."""
-    global _pure_spent
+    one row, from the same operations in the same order.  A chunk with a
+    denominator that underflows to zero is formed again by ``_quotient``."""
     a1, a2, a3, b1, b2 = p
+    ks = range(k_first, k_first + n)
     try:
         ratios = [
             ((k + a1) * (k + a2)) * (k + a3) / (((k + b1) * (k + b2)) * (k + 1.0))
-            for k in map(float, range(k_first, k_first + n))
+            for k in map(float, ks)
         ]
-    except ZeroDivisionError:  # an underflowed denominator, which numpy divides by
-        return None
-    _pure_spent += n
+    except ZeroDivisionError:
+        ratios = [
+            _quotient(((k + a1) * (k + a2)) * (k + a3), ((k + b1) * (k + b2)) * (k + 1.0))
+            for k in map(float, ks)
+        ]
     terms = list(accumulate(ratios, mul))
     if t_first != 1.0:
         terms = [t * t_first for t in terms]
     return ratios, terms
-
-
-def _pure_allowance() -> float:
-    """Terms the pure-Python producer may still compute in this process:
-    none once numpy is loaded, and ``_PURE_BUDGET`` in all."""
-    if "numpy" in sys.modules:
-        return 0
-    return _PURE_BUDGET - _pure_spent
 
 
 def _predicted_chunks(p: Hyp3F2Params, balance: float, tol: float) -> int:
@@ -439,11 +434,10 @@ def _convergent_terms(p: Hyp3F2Params, tol: float, first: int):
     is positive and with every ratio of the chunk in (0, 1).  The running
     sum adds each chunk's terms in order, then the chunk sums in order.
 
-    Until numpy is loaded, and within the process's ``_PURE_BUDGET``, the
-    chunks come one at a time from ``_pure_terms``, as a list.  A series
-    that would pass the budget, or whose denominator underflows to zero, is
-    redone from its start by ``_term_rows``, into an array, as many chunks
-    per pass as ``_predicted_chunks`` gives, then doubling counts, at most
+    Unless the caller has loaded numpy, the chunks come one at a time from
+    ``_pure_terms``, as a list.  With numpy loaded they come from
+    ``_term_rows``, into an array, as many chunks per pass as
+    ``_predicted_chunks`` gives, then doubling counts, at most
     ``_MAX_BATCH`` each; the chunks past the stopping one are dropped, so
     the prediction changes the time, never the result.  Both producers
     give the same terms, k0 and tail bound.
@@ -455,19 +449,13 @@ def _convergent_terms(p: Hyp3F2Params, tol: float, first: int):
         )
     denom = balance - 1.0 if balance > 1.0 else balance
     k_min = max(0.0, -p.a1, -p.a2, -p.a3, -p.b1, -p.b2) + 2
-    allowance = _pure_allowance()
-    pure = allowance >= _CHUNK
-    head = 1.0 if first == 0 else 0.0  # the running sum before the first chunk
-    terms, approx, t_last, k0 = [1.0], head, 1.0, 1  # k0 = 1 + _CHUNK * (chunks summed)
+    np = _loaded_numpy()
+    # approx is the running sum; k0 = 1 + _CHUNK * (chunks summed).
+    terms, approx, t_last, k0 = [1.0], 1.0 if first == 0 else 0.0, 1.0, 1
     chunks = 0  # the chunks the numpy array holds
     while k0 <= MAX_TERMS:
-        if pure:
-            made = _pure_terms(p, k0 - 1, _CHUNK, t_last) if k0 - 1 + _CHUNK <= allowance else None
-            if made is None:  # numpy redoes the series from its start
-                pure = False
-                terms, approx, t_last, k0 = [1.0], head, 1.0, 1
-                continue
-            ratios, chunk = made
+        if np is None:
+            ratios, chunk = _pure_terms(p, k0 - 1, _CHUNK, t_last)
             terms += chunk
             ratios, sums, lasts = [ratios], [reduce(add, chunk)], [chunk[-1]]
             least, greatest = min, max
@@ -476,20 +464,20 @@ def _convergent_terms(p: Hyp3F2Params, tol: float, first: int):
             if summed == chunks:  # the first pass, or the array is full
                 if summed:
                     chunks = min(2 * summed, _MAX_CHUNKS)
-                    grown = _np.empty(1 + chunks * _CHUNK)
+                    grown = np.empty(1 + chunks * _CHUNK)
                     grown[:k0] = terms
                 else:  # 3F2 - 1 is about its first term, which scales the prediction
                     scale = 1.0 if first == 0 else abs(p.a1 * p.a2 * p.a3 / (p.b1 * p.b2))
                     chunks = min(_predicted_chunks(p, balance, tol * scale), _MAX_CHUNKS)
-                    grown = _numpy().empty(1 + chunks * _CHUNK)
+                    grown = np.empty(1 + chunks * _CHUNK)
                     grown[0] = 1.0  # t_0, the one term before the first pass
                 terms = grown
             batch = min(chunks - summed, _MAX_BATCH)
             rows = terms[k0 : k0 + batch * _CHUNK].reshape(batch, _CHUNK)
-            ratios = _term_rows(p, rows, k0 - 1, t_last)
-            sums = _np.add.accumulate(rows, axis=1)[:, -1].tolist()
+            ratios = _term_rows(np, p, rows, k0 - 1, t_last)
+            sums = np.add.accumulate(rows, axis=1)[:, -1].tolist()
             lasts = rows[:, -1].tolist()
-            least, greatest = _np.ndarray.min, _np.ndarray.max
+            least, greatest = np.ndarray.min, np.ndarray.max
         for j, (chunk_sum, t_last) in enumerate(zip(sums, lasts)):
             approx += chunk_sum
             k0 += _CHUNK
@@ -566,10 +554,10 @@ def hyp3f2_unit(
     whose power-law tail bound falls below ``tol`` times the running sum,
     which adds each chunk in order and then the chunk sums in order.  A
     truncating series is one cumulative product over all its ratios, from
-    the same two producers, in plain floats while the pure-Python budget
-    lasts.  The value is the correctly rounded sum of all terms
-    (``_exact_sum``, bit for bit ``math.fsum``, which it falls back to when
-    its error bracket cannot decide the rounding).
+    the same two producers, chosen by the same rule.  The value is the
+    correctly rounded sum of all terms (``_exact_sum``, bit for bit
+    ``math.fsum``, which it falls back to when its error bracket cannot
+    decide the rounding).
 
     A call with the ``Hyp3F2Params`` and clamped ``tol`` of the last call
     that returned gets that call's (value, diagnostics) back, the same
@@ -619,13 +607,13 @@ def hyp3f2_unit(
             raise ConvergenceError(
                 f"truncating series needs {n_trunc + 1} terms, cap is {MAX_TERMS}"
             )
-        made = _pure_terms(p, 0, n_trunc, 1.0) if n_trunc <= _pure_allowance() else None
-        if made is None:
-            terms = _numpy().empty(n_trunc + 1)
-            terms[0] = 1.0
-            _term_rows(p, terms[1:].reshape(1, n_trunc), 0, 1.0)
+        np = _loaded_numpy()
+        if np is None:
+            terms = [1.0, *_pure_terms(p, 0, n_trunc, 1.0)[1]]
         else:
-            terms = [1.0, *made[1]]
+            terms = np.empty(n_trunc + 1)
+            terms[0] = 1.0
+            _term_rows(np, p, terms[1:].reshape(1, n_trunc), 0, 1.0)
         result = _exact_sum(terms), tuple.__new__(SeriesDiagnostics, (n_trunc + 1, 0.0))
     else:
         terms, k0, tail = _convergent_terms(p, tol, 0)

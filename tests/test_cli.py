@@ -399,16 +399,15 @@ class TestImportDiet:
                 [["planar", "--Z", "26"], ["spatial", "--Z", "3"], ["limits"]],
                 CLOSED_FORM_UNUSED,
             ),
-            # The longest closed-form series, 15,873 terms, within the
-            # 16,384 the pure-Python 3F2 producer may compute.
+            # The longest closed-form series, 15,873 terms.
             (
                 [["spatial", "--Z", repr(math.nextafter(ALPHA_INV_CODATA2014, 0.0))]],
                 CLOSED_FORM_UNUSED,
             ),
-            ([["table", "--format", "csv"]], ("diracpol.sturmian",)),
-            ([["crosscheck", "--Z", "12.3"]], ("diracpol.tablegen",)),
-            # The oracle runs on plain floats, and the near-critical 3F2 sum
-            # fits the pure-Python budget that the four others leave.
+            ([["table", "--format", "csv"]], ("diracpol.sturmian", "numpy")),
+            ([["crosscheck", "--Z", "12.3"]], ("diracpol.tablegen", "numpy")),
+            # The oracle runs on plain floats, and so does its 3F2 sum,
+            # 9,729 terms just below the critical charge.
             (
                 [
                     *(
@@ -428,16 +427,16 @@ class TestImportDiet:
         assert proc.stdout.split() == []
 
     @pytest.mark.parametrize(
-        "z, numpy_after",
+        "z",
         [
-            ("26", False),
+            "26",
             # One 9,729-term 3F2 sum, which alpha_1 reads back from the
-            # channel's call, fits the pure-Python producer's 16,384-term budget.
-            (repr(math.nextafter(critical_charge("planar"), 0.0)), False),
+            # channel's call.
+            repr(math.nextafter(critical_charge("planar"), 0.0)),
         ],
         ids=["Z=26", "near-critical"],
     )
-    def test_cold_crosscheck_bytes_equal_a_run_with_numpy_loaded(self, capsys, z, numpy_after):
+    def test_cold_crosscheck_bytes_equal_a_run_with_numpy_loaded(self, capsys, z):
         script = textwrap.dedent(
             """
             import contextlib, io, sys
@@ -452,32 +451,28 @@ class TestImportDiet:
         )
         argv = ["crosscheck", "--Z", z, "--format", "json"]
         status, cold = self._fresh(script.format(argv=argv)).stdout.split("\n", 1)
-        assert status == f"0 {numpy_after}"
+        assert status == "0 False"
         # The in-process run must see numpy loaded, whichever tests ran before.
         import numpy  # noqa: F401
 
         assert "numpy" in sys.modules
         assert _capture(capsys, argv) == (0, cold)
 
-    def test_table_crossing_the_pure_budget_keeps_the_golden_bytes(self):
-        # The table's series pass the pure-Python producer's budget after
-        # a few rows, and numpy computes the rest.
+    def test_cold_table_prints_the_golden_bytes_without_numpy(self):
+        # Every 3F2 sum of the table is computed in plain floats.
         script = textwrap.dedent(
             """
             import contextlib, io, sys
-            from diracpol import specfun
             from diracpol.cli import run
 
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = run(["table", "--format", "csv"])
-            print(code, "numpy" in sys.modules, specfun._pure_spent)
+            print(code, "numpy" in sys.modules)
             sys.stdout.write(out.getvalue())
             """
         )
         status, csv = self._fresh(script).stdout.split("\n", 1)
-        code, numpy_loaded, spent = status.split()
-        assert (code, numpy_loaded) == ("0", "True")
-        assert 0 < int(spent) <= 2**14
+        assert status == "0 False"
         golden = Path(__file__).resolve().parents[1] / "bench" / "golden_table.csv"
         assert csv.encode() == golden.read_bytes()

@@ -99,8 +99,8 @@ class TestSurface:
 
     def test_only_specfun_knows_how_a_3f2_is_summed(self):
         # The closed form asks specfun for a 3F2 or a 3F2 - 1; the chunks,
-        # their two producers and budget, their prediction, the stop rule and
-        # the exact sum stay inside it.
+        # their two producers and the rule between them, their prediction,
+        # the stop rule and the exact sum stay inside it.
         tree = ast.parse((SRC / "diracpol" / "polarizability.py").read_text())
         imported = [
             alias.name
@@ -113,43 +113,23 @@ class TestSurface:
         internals = {
             "_CHUNK",
             "_MAX_BATCH",
-            "_PURE_BUDGET",
             "_convergent_terms",
             "_exact_sum",
+            "_loaded_numpy",
             "_predicted_chunks",
-            "_pure_allowance",
             "_pure_terms",
+            "_quotient",
             "_term_rows",
         }
         for path in sorted((SRC / "diracpol").glob("*.py")):
             if path.name != "specfun.py":
                 assert _referenced_names(path).isdisjoint(internals), path.name
 
-    def test_no_module_imports_numpy_when_it_loads(self):
-        # Function bodies may import numpy; what runs at import may not.
-        def module_level(body):
-            for node in body:
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                yield node
-                for field in ("body", "orelse", "finalbody", "handlers"):
-                    yield from module_level(getattr(node, field, []))
-
+    def test_no_module_imports_numpy(self):
+        # Anywhere in a module, function bodies included: specfun uses numpy
+        # only when the caller has loaded it, and the code that only checks
+        # results on arrays is test code.
         for path in sorted((SRC / "diracpol").glob("*.py")):
-            imported = set()
-            for node in module_level(ast.parse(path.read_text()).body):
-                if isinstance(node, ast.Import):
-                    imported.update(alias.name.split(".")[0] for alias in node.names)
-                elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-                    imported.add(node.module.split(".")[0])
-            assert "numpy" not in imported, path.name
-
-    def test_only_specfun_imports_numpy(self):
-        # Anywhere in a module, function bodies included: the code that only
-        # checks results on arrays is test code.
-        for path in sorted((SRC / "diracpol").glob("*.py")):
-            if path.name == "specfun.py":
-                continue
             imported = set()
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Import):

@@ -2,7 +2,12 @@
 Laguerre recurrence, and the 3F2 series at unit argument."""
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from functools import reduce
 from operator import add
@@ -557,14 +562,14 @@ def _forget_last_sum(monkeypatch):
 
 
 def _force_pure_producer(monkeypatch):
-    """Make every 3F2 here come from the pure-Python producer: an unlimited
-    allowance, and a numpy producer that fails if it is reached.  The memo
-    is emptied, so no earlier sum is read back in its place."""
+    """Make every 3F2 here come from the pure-Python producer: numpy hidden
+    from ``sys.modules``, and a numpy producer that fails if it is reached.
+    The memo is emptied, so no earlier sum is read back in its place."""
     def numpy_used(*args):
         raise AssertionError("the numpy producer was used")
 
     _forget_last_sum(monkeypatch)
-    monkeypatch.setattr(specfun, "_pure_allowance", lambda: math.inf)
+    monkeypatch.setitem(sys.modules, "numpy", None)
     monkeypatch.setattr(specfun, "_term_rows", numpy_used)
 
 
@@ -619,46 +624,101 @@ class TestBatchedChunks:
             assert _outcome(hyp3f2_unit, p, tol) == _outcome(_hyp3f2_unit_reference, p, tol), (p, tol)
 
     def test_numpy_serves_every_series_once_loaded(self, monkeypatch, closed_form_parameter_sets):
-        # numpy is loaded here, so the pure-Python producer has no allowance
-        # and computes nothing.
+        # numpy is loaded here, so the pure-Python producer computes nothing.
         def pure_used(*args):
             raise AssertionError("the pure-Python producer was used")
 
         _forget_last_sum(monkeypatch)
         monkeypatch.setattr(specfun, "_pure_terms", pure_used)
-        spent = specfun._pure_spent
-        assert specfun._pure_allowance() == 0
+        assert specfun._loaded_numpy() is np
         for p in closed_form_parameter_sets[::10]:
             hyp3f2_unit(p)
         hyp3f2_unit(Hyp3F2Params(0.5, -3.0, 1.5, 2.0, 2.5))
-        assert specfun._pure_spent == spent
 
-    @pytest.mark.parametrize("allowance", [0, 511, 512, 2048])
-    def test_exhausted_allowance_is_redone_by_numpy(self, monkeypatch, allowance, closed_form_parameter_sets):
-        # A series that would pass the pure producer's allowance is redone
-        # by numpy; what the pure producer computed is charged all the same.
-        # The repeated call is read back from the memo and charges nothing.
-        _forget_last_sum(monkeypatch)
-        monkeypatch.setattr(specfun, "_pure_allowance", lambda: allowance)
-        monkeypatch.setattr(specfun, "_pure_spent", 0)
-        charged = 0
-        for p in closed_form_parameter_sets[::10]:
-            assert _outcome(hyp3f2_unit, p, TOL_FLOOR) == _outcome(_hyp3f2_unit_reference, p, TOL_FLOOR), p
-            spent = specfun._pure_spent
-            terms = hyp3f2_unit(p)[1].terms_used
-            assert specfun._pure_spent == spent
-            charged += min(terms - 1, allowance // 512 * 512)
-        assert specfun._pure_spent == charged
+    def test_a_blocked_numpy_counts_as_not_loaded(self, monkeypatch):
+        # A None entry, which makes ``import numpy`` fail, and any other
+        # object that is not a module leave the series to plain floats.
+        for entry in (None, "numpy"):
+            monkeypatch.setitem(sys.modules, "numpy", entry)
+            assert specfun._loaded_numpy() is None
+        monkeypatch.delitem(sys.modules, "numpy")
+        assert specfun._loaded_numpy() is None
 
     @pytest.mark.parametrize("a1", [-1.5, -3.0], ids=["convergent", "truncating"])
     def test_underflowed_denominator_is_left_to_numpy(self, monkeypatch, a1):
-        # (k + b1)(k + b2) rounds to zero at k = 0: Python's division would
-        # raise where numpy's gives inf, so numpy computes the series.
+        # (k + b1)(k + b2) rounds to zero at k = 0, where numpy's division
+        # gives inf; with numpy loaded, numpy computes the series.
         _forget_last_sum(monkeypatch)
-        monkeypatch.setattr(specfun, "_pure_allowance", lambda: math.inf)
         p = Hyp3F2Params(a1, 0.7, 0.8, 1e-200, 1e-200)
         with np.errstate(all="ignore"):
             assert _outcome(hyp3f2_unit, p, TOL_FLOOR) == _outcome(_hyp3f2_unit_reference, p, TOL_FLOOR)
+
+    # The table, the first 200 scan values and the two underflowed series,
+    # as computed by whichever producer the process's numpy selects.
+    PRODUCER_REPORT = textwrap.dedent(
+        """
+        import itertools, json, sys
+        from bench.workloads import scan_inputs
+        from diracpol import AtomSpec, polarizability_planar, polarizability_spatial
+        from diracpol.specfun import TOL_FLOOR, Hyp3F2Params, hyp3f2_unit
+        from diracpol.tablegen import generate_table, rows_to_csv
+
+        def outcome(p):
+            try:
+                value, diag = hyp3f2_unit(p, TOL_FLOOR)
+            except (ArithmeticError, ValueError) as exc:
+                return [type(exc).__name__, str(exc)]
+            return [value.hex(), diag.terms_used, diag.tail_estimate.hex()]
+
+        def report():
+            closed = {"planar": polarizability_planar, "spatial": polarizability_spatial}
+            return {
+                "numpy": sys.modules.get("numpy") is not None,
+                "table": rows_to_csv(generate_table(1, 68)),
+                "scan": [
+                    closed[dim](AtomSpec(z, dim)).value_a0_cubed.hex()
+                    for dim, z in itertools.islice(scan_inputs(0), 200)
+                ],
+                "underflow": [
+                    outcome(Hyp3F2Params(a1, 0.7, 0.8, 1e-200, 1e-200)) for a1 in (-1.5, -3.0)
+                ],
+            }
+        """
+    )
+
+    def test_process_without_numpy_gives_the_numpy_bits(self):
+        # A fresh interpreter in which ``import numpy`` fails sums every
+        # series in plain floats, the table's and the underflowed ones
+        # included.
+        root = Path(__file__).resolve().parents[1]
+        script = 'import sys\nsys.modules["numpy"] = None\n' + self.PRODUCER_REPORT
+        proc = subprocess.run(
+            [sys.executable, "-c", script + "print(json.dumps(report()))"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        pure = json.loads(proc.stdout)
+        namespace = {}
+        exec(self.PRODUCER_REPORT, namespace)
+        with np.errstate(all="ignore"):
+            numpy_run = namespace["report"]()
+        assert (pure.pop("numpy"), numpy_run.pop("numpy")) == (False, True)
+        assert pure == numpy_run
+        assert pure["table"].encode() == (root / "bench" / "golden_table.csv").read_bytes()
+
+    def test_quotient_by_zero_is_numpys(self):
+        nums = [0.0, -0.0, 1.5, -1.5, math.inf, -math.inf, math.nan, 5e-324]
+        dens = [0.0, -0.0, 2.0, -math.inf, math.nan]
+        with np.errstate(all="ignore"):
+            for num in nums:
+                for den in dens:
+                    got = specfun._quotient(num, den)
+                    want = float(np.divide(num, den))
+                    assert math.isnan(got) == math.isnan(want), (num, den)
+                    assert math.isnan(got) or got.hex() == want.hex(), (num, den)
 
     def test_prediction_is_exact_or_one_over_on_channel_parameters(self, closed_form_parameter_sets):
         for p in closed_form_parameter_sets:
