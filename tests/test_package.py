@@ -39,6 +39,17 @@ def _referenced_names(path: Path) -> set[str]:
     return names
 
 
+def _imported_roots(nodes) -> set[str]:
+    """The top-level packages that the import statements among ``nodes`` name."""
+    imported = set()
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            imported.add(node.module.split(".")[0])
+    return imported
+
+
 class TestSurface:
     def test_every_public_name_resolves(self):
         for name in diracpol.__all__:
@@ -125,18 +136,34 @@ class TestSurface:
             if path.name != "specfun.py":
                 assert _referenced_names(path).isdisjoint(internals), path.name
 
-    def test_no_module_imports_numpy(self):
-        # Anywhere in a module, function bodies included: specfun uses numpy
-        # only when the caller has loaded it, and the code that only checks
-        # results on arrays is test code.
+    def test_no_module_imports_numpy_when_it_loads(self):
+        # What runs at import, in every module.
+        def module_level(body):
+            for node in body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                yield node
+                for field in ("body", "orelse", "finalbody", "handlers"):
+                    yield from module_level(getattr(node, field, []))
+
         for path in sorted((SRC / "diracpol").glob("*.py")):
-            imported = set()
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Import):
-                    imported.update(alias.name.split(".")[0] for alias in node.names)
-                elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-                    imported.add(node.module.split(".")[0])
-            assert "numpy" not in imported, path.name
+            nodes = module_level(ast.parse(path.read_text()).body)
+            assert "numpy" not in _imported_roots(nodes), path.name
+
+    def test_only_specfun_imports_numpy(self):
+        # Anywhere in a module, function bodies included: the code that only
+        # checks results on arrays is test code.
+        for path in sorted((SRC / "diracpol").glob("*.py")):
+            if path.name == "specfun.py":
+                continue
+            nodes = ast.walk(ast.parse(path.read_text()))
+            assert "numpy" not in _imported_roots(nodes), path.name
+
+    def test_specfun_imports_numpy_nowhere(self):
+        # specfun uses numpy only when the caller has loaded it, so with the
+        # test above no module of diracpol imports numpy anywhere.
+        nodes = ast.walk(ast.parse((SRC / "diracpol" / "specfun.py").read_text()))
+        assert "numpy" not in _imported_roots(nodes)
 
     def test_import_loads_no_numpy_and_its_users_still_work(self):
         script = (
