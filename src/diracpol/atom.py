@@ -66,7 +66,7 @@ class AtomSpec(_AtomSpecFields):
             raise ValueError(f"alpha_inv must be positive, got {alpha_inv!r}")
         if not Z > 0.0:
             raise ValueError(f"Z must be positive, got {Z!r}")
-        z_crit = critical_charge(dimension, alpha_inv)
+        z_crit = alpha_inv / 2.0 if dimension == "planar" else alpha_inv  # critical_charge
         if not Z < z_crit:
             limit = "alpha_inv/2" if dimension == "planar" else "alpha_inv"
             raise SupercriticalError(
@@ -129,12 +129,15 @@ def gamma_kappa(spec: AtomSpec, ch: ChannelIndex) -> float:
     Evaluated as sqrt((|kappa| - alpha*Z)(|kappa| + alpha*Z)) to avoid
     cancellation near the critical charge.
     """
-    _check_channel(spec, ch)
-    ak = abs(ch.kappa)
-    az = spec.alpha_z
+    kappa = ch.kappa
+    # An integer kappa on a planar spec, or a half-odd one on a spatial spec.
+    if (spec.dimension == "planar") == (kappa == round(kappa)):
+        _check_channel(spec, ch)
+    ak = abs(kappa)
+    az = spec.Z / spec.alpha_inv  # spec.alpha_z
     if not ak > az:
         raise SupercriticalError(
-            f"channel kappa={ch.kappa} is supercritical: needs |kappa| > alpha*Z = {az}"
+            f"channel kappa={kappa} is supercritical: needs |kappa| > alpha*Z = {az}"
         )
     return math.sqrt((ak - az) * (ak + az))
 

@@ -121,7 +121,7 @@ def polarizability_planar(spec: AtomSpec) -> PolarizabilityResult:
     """
     if spec.dimension != "planar":
         raise ValueError("polarizability_planar needs a planar spec")
-    g = gamma_half(spec)
+    g = gamma_kappa(spec, _KAPPA_HALF)  # gamma_half(spec), one call fewer
     gk = gamma_kappa(spec, _KAPPA_M32)
     bracket, diag = _reduced_bracket(g, gk, 3.0, 4.0 * (g - 1.0) ** 2, (g + 1.0) * (4.0 * g + 3.0))
     scaled = ((g + 1.0) ** 2 * (2.0 * g + 1.0) * (4.0 * g + 3.0) / 128.0) * bracket

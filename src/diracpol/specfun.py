@@ -130,16 +130,21 @@ class Hyp3F2Params(_Hyp3F2Fields):
     __slots__ = ()
 
     def __new__(cls, a1: float, a2: float, a3: float, b1: float, b2: float) -> Hyp3F2Params:
-        for name, b in (("b1", b1), ("b2", b2)):
-            if not math.isfinite(b):
-                raise ValueError(f"{name} must be finite, got {b!r}")
-            if b <= 0.0 and b == round(b):
-                raise ValueError(
-                    f"{name}={b} is a non-positive integer (pole of the series)"
-                )
-        for name, a in (("a1", a1), ("a2", a2), ("a3", a3)):
-            if not math.isfinite(a):
-                raise ValueError(f"{name} must be finite, got {a!r}")
+        isfinite = math.isfinite
+        if not isfinite(b1):
+            raise ValueError(f"b1 must be finite, got {b1!r}")
+        if b1 <= 0.0 and b1 == round(b1):
+            raise ValueError(f"b1={b1} is a non-positive integer (pole of the series)")
+        if not isfinite(b2):
+            raise ValueError(f"b2 must be finite, got {b2!r}")
+        if b2 <= 0.0 and b2 == round(b2):
+            raise ValueError(f"b2={b2} is a non-positive integer (pole of the series)")
+        if not isfinite(a1):
+            raise ValueError(f"a1 must be finite, got {a1!r}")
+        if not isfinite(a2):
+            raise ValueError(f"a2 must be finite, got {a2!r}")
+        if not isfinite(a3):
+            raise ValueError(f"a3 must be finite, got {a3!r}")
         return tuple.__new__(cls, (a1, a2, a3, b1, b2))
 
     _make = classmethod(_validated_make)
@@ -422,6 +427,10 @@ def _predicted_chunks(p: Hyp3F2Params, balance: float, tol: float) -> int:
         return 1
 
 
+def _overflow(k_first: int, k_last: int) -> ConvergenceError:
+    return ConvergenceError(f"3F2 series overflows in its terms t_{k_first} to t_{k_last}")
+
+
 def _convergent_terms(p: Hyp3F2Params, tol: float, first: int):
     """The terms t_first, ..., t_{k0-1} of the convergent unit-argument
     series p (first = 0 for 3F2, 1 for 3F2 - 1), with k0 and the tail bound.
@@ -432,7 +441,8 @@ def _convergent_terms(p: Hyp3F2Params, tol: float, first: int):
     tight tolerance is reachable anyway), is at most ``tol`` times the
     running sum, past the index from which every factor of the term ratio
     is positive and with every ratio of the chunk in (0, 1).  The running
-    sum adds each chunk's terms in order, then the chunk sums in order.
+    sum adds each chunk's terms in order, then the chunk sums in order; a
+    chunk that leaves it infinite or nan raises ``ConvergenceError``.
 
     Unless the caller has loaded numpy, the chunks come one at a time from
     ``_pure_terms``, as a list.  With numpy loaded they come from
@@ -477,9 +487,11 @@ def _convergent_terms(p: Hyp3F2Params, tol: float, first: int):
             ratios = _term_rows(np, p, rows, k0 - 1, t_last)
             sums = np.add.accumulate(rows, axis=1)[:, -1].tolist()
             lasts = rows[:, -1].tolist()
-            least, greatest = np.ndarray.min, np.ndarray.max
+            least, greatest = np.minimum.reduce, np.maximum.reduce
         for j, (chunk_sum, t_last) in enumerate(zip(sums, lasts)):
             approx += chunk_sum
+            if not math.isfinite(approx):
+                raise _overflow(k0, k0 + _CHUNK - 1)
             k0 += _CHUNK
             tail = abs(t_last) * k0 / denom
             if t_last == 0.0 or (
@@ -517,7 +529,9 @@ def _exact_sum(terms) -> float:
     if isinstance(terms, list):
         return math.fsum(terms)
     n = terms.size
-    mu = float(max(terms.max(), -terms.min())) if n else 0.0
+    # The ufunc reductions that the ndarray methods call through Python.
+    np = _loaded_numpy()  # loaded: terms is an array
+    mu = float(max(np.maximum.reduce(terms), -np.minimum.reduce(terms))) if n else 0.0
     if 0.0 < mu < math.inf:
         e = math.frexp(mu)[1]  # mu < 2**e
         m = (n + 2).bit_length()  # 2**m > n + 2
@@ -525,9 +539,9 @@ def _exact_sum(terms) -> float:
             sigma = math.ldexp(1.0, e + m)
             buf = terms + sigma
             buf -= sigma  # q
-            tau = float(buf.sum())
+            tau = float(np.add.reduce(buf))
             buf -= terms  # -r, exactly: negating commutes with every rounding
-            rho = -float(buf.sum())
+            rho = -float(np.add.reduce(buf))
             delta = math.ldexp(n * n, e + m - 104)
             lo = tau + math.nextafter(rho - delta, -math.inf)
             if lo == tau + math.nextafter(rho + delta, math.inf):
@@ -585,7 +599,9 @@ def hyp3f2_unit(
         If ``tol`` is not positive or not finite.
     ConvergenceError
         If the series does not converge (non-truncating with non-positive
-        denominator excess) or needs more than ``MAX_TERMS`` terms.
+        denominator excess), needs more than ``MAX_TERMS`` terms, or
+        overflows: a term, or the running sum of a chunk of ``_CHUNK`` terms,
+        leaves the finite doubles.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -614,6 +630,10 @@ def hyp3f2_unit(
             terms = np.empty(n_trunc + 1)
             terms[0] = 1.0
             _term_rows(np, p, terms[1:].reshape(1, n_trunc), 0, 1.0)
+        # A term that leaves the finite doubles makes every later term
+        # infinite or nan, so the last term shows it.
+        if not math.isfinite(terms[-1]):
+            raise _overflow(1, n_trunc)
         result = _exact_sum(terms), tuple.__new__(SeriesDiagnostics, (n_trunc + 1, 0.0))
     else:
         terms, k0, tail = _convergent_terms(p, tol, 0)

@@ -5,13 +5,13 @@ CSV/JSON emission.
 Displayed values follow the reference convention of showing exactly two
 uncertain digits: the decimal count of each row is the smallest for which
 the propagated one-standard-deviation uncertainty rounds to a two-digit
-integer in units of the last displayed digit.
+integer in units of the last displayed digit.  Values and uncertainties are
+shown in fixed point, rounded half-even on the exact double.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from typing import NamedTuple
 
 from .atom import (
@@ -141,39 +141,32 @@ def format_scaled(value: float, sigma: float) -> tuple[str, int, int]:
 
     Returns (display string, decimal places, two-digit uncertainty).  The
     decimal count is the smallest for which the uncertainty rounds to at
-    least 10 units of the last digit; the central value is rounded
-    half-even on its decimal representation.  An uncertainty of 9.95 or
-    more, which rounds to 100 units at one decimal, raises ``ValueError``.
+    least 10 units of the last digit.  Both the value and the uncertainty
+    are rounded by Python's fixed-point formatting, which rounds the exact
+    double half-even, and the display never takes an exponent.  An
+    uncertainty of 9.95 or more, which rounds to 100 units at one decimal,
+    raises ``ValueError``.
     """
     if sigma == 0.0:
         # No propagated uncertainty: show full double precision, no digits
         # flagged as uncertain.
-        return _quantized(value, 16), 16, 0
+        return f"{value:.16f}", 16, 0
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"format_scaled needs a finite non-negative uncertainty, got {sigma!r}")
-    if Decimal(sigma).scaleb(1) >= Decimal("99.5"):
-        raise ValueError(f"uncertainty {sigma!r} too large to display two digits")
-    # units(d) = round(sigma * 10**d) never decreases in d and is 0 for every
-    # d < log10(0.5 / sigma), so the search starts at the floor of that,
-    # taken as a difference of logs since 0.5 / sigma overflows for a
-    # subnormal sigma.
+    # units(d) = round(sigma * 10**d), the digits of sigma shown at d decimals,
+    # never decreases in d and is 0 for every d < log10(0.5 / sigma), so the
+    # search starts at the floor of that, taken as a difference of logs since
+    # 0.5 / sigma overflows for a subnormal sigma.  A count after one showing
+    # at most 9 units shows at most 95: only 1 decimal, searched first, can
+    # show 100.
     first = max(1, math.floor(math.log10(0.5) - math.log10(sigma)))
     for digits in range(first, 40):
-        units = int(
-            Decimal(sigma).scaleb(digits).quantize(Decimal(1), rounding=ROUND_HALF_EVEN)
-        )
+        units = int(f"{sigma:.{digits}f}".replace(".", ""))
         if units >= 10:
-            return _quantized(value, digits), digits, units
+            if units >= 100:
+                raise ValueError(f"uncertainty {sigma!r} too large to display two digits")
+            return f"{value:.{digits}f}", digits, units
     raise ValueError(f"uncertainty {sigma!r} too small to display two digits")
-
-
-def _quantized(value: float, digits: int) -> str:
-    """``value`` rounded half-even to ``digits`` decimals, in a context with
-    room for every digit of the result."""
-    exact = Decimal(value)
-    with localcontext() as ctx:
-        ctx.prec = max(ctx.prec, exact.adjusted() + digits + 2)
-        return str(exact.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_HALF_EVEN))
 
 
 def generate_table(z_min: int, z_max: int, consts: ConstantSet = ConstantSet()) -> list[TableRow]:

@@ -1,6 +1,7 @@
 """Tests of the command-line surface: commands, formats, exit codes, and
 output determinism."""
 
+import ast
 import json
 import math
 import os
@@ -11,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from diracpol import cli, polarizability, specfun
+from diracpol import cli, polarizability, specfun, tablegen
 from diracpol.atom import ALPHA_INV_CODATA2014, AtomSpec, ChannelIndex, critical_charge
 from diracpol.cli import run
 from diracpol.polarizability import polarizability_planar, r_channel_closed
+from tests.test_package import _imported_roots
 
 
 def _capture(capsys, argv):
@@ -424,6 +426,14 @@ class TestImportDiet:
     )
     def test_commands_load_only_what_they_use(self, argvs, watched):
         proc = self._fresh(self.UNUSED.format(argvs=argvs, watched=watched))
+        assert proc.stdout.split() == []
+
+    def test_table_leaves_decimal_unloaded(self):
+        # format_scaled rounds by fixed-point formatting: decimal is imported
+        # nowhere in tablegen, and a cold table command never loads it.
+        nodes = ast.walk(ast.parse(Path(tablegen.__file__).read_text()))
+        assert "decimal" not in _imported_roots(nodes)
+        proc = self._fresh(self.UNUSED.format(argvs=[["table", "--format", "csv"]], watched=("decimal",)))
         assert proc.stdout.split() == []
 
     @pytest.mark.parametrize(

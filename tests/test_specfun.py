@@ -404,11 +404,14 @@ def _hyp3f2_unit_reference(p: Hyp3F2Params, tol: float, chunk_sum=_in_order_sum)
     """hyp3f2_unit as one 512-term chunk per numpy pass, each chunk tested
     before the next is computed against the running sum of the chunk sums,
     each chunk added in order unless ``chunk_sum`` says otherwise; summed by
-    math.fsum."""
+    math.fsum.  A running sum, or a truncating series' term, that is not
+    finite raises the overflow error."""
     tol = max(tol, TOL_FLOOR)
     n_trunc = p.truncation_order()
     if n_trunc is not None:
         _, block = _chunk_terms_reference(p, np.arange(n_trunc, dtype=float), 1.0)
+        if not np.isfinite(block).all():
+            raise ConvergenceError(f"3F2 series overflows in its terms t_1 to t_{n_trunc}")
         return math.fsum([1.0, *block.tolist()]), SeriesDiagnostics(n_trunc + 1, 0.0)
     balance = p.balance()
     if balance <= 0.0:
@@ -424,6 +427,8 @@ def _hyp3f2_unit_reference(p: Hyp3F2Params, tol: float, chunk_sum=_in_order_sum)
         ratios, block = _chunk_terms_reference(p, k, t_last)
         blocks.append(block)
         approx += chunk_sum(block)
+        if not math.isfinite(approx):
+            raise ConvergenceError(f"3F2 series overflows in its terms t_{k0} to t_{k0 + 511}")
         t_last = float(block[-1])
         k0 += 512
         if t_last == 0.0:
@@ -451,6 +456,8 @@ def _hyp3f2_minus_one_reference(p: Hyp3F2Params) -> float:
     for k0 in range(0, MAX_TERMS, 512):
         blocks.append(_chunk_terms_reference(p, np.arange(k0, k0 + 512, dtype=float), t_last)[1])
         total += _in_order_sum(blocks[-1])
+        if not math.isfinite(total):
+            raise ConvergenceError(f"3F2 series overflows in its terms t_{k0 + 1} to t_{k0 + 512}")
         t_last = float(blocks[-1][-1])
         if abs(t_last) * (k0 + 512 + 1) / denom <= TOL_FLOOR * total:
             return math.fsum(np.concatenate(blocks).tolist())
@@ -652,6 +659,27 @@ class TestBatchedChunks:
         p = Hyp3F2Params(a1, 0.7, 0.8, 1e-200, 1e-200)
         with np.errstate(all="ignore"):
             assert _outcome(hyp3f2_unit, p, TOL_FLOOR) == _outcome(_hyp3f2_unit_reference, p, TOL_FLOOR)
+
+    @pytest.mark.parametrize("producer", ["numpy", "pure-python"])
+    @pytest.mark.parametrize("a1, last", [(-1.5, 512), (-3.0, 3)], ids=["convergent", "truncating"])
+    def test_overflowing_terms_raise_at_their_chunk(self, monkeypatch, producer, a1, last):
+        # t_1 is -inf, since (k + b1)(k + b2) underflows to zero at k = 0.
+        # The error names the first chunk and no later one is computed: not
+        # fsum's "-inf + inf" nor, after 200,000 infinite terms, the cap.
+        if producer == "numpy":
+            _forget_last_sum(monkeypatch)
+            spied = "_term_rows"
+        else:
+            _force_pure_producer(monkeypatch)
+            spied = "_pure_terms"
+        passes = []
+        produce = getattr(specfun, spied)
+        monkeypatch.setattr(specfun, spied, lambda *args: passes.append(args) or produce(*args))
+        p = Hyp3F2Params(a1, 0.7, 0.8, 1e-200, 1e-200)
+        message = rf"^3F2 series overflows in its terms t_1 to t_{last}$"
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match=message):
+            hyp3f2_unit(p)
+        assert len(passes) == 1
 
     # The table, the first 200 scan values and the two underflowed series,
     # as computed by whichever producer the process's numpy selects.

@@ -4,9 +4,11 @@ digit display convention, serialization determinism."""
 import json
 import math
 import random
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from diracpol.atom import SupercriticalError
 from diracpol.tablegen import (
@@ -138,6 +140,52 @@ class TestFormatScaled:
             with pytest.raises(ValueError, match="too small"):
                 format_scaled(0.5, sigma)
 
+    def test_small_values_show_every_decimal(self):
+        # str(Decimal) switched to an exponent below 1e-6, which showed
+        # fewer decimals than the count returned.
+        assert format_scaled(2.5e-7, 1e-9) == ("0.0000002500", 10, 10)
+        assert format_scaled(1e-7, 0.0) == ("0.0000001000000000", 16, 0)
+        assert format_scaled(-1e-20, 1e-9) == ("-0.0000000000", 10, 10)
+
+    @hypothesis.settings(max_examples=3000, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(
+        value=st.one_of(
+            st.floats(-3.0, 3.0),
+            st.integers(-(10**6), 10**6).map(lambda n: n / 1024.0),  # binary ties
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        sigma=st.one_of(
+            st.floats(0.0, 20.0),
+            st.builds(
+                lambda m, k, step: step(m * 10.0**k),
+                st.sampled_from([9.5, 0.95, 0.5, 5.0, 1.0, 9.95]),
+                st.integers(-40, 1),
+                st.sampled_from(
+                    [lambda x: x, lambda x: math.nextafter(x, 0.0), lambda x: math.nextafter(x, math.inf)]
+                ),
+            ),
+            st.floats(),
+        ),
+    )
+    def test_matches_the_decimal_rendering(self, value, sigma):
+        # Same digits, units and errors as rounding the exact doubles with
+        # Decimal; the same display wherever str(Decimal) shows no exponent,
+        # and the same number where it does.
+        try:
+            expected = _decimal_format_scaled(value, sigma)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                format_scaled(value, sigma)
+            assert str(raised.value) == str(exc)
+            return
+        display, digits, units = format_scaled(value, sigma)
+        assert (digits, units) == expected[1:]
+        if "E" in expected[0]:
+            assert "E" not in display and "e" not in display
+            assert float(display) == float(expected[0])
+        else:
+            assert display == expected[0]
+
 
 def _format_from_one_decimal(value: float, sigma: float) -> tuple[str, int, int]:
     """format_scaled's digit search as it was: every decimal count from 1."""
@@ -146,6 +194,30 @@ def _format_from_one_decimal(value: float, sigma: float) -> tuple[str, int, int]
         if units >= 10:
             quantum = Decimal(1).scaleb(-digits)
             return str(Decimal(value).quantize(quantum, rounding=ROUND_HALF_EVEN)), digits, units
+    raise ValueError(f"uncertainty {sigma!r} too small to display two digits")
+
+
+def _decimal_format_scaled(value: float, sigma: float) -> tuple[str, int, int]:
+    """format_scaled as it was, rounding through Decimal: the reference for
+    fixed-point formatting."""
+
+    def quantized(digits):
+        exact = Decimal(value)
+        with localcontext() as ctx:
+            ctx.prec = max(ctx.prec, exact.adjusted() + digits + 2)
+            return str(exact.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_HALF_EVEN))
+
+    if sigma == 0.0:
+        return quantized(16), 16, 0
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"format_scaled needs a finite non-negative uncertainty, got {sigma!r}")
+    if Decimal(sigma).scaleb(1) >= Decimal("99.5"):
+        raise ValueError(f"uncertainty {sigma!r} too large to display two digits")
+    first = max(1, math.floor(math.log10(0.5) - math.log10(sigma)))
+    for digits in range(first, 40):
+        units = int(Decimal(sigma).scaleb(digits).quantize(Decimal(1), rounding=ROUND_HALF_EVEN))
+        if units >= 10:
+            return quantized(digits), digits, units
     raise ValueError(f"uncertainty {sigma!r} too small to display two digits")
 
 
