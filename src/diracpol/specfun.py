@@ -600,8 +600,8 @@ def hyp3f2_unit(
     ConvergenceError
         If the series does not converge (non-truncating with non-positive
         denominator excess), needs more than ``MAX_TERMS`` terms, or
-        overflows: a term, or the running sum of a chunk of ``_CHUNK`` terms,
-        leaves the finite doubles.
+        overflows: a term, the running sum of a chunk of ``_CHUNK`` terms,
+        or the sum of a truncating series leaves the finite doubles.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -634,7 +634,11 @@ def hyp3f2_unit(
         # infinite or nan, so the last term shows it.
         if not math.isfinite(terms[-1]):
             raise _overflow(1, n_trunc)
-        result = _exact_sum(terms), tuple.__new__(SeriesDiagnostics, (n_trunc + 1, 0.0))
+        try:
+            value = _exact_sum(terms)
+        except OverflowError:  # finite terms whose sum leaves the finite doubles
+            raise _overflow(0, n_trunc) from None
+        result = value, tuple.__new__(SeriesDiagnostics, (n_trunc + 1, 0.0))
     else:
         terms, k0, tail = _convergent_terms(p, tol, 0)
         value = _exact_sum(terms)

@@ -23,17 +23,17 @@ every degree the channel needs (one run of the recurrence,
 ``_laguerre_table``, in ``_sturmian_parts``) are evaluated on them once;
 ``_doublets`` scales the envelope by each index's norm, a scalar.  The
 series stops on a plain running sum and returns one ``math.fsum`` of its
-terms.  Four caches outlive a call.  Two do not depend on the charge: a
+terms.  Three caches outlive a call.  Two do not depend on the charge: a
 table of log n! (at most 100,001 entries) and the last 64 quadrature rules,
 keyed by weight power and size, each with its weights divided by the weight
 function, so that a quadrature is one product with the integrand's values
-and one ``math.fsum``.  Two serve only reuse within one charge: the last 2
-channels (``_channel``) and the last 1024 indices (``_index_integrals``, as
-tuples), which hold both channels of any charge (788 indices at most, just
-below the critical charge at the tol floor).  A crosscheck sums each channel
-series twice and takes |n_r| <= 3 a third time; the later passes read these
-two caches, so each index is evaluated once per charge and the later passes
-return the bits of the first.  Errors are not cached.  Beneath them,
+and one ``math.fsum``.  One serves only reuse within one charge: the last 2
+channels (``_channel``), each holding the closed integrals of the indices
+evaluated on it so far (``_Channel.rows``, as tuples), which live and go
+with the channel.  A crosscheck sums each channel series twice and takes
+|n_r| <= 3 a third time; the later passes read the channel's rows, so each
+index is evaluated once per charge and the later passes return the bits of
+the first.  Errors are not cached.  Beneath them,
 ``specfun.log_gamma`` keeps its last 32 series values: the log-gammas of an
 index, at x0 + |n_r| for a few x0 per channel, reduce to a few series
 arguments, so most indices read their series back.
@@ -64,10 +64,6 @@ SERIES_TOL_FLOOR = 1e-12
 
 _MAX_PAIRS = 100_000
 _STOP_STREAK = 5
-# Cached indices: both channels of one charge, so that a crosscheck's second
-# pass over a series and its |n_r| <= 3 integrals are read back, not redone.
-# The most one charge needs is 788 (Z just below critical, tol at its floor).
-_INDEX_CACHE = 1024
 # Default nodes of a Gauss-Laguerre rule, exact through degree 2 * 16 - 1 = 31.
 _RULE_NODES = 16
 # Newton iteration for its nodes: a step below _NEWTON_RTOL * x leaves an
@@ -101,7 +97,8 @@ def _mu(n: int, gk: float, nn: float, g: float) -> float:
 
 
 class _Channel(NamedTuple):
-    """The |n_r|-independent constants of one dipole channel at one spec."""
+    """The |n_r|-independent constants of one dipole channel at one spec, and
+    the rows of ``_index_integrals`` evaluated on it so far."""
 
     kappa: float
     z: float
@@ -111,6 +108,7 @@ class _Channel(NamedTuple):
     log_front: float  # log Gamma(gk + g + 2) - log(8 Z**2)
     log_gamma_2g1: float  # log Gamma(2g + 1)
     log_gamma_d1: float | None  # log Gamma(d - 1), only when d - 1 > 0
+    rows: dict[int, tuple[tuple[float, float, float], ...]]  # by |n_r|
 
 
 @lru_cache(maxsize=2)  # the two dipole channels of one charge
@@ -130,6 +128,7 @@ def _channel(ch: ChannelIndex, spec: AtomSpec) -> _Channel:
         log_gamma(gk + g + 2.0) - math.log(8.0 * z * z),
         log_gamma(2.0 * g + 1.0),
         log_gamma(d - 1.0) if d - 1.0 > 0.0 else None,
+        {},
     )
 
 
@@ -163,8 +162,16 @@ def _gamma_shift_ratio(d: float, n: int, log_gamma_d1: float | None) -> tuple[fl
     return sign, logmag
 
 
-@lru_cache(maxsize=_INDEX_CACHE)
 def _index_integrals(c: _Channel, n: int) -> tuple[tuple[float, float, float], ...]:
+    """The row of |n_r| = n from the channel's rows, evaluated and stored
+    there if absent; an evaluation that raises stores nothing."""
+    row = c.rows.get(n)
+    if row is None:
+        row = c.rows[n] = _index_row(c, n)
+    return row
+
+
+def _index_row(c: _Channel, n: int) -> tuple[tuple[float, float, float], ...]:
     """(plain, mu_weighted, mu) of n_r = n and, for n > 0, of n_r = -n.
 
     Both signs share the log-gammas of |n_r|; only N, mu and the brace

@@ -143,10 +143,12 @@ def format_scaled(value: float, sigma: float) -> tuple[str, int, int]:
     decimal count is the smallest for which the uncertainty rounds to at
     least 10 units of the last digit.  Both the value and the uncertainty
     are rounded by Python's fixed-point formatting, which rounds the exact
-    double half-even, and the display never takes an exponent.  An
-    uncertainty of 9.95 or more, which rounds to 100 units at one decimal,
-    raises ``ValueError``.
+    double half-even, and the display never takes an exponent.  A
+    non-finite value, and an uncertainty of 9.95 or more, which rounds to
+    100 units at one decimal, raise ``ValueError``.
     """
+    if not math.isfinite(value):
+        raise ValueError(f"format_scaled needs a finite value, got {value!r}")
     if sigma == 0.0:
         # No propagated uncertainty: show full double precision, no digits
         # flagged as uncertain.

@@ -165,6 +165,44 @@ class TestSurface:
         nodes = ast.walk(ast.parse((SRC / "diracpol" / "specfun.py").read_text()))
         assert "numpy" not in _imported_roots(nodes)
 
+    def test_process_global_state_is_on_the_allow_list(self):
+        # Every lru_cache, functools.cache and global statement in the
+        # package, by the module-level name that holds the state.  Each is
+        # state that outlives a call; a new one has to be added here.
+        allowed = {
+            "cli._build_parser",
+            "specfun._last_sum",
+            "specfun._reduced_series",
+            "sturmian._channel",
+            "sturmian._laguerre_rule",
+            "sturmian._log_factorial",
+        }
+
+        def is_cache(node) -> bool:
+            if isinstance(node, ast.Call):
+                node = node.func
+            if isinstance(node, ast.Attribute):
+                module, name = getattr(node.value, "id", None), node.attr
+            else:
+                module, name = "functools", getattr(node, "id", None)
+            return module == "functools" and name in ("cache", "lru_cache")
+
+        holders, uses, decorations = set(), 0, 0
+        for path in sorted((SRC / "diracpol").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Global):
+                    holders.update(f"{path.stem}.{name}" for name in node.names)
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    cached = sum(is_cache(d) for d in node.decorator_list)
+                    if cached:
+                        holders.add(f"{path.stem}.{node.name}")
+                        decorations += cached
+                elif isinstance(node, (ast.Name, ast.Attribute)):
+                    uses += is_cache(node)
+        assert holders == allowed
+        # No cache built other than as a decorator, e.g. f = lru_cache()(g).
+        assert uses == decorations
+
     def test_import_loads_no_numpy_and_its_users_still_work(self):
         script = (
             "import sys, diracpol; "

@@ -681,6 +681,19 @@ class TestBatchedChunks:
             hyp3f2_unit(p)
         assert len(passes) == 1
 
+    @pytest.mark.parametrize("producer", ["numpy", "pure-python"])
+    def test_truncating_sum_that_overflows_raises(self, monkeypatch, producer):
+        # The terms 1, 1e308 and 1.125e308 are finite and their sum is not:
+        # the error names the terms, not fsum's intermediate overflow.
+        if producer == "numpy":
+            _forget_last_sum(monkeypatch)
+            assert specfun._loaded_numpy() is np
+        else:
+            _force_pure_producer(monkeypatch)
+        p = Hyp3F2Params(-2.0, 2.0, -2.5, 1e-307, 1.0)
+        with pytest.raises(ConvergenceError, match=r"^3F2 series overflows in its terms t_0 to t_2$"):
+            hyp3f2_unit(p)
+
     # The table, the first 200 scan values and the two underflowed series,
     # as computed by whichever producer the process's numpy selects.
     PRODUCER_REPORT = textwrap.dedent(

@@ -545,18 +545,13 @@ def _pinned_charges() -> list[float]:
     return [math.exp(rng.uniform(lo, hi)) for _ in range(40)] + [12.3456, 68.5]
 
 
-def _clear_charge_caches() -> None:
-    _channel.cache_clear()
-    _index_integrals.cache_clear()
-
-
 class TestCaches:
     # SHA-256 of the concatenated crosscheck --format json stdout of
-    # _pinned_charges(), taken before _channel and _index_integrals were
+    # _pinned_charges(), taken before channels and index integrals were
     # cached, and taken again when the quadrature moved to an n_max + 1 node
     # Newton rule, which changed only the quadrature_max_dev fields.
     PINNED = "d66b23b20754c59e27a00ab6bf69544321157c995de00588ddab8f6bd8fc8c43"
-    CACHES = (_channel, _index_integrals, _log_factorial, _laguerre_rule)
+    CACHES = (_channel, _log_factorial, _laguerre_rule)
 
     @staticmethod
     def _crosscheck(capsys, z: float, *extra: str) -> str:
@@ -571,11 +566,11 @@ class TestCaches:
         charges = _pinned_charges()
         cold = []
         for z in charges:
-            _clear_charge_caches()
+            _channel.cache_clear()
             cold.append(self._crosscheck(capsys, z))
         assert self._digest(cold) == self.PINNED
-        # Warm: each charge finds the entries of whichever charges ran
-        # before it, and its own from its first pass over each series.
+        # Warm: each charge finds the channels of whichever charge ran
+        # before it, and its own rows from its first pass over each series.
         order = list(range(len(charges)))
         random.Random(61).shuffle(order)
         warm = {i: self._crosscheck(capsys, charges[i]) for i in order}
@@ -586,7 +581,8 @@ class TestCaches:
         for cache in self.CACHES:
             assert cache.cache_info().maxsize is not None
         # Three charges near critical need 700-788 indices each at the tol
-        # floor, so the index cache has to evict.
+        # floor; each channel holds them all, and only the last 2 channels
+        # are kept.
         zc = critical_charge("planar")
         rng = random.Random(50)
         charges = [math.exp(rng.uniform(math.log(1e-3), math.log(zc))) for _ in range(47)]
@@ -596,32 +592,37 @@ class TestCaches:
         for cache in self.CACHES:
             info = cache.cache_info()
             assert info.currsize <= info.maxsize
-        assert _index_integrals.cache_info().currsize == _index_integrals.cache_info().maxsize
 
     @pytest.mark.parametrize("z", [1e-3, 12.3456, 68.5])
     def test_cached_values_equal_fresh_values(self, z):
-        # Read back after the series has filled the caches, every entry has
-        # the bits of a fresh evaluation, and is immutable.
+        # Read back after the series has filled the channel's rows, every
+        # row has the bits of a fresh channel's evaluation, and is
+        # immutable; the channel holds the rows of its series and no others.
         spec = AtomSpec(z, "planar")
+        _channel.cache_clear()
         for ch in CHANNELS:
             _, diag = r_channel_series(ch, spec, 1e-12)
             c, fresh_c = _channel(ch, spec), _channel.__wrapped__(ch, spec)
-            assert [None if v is None else float.hex(v) for v in c] == [
-                None if v is None else float.hex(v) for v in fresh_c
+            assert [None if v is None else float.hex(v) for v in c[:-1]] == [
+                None if v is None else float.hex(v) for v in fresh_c[:-1]
             ]
-            for n in range((diag.terms_used + 1) // 2):
+            indices = range((diag.terms_used + 1) // 2)
+            assert sorted(c.rows) == list(indices)
+            for n in indices:
                 cached = _index_integrals(c, n)
+                assert cached is c.rows[n]
                 assert isinstance(cached, tuple)
                 assert all(isinstance(row, tuple) for row in cached)
-                fresh = _index_integrals.__wrapped__(c, n)
+                fresh = _index_integrals(fresh_c, n)
                 assert [[float.hex(v) for v in row] for row in cached] == [
                     [float.hex(v) for v in row] for row in fresh
                 ]
 
     @pytest.mark.parametrize("z", [1, 26, 68])
     def test_integer_and_float_charge_give_same_bytes(self, z):
-        # AtomSpec(26) and AtomSpec(26.0) are one cache key; cold or warm,
-        # either spelling must give the same values of the same types.
+        # AtomSpec(26) and AtomSpec(26.0) are one cache key, so they share
+        # one channel and its rows; cold or warm, either spelling must give
+        # the same values of the same types.
         def outputs(spec):
             values = []
             for ch in CHANNELS:
@@ -632,9 +633,13 @@ class TestCaches:
 
         runs = []
         for first, second in ((z, float(z)), (float(z), z)):
-            _clear_charge_caches()
+            _channel.cache_clear()
             runs.append(outputs(AtomSpec(first, "planar")))
             runs.append(outputs(AtomSpec(second, "planar")))
+            for ch in CHANNELS:
+                assert _channel(ch, AtomSpec(first, "planar")) is _channel(
+                    ch, AtomSpec(second, "planar")
+                )
         assert len(set(runs)) == 1
 
     @pytest.mark.parametrize("z", [26, np.float64(26.0), True])
@@ -643,17 +648,20 @@ class TestCaches:
         # so the entry must not carry the first caller's number type.
         for ch in (ChannelIndex(0.5), ChannelIndex(np.float64(-1.5))):
             c = _channel.__wrapped__(ch, AtomSpec(z, "planar"))
-            assert all(type(v) is float for v in c if v is not None)
+            assert all(type(v) is float for v in c[:-1] if v is not None)
 
     def test_errors_are_not_cached(self, capsys, monkeypatch):
-        # At this charge _channel succeeds and _index_integrals(c, 1) reaches
-        # log_gamma(0.0) (the n = 1 Gamma ratio of _gamma_shift_ratio): a
-        # cached channel must not turn the second call into anything else.
+        # At this charge _channel succeeds and _index_integrals(c, 1) of
+        # kappa = -3/2 reaches log_gamma(0.0) (the n = 1 Gamma ratio of
+        # _gamma_shift_ratio): a cached channel must not turn the second call
+        # into anything else, and holds no row for the index that raised.
         argv = ["crosscheck", "--Z", "1.6424084441835034e-06"]
         first = (run(argv), capsys.readouterr())
         second = (run(argv), capsys.readouterr())
         assert first == second
         assert first[0] == 2 and "log_gamma requires x > 0" in first[1].err
+        weak = AtomSpec(1.6424084441835034e-06, "planar")
+        assert sorted(_channel(CHANNELS[1], weak).rows) == [0]
         argv = ["crosscheck", "--Z", "26", "--tol", "-1"]
         assert (run(argv), capsys.readouterr()) == (run(argv), capsys.readouterr())
         # The same at any charge: the fifth _gamma_shift_ratio call of a cold
@@ -669,14 +677,15 @@ class TestCaches:
                 raise ValueError("injected failure")
             return ratio(*args)
 
-        _clear_charge_caches()
+        _channel.cache_clear()
         with monkeypatch.context() as patch:
             patch.setattr(sturmian, "_gamma_shift_ratio", failing_fifth)
             assert run(argv) == 2
             assert capsys.readouterr() == ("", "error: injected failure\n")
         assert len(calls) == 5
+        assert sorted(_channel(CHANNELS[0], AtomSpec(26.0, "planar")).rows) == [0, 1, 2, 3]
         after_failure = (run(argv), capsys.readouterr())
-        _clear_charge_caches()
+        _channel.cache_clear()
         assert after_failure == (run(argv), capsys.readouterr())
         assert after_failure[0] == 0
 

@@ -127,6 +127,13 @@ class TestFormatScaled:
         with pytest.raises(ValueError, match="finite non-negative uncertainty"):
             format_scaled(0.5, sigma)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_value(self, value):
+        with pytest.raises(ValueError, match="finite value"):
+            format_scaled(value, 1e-9)
+        with pytest.raises(ValueError, match="finite value"):
+            format_scaled(value, 0.0)
+
     def test_too_large_sigma_raises(self):
         # From 9.95 on, one decimal already shows 100 units or more; 1e27
         # once overflowed the 28-digit Decimal context instead.
