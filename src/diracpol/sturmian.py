@@ -23,25 +23,26 @@ every degree the channel needs (one run of the recurrence,
 ``_laguerre_table``, in ``_sturmian_parts``) are evaluated on them once;
 ``_doublets`` scales the envelope by each index's norm, a scalar.  The
 series stops on a plain running sum and returns one ``math.fsum`` of its
-terms.  Three caches outlive a call.  Two do not depend on the charge: a
-table of log n! (at most 100,001 entries) and the last 64 quadrature rules,
-keyed by weight power and size, each with its weights divided by the weight
-function, so that a quadrature is one product with the integrand's values
-and one ``math.fsum``.  One serves only reuse within one charge: the last 2
-channels (``_channel``), each holding the closed integrals of the indices
-evaluated on it so far (``_Channel.rows``, as tuples), which live and go
-with the channel.  A crosscheck sums each channel series twice and takes
-|n_r| <= 3 a third time; the later passes read the channel's rows, so each
-index is evaluated once per charge and the later passes return the bits of
-the first.  Errors are not cached.  Beneath them,
+terms.  Two caches outlive a call.  One does not depend on the charge: a
+table of log n! (at most 100,001 entries).  One serves only reuse within one
+charge: the last 2 channels (``_channel``), each holding the closed integrals
+of the indices evaluated on it so far (``_Channel.rows``, as tuples), which
+live and go with the channel.  A crosscheck sums each channel series twice
+and takes |n_r| <= 3 a third time; the later passes read the channel's rows,
+so each index is evaluated once per charge and the later passes return the
+bits of the first.  Errors are not cached.  Beneath them,
 ``specfun.log_gamma`` keeps its last 32 series values: the log-gammas of an
 index, at x0 + |n_r| for a few x0 per channel, reduce to a few series
 arguments, so most indices read their series back.
 
 The quadrature side runs on plain floats: ``roots_genlaguerre`` builds a
-rule of any size by Newton iteration on the Laguerre recurrence, and the
-integrals of |n_r| <= n_max take an n_max + 1 node rule, exact for the
-degree-|n_r| remainder of every index.  Nothing here imports numpy.
+rule of any size by Newton iteration on the Laguerre recurrence, and
+``laguerre_rule`` divides its weights by the weight function, so that a
+quadrature (``gauss_laguerre_integral``) is one product with the integrand's
+values and one ``math.fsum``.  The integrals of |n_r| <= n_max take an
+n_max + 1 node rule, exact for the degree-|n_r| remainder of every index;
+the rule is data of the channel's nodes (``_Nodes.rule``), built once per
+call and handed to each quadrature.  Nothing here imports numpy.
 
 The other checks: ``hyp3f2_contiguous_rhs``, the contiguous-shift identity
 of 3F2 at unit argument, and ``gamma_ratio``, the Gamma ratio it takes.
@@ -281,8 +282,8 @@ def roots_genlaguerre(weight_power: float, nodes: int = _RULE_NODES):
     p_{m-1} = p_m - d_m.
     """
     alpha, m = weight_power, nodes
-    if not alpha > -1.0:
-        raise ValueError(f"weight_power must exceed -1, got {alpha!r}")
+    if not -1.0 < alpha < math.inf:
+        raise ValueError(f"weight_power must exceed -1 and be finite, got {alpha!r}")
     if m < 1:
         raise ValueError(f"nodes must be at least 1, got {m!r}")
     dens = [k + alpha + 1.0 for k in range(m)]
@@ -331,8 +332,7 @@ def roots_genlaguerre(weight_power: float, nodes: int = _RULE_NODES):
     return tuple(xs), tuple(ws)
 
 
-@lru_cache(maxsize=64)
-def _laguerre_rule(weight_power: float, nodes: int = _RULE_NODES):
+def laguerre_rule(weight_power: float, nodes: int = _RULE_NODES):
     """Nodes x of roots_genlaguerre and its weights divided by the weight
     function, W = w * exp(x) / x**weight_power, formed in log space, so that
     sum(W * f(x)) integrates f itself."""
@@ -347,19 +347,21 @@ def _laguerre_rule(weight_power: float, nodes: int = _RULE_NODES):
     )
 
 
-def gauss_laguerre_integral(func, weight_power: float, scale: float, nodes: int = _RULE_NODES) -> float:
-    """Integrate func over (0, inf) assuming func(r) behaves like
-    (scale*r)**weight_power * exp(-scale*r) * smooth(scale*r).
+def gauss_laguerre_integral(func, rule, scale: float) -> float:
+    """Integrate func over (0, inf) on rule = laguerre_rule(p, m), assuming
+    func(r) behaves like (scale*r)**p * exp(-scale*r) * smooth(scale*r).
 
     func is called once, with the list of nodes r = x / scale, and returns
     the integrand's values there (any sequence of numbers); they are
     multiplied by the rule's pre-scaled weights, so integrands may be
     evaluated in their natural (exponentially small) form, and zeros and
-    signs pass through unchanged.  With ``nodes`` = m the rule is exact, up
-    to rounding, when the smooth remainder is a polynomial of degree
-    <= 2m - 1 (31 for the default 16 nodes).
+    signs pass through unchanged.  The rule is exact, up to rounding, when
+    the smooth remainder is a polynomial of degree <= 2m - 1 (31 for the
+    default 16 nodes).  scale must be finite and positive.
     """
-    x, weights = _laguerre_rule(weight_power, nodes)
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
+    x, weights = rule
     values = func([xi / scale for xi in x])
     return math.fsum([w * f for w, f in zip(weights, values)]) / scale
 
@@ -367,9 +369,9 @@ def gauss_laguerre_integral(func, weight_power: float, scale: float, nodes: int 
 class _Nodes(NamedTuple):
     """One channel's quadrature nodes r, with the ground-state doublet
     (P, Q), the Sturmian envelope and the Laguerre values on them, each a
-    tuple over the nodes."""
+    tuple over the nodes, and the rule they are the nodes of."""
 
-    power: float
+    rule: tuple[tuple[float, ...], tuple[float, ...]]  # laguerre_rule(power, n_max + 1)
     scale: float
     p: tuple[float, ...]
     q: tuple[float, ...]
@@ -392,16 +394,15 @@ def _nodes(c: _Channel, n_max: int) -> _Nodes:
     # gamma_kappa + 1, so it is integrated on the same nodes r = x / 4Z, and
     # its remainder has degree |n_r| <= n_max: n_max + 1 nodes are exact.
     # Everything is evaluated at 4Z r, for the r gauss_laguerre_integral passes.
-    power = c.g + c.gk + 1.0
+    rule = laguerre_rule(c.g + c.gk + 1.0, n_max + 1)
     scale = 4.0 * c.z
-    x = [scale * (xi / scale) for xi in _laguerre_rule(power, n_max + 1)[0]]
-    return _Nodes(power, scale, *_radial_pq(c, x), *_sturmian_parts(c, x, n_max))
+    x = [scale * (xi / scale) for xi in rule[0]]
+    return _Nodes(rule, scale, *_radial_pq(c, x), *_sturmian_parts(c, x, n_max))
 
 
 def _quadrature_integrals(c: _Channel, n: int, nodes: _Nodes) -> list[RadialIntegralPair]:
     """Quadrature integrals of n_r = n and, for n > 0, of n_r = -n; the two
     integrals of an index are evaluated on one set of doublets."""
-    size = len(nodes.p)
     out = []
     for nn, (s, t) in zip(_caps(n, c.gk, c.kappa), _doublets(c, n, nodes.envelope, nodes.laguerres)):
         qt = [qi * ti for qi, ti in zip(nodes.q, t)]
@@ -413,9 +414,8 @@ def _quadrature_integrals(c: _Channel, n: int, nodes: _Nodes) -> list[RadialInte
                 lambda r: [
                     ri * (weight * pi * si + qti) for ri, pi, si, qti in zip(r, nodes.p, s, qt)
                 ],
-                nodes.power,
+                nodes.rule,
                 nodes.scale,
-                size,
             )
 
         out.append(RadialIntegralPair(integral(1.0), integral(_mu(n, c.gk, nn, c.g))))
@@ -437,6 +437,8 @@ def channel_first_order_integrals(
     is exact for every n_max.
     """
     c = _channel(ch, spec)
+    if n_max < 0:
+        raise ValueError(f"n_max must be non-negative, got {n_max!r}")
     nodes = _nodes(c, n_max)
     by_index = {}
     for n in range(n_max + 1):

@@ -31,6 +31,7 @@ from diracpol.sturmian import (
     gamma_ratio,
     gauss_laguerre_integral,
     hyp3f2_contiguous_rhs,
+    laguerre_rule,
     r_channel_series,
 )
 from diracpol.tablegen import generate_table
@@ -275,7 +276,8 @@ def test_criterion_7_structural_physics_checks():
             p, q = radial_PQ(spec, r)
             return p * p + q * q
 
-        norm = gauss_laguerre_integral(density, 2.0 * gamma_half(spec), 4.0 * spec.Z)
+        rule = laguerre_rule(2.0 * gamma_half(spec))
+        norm = gauss_laguerre_integral(density, rule, 4.0 * spec.Z)
         worst_norm = max(worst_norm, abs(norm - 1.0))
 
     ok = (

@@ -17,7 +17,7 @@ from diracpol.atom import (
     gamma_kappa,
     ground_energy,
 )
-from diracpol.sturmian import gauss_laguerre_integral
+from diracpol.sturmian import gauss_laguerre_integral, laguerre_rule
 from tests.reference import axial_spinor, cos_matrix_element, first_order_shift, radial_PQ
 
 # gamma_{1/2} and the ground energy at Z = 1 with the CODATA 2014 constant,
@@ -171,7 +171,8 @@ class TestRadialFunctions:
             p, q = radial_PQ(spec, r)
             return p * p + q * q
 
-        norm = gauss_laguerre_integral(density, 2.0 * gamma_half(spec), 4.0 * spec.Z)
+        rule = laguerre_rule(2.0 * gamma_half(spec))
+        norm = gauss_laguerre_integral(density, rule, 4.0 * spec.Z)
         assert abs(norm - 1.0) <= 1e-12
 
     def test_normalization_all_charges(self):
@@ -182,7 +183,8 @@ class TestRadialFunctions:
                 p, q = radial_PQ(spec, r)
                 return p * p + q * q
 
-            norm = gauss_laguerre_integral(density, 2.0 * gamma_half(spec), 4.0 * spec.Z)
+            rule = laguerre_rule(2.0 * gamma_half(spec))
+            norm = gauss_laguerre_integral(density, rule, 4.0 * spec.Z)
             assert abs(norm - 1.0) <= 1e-12, f"Z={z}"
 
 
@@ -290,9 +292,9 @@ class TestFirstOrderShift:
             p, q = radial_PQ(spec, r)
             return r * q * q
 
-        power = 2.0 * gamma_half(spec) + 1.0
-        big = gauss_laguerre_integral(radial_big, power, 4.0 * spec.Z)
-        small = gauss_laguerre_integral(radial_small, power, 4.0 * spec.Z)
+        rule = laguerre_rule(2.0 * gamma_half(spec) + 1.0)
+        big = gauss_laguerre_integral(radial_big, rule, 4.0 * spec.Z)
+        small = gauss_laguerre_integral(radial_small, rule, 4.0 * spec.Z)
         value = float(
             np.sum(np.cos(phi) * (big * angular_upper + small * angular_lower)).real
         ) * dphi

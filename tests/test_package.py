@@ -174,7 +174,6 @@ class TestSurface:
             "specfun._last_sum",
             "specfun._reduced_series",
             "sturmian._channel",
-            "sturmian._laguerre_rule",
             "sturmian._log_factorial",
         }
 

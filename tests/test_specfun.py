@@ -33,7 +33,7 @@ from diracpol.specfun import (
     log_gamma,
     log_gamma_drop,
 )
-from diracpol.sturmian import _laguerre_rule, _laguerre_table, gamma_ratio, hyp3f2_contiguous_rhs
+from diracpol.sturmian import _laguerre_table, gamma_ratio, hyp3f2_contiguous_rhs, laguerre_rule
 
 mpmath.mp.dps = 40
 
@@ -249,7 +249,7 @@ class TestLaguerre:
         # quadrature nodes and at random points, over many points and at
         # one point at a time.
         rng = np.random.default_rng(23)
-        points = [list(_laguerre_rule(power)[0]) for power in (alpha, 1.37)]
+        points = [list(laguerre_rule(power)[0]) for power in (alpha, 1.37)]
         points.append(rng.uniform(0.0, 60.0, 16).tolist())
         for xs in points:
             table = _laguerre_table(31, alpha, xs)

@@ -26,7 +26,6 @@ from diracpol.sturmian import (
     _channel,
     _doublets,
     _index_integrals,
-    _laguerre_rule,
     _laguerre_table,
     _log_factorial,
     _mu,
@@ -35,6 +34,7 @@ from diracpol.sturmian import (
     _sturmian_parts,
     channel_first_order_integrals,
     gauss_laguerre_integral,
+    laguerre_rule,
     r_channel_series,
     roots_genlaguerre,
 )
@@ -80,10 +80,11 @@ def _integrals(n_r: int, ch: ChannelIndex, spec: AtomSpec) -> tuple[float, float
 def _one_rule_per_integrand(
     n_r: int, ch: ChannelIndex, spec: AtomSpec, nodes: int
 ) -> tuple[float, float]:
-    """(plain, mu_weighted) of one index, one Gauss-Laguerre rule per
-    integrand, each evaluated on its own from the nodes r it is passed."""
+    """(plain, mu_weighted) of one index on a ``nodes``-point Gauss-Laguerre
+    rule, one quadrature per integrand, each integrand evaluated on its own
+    from the nodes r it is passed."""
     c = _channel(ch, spec)
-    power = gamma_half(spec) + gamma_kappa(spec, ch) + 1.0
+    rule = laguerre_rule(gamma_half(spec) + gamma_kappa(spec, ch) + 1.0, nodes)
     mu_val = _integrals(n_r, ch, spec)[2]
 
     def integrand(weight):
@@ -96,8 +97,8 @@ def _one_rule_per_integrand(
         return func
 
     return (
-        gauss_laguerre_integral(integrand(1.0), power, 4.0 * spec.Z, nodes),
-        gauss_laguerre_integral(integrand(mu_val), power, 4.0 * spec.Z, nodes),
+        gauss_laguerre_integral(integrand(1.0), rule, 4.0 * spec.Z),
+        gauss_laguerre_integral(integrand(mu_val), rule, 4.0 * spec.Z),
     )
 
 
@@ -224,7 +225,7 @@ class TestSturmianST:
         for ch in CHANNELS:
             c = _channel(ch, spec)
             nodes = _nodes(c, 31)
-            x_nodes = [nodes.scale * (x / nodes.scale) for x in _laguerre_rule(nodes.power, 32)[0]]
+            x_nodes = [nodes.scale * (x / nodes.scale) for x in nodes.rule[0]]
             x_random = rng.uniform(0.0, 60.0, 16).tolist()
             for x, table in (
                 (x_nodes, nodes.laguerres),
@@ -320,7 +321,7 @@ class TestGaussLaguerreRule:
         ref_nodes, ref_weights = scipy_roots_genlaguerre(m, alpha)
         assert worst(nodes, weights) <= worst(ref_nodes.tolist(), ref_weights.tolist())
 
-    @pytest.mark.parametrize("alpha", [-1.0, -2.5, math.nan])
+    @pytest.mark.parametrize("alpha", [-1.0, -2.5, math.nan, -math.inf, math.inf])
     def test_rejects_non_integrable_weight(self, alpha):
         with pytest.raises(ValueError, match="weight_power must exceed -1"):
             roots_genlaguerre(alpha)
@@ -342,7 +343,7 @@ class TestGaussLaguerreRule:
         # the node count, for the channel integrals that ask for it too.
         assert min(roots_genlaguerre(3.0, 200)[1]) == 0.0
         with pytest.raises(ValueError, match="the 200-node Gauss-Laguerre rule"):
-            _laguerre_rule(3.0, 200)
+            laguerre_rule(3.0, 200)
         with pytest.raises(ValueError, match="the 201-node Gauss-Laguerre rule"):
             channel_first_order_integrals(ChannelIndex(-1.5), AtomSpec(26), 200)
 
@@ -358,10 +359,11 @@ class TestGaussLaguerreIntegral:
     @pytest.mark.parametrize("scale", SCALES)
     def test_moments(self, power, scale):
         # integral of (s r)**(p + k) e**(-s r) dr over (0, inf) is Gamma(p + k + 1) / s.
+        rule = laguerre_rule(power)
         for k in range(32):
             got = gauss_laguerre_integral(
                 lambda r: (scale * np.asarray(r)) ** (power + k) * np.exp(-scale * np.asarray(r)),
-                power,
+                rule,
                 scale,
             )
             assert got == pytest.approx(math.gamma(power + k + 1.0) / scale, rel=1e-13, abs=0.0)
@@ -375,13 +377,19 @@ class TestGaussLaguerreIntegral:
             x = scale * np.asarray(r)
             return (power + 1.0 - x) * x**power * np.exp(-x)
 
-        got = gauss_laguerre_integral(func, power, scale)
+        got = gauss_laguerre_integral(func, laguerre_rule(power), scale)
         assert abs(got) <= 1e-13 * math.gamma(power + 1.0) / scale
 
     @pytest.mark.parametrize("power", POWERS)
     @pytest.mark.parametrize("scale", SCALES)
     def test_zero_integrand_is_exactly_zero(self, power, scale):
-        assert gauss_laguerre_integral(np.zeros_like, power, scale) == 0.0
+        assert gauss_laguerre_integral(np.zeros_like, laguerre_rule(power), scale) == 0.0
+
+    @pytest.mark.parametrize("scale", [-1.0, math.inf, math.nan, 0.0])
+    def test_rejects_scale_not_finite_and_positive(self, scale):
+        # The nodes r = x / scale must lie in (0, inf).
+        with pytest.raises(ValueError, match="scale must be finite and positive"):
+            gauss_laguerre_integral(lambda r: [math.exp(-ri) for ri in r], laguerre_rule(0.0), scale)
 
 
 class TestFirstOrderIntegrals:
@@ -438,6 +446,11 @@ class TestFirstOrderIntegrals:
                 ):
                     assert float.hex(got.plain) == float.hex(want[0])
                     assert float.hex(got.mu_weighted) == float.hex(want[1])
+
+    def test_rejects_negative_n_max(self):
+        # Named as the caller's argument, not as the n_max + 1 node rule.
+        with pytest.raises(ValueError, match="n_max must be non-negative, got -1"):
+            channel_first_order_integrals(ChannelIndex(0.5), AtomSpec(26.0, "planar"), -1)
 
     def test_log_factorial_is_log_gamma_bit_for_bit(self):
         for n in range(301):
@@ -551,7 +564,7 @@ class TestCaches:
     # cached, and taken again when the quadrature moved to an n_max + 1 node
     # Newton rule, which changed only the quadrature_max_dev fields.
     PINNED = "d66b23b20754c59e27a00ab6bf69544321157c995de00588ddab8f6bd8fc8c43"
-    CACHES = (_channel, _log_factorial, _laguerre_rule)
+    CACHES = (_channel, _log_factorial)
 
     @staticmethod
     def _crosscheck(capsys, z: float, *extra: str) -> str:
@@ -592,6 +605,21 @@ class TestCaches:
         for cache in self.CACHES:
             info = cache.cache_info()
             assert info.currsize <= info.maxsize
+
+    def test_each_crosscheck_builds_one_rule_per_channel(self, capsys, monkeypatch):
+        # No rule outlives a call: each crosscheck builds the 4-node rules of
+        # its two channels, whether its charge is new or the one before.
+        roots, calls = sturmian.roots_genlaguerre, []
+
+        def counted(*args):
+            calls.append(args)
+            return roots(*args)
+
+        monkeypatch.setattr(sturmian, "roots_genlaguerre", counted)
+        for z, total in ((26.0, 2), (26.0, 4), (12.3456, 6)):
+            self._crosscheck(capsys, z)
+            assert len(calls) == total
+        assert [nodes for _, nodes in calls] == [4] * 6
 
     @pytest.mark.parametrize("z", [1e-3, 12.3456, 68.5])
     def test_cached_values_equal_fresh_values(self, z):
