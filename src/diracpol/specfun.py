@@ -12,27 +12,36 @@ bound, and their chunk sums agree bit for bit:
 
 - ``_pure_terms``, one chunk at a time in plain floats, summed by
   ``functools.reduce(operator.add, chunk)``; not by ``sum``, which is
-  compensated from Python 3.12 on.  A quotient whose denominator underflows
-  to zero is formed as numpy's ``divide`` forms it (``_quotient``);
+  compensated from Python 3.12 on.  A chunk with a denominator that
+  underflows to zero raises the overflow error at once; numpy's quotient
+  there is +-inf or nan, which makes the chunk's sum non-finite, so numpy's
+  run raises the same error at the same chunk;
 - ``_term_rows``, as many chunks per numpy pass as the series is predicted
   to need, at most 16, summed by ``np.add.accumulate`` along each row; the
   loop tests them chunk by chunk, so the result is that of computing one
   chunk at a time.
 
-One rule picks the producer of a series: numpy's when
+One rule picks the producer of a convergent series: numpy's when
 ``sys.modules.get("numpy")`` is a module, that is when the caller has
 loaded numpy, and the pure-Python one otherwise (a ``None`` entry, which
 blocks the import, counts as not loaded).  diracpol never imports numpy
 itself, so a process that does not load it sums every series in plain
 floats; a caller that sums many series is faster with numpy loaded first,
-and gets the same bits.  Every series
-returns the correctly rounded sum of its computed terms, the value
-``math.fsum`` gives: a pure-Python series through ``math.fsum`` itself, a
-numpy one through ``_exact_sum``, one error-free split into high parts that
-add exactly and low parts whose rounded sum is bracketed by a proven error
-bound; the rare sum that the bracket cannot decide (a near tie, a zero, a
-non-finite term) goes to ``math.fsum``.  The short log-gamma sums use
-``math.fsum`` directly.
+and gets the same bits.
+
+A series that truncates is summed one way, whether numpy is loaded or not:
+its terms are one ``_pure_terms`` product, summed by ``math.fsum``.  The
+closed forms reach it where delta = gamma_kappa - gamma - 1 rounds to zero,
+at some charges up to about 2.7e-6 (planar) and 5.7e-6 (spatial), and the
+3F2 is then 1.
+
+Every series returns the correctly rounded sum of its computed terms, the
+value ``math.fsum`` gives: a list of plain floats through ``math.fsum``
+itself, a numpy one through ``_exact_sum``, one error-free split into high
+parts that add exactly and low parts whose rounded sum is bracketed by a
+proven error bound; the rare sum that the bracket cannot decide (a near
+tie, a zero, a non-finite term) goes to ``math.fsum``.  The short log-gamma
+sums use ``math.fsum`` directly.
 
 ``hyp3f2_unit`` remembers its last call's arguments and result, one entry
 compared by ``==``, and returns that result when the next call repeats them.
@@ -372,15 +381,8 @@ def _term_rows(np, p: Hyp3F2Params, rows: np.ndarray, k_first: int, t_first: flo
     return ratios
 
 
-def _quotient(num: float, den: float) -> float:
-    """num / den as numpy's ``divide`` forms it, also where Python's raises:
-    for den = +-0, +-inf with the signs of num and den, and nan for 0 / 0
-    or a nan num."""
-    if den:
-        return num / den
-    if num == 0.0 or num != num:
-        return math.nan
-    return math.copysign(math.inf, num) * math.copysign(1.0, den)
+def _overflow(k_first: int, k_last: int) -> ConvergenceError:
+    return ConvergenceError(f"3F2 series overflows in its terms t_{k_first} to t_{k_last}")
 
 
 def _pure_terms(
@@ -389,46 +391,43 @@ def _pure_terms(
     """The ratios t_{k+1}/t_k for k = k_first, ..., k_first + n - 1 and the
     terms t_{k_first+1}, ..., t_{k_first+n} of the series p, given
     t_{k_first} = t_first, as plain floats: the bits ``_term_rows`` puts in
-    one row, from the same operations in the same order.  A chunk with a
-    denominator that underflows to zero is formed again by ``_quotient``."""
+    one row, from the same operations in the same order.  A denominator that
+    underflows to zero raises the overflow error of these n terms: numpy's
+    quotient there is +-inf or nan, and so is every later term."""
     a1, a2, a3, b1, b2 = p
-    ks = range(k_first, k_first + n)
     try:
         ratios = [
             ((k + a1) * (k + a2)) * (k + a3) / (((k + b1) * (k + b2)) * (k + 1.0))
-            for k in map(float, ks)
+            for k in map(float, range(k_first, k_first + n))
         ]
     except ZeroDivisionError:
-        ratios = [
-            _quotient(((k + a1) * (k + a2)) * (k + a3), ((k + b1) * (k + b2)) * (k + 1.0))
-            for k in map(float, ks)
-        ]
+        raise _overflow(k_first + 1, k_first + n) from None
     terms = list(accumulate(ratios, mul))
     if t_first != 1.0:
         terms = [t * t_first for t in terms]
     return ratios, terms
 
 
-def _predicted_chunks(p: Hyp3F2Params, balance: float, tol: float) -> int:
-    """Chunks of ``_CHUNK`` terms after which the tail bound of a sum near 1
-    is predicted to fall below ``tol``; a hint only, 1 on any domain error.
+def _predicted_chunks(p: Hyp3F2Params, balance: float, tol: float, first: int) -> int:
+    """Chunks of ``_CHUNK`` terms after which the tail bound of the series
+    from t_first (first = 0 for 3F2, 1 for 3F2 - 1) is predicted to fall
+    below ``tol`` times its sum; a hint only, 1 on any domain or arithmetic
+    error.
 
     Terms decay like C k**-(s+1), s the balance and C = Gamma(b1) Gamma(b2)
     / (Gamma(a1) Gamma(a2) Gamma(a3)), so the bound |t_K| K / (s - 1) <= tol
-    holds from K = (C / (tol (s - 1)))**(1/s) on.
+    holds from K = (C / (tol (s - 1)))**(1/s) on.  3F2 - 1 is about its
+    first term a1 a2 a3 / (b1 b2), which scales ``tol``.
     """
     denom = balance - 1.0 if balance > 1.0 else balance
     lg = math.lgamma
     try:
+        scale = 1.0 if first == 0 else abs(p.a1 * p.a2 * p.a3 / (p.b1 * p.b2))
         log_c = lg(p.b1) + lg(p.b2) - lg(p.a1) - lg(p.a2) - lg(p.a3)
-        log_k = (log_c - math.log(tol * denom)) / balance
+        log_k = (log_c - math.log(tol * scale * denom)) / balance
         return max(1, math.ceil((math.exp(min(log_k, math.log(MAX_TERMS))) - 1.0) / _CHUNK))
-    except (ValueError, OverflowError):
+    except (ValueError, ArithmeticError):
         return 1
-
-
-def _overflow(k_first: int, k_last: int) -> ConvergenceError:
-    return ConvergenceError(f"3F2 series overflows in its terms t_{k_first} to t_{k_last}")
 
 
 def _convergent_terms(p: Hyp3F2Params, tol: float, first: int):
@@ -476,9 +475,8 @@ def _convergent_terms(p: Hyp3F2Params, tol: float, first: int):
                     chunks = min(2 * summed, _MAX_CHUNKS)
                     grown = np.empty(1 + chunks * _CHUNK)
                     grown[:k0] = terms
-                else:  # 3F2 - 1 is about its first term, which scales the prediction
-                    scale = 1.0 if first == 0 else abs(p.a1 * p.a2 * p.a3 / (p.b1 * p.b2))
-                    chunks = min(_predicted_chunks(p, balance, tol * scale), _MAX_CHUNKS)
+                else:
+                    chunks = min(_predicted_chunks(p, balance, tol, first), _MAX_CHUNKS)
                     grown = np.empty(1 + chunks * _CHUNK)
                     grown[0] = 1.0  # t_0, the one term before the first pass
                 terms = grown
@@ -567,9 +565,10 @@ def hyp3f2_unit(
     cumulative product of the term ratios, stopped after the first chunk
     whose power-law tail bound falls below ``tol`` times the running sum,
     which adds each chunk in order and then the chunk sums in order.  A
-    truncating series is one cumulative product over all its ratios, from
-    the same two producers, chosen by the same rule.  The value is the
-    correctly rounded sum of all terms (``_exact_sum``, bit for bit
+    truncating series is one cumulative product over all its ratios in
+    plain floats, from ``_pure_terms`` whether numpy is loaded or not.  The
+    value is the correctly rounded sum of all terms: ``math.fsum`` of a
+    truncating series, and ``_exact_sum`` of a convergent one (bit for bit
     ``math.fsum``, which it falls back to when its error bracket cannot
     decide the rounding).
 
@@ -623,19 +622,13 @@ def hyp3f2_unit(
             raise ConvergenceError(
                 f"truncating series needs {n_trunc + 1} terms, cap is {MAX_TERMS}"
             )
-        np = _loaded_numpy()
-        if np is None:
-            terms = [1.0, *_pure_terms(p, 0, n_trunc, 1.0)[1]]
-        else:
-            terms = np.empty(n_trunc + 1)
-            terms[0] = 1.0
-            _term_rows(np, p, terms[1:].reshape(1, n_trunc), 0, 1.0)
+        terms = [1.0, *_pure_terms(p, 0, n_trunc, 1.0)[1]]
         # A term that leaves the finite doubles makes every later term
         # infinite or nan, so the last term shows it.
         if not math.isfinite(terms[-1]):
             raise _overflow(1, n_trunc)
         try:
-            value = _exact_sum(terms)
+            value = math.fsum(terms)
         except OverflowError:  # finite terms whose sum leaves the finite doubles
             raise _overflow(0, n_trunc) from None
         result = value, tuple.__new__(SeriesDiagnostics, (n_trunc + 1, 0.0))

@@ -352,18 +352,19 @@ def gauss_laguerre_integral(func, rule, scale: float) -> float:
     func(r) behaves like (scale*r)**p * exp(-scale*r) * smooth(scale*r).
 
     func is called once, with the list of nodes r = x / scale, and returns
-    the integrand's values there (any sequence of numbers); they are
-    multiplied by the rule's pre-scaled weights, so integrands may be
-    evaluated in their natural (exponentially small) form, and zeros and
-    signs pass through unchanged.  The rule is exact, up to rounding, when
-    the smooth remainder is a polynomial of degree <= 2m - 1 (31 for the
-    default 16 nodes).  scale must be finite and positive.
+    the integrand's values there (any sequence of numbers, one per node;
+    another count raises ValueError); they are multiplied by the rule's
+    pre-scaled weights, so integrands may be evaluated in their natural
+    (exponentially small) form, and zeros and signs pass through unchanged.
+    The rule is exact, up to rounding, when the smooth remainder is a
+    polynomial of degree <= 2m - 1 (31 for the default 16 nodes).  scale
+    must be finite and positive.
     """
     if not 0.0 < scale < math.inf:
         raise ValueError(f"scale must be finite and positive, got {scale!r}")
     x, weights = rule
     values = func([xi / scale for xi in x])
-    return math.fsum([w * f for w, f in zip(weights, values)]) / scale
+    return math.fsum([w * f for w, f in zip(weights, values, strict=True)]) / scale
 
 
 class _Nodes(NamedTuple):

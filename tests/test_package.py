@@ -129,7 +129,6 @@ class TestSurface:
             "_loaded_numpy",
             "_predicted_chunks",
             "_pure_terms",
-            "_quotient",
             "_term_rows",
         }
         for path in sorted((SRC / "diracpol").glob("*.py")):

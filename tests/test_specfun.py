@@ -631,7 +631,8 @@ class TestBatchedChunks:
             assert _outcome(hyp3f2_unit, p, tol) == _outcome(_hyp3f2_unit_reference, p, tol), (p, tol)
 
     def test_numpy_serves_every_series_once_loaded(self, monkeypatch, closed_form_parameter_sets):
-        # numpy is loaded here, so the pure-Python producer computes nothing.
+        # numpy is loaded here, so the pure-Python producer computes no series
+        # that does not truncate.
         def pure_used(*args):
             raise AssertionError("the pure-Python producer was used")
 
@@ -640,7 +641,20 @@ class TestBatchedChunks:
         assert specfun._loaded_numpy() is np
         for p in closed_form_parameter_sets[::10]:
             hyp3f2_unit(p)
-        hyp3f2_unit(Hyp3F2Params(0.5, -3.0, 1.5, 2.0, 2.5))
+
+    @pytest.mark.parametrize("dim", ["planar", "spatial"])
+    def test_truncating_closed_form_makes_no_numpy_pass(self, monkeypatch, dim):
+        # At Z = 1e-6, delta = gamma_kappa - gamma - 1 rounds to zero, so the
+        # 3F2 truncates at its leading 1; with numpy loaded it is still summed
+        # in plain floats.
+        def numpy_used(*args):
+            raise AssertionError("the numpy producer was used")
+
+        _forget_last_sum(monkeypatch)
+        monkeypatch.setattr(specfun, "_term_rows", numpy_used)
+        assert specfun._loaded_numpy() is np
+        closed = getattr(polarizability, f"polarizability_{dim}")
+        assert closed(AtomSpec(1e-6, dim)).diagnostics == SeriesDiagnostics(1, 0.0)
 
     def test_a_blocked_numpy_counts_as_not_loaded(self, monkeypatch):
         # A None entry, which makes ``import numpy`` fail, and any other
@@ -654,7 +668,8 @@ class TestBatchedChunks:
     @pytest.mark.parametrize("a1", [-1.5, -3.0], ids=["convergent", "truncating"])
     def test_underflowed_denominator_is_left_to_numpy(self, monkeypatch, a1):
         # (k + b1)(k + b2) rounds to zero at k = 0, where numpy's division
-        # gives inf; with numpy loaded, numpy computes the series.
+        # gives inf and plain floats raise; with numpy loaded, the outcome
+        # is the one-chunk numpy reference's, whichever producer sums it.
         _forget_last_sum(monkeypatch)
         p = Hyp3F2Params(a1, 0.7, 0.8, 1e-200, 1e-200)
         with np.errstate(all="ignore"):
@@ -665,10 +680,11 @@ class TestBatchedChunks:
     def test_overflowing_terms_raise_at_their_chunk(self, monkeypatch, producer, a1, last):
         # t_1 is -inf, since (k + b1)(k + b2) underflows to zero at k = 0.
         # The error names the first chunk and no later one is computed: not
-        # fsum's "-inf + inf" nor, after 200,000 infinite terms, the cap.
+        # fsum's "-inf + inf" nor, after 200,000 infinite terms, the cap.  A
+        # truncating series comes from _pure_terms with or without numpy.
         if producer == "numpy":
             _forget_last_sum(monkeypatch)
-            spied = "_term_rows"
+            spied = "_term_rows" if a1 == -1.5 else "_pure_terms"
         else:
             _force_pure_producer(monkeypatch)
             spied = "_pure_terms"
@@ -680,6 +696,21 @@ class TestBatchedChunks:
         with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match=message):
             hyp3f2_unit(p)
         assert len(passes) == 1
+
+    @pytest.mark.parametrize("producer", ["numpy", "pure-python"])
+    def test_shift_with_underflowed_denominator_raises_on_both_producers(self, monkeypatch, producer):
+        # b1 b2 underflows to zero, so the numpy producer's chunk prediction
+        # divides by zero (and predicts one chunk); (k + b1)(k + b2) does too
+        # at k = 0, which overflows the first chunk on both producers.
+        if producer == "numpy":
+            assert specfun._loaded_numpy() is np
+        else:
+            _force_pure_producer(monkeypatch)
+        p = Hyp3F2Params(1e-201, 1e-201, 1e-201, 1e-200, 1e-200)
+        message = "3F2 series overflows in its terms t_1 to t_512"
+        with np.errstate(all="ignore"):
+            assert _outcome(specfun.hyp3f2_minus_one, p) == (ConvergenceError, message)
+            assert _outcome(_hyp3f2_minus_one_reference, p) == (ConvergenceError, message)
 
     @pytest.mark.parametrize("producer", ["numpy", "pure-python"])
     def test_truncating_sum_that_overflows_raises(self, monkeypatch, producer):
@@ -750,21 +781,10 @@ class TestBatchedChunks:
         assert pure == numpy_run
         assert pure["table"].encode() == (root / "bench" / "golden_table.csv").read_bytes()
 
-    def test_quotient_by_zero_is_numpys(self):
-        nums = [0.0, -0.0, 1.5, -1.5, math.inf, -math.inf, math.nan, 5e-324]
-        dens = [0.0, -0.0, 2.0, -math.inf, math.nan]
-        with np.errstate(all="ignore"):
-            for num in nums:
-                for den in dens:
-                    got = specfun._quotient(num, den)
-                    want = float(np.divide(num, den))
-                    assert math.isnan(got) == math.isnan(want), (num, den)
-                    assert math.isnan(got) or got.hex() == want.hex(), (num, den)
-
     def test_prediction_is_exact_or_one_over_on_channel_parameters(self, closed_form_parameter_sets):
         for p in closed_form_parameter_sets:
             chunks = (hyp3f2_unit(p)[1].terms_used - 1) // 512
-            assert chunks <= specfun._predicted_chunks(p, p.balance(), TOL_FLOOR) <= chunks + 1, p
+            assert chunks <= specfun._predicted_chunks(p, p.balance(), TOL_FLOOR, 0) <= chunks + 1, p
 
     def test_row_sums_equal_plain_float_in_order_sums(self, monkeypatch, closed_form_parameter_sets):
         # The stop test's running sum adds each chunk in order: numpy along

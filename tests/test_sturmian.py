@@ -385,6 +385,12 @@ class TestGaussLaguerreIntegral:
     def test_zero_integrand_is_exactly_zero(self, power, scale):
         assert gauss_laguerre_integral(np.zeros_like, laguerre_rule(power), scale) == 0.0
 
+    @pytest.mark.parametrize("count", [1, 6])
+    def test_rejects_values_not_one_per_node(self, count):
+        # Four nodes: a shorter or longer list of values is not silently cut.
+        with pytest.raises(ValueError, match="zip"):
+            gauss_laguerre_integral(lambda r: [1.0] * count, laguerre_rule(0.0, 4), 1.0)
+
     @pytest.mark.parametrize("scale", [-1.0, math.inf, math.nan, 0.0])
     def test_rejects_scale_not_finite_and_positive(self, scale):
         # The nodes r = x / scale must lie in (0, inf).
