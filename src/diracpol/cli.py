@@ -1,6 +1,12 @@
 """Command-line interface: single-value queries, reference-table emission,
 oracle cross-checks, and limit verification.
 
+The program, ``main()`` (the ``diracpol`` script and ``python -m
+diracpol.cli``), splits the rows of ``table`` over the CPUs the process may
+use, at most two, in forked children; the output, stderr and exit code are
+those of the serial run.  ``run()``, the in-process entry, computes every
+row in the calling process.
+
 Exit codes: 0 success, 2 argument errors (an unwritable --output path and a
 non-finite JSON value among them), 3 supercritical, 4 series convergence failure.
 """
@@ -138,11 +144,11 @@ def _run_single(args: argparse.Namespace) -> str:
 
 # Each command imports what only it uses: the table layer, the oracle and
 # json stay out of the closed-form commands' start-up.
-def _run_table(args: argparse.Namespace) -> str:
-    from .tablegen import ConstantSet, generate_table, rows_to_csv, rows_to_json
+def _run_table(args: argparse.Namespace, split: bool) -> str:
+    from .tablegen import ConstantSet, _split_table, generate_table, rows_to_csv, rows_to_json
 
     consts = ConstantSet(args.alpha_inv, args.alpha_inv_sigma)
-    rows = generate_table(args.z_min, args.z_max, consts)
+    rows = (_split_table if split else generate_table)(args.z_min, args.z_max, consts)
     if args.format == "csv":
         return rows_to_csv(rows)
     if args.format == "json":
@@ -248,7 +254,14 @@ def _run_limits(args: argparse.Namespace) -> str:
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Parse arguments, execute one command, and return the exit code."""
+    """Parse arguments, execute one command in this process, and return the
+    exit code."""
+    return _run(argv, False)
+
+
+def _run(argv: list[str] | None, split: bool) -> int:
+    """``run``, with the rows of ``table`` split over forked workers if
+    ``split`` is true."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -262,7 +275,7 @@ def run(argv: list[str] | None = None) -> int:
         if args.command in ("planar", "spatial"):
             document = _run_single(args)
         elif args.command == "table":
-            document = _run_table(args)
+            document = _run_table(args, split)
         elif args.command == "crosscheck":
             document = _run_crosscheck(args)
         else:
@@ -288,7 +301,7 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    sys.exit(_run(sys.argv[1:], True))
 
 
 if __name__ == "__main__":

@@ -2,6 +2,10 @@
 uncertainty propagation from the fine-structure constant, and deterministic
 CSV/JSON emission.
 
+The rows are independent of each other: ``generate_table`` computes them in
+order in the calling process, and the command-line program splits them over
+forked workers (``_split_table``).
+
 Displayed values follow the reference convention of showing exactly two
 uncertain digits: the decimal count of each row is the smallest for which
 the propagated one-standard-deviation uncertainty rounds to a two-digit
@@ -12,6 +16,7 @@ shown in fixed point, rounded half-even on the exact double.
 from __future__ import annotations
 
 import math
+import os
 from typing import NamedTuple
 
 from .atom import (
@@ -171,31 +176,143 @@ def format_scaled(value: float, sigma: float) -> tuple[str, int, int]:
     raise ValueError(f"uncertainty {sigma!r} too small to display two digits")
 
 
+def _charges(z_min: int, z_max: int) -> range:
+    if z_min < 1 or z_min > z_max:
+        raise ValueError(f"need 1 <= z_min <= z_max, got ({z_min}, {z_max})")
+    return range(z_min, z_max + 1)
+
+
+def _row(z: int, consts: ConstantSet) -> TableRow:
+    result = polarizability_planar(AtomSpec(z, "planar", consts.alpha_inv))
+    sigma = propagate_uncertainty(z, consts)
+    display, digits, units = format_scaled(result.scaled_Z4, sigma)
+    return TableRow(
+        Z=z,
+        scaled_Z4=result.scaled_Z4,
+        sigma_last_two=units,
+        digits=digits,
+        display=display,
+        sigma_abs=sigma,
+        value_a0_cubed=result.value_a0_cubed,
+    )
+
+
 def generate_table(z_min: int, z_max: int, consts: ConstantSet = ConstantSet()) -> list[TableRow]:
     """Compute one row per integer charge in [z_min, z_max].
 
     Every charge must stay subcritical for alpha_inv shifted by the
-    propagation step; rows are returned in ascending Z order.
+    propagation step; rows are returned in ascending Z order.  A row depends
+    on its charge and the constants alone, never on another row; this
+    function computes them in order, in the calling process.
     """
-    if z_min < 1 or z_min > z_max:
-        raise ValueError(f"need 1 <= z_min <= z_max, got ({z_min}, {z_max})")
+    return [_row(z, consts) for z in _charges(z_min, z_max)]
+
+
+# Two workers are the most that have been timed.  Each further one costs
+# about 3 ms to fork and reap, and a CPU quota narrower than the affinity
+# mask leaves them queueing: on one CPU, 68 workers took twice as long as one.
+_MAX_WORKERS = 2
+
+
+def _workers() -> int:
+    """One per CPU this process may use, at most ``_MAX_WORKERS``, and one
+    where ``os.fork`` is missing."""
+    if not hasattr(os, "fork"):  # Windows
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
+
+
+def _share(charges: range, consts: ConstantSet) -> tuple[list[TableRow], tuple[int, Exception] | None]:
+    """The rows of ``charges`` in order up to the first that raises, and
+    that charge with its exception (None if every row was computed)."""
     rows = []
-    for z in range(z_min, z_max + 1):
-        result = polarizability_planar(AtomSpec(z, "planar", consts.alpha_inv))
-        sigma = propagate_uncertainty(z, consts)
-        display, digits, units = format_scaled(result.scaled_Z4, sigma)
-        rows.append(
-            TableRow(
-                Z=z,
-                scaled_Z4=result.scaled_Z4,
-                sigma_last_two=units,
-                digits=digits,
-                display=display,
-                sigma_abs=sigma,
-                value_a0_cubed=result.value_a0_cubed,
-            )
-        )
-    return rows
+    for z in charges:
+        try:
+            rows.append(_row(z, consts))
+        except Exception as exc:  # carried to the merge, which raises it
+            return rows, (z, exc)
+    return rows, None
+
+
+def _fork_share(charges: range, consts: ConstantSet) -> tuple[int, int]:
+    """Fork a child that writes ``_share(charges, consts)``, pickled, to a
+    pipe; return the child's pid and the read end of the pipe."""
+    import pickle
+
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        # The child leaves by os._exit, whatever happens: it flushes no
+        # buffer it inherited and runs none of the parent's exit handlers.
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pipe.write(pickle.dumps(_share(charges, consts)))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _reap(pid: int, read_end: int) -> bytes:
+    """Everything the child wrote to the pipe, or b"" unless it exited 0."""
+    try:
+        with open(read_end, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    return data if status == 0 else b""
+
+
+def _split_table(z_min: int, z_max: int, consts: ConstantSet) -> list[TableRow]:
+    """The rows of ``generate_table(z_min, z_max, consts)``, or its
+    exception, computed by ``_workers()`` processes, never more than one
+    per row.
+
+    With n workers, worker i computes the charges z_min + i, z_min + i + n,
+    ...; the cost rises steeply with Z, and interleaving spreads it evenly.
+    This process computes share 0 and forks one child for each other share.
+    A child that cannot be forked, or that exits without delivering its
+    share, has its share computed here.  Every child is reaped, also when
+    this process's own share raises.  The rows are merged by Z, and the
+    exception of the lowest failing charge is raised, the one the serial
+    run raises.  The range is checked before any fork.  Forking is safe only
+    in a process without other threads: only the command-line program, which
+    starts none, calls this.
+    """
+    charges = _charges(z_min, z_max)
+    n = min(_workers(), len(charges))
+    if n == 1:
+        return generate_table(z_min, z_max, consts)
+    import pickle
+
+    shares = [charges[i::n] for i in range(n)]
+    here, children, outcomes = [shares[0]], [], []
+    try:
+        for share in shares[1:]:
+            try:
+                children.append((share, *_fork_share(share, consts)))
+            except OSError:
+                here.append(share)
+        outcomes.extend(_share(share, consts) for share in here)
+    finally:
+        delivered = [(share, _reap(pid, read_end)) for share, pid, read_end in children]
+    outcomes.extend(pickle.loads(data) if data else _share(share, consts) for share, data in delivered)
+    errors = [error for _, error in outcomes if error is not None]
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    return sorted((row for rows, _ in outcomes for row in rows), key=lambda row: row.Z)
 
 
 def rows_to_csv(rows: list[TableRow]) -> str:

@@ -331,6 +331,155 @@ class TestRepeatedRuns:
         assert codes == [0, 0, 0, 2, 0, 0, 0]
 
 
+class TestForkedTable:
+    # The program splits the table's rows over forked workers, one per
+    # usable CPU up to tablegen._MAX_WORKERS; cli._run(argv, True) is its
+    # entry, and a patched tablegen._workers forces the count.  Each case
+    # runs in a fresh interpreter without numpy, as the program does, and
+    # compares every count with run(), which computes every row in process.
+    SCRIPT = textwrap.dedent(
+        """
+        import contextlib, io, json, os, sys
+        from unittest import mock
+        from diracpol import cli, tablegen
+
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(None)
+            {fork_patch}
+            return fork()
+
+        os.fork = counted_fork
+        {patch}
+
+        def call(workers, argv):
+            del forks[:]
+            out, err = io.StringIO(), io.StringIO()
+            count = (
+                mock.patch.object(tablegen, "_workers", lambda: workers)
+                if isinstance(workers, int)
+                else contextlib.nullcontext()
+            )
+            with count, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run(argv) if workers == "run" else cli._run(argv, True)
+            try:
+                os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                left = False
+            else:
+                left = True
+            return {{"result": [code, out.getvalue(), err.getvalue()], "forks": len(forks), "left": left}}
+
+        report = [call(workers, argv) for workers, argv in {calls!r}]
+        print(json.dumps({{"calls": report, "numpy": "numpy" in sys.modules}}))
+        """
+    )
+    GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden_table.csv"
+
+    @staticmethod
+    def _calls(calls, fork_patch="", patch=""):
+        script = TestForkedTable.SCRIPT.format(calls=calls, fork_patch=fork_patch, patch=patch)
+        report = json.loads(TestImportDiet._fresh(script).stdout)
+        assert report["numpy"] is False
+        assert not any(call["left"] for call in report["calls"])
+        return report["calls"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    def test_forced_workers_print_what_run_prints(self, fmt):
+        argv = ["table", "--format", fmt]
+        serial, *forked = self._calls([("run", argv), (1, argv), (2, argv), (3, argv)])
+        assert serial["result"][0] == 0
+        assert [call["result"] for call in forked] == [serial["result"]] * 3
+        assert [serial["forks"], *(call["forks"] for call in forked)] == [0, 0, 1, 2]
+        if fmt == "csv":
+            assert serial["result"][1].encode() == self.GOLDEN.read_bytes()
+        # The program itself, with as many workers as this host allows.
+        src = Path(__file__).resolve().parents[1] / "src"
+        cold = subprocess.run(
+            [sys.executable, "-m", "diracpol.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert [cold.returncode, cold.stdout, cold.stderr] == serial["result"]
+
+    @pytest.mark.parametrize(
+        "argv, code, forks",
+        [
+            # Z = 67 fails its curvature check (exit 2), the parent's share;
+            # Z = 68 fails in a child, supercritical at the shifted constant.
+            (["--z-min", "67", "--z-max", "69", "--alpha-inv-sigma", "2e-4"], 2, True),
+            # Z = 69 fails in a child; the parent's share fails at Z = 70,
+            # with a message naming that charge.
+            (["--z-min", "68", "--z-max", "70"], 3, True),
+            # Refused before any fork: the range and the constants.
+            (["--z-min", "0"], 2, False),
+            (["--z-min", "5", "--z-max", "3"], 2, False),
+            (["--alpha-inv-sigma", "nan"], 2, False),
+        ],
+        ids=["parent-share", "child-share", "z-min-0", "empty-range", "nan-sigma"],
+    )
+    def test_the_lowest_failing_charge_gives_the_error(self, argv, code, forks):
+        argv = ["table", *argv]
+        serial, two, three = self._calls([("run", argv), (2, argv), (3, argv)])
+        assert serial["result"][0] == code
+        assert serial["result"][1] == ""
+        assert serial["result"][2].startswith("error: ")
+        assert two["result"] == three["result"] == serial["result"]
+        assert [two["forks"], three["forks"]] == ([1, 2] if forks else [0, 0])
+
+    @pytest.mark.parametrize(
+        "fork_patch, patch",
+        [
+            ('raise OSError(11, "no fork")', ""),
+            ('if len(forks) == 2: raise OSError(11, "no fork")', ""),
+            # A child that exits without delivering its share.
+            (
+                "",
+                "share, parent = tablegen._share, os.getpid()\n"
+                "tablegen._share = lambda *a: share(*a) if os.getpid() == parent else os._exit(1)",
+            ),
+        ],
+        ids=["every-fork-fails", "second-fork-fails", "child-exits-1"],
+    )
+    def test_an_undelivered_share_is_computed_here(self, fork_patch, patch):
+        argv = ["table", "--format", "csv"]
+        calls = self._calls([(3, argv)], fork_patch, patch)
+        assert calls[0]["result"] == [0, self.GOLDEN.read_text(), ""]
+        assert calls[0]["forks"] == 2
+
+    def test_one_worker_forks_nothing(self):
+        # One worker, forced or for a single row, forks nothing.
+        argv = ["table", "--z-max", "4", "--format", "csv"]
+        one_row = ["table", "--z-min", "7", "--z-max", "7"]
+        calls = self._calls([(1, argv), (3, one_row)])
+        assert [call["result"][0] for call in calls] == [0, 0]
+        assert [call["forks"] for call in calls] == [0, 0]
+
+    @pytest.mark.parametrize(
+        "patch, forks",
+        [
+            ("os.sched_getaffinity = lambda pid: {0}", 0),
+            ("os.sched_getaffinity = lambda pid: {0, 1}", 1),
+            # Never more than _MAX_WORKERS, however many CPUs.
+            ("os.sched_getaffinity = lambda pid: set(range(64))", 1),
+            # Without affinity, the CPU count, capped the same way.
+            ("del os.sched_getaffinity\nos.cpu_count = lambda: 64", 1),
+            # Without os.fork (Windows), one worker whatever the CPUs.
+            ("del os.fork\nos.sched_getaffinity = lambda pid: set(range(64))", 0),
+        ],
+        ids=["one-cpu", "two-cpus", "64-cpus", "no-affinity", "no-fork"],
+    )
+    def test_the_program_counts_its_usable_cpus(self, patch, forks):
+        argv = ["table", "--format", "csv"]
+        calls = self._calls([(None, argv)], patch=patch)
+        assert calls[0]["result"] == [0, self.GOLDEN.read_text(), ""]
+        assert calls[0]["forks"] == forks
+
+
 class TestImportDiet:
     # A fresh interpreter: this process has already imported scipy.
     SCRIPT = textwrap.dedent(
@@ -392,7 +541,12 @@ class TestImportDiet:
         print(" ".join(m for m in {watched!r} if m in sys.modules))
         """
     )
-    CLOSED_FORM_UNUSED = ("diracpol.sturmian", "diracpol.tablegen", "dataclasses", "json", "decimal", "numpy")
+    # The table's split lives in tablegen and pickles only with two workers
+    # or more, so no other command loads either, and run(), one worker,
+    # loads no pickle.
+    CLOSED_FORM_UNUSED = (
+        "diracpol.sturmian", "diracpol.tablegen", "pickle", "dataclasses", "json", "decimal", "numpy",
+    )
 
     @pytest.mark.parametrize(
         "argvs, watched",
@@ -406,8 +560,8 @@ class TestImportDiet:
                 [["spatial", "--Z", repr(math.nextafter(ALPHA_INV_CODATA2014, 0.0))]],
                 CLOSED_FORM_UNUSED,
             ),
-            ([["table", "--format", "csv"]], ("diracpol.sturmian", "numpy")),
-            ([["crosscheck", "--Z", "12.3"]], ("diracpol.tablegen", "numpy")),
+            ([["table", "--format", "csv"]], ("diracpol.sturmian", "pickle", "numpy")),
+            ([["crosscheck", "--Z", "12.3"]], ("diracpol.tablegen", "pickle", "numpy")),
             # The oracle runs on plain floats, and so does its 3F2 sum,
             # 9,729 terms just below the critical charge.
             (
@@ -419,7 +573,7 @@ class TestImportDiet:
                     ),
                     ["crosscheck", "--Z", repr(math.nextafter(critical_charge("planar"), 0.0))],
                 ],
-                ("diracpol.tablegen", "numpy"),
+                ("diracpol.tablegen", "pickle", "numpy"),
             ),
         ],
         ids=["closed-form", "spatial-near-critical", "table", "crosscheck", "crosscheck-without-numpy"],
@@ -427,6 +581,21 @@ class TestImportDiet:
     def test_commands_load_only_what_they_use(self, argvs, watched):
         proc = self._fresh(self.UNUSED.format(argvs=argvs, watched=watched))
         assert proc.stdout.split() == []
+
+    def test_table_program_loads_no_pool(self):
+        # Two workers: the program forks by os.fork and reads a pipe.
+        script = textwrap.dedent(
+            """
+            import contextlib, io, os, sys
+            from diracpol import cli
+
+            os.sched_getaffinity = lambda pid: {0, 1}
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli._run(["table", "--format", "csv"], True) == 0
+            print(" ".join(m for m in sys.modules if m.startswith(("pickle", "multiprocessing", "concurrent"))))
+            """
+        )
+        assert self._fresh(script).stdout.split() == ["pickle"]
 
     def test_table_leaves_decimal_unloaded(self):
         # format_scaled rounds by fixed-point formatting: decimal is imported
