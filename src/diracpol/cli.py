@@ -2,10 +2,10 @@
 oracle cross-checks, and limit verification.
 
 The program, ``main()`` (the ``diracpol`` script and ``python -m
-diracpol.cli``), splits the rows of ``table`` over the CPUs the process may
-use, at most two, in forked children; the output, stderr and exit code are
-those of the serial run.  ``run()``, the in-process entry, computes every
-row in the calling process.
+diracpol.cli``), computes every other row of ``table`` in one forked child
+when the process may use two CPUs or more; the output, stderr and exit code
+are those of the serial run.  ``run()``, the in-process entry, computes
+every row in the calling process.
 
 Exit codes: 0 success, 2 argument errors (an unwritable --output path and a
 non-finite JSON value among them), 3 supercritical, 4 series convergence failure.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from .atom import ALPHA_INV_CODATA2014, ALPHA_INV_SIGMA_CODATA2014, AtomSpec, ChannelIndex, SupercriticalError
@@ -227,8 +228,10 @@ def _run_crosscheck(args: argparse.Namespace) -> str:
 
 
 def _run_limits(args: argparse.Namespace) -> str:
-    planar_nr = nonrel_limit("planar")
-    spatial_nr = nonrel_limit("spatial")
+    # The closed forms recover the nonrelativistic limits at alpha_inv = inf,
+    # where gamma = |kappa| exactly and the 3F2 is its leading 1.
+    planar_nr = polarizability_planar(AtomSpec(1.0, "planar", math.inf)).scaled_Z4
+    spatial_nr = polarizability_spatial(AtomSpec(1.0, "spatial", math.inf)).scaled_Z4
     planar_c = quasirel_coefficient("planar")
     spatial_c = quasirel_coefficient("spatial")
     if args.format == "json":
@@ -244,8 +247,10 @@ def _run_limits(args: argparse.Namespace) -> str:
         }
         return _json_document(payload)
     lines = [
-        f"planar nonrelativistic Z^4*alpha_1 = {_fmt(planar_nr)} a0^3 (target 21/128 = 0.1640625)",
-        f"spatial nonrelativistic Z^4*alpha_1 = {_fmt(spatial_nr)} a0^3 (target 9/2 = 4.5)",
+        f"planar nonrelativistic Z^4*alpha_1 = {_fmt(planar_nr)} a0^3 "
+        f"(target 21/128 = {_fmt(nonrel_limit('planar'))})",
+        f"spatial nonrelativistic Z^4*alpha_1 = {_fmt(spatial_nr)} a0^3 "
+        f"(target 9/2 = {_fmt(nonrel_limit('spatial'))})",
         f"planar quasi-relativistic coefficient = {planar_c:.9f} (target -7/2 = -3.5)",
         f"spatial quasi-relativistic coefficient = {spatial_c:.9f} "
         f"(target -28/27 = {-28.0 / 27.0:.9f})",
@@ -260,7 +265,7 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None, split: bool) -> int:
-    """``run``, with the rows of ``table`` split over forked workers if
+    """``run``, with the rows of ``table`` split with a forked child if
     ``split`` is true."""
     parser = _build_parser()
     try:

@@ -3,8 +3,8 @@ uncertainty propagation from the fine-structure constant, and deterministic
 CSV/JSON emission.
 
 The rows are independent of each other: ``generate_table`` computes them in
-order in the calling process, and the command-line program splits them over
-forked workers (``_split_table``).
+order in the calling process, and the command-line program computes every
+other row in one forked child (``_split_table``).
 
 Displayed values follow the reference convention of showing exactly two
 uncertain digits: the decimal count of each row is the smallest for which
@@ -208,24 +208,6 @@ def generate_table(z_min: int, z_max: int, consts: ConstantSet = ConstantSet()) 
     return [_row(z, consts) for z in _charges(z_min, z_max)]
 
 
-# Two workers are the most that have been timed.  Each further one costs
-# about 3 ms to fork and reap, and a CPU quota narrower than the affinity
-# mask leaves them queueing: on one CPU, 68 workers took twice as long as one.
-_MAX_WORKERS = 2
-
-
-def _workers() -> int:
-    """One per CPU this process may use, at most ``_MAX_WORKERS``, and one
-    where ``os.fork`` is missing."""
-    if not hasattr(os, "fork"):  # Windows
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, _MAX_WORKERS)
-
-
 def _share(charges: range, consts: ConstantSet) -> tuple[list[TableRow], tuple[int, Exception] | None]:
     """The rows of ``charges`` in order up to the first that raises, and
     that charge with its exception (None if every row was computed)."""
@@ -238,18 +220,40 @@ def _share(charges: range, consts: ConstantSet) -> tuple[list[TableRow], tuple[i
     return rows, None
 
 
-def _fork_share(charges: range, consts: ConstantSet) -> tuple[int, int]:
-    """Fork a child that writes ``_share(charges, consts)``, pickled, to a
-    pipe; return the child's pid and the read end of the pipe."""
+def _split_table(z_min: int, z_max: int, consts: ConstantSet) -> list[TableRow]:
+    """The rows of ``generate_table(z_min, z_max, consts)``, or its
+    exception, computed by this process and one forked child.
+
+    The child computes every other charge from z_min + 1, this process the
+    rest; the cost rises steeply with Z, and interleaving splits it evenly.
+    Nothing is forked where ``os.fork`` is missing, where the process may
+    use one CPU only, or for a single row.  A child that cannot be forked,
+    or that exits without delivering its rows, has its share computed here;
+    it is reaped also when this process's share raises.  The rows are merged
+    by Z, and the exception of the lowest failing charge is raised, the one
+    the serial run raises.  The range is checked before the fork.  Forking
+    is safe only in a process without other threads: only the command-line
+    program, which starts none, calls this.
+    """
+    charges = _charges(z_min, z_max)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    if not hasattr(os, "fork") or cpus < 2 or len(charges) < 2:  # no os.fork on Windows
+        return generate_table(z_min, z_max, consts)
     import pickle
 
-    read_end, write_end = os.pipe()
     try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+    except OSError:  # no descriptor or process to spare
+        return generate_table(z_min, z_max, consts)
     if pid == 0:
         # The child leaves by os._exit, whatever happens: it flushes no
         # buffer it inherited and runs none of the parent's exit handlers.
@@ -257,58 +261,20 @@ def _fork_share(charges: range, consts: ConstantSet) -> tuple[int, int]:
         try:
             os.close(read_end)
             with open(write_end, "wb") as pipe:
-                pipe.write(pickle.dumps(_share(charges, consts)))
+                pipe.write(pickle.dumps(_share(charges[1::2], consts)))
             status = 0
         finally:
             os._exit(status)
     os.close(write_end)
-    return pid, read_end
-
-
-def _reap(pid: int, read_end: int) -> bytes:
-    """Everything the child wrote to the pipe, or b"" unless it exited 0."""
     try:
-        with open(read_end, "rb") as pipe:
-            data = pipe.read()
+        outcomes = [_share(charges[0::2], consts)]
     finally:
-        _, status = os.waitpid(pid, 0)
-    return data if status == 0 else b""
-
-
-def _split_table(z_min: int, z_max: int, consts: ConstantSet) -> list[TableRow]:
-    """The rows of ``generate_table(z_min, z_max, consts)``, or its
-    exception, computed by ``_workers()`` processes, never more than one
-    per row.
-
-    With n workers, worker i computes the charges z_min + i, z_min + i + n,
-    ...; the cost rises steeply with Z, and interleaving spreads it evenly.
-    This process computes share 0 and forks one child for each other share.
-    A child that cannot be forked, or that exits without delivering its
-    share, has its share computed here.  Every child is reaped, also when
-    this process's own share raises.  The rows are merged by Z, and the
-    exception of the lowest failing charge is raised, the one the serial
-    run raises.  The range is checked before any fork.  Forking is safe only
-    in a process without other threads: only the command-line program, which
-    starts none, calls this.
-    """
-    charges = _charges(z_min, z_max)
-    n = min(_workers(), len(charges))
-    if n == 1:
-        return generate_table(z_min, z_max, consts)
-    import pickle
-
-    shares = [charges[i::n] for i in range(n)]
-    here, children, outcomes = [shares[0]], [], []
-    try:
-        for share in shares[1:]:
-            try:
-                children.append((share, *_fork_share(share, consts)))
-            except OSError:
-                here.append(share)
-        outcomes.extend(_share(share, consts) for share in here)
-    finally:
-        delivered = [(share, _reap(pid, read_end)) for share, pid, read_end in children]
-    outcomes.extend(pickle.loads(data) if data else _share(share, consts) for share, data in delivered)
+        try:
+            with open(read_end, "rb") as pipe:
+                data = pipe.read()
+        finally:
+            _, status = os.waitpid(pid, 0)
+    outcomes.append(pickle.loads(data) if status == 0 else _share(charges[1::2], consts))
     errors = [error for _, error in outcomes if error is not None]
     if errors:
         raise min(errors, key=lambda error: error[0])[1]

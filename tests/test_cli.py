@@ -332,15 +332,16 @@ class TestRepeatedRuns:
 
 
 class TestForkedTable:
-    # The program splits the table's rows over forked workers, one per
-    # usable CPU up to tablegen._MAX_WORKERS; cli._run(argv, True) is its
-    # entry, and a patched tablegen._workers forces the count.  Each case
-    # runs in a fresh interpreter without numpy, as the program does, and
-    # compares every count with run(), which computes every row in process.
+    # The program computes every other row of the table in one forked child
+    # when the process may use two CPUs or more; cli._run(argv, True) is its
+    # entry, and a patched os.sched_getaffinity sets the CPUs it sees.  Each
+    # case runs in a fresh interpreter without numpy, as the program does,
+    # and compares every call with run(), which computes every row in
+    # process.  Each call also records the open descriptors before and after
+    # (None without /proc/self/fd) and whether a child is left to reap.
     SCRIPT = textwrap.dedent(
         """
         import contextlib, io, json, os, sys
-        from unittest import mock
         from diracpol import cli, tablegen
 
         forks = []
@@ -354,29 +355,46 @@ class TestForkedTable:
         os.fork = counted_fork
         {patch}
 
-        def call(workers, argv):
+        def fds():
+            return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+        def call(cpus, argv):
             del forks[:]
+            if isinstance(cpus, int):
+                os.sched_getaffinity = lambda pid: set(range(cpus))
+            before = fds()
             out, err = io.StringIO(), io.StringIO()
-            count = (
-                mock.patch.object(tablegen, "_workers", lambda: workers)
-                if isinstance(workers, int)
-                else contextlib.nullcontext()
-            )
-            with count, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.run(argv) if workers == "run" else cli._run(argv, True)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run(argv) if cpus == "run" else cli._run(argv, True)
+            after = fds()
             try:
                 os.waitpid(-1, os.WNOHANG)
             except ChildProcessError:
                 left = False
             else:
                 left = True
-            return {{"result": [code, out.getvalue(), err.getvalue()], "forks": len(forks), "left": left}}
+            return {{
+                "result": [code, out.getvalue(), err.getvalue()],
+                "forks": len(forks),
+                "left": left,
+                "fds": [before, after],
+            }}
 
-        report = [call(workers, argv) for workers, argv in {calls!r}]
+        report = [call(cpus, argv) for cpus, argv in {calls!r}]
         print(json.dumps({{"calls": report, "numpy": "numpy" in sys.modules}}))
         """
     )
     GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden_table.csv"
+    # A child that cannot be forked, and one that exits without delivering
+    # its rows: as (fork_patch, patch) for _calls.
+    UNDELIVERED = [
+        ('raise OSError(11, "no fork")', ""),
+        (
+            "",
+            "share, parent = tablegen._share, os.getpid()\n"
+            "tablegen._share = lambda *a: share(*a) if os.getpid() == parent else os._exit(1)",
+        ),
+    ]
 
     @staticmethod
     def _calls(calls, fork_patch="", patch=""):
@@ -389,13 +407,13 @@ class TestForkedTable:
     @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
     def test_forced_workers_print_what_run_prints(self, fmt):
         argv = ["table", "--format", fmt]
-        serial, *forked = self._calls([("run", argv), (1, argv), (2, argv), (3, argv)])
+        serial, *forked = self._calls([("run", argv), (1, argv), (2, argv)])
         assert serial["result"][0] == 0
-        assert [call["result"] for call in forked] == [serial["result"]] * 3
-        assert [serial["forks"], *(call["forks"] for call in forked)] == [0, 0, 1, 2]
+        assert [call["result"] for call in forked] == [serial["result"]] * 2
+        assert [serial["forks"], *(call["forks"] for call in forked)] == [0, 0, 1]
         if fmt == "csv":
             assert serial["result"][1].encode() == self.GOLDEN.read_bytes()
-        # The program itself, with as many workers as this host allows.
+        # The program itself, on the CPUs this host gives it.
         src = Path(__file__).resolve().parents[1] / "src"
         cold = subprocess.run(
             [sys.executable, "-m", "diracpol.cli", *argv],
@@ -409,66 +427,69 @@ class TestForkedTable:
     @pytest.mark.parametrize(
         "argv, code, forks",
         [
-            # Z = 67 fails its curvature check (exit 2), the parent's share;
-            # Z = 68 fails in a child, supercritical at the shifted constant.
-            (["--z-min", "67", "--z-max", "69", "--alpha-inv-sigma", "2e-4"], 2, True),
-            # Z = 69 fails in a child; the parent's share fails at Z = 70,
-            # with a message naming that charge.
-            (["--z-min", "68", "--z-max", "70"], 3, True),
+            # Z = 67 fails its curvature check (exit 2), this process's
+            # share; Z = 68 fails in the child, supercritical at the shifted
+            # constant.
+            (["--z-min", "67", "--z-max", "69", "--alpha-inv-sigma", "2e-4"], 2, 1),
+            # Z = 69 fails in the child; this process's share fails at
+            # Z = 70, with a message naming that charge.
+            (["--z-min", "68", "--z-max", "70"], 3, 1),
             # Refused before any fork: the range and the constants.
-            (["--z-min", "0"], 2, False),
-            (["--z-min", "5", "--z-max", "3"], 2, False),
-            (["--alpha-inv-sigma", "nan"], 2, False),
+            (["--z-min", "0"], 2, 0),
+            (["--z-min", "5", "--z-max", "3"], 2, 0),
+            (["--alpha-inv-sigma", "nan"], 2, 0),
         ],
         ids=["parent-share", "child-share", "z-min-0", "empty-range", "nan-sigma"],
     )
     def test_the_lowest_failing_charge_gives_the_error(self, argv, code, forks):
         argv = ["table", *argv]
-        serial, two, three = self._calls([("run", argv), (2, argv), (3, argv)])
+        serial, split = self._calls([("run", argv), (2, argv)])
         assert serial["result"][0] == code
         assert serial["result"][1] == ""
         assert serial["result"][2].startswith("error: ")
-        assert two["result"] == three["result"] == serial["result"]
-        assert [two["forks"], three["forks"]] == ([1, 2] if forks else [0, 0])
+        assert split["result"] == serial["result"]
+        assert split["forks"] == forks
 
-    @pytest.mark.parametrize(
-        "fork_patch, patch",
-        [
-            ('raise OSError(11, "no fork")', ""),
-            ('if len(forks) == 2: raise OSError(11, "no fork")', ""),
-            # A child that exits without delivering its share.
-            (
-                "",
-                "share, parent = tablegen._share, os.getpid()\n"
-                "tablegen._share = lambda *a: share(*a) if os.getpid() == parent else os._exit(1)",
-            ),
-        ],
-        ids=["every-fork-fails", "second-fork-fails", "child-exits-1"],
-    )
+    @pytest.mark.parametrize("fork_patch, patch", UNDELIVERED, ids=["every-fork-fails", "child-exits-1"])
     def test_an_undelivered_share_is_computed_here(self, fork_patch, patch):
         argv = ["table", "--format", "csv"]
-        calls = self._calls([(3, argv)], fork_patch, patch)
+        calls = self._calls([(2, argv)], fork_patch, patch)
         assert calls[0]["result"] == [0, self.GOLDEN.read_text(), ""]
-        assert calls[0]["forks"] == 2
+        assert calls[0]["forks"] == 1
+
+    @pytest.mark.parametrize(
+        "fork_patch, patch", [("", ""), *UNDELIVERED], ids=["split", "fork-fails", "child-exits-1"]
+    )
+    def test_a_split_leaves_no_descriptor_and_no_child(self, fork_patch, patch):
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd to list the open descriptors")
+        # A table and a failing one; _calls checks that no child is left.
+        argvs = [["table", "--z-max", "6"], ["table", "--z-min", "68", "--z-max", "70"]]
+        calls = self._calls([(2, argv) for argv in argvs], fork_patch, patch)
+        assert [call["result"][0] for call in calls] == [0, 3]
+        assert [call["forks"] for call in calls] == [1, 1]
+        for call in calls:
+            before, after = call["fds"]
+            assert after == before
 
     def test_one_worker_forks_nothing(self):
-        # One worker, forced or for a single row, forks nothing.
-        argv = ["table", "--z-max", "4", "--format", "csv"]
+        # A single row forks nothing, however many CPUs.
         one_row = ["table", "--z-min", "7", "--z-max", "7"]
-        calls = self._calls([(1, argv), (3, one_row)])
-        assert [call["result"][0] for call in calls] == [0, 0]
-        assert [call["forks"] for call in calls] == [0, 0]
+        serial, *split = self._calls([("run", one_row), (2, one_row), (64, one_row)])
+        assert serial["result"][0] == 0
+        assert [call["result"] for call in split] == [serial["result"]] * 2
+        assert [call["forks"] for call in split] == [0, 0]
 
     @pytest.mark.parametrize(
         "patch, forks",
         [
             ("os.sched_getaffinity = lambda pid: {0}", 0),
             ("os.sched_getaffinity = lambda pid: {0, 1}", 1),
-            # Never more than _MAX_WORKERS, however many CPUs.
+            # One child, however many CPUs.
             ("os.sched_getaffinity = lambda pid: set(range(64))", 1),
-            # Without affinity, the CPU count, capped the same way.
+            # Without affinity, the CPU count.
             ("del os.sched_getaffinity\nos.cpu_count = lambda: 64", 1),
-            # Without os.fork (Windows), one worker whatever the CPUs.
+            # Without os.fork (Windows), no child whatever the CPUs.
             ("del os.fork\nos.sched_getaffinity = lambda pid: set(range(64))", 0),
         ],
         ids=["one-cpu", "two-cpus", "64-cpus", "no-affinity", "no-fork"],

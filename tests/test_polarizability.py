@@ -379,6 +379,13 @@ class TestNonrelLimit:
         with pytest.raises(ValueError):
             nonrel_limit("volumetric")
 
+    @pytest.mark.parametrize("dimension", ["planar", "spatial"])
+    @pytest.mark.parametrize("z", [1e-3, 1.0, 26.0, 68.0])
+    def test_the_closed_form_recovers_it_at_alpha_inv_inf(self, dimension, z):
+        # gamma = |kappa| exactly and the 3F2 is its leading 1: the same bits.
+        compute = polarizability_planar if dimension == "planar" else polarizability_spatial
+        assert compute(AtomSpec(z, dimension, math.inf)).scaled_Z4 == nonrel_limit(dimension)
+
 
 QUASIREL_TARGETS = {"planar": -3.5, "spatial": -28.0 / 27.0}
 
