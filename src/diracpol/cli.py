@@ -4,8 +4,10 @@ oracle cross-checks, and limit verification.
 The program, ``main()`` (the ``diracpol`` script and ``python -m
 diracpol.cli``), computes every other row of ``table`` in one forked child
 when the process may use two CPUs or more; the output, stderr and exit code
-are those of the serial run.  ``run()``, the in-process entry, computes
-every row in the calling process.
+are those of the serial run.  Any failure of the split, a failing row
+included, reruns the serial table, which gives the error; a failing table
+costs up to one extra serial table.  ``run()``, the in-process entry,
+computes every row in the calling process.
 
 Exit codes: 0 success, 2 argument errors (an unwritable --output path and a
 non-finite JSON value among them), 3 supercritical, 4 series convergence failure.

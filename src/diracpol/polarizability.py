@@ -13,7 +13,10 @@ the same 3F2; the crosscheck computes alpha_1 right after the channel, and
 ``hyp3f2_unit`` hands the channel's sum back from its one-entry memo.
 Scaled values Z**4 * alpha_1 are computed first; the absolute
 polarizability is recovered by a single division, which refuses a charge
-so small (below about 1.2e-77) that Z**4 leaves the normal doubles.
+so small (below about 1.2e-77) that Z**4 leaves the normal doubles, and,
+where a large or infinite alpha_inv leaves it subcritical, one so large
+(above about 5.2e76 planar, 1.16e77 spatial) that Z**4 overflows or the
+quotient is no longer a normal double.
 """
 
 from __future__ import annotations
@@ -52,13 +55,24 @@ class PolarizabilityResult(NamedTuple):
 
 
 def _over_z4(value: float, spec: AtomSpec) -> float:
-    """value / Z**4; a ValueError when Z**4 is not a normal double or the
-    quotient overflows, i.e. when the charge is too small to resolve."""
-    z4 = spec.Z**4
+    """value / Z**4; a ValueError when the charge is too small to resolve
+    (Z**4 is not a normal double, or the quotient overflows) or too large
+    (Z**4 overflows, or the quotient is not a normal double)."""
+    try:
+        z4 = spec.Z**4
+    except OverflowError:
+        z4 = math.inf
     if z4 >= sys.float_info.min:
         quotient = value / z4
-        if math.isfinite(quotient):
+        if sys.float_info.min <= abs(quotient) < math.inf:
             return quotient
+        if math.isfinite(quotient):
+            # (abs(value) / min) ** 0.25 overflows for the spatial value.
+            largest = min(abs(value) ** 0.25 / sys.float_info.min**0.25, sys.float_info.max**0.25)
+            raise ValueError(
+                f"Z={spec.Z!r} is above the largest allowed charge, about {largest:.4g}: "
+                "the division by Z**4 leaves the normal double range"
+            )
     smallest = max(sys.float_info.min, abs(value) / sys.float_info.max) ** 0.25
     raise ValueError(
         f"Z={spec.Z!r} is below the smallest allowed charge, about {smallest:.4g}: "

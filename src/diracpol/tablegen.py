@@ -4,7 +4,9 @@ CSV/JSON emission.
 
 The rows are independent of each other: ``generate_table`` computes them in
 order in the calling process, and the command-line program computes every
-other row in one forked child (``_split_table``).
+other row in one forked child (``_split_table``).  The split has one
+fallback: on any failure it reruns ``generate_table``, so a failing table
+costs up to one extra serial table and no exception crosses the pipe.
 
 Displayed values follow the reference convention of showing exactly two
 uncertain digits: the decimal count of each row is the smallest for which
@@ -208,18 +210,6 @@ def generate_table(z_min: int, z_max: int, consts: ConstantSet = ConstantSet()) 
     return [_row(z, consts) for z in _charges(z_min, z_max)]
 
 
-def _share(charges: range, consts: ConstantSet) -> tuple[list[TableRow], tuple[int, Exception] | None]:
-    """The rows of ``charges`` in order up to the first that raises, and
-    that charge with its exception (None if every row was computed)."""
-    rows = []
-    for z in charges:
-        try:
-            rows.append(_row(z, consts))
-        except Exception as exc:  # carried to the merge, which raises it
-            return rows, (z, exc)
-    return rows, None
-
-
 def _split_table(z_min: int, z_max: int, consts: ConstantSet) -> list[TableRow]:
     """The rows of ``generate_table(z_min, z_max, consts)``, or its
     exception, computed by this process and one forked child.
@@ -227,13 +217,13 @@ def _split_table(z_min: int, z_max: int, consts: ConstantSet) -> list[TableRow]:
     The child computes every other charge from z_min + 1, this process the
     rest; the cost rises steeply with Z, and interleaving splits it evenly.
     Nothing is forked where ``os.fork`` is missing, where the process may
-    use one CPU only, or for a single row.  A child that cannot be forked,
-    or that exits without delivering its rows, has its share computed here;
-    it is reaped also when this process's share raises.  The rows are merged
-    by Z, and the exception of the lowest failing charge is raised, the one
-    the serial run raises.  The range is checked before the fork.  Forking
-    is safe only in a process without other threads: only the command-line
-    program, which starts none, calls this.
+    use one CPU only, or for a single row.  The one fallback, for a pipe or
+    fork that cannot be made, a row that raises in either share or a child
+    that does not deliver, is ``generate_table``, which gives the serial
+    rows or raises the serial error; a failing table costs up to one extra
+    serial table.  The child is reaped on every path.  Forking is safe only
+    in a process without other threads: only the command-line program,
+    which starts none, calls this.
     """
     charges = _charges(z_min, z_max)
     try:
@@ -261,24 +251,24 @@ def _split_table(z_min: int, z_max: int, consts: ConstantSet) -> list[TableRow]:
         try:
             os.close(read_end)
             with open(write_end, "wb") as pipe:
-                pipe.write(pickle.dumps(_share(charges[1::2], consts)))
+                pipe.write(pickle.dumps([_row(z, consts) for z in charges[1::2]]))
             status = 0
         finally:
             os._exit(status)
     os.close(write_end)
     try:
-        outcomes = [_share(charges[0::2], consts)]
+        rows = [_row(z, consts) for z in charges[0::2]]
+    except Exception:  # generate_table below raises the serial run's error
+        rows = None
     finally:
         try:
             with open(read_end, "rb") as pipe:
                 data = pipe.read()
         finally:
             _, status = os.waitpid(pid, 0)
-    outcomes.append(pickle.loads(data) if status == 0 else _share(charges[1::2], consts))
-    errors = [error for _, error in outcomes if error is not None]
-    if errors:
-        raise min(errors, key=lambda error: error[0])[1]
-    return sorted((row for rows, _ in outcomes for row in rows), key=lambda row: row.Z)
+    if rows is None or status != 0:
+        return generate_table(z_min, z_max, consts)
+    return sorted(rows + pickle.loads(data), key=lambda row: row.Z)
 
 
 def rows_to_csv(rows: list[TableRow]) -> str:

@@ -282,6 +282,15 @@ class TestArgumentErrors:
             f"error: Z={float(argv[2])!r} is below the smallest allowed charge, about 1.2"
         )
 
+    @pytest.mark.parametrize("command", ["planar", "spatial", "crosscheck"])
+    def test_charge_above_the_largest(self, capsys, command):
+        # Subcritical at alpha_inv = inf, but Z**4 overflows.
+        assert run([command, "--Z", "1e100", "--alpha-inv", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Z=1e+100 is above the largest allowed charge, about ")
+        assert "Numerical result" not in captured.err
+
     @pytest.mark.parametrize(
         "argv",
         [["planar", "--Z", "1"], ["spatial", "--Z", "1"], ["table", "--z-max", "2"], ["limits"]],
@@ -391,8 +400,8 @@ class TestForkedTable:
         ('raise OSError(11, "no fork")', ""),
         (
             "",
-            "share, parent = tablegen._share, os.getpid()\n"
-            "tablegen._share = lambda *a: share(*a) if os.getpid() == parent else os._exit(1)",
+            "row, parent = tablegen._row, os.getpid()\n"
+            "tablegen._row = lambda *a: row(*a) if os.getpid() == parent else os._exit(1)",
         ),
     ]
 
@@ -434,12 +443,19 @@ class TestForkedTable:
             # Z = 69 fails in the child; this process's share fails at
             # Z = 70, with a message naming that charge.
             (["--z-min", "68", "--z-max", "70"], 3, 1),
+            # Only this process's share fails, at Z = 69.
+            (["--z-min", "67", "--z-max", "69"], 3, 1),
+            # Only the child's share fails, at Z = 69.
+            (["--z-min", "68", "--z-max", "69"], 3, 1),
             # Refused before any fork: the range and the constants.
             (["--z-min", "0"], 2, 0),
             (["--z-min", "5", "--z-max", "3"], 2, 0),
             (["--alpha-inv-sigma", "nan"], 2, 0),
         ],
-        ids=["parent-share", "child-share", "z-min-0", "empty-range", "nan-sigma"],
+        ids=[
+            "parent-share", "child-share", "parent-share-only", "child-share-only",
+            "z-min-0", "empty-range", "nan-sigma",
+        ],
     )
     def test_the_lowest_failing_charge_gives_the_error(self, argv, code, forks):
         argv = ["table", *argv]
@@ -562,9 +578,9 @@ class TestImportDiet:
         print(" ".join(m for m in {watched!r} if m in sys.modules))
         """
     )
-    # The table's split lives in tablegen and pickles only with two workers
-    # or more, so no other command loads either, and run(), one worker,
-    # loads no pickle.
+    # The table's split lives in tablegen and pickles only when it forks a
+    # child, so no other command loads either, and run(), which never
+    # forks, loads no pickle.
     CLOSED_FORM_UNUSED = (
         "diracpol.sturmian", "diracpol.tablegen", "pickle", "dataclasses", "json", "decimal", "numpy",
     )
@@ -604,7 +620,7 @@ class TestImportDiet:
         assert proc.stdout.split() == []
 
     def test_table_program_loads_no_pool(self):
-        # Two workers: the program forks by os.fork and reads a pipe.
+        # Two CPUs: the program forks one child by os.fork and reads a pipe.
         script = textwrap.dedent(
             """
             import contextlib, io, os, sys

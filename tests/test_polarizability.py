@@ -5,6 +5,8 @@ limits, and quasi-relativistic coefficients."""
 import hashlib
 import math
 import random
+import re
+import struct
 import sys
 import typing
 from fractions import Fraction
@@ -364,6 +366,67 @@ class TestSmallestCharge:
         # the same smallest charge, comes first.
         with pytest.raises(ValueError, match=r"Z=1e-100 is below the smallest allowed charge, about 1\.221e-77"):
             polarizability_sturmian(AtomSpec(1e-100, "planar"))
+
+
+class TestLargestCharge:
+    # Every charge is subcritical once alpha_inv is large or inf.  Z**4
+    # overflows at Z = 1e100, and the planar alpha_1 is subnormal at 1e77;
+    # the spatial one, 4.5 / Z**4, is still normal there, so its case is the
+    # first overflowing charge instead.
+    @pytest.mark.parametrize("alpha_inv", [math.inf, 1e300])
+    @pytest.mark.parametrize(
+        "dimension, compute, z",
+        [
+            *(
+                (dimension, compute, z)
+                for dimension, compute in [
+                    ("planar", polarizability_planar),
+                    ("planar", lambda spec: r_channel_closed(ChannelIndex(0.5), spec)),
+                    ("planar", lambda spec: r_channel_closed(ChannelIndex(-1.5), spec)),
+                    ("planar", lambda spec: second_order_energy(spec, 1.0)),
+                ]
+                for z in (1e77, 1e100)
+            ),
+            ("spatial", polarizability_spatial, 1.2e77),
+            ("spatial", polarizability_spatial, 1e100),
+        ],
+        ids=[
+            *(f"{name}-{z}" for name in ("planar", "r-half", "r-m32", "energy") for z in ("1e77", "1e100")),
+            "spatial-1.2e77",
+            "spatial-1e100",
+        ],
+    )
+    def test_overflowing_charge_raises(self, dimension, compute, z, alpha_inv):
+        message = f"Z={z!r} is above the largest allowed charge, about "
+        with pytest.raises(ValueError, match=re.escape(message)):
+            compute(AtomSpec(z, dimension, alpha_inv))
+
+    @pytest.mark.parametrize("alpha_inv", [math.inf, 1e300])
+    @pytest.mark.parametrize(
+        "dimension, compute, shown",
+        [("planar", polarizability_planar, "5.211e+76"), ("spatial", polarizability_spatial, "1.158e+77")],
+        ids=["planar", "spatial"],
+    )
+    def test_largest_accepted_charge(self, dimension, compute, shown, alpha_inv):
+        def z_of(bits):
+            return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+        def accepted(bits):
+            try:
+                compute(AtomSpec(z_of(bits), dimension, alpha_inv))
+            except ValueError as exc:
+                assert f"is above the largest allowed charge, about {shown}:" in str(exc)
+                return False
+            return True
+
+        # Bisect over the bit patterns of the doubles from 1 (accepted) to
+        # 1e100 (refused): positive doubles order as their patterns do.
+        lo, hi = (struct.unpack("<q", struct.pack("<d", z))[0] for z in (1.0, 1e100))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+        assert compute(AtomSpec(z_of(lo), dimension, alpha_inv)).value_a0_cubed >= sys.float_info.min
+        assert f"{z_of(lo):.4g}" == shown
 
 
 class TestNonrelLimit:
