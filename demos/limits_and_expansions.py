@@ -6,9 +6,10 @@ for planar atoms and c = -28/27 for spatial ones.  The raw slopes
 (alpha_1 / alpha_1_NR - 1) / (alpha Z)^2 from the closed form show the
 cancellation: the shift is formed by subtracting 1 from a number near 1,
 so a slope keeps only about 1e-16 / |shift| of its digits.  The library
-instead evaluates the shift as a function of x = (alpha Z)^2 with no such
-subtraction; quasirel_coefficient reads c off it at x = 1e-30, exact to
-the last bits and without any extrapolation.
+instead takes c as the derivative of log alpha_1 at x = (alpha Z)^2 = 0:
+quasirel_coefficient sums the slopes of the closed form's log factors in
+one math.fsum, with no such subtraction and no extrapolation, and gets
+-7/2 and -28/27 correctly rounded.
 """
 
 from diracpol import (

@@ -16,7 +16,11 @@ polarizability is recovered by a single division, which refuses a charge
 so small (below about 1.2e-77) that Z**4 leaves the normal doubles, and,
 where a large or infinite alpha_inv leaves it subcritical, one so large
 (above about 5.2e76 planar, 1.16e77 spatial) that Z**4 overflows or the
-quotient is no longer a normal double.
+quotient, or the kappa = -3/2 channel it is multiplied into, is no longer
+a normal double.
+
+The first relativistic correction, ``quasirel_coefficient``, is one
+``math.fsum`` of the slopes of the closed forms' log factors at alpha Z = 0.
 """
 
 from __future__ import annotations
@@ -28,9 +32,7 @@ from typing import Literal, NamedTuple
 from .atom import (
     _KAPPA_HALF, AtomSpec, ChannelIndex, Dimension, _check_dipole, gamma_half, gamma_kappa,
 )
-from .specfun import (
-    Hyp3F2Params, SeriesDiagnostics, hyp3f2_minus_one, hyp3f2_unit, log_gamma, log_gamma_drop,
-)
+from .specfun import Hyp3F2Params, SeriesDiagnostics, hyp3f2_unit, log_gamma
 
 Method = Literal["closed_form", "sturmian_series"]
 
@@ -54,26 +56,27 @@ class PolarizabilityResult(NamedTuple):
     diagnostics: SeriesDiagnostics | None = None
 
 
-def _over_z4(value: float, spec: AtomSpec) -> float:
-    """value / Z**4; a ValueError when the charge is too small to resolve
-    (Z**4 is not a normal double, or the quotient overflows) or too large
-    (Z**4 overflows, or the quotient is not a normal double)."""
+def _over_z4(value: float, spec: AtomSpec, factor: float = 1.0) -> float:
+    """value / Z**4 * factor; a ValueError when the charge is too small to
+    resolve (Z**4 is not a normal double, or the result overflows) or too
+    large (Z**4 overflows, or the result is not a normal double)."""
     try:
         z4 = spec.Z**4
     except OverflowError:
         z4 = math.inf
     if z4 >= sys.float_info.min:
-        quotient = value / z4
+        quotient = value / z4 * factor
         if sys.float_info.min <= abs(quotient) < math.inf:
             return quotient
         if math.isfinite(quotient):
             # (abs(value) / min) ** 0.25 overflows for the spatial value.
-            largest = min(abs(value) ** 0.25 / sys.float_info.min**0.25, sys.float_info.max**0.25)
+            largest = abs(value * factor) ** 0.25 / sys.float_info.min**0.25
+            largest = min(largest, sys.float_info.max**0.25)
             raise ValueError(
                 f"Z={spec.Z!r} is above the largest allowed charge, about {largest:.4g}: "
                 "the division by Z**4 leaves the normal double range"
             )
-    smallest = max(sys.float_info.min, abs(value) / sys.float_info.max) ** 0.25
+    smallest = max(sys.float_info.min, abs(value * factor) / sys.float_info.max) ** 0.25
     raise ValueError(
         f"Z={spec.Z!r} is below the smallest allowed charge, about {smallest:.4g}: "
         "Z**4 leaves the normal double range"
@@ -108,7 +111,9 @@ def r_channel_closed(ch: ChannelIndex, spec: AtomSpec) -> float:
     if ch.kappa == -1.5:
         gk = gamma_kappa(spec, _KAPPA_M32)
         bracket, _ = _reduced_bracket(g, gk, 4.0, (2.0 - 2.0 * g) ** 2, 1.0)
-        return _over_z4((g + 1.0) * (2.0 * g + 1.0) * (2.0 * g + 3.0) / 64.0, spec) * bracket
+        # The bracket is checked with the prefactor: at alpha_inv = inf it is
+        # 0.875, which can take a normal prefactor / Z**4 below the normal doubles.
+        return _over_z4((g + 1.0) * (2.0 * g + 1.0) * (2.0 * g + 3.0) / 64.0, spec, bracket)
     return _over_z4(g * (g + 1.0) * (2.0 * g + 1.0) * (4.0 * g + 5.0) / 64.0, spec)
 
 
@@ -190,43 +195,42 @@ def nonrel_limit(dimension: Dimension) -> float:
     raise ValueError(f"unknown dimension {dimension!r}")
 
 
-def _quasirel_shift(dimension: Dimension, x: float) -> float:
-    """alpha_1 / alpha_1_NR - 1 as a function of x = (alpha Z)**2 alone, with no
-    subtraction of nearly equal numbers.  The exponents g, gk are |kappa| - delta,
-    delta = x / (|kappa| + gamma); every factor of the closed form is its x = 0
-    value times exp(log1p(...)) or exp(log_gamma_drop(...)), and the 3F2 is 1
-    plus its sum from k = 1.  At x = 0, coeff / bracket is 1/14 or 2/27."""
-    nonrel_limit(dimension)  # rejects an unknown dimension
-    planar = dimension == "planar"
-    lo, hi = (0.5, 1.5) if planar else (1.0, 2.0)
-    gk = math.sqrt(hi * hi - x)
-    dl, dh = x / (lo + math.sqrt(lo * lo - x)), x / (hi + gk)
-    dm = dl - dh  # d - 1
-    if planar:  # prefactor (g+1)**2 (2g+1) (4g+3); num 4 (g-1)**2, den (g+1) (4g+3)
-        log_den = math.log1p(-dl / 1.5) + math.log1p(-0.8 * dl)
-        log_pre = log_den + math.log1p(-dl / 1.5) + math.log1p(-dl)
-        log_num = 2.0 * math.log1p(2.0 * dl)
-    else:  # prefactor (g+1) (2g+1) q, q = 4g**2 + 13g + 12; num 2 (g-2)**2, den (g+1) q
-        log_den = math.log1p(-0.5 * dl) + math.log1p(dl * (4.0 * dl - 21.0) / 29.0)
-        log_pre = log_den + math.log1p(-dl / 1.5)
-        log_num = 2.0 * math.log1p(dl)
-    f_minus_1 = hyp3f2_minus_one(Hyp3F2Params(dm, dm, 2.0 + dm, 3.0 + dm, 2.0 * gk + 1.0))
-    # coeff = num / den * Gamma(gk+g+2)**2 / (Gamma(2g+lower) Gamma(2gk+1)) / (d+1),
-    # where 2g + lower is 4 at x = 0 in both dimensions.
-    log_coeff_f = math.fsum([
-        log_num - log_den,
-        2.0 * log_gamma_drop(lo + hi + 2.0, dl + dh),
-        -log_gamma_drop(4.0, 2.0 * dl),
-        -log_gamma_drop(2.0 * hi + 1.0, 2.0 * dh),
-        -math.log1p(0.5 * dm),
-        math.log1p(f_minus_1),
-    ])
-    ratio = 1.0 / 14.0 if planar else 2.0 / 27.0
-    return math.expm1(log_pre + math.log1p(-ratio * math.expm1(log_coeff_f)))
-
-
 def quasirel_coefficient(dimension: Dimension) -> float:
     """Coefficient c in alpha_1 / alpha_1_NR = 1 + c (alpha Z)**2 + O((alpha Z)**4),
-    -7/2 (planar) or -28/27 (spatial): the shift over x at x = 1e-30, where
-    the O(x**2) term is 30 orders of magnitude down.  c does not depend on alpha."""
-    return _quasirel_shift(dimension, 1e-30) / 1e-30
+    -7/2 (planar) or -28/27 (spatial); c does not depend on alpha.
+
+    c = d log(Z**4 alpha_1) / dx at x = (alpha Z)**2 = 0, one ``math.fsum`` of
+    the slopes of the closed form's log factors at gamma = |kappa|, where
+    d gamma / dx = -1 / (2 |kappa|); added in order, they miss -7/2 by 4 ulp.
+    The bracket 1 - coeff * 3F2 weighs the slope of log coeff by
+    -coeff / (1 - coeff), coeff being 1/15 or 2/29 at x = 0; its 3F2 is
+    1 + O(x**2).
+    """
+    nonrel_limit(dimension)  # rejects an unknown dimension
+    planar = dimension == "planar"
+    g, gk = (0.5, 1.5) if planar else (1.0, 2.0)
+    dg, dgk = -0.5 / g, -0.5 / gk
+
+    def slope(a: float, b: float) -> float:
+        """d log(a g + b) / dx."""
+        return a * dg / (a * g + b)
+
+    if planar:  # prefactor (g+1)**2 (2g+1) (4g+3); num 4 (g-1)**2, den (g+1) (4g+3)
+        lower, weight = 3.0, 1.0 / 14.0
+        pre = [2.0 * slope(1.0, 1.0), slope(2.0, 1.0), slope(4.0, 3.0)]
+        num, den = 2.0 * slope(1.0, -1.0), [slope(1.0, 1.0), slope(4.0, 3.0)]
+    else:  # prefactor (g+1) (2g+1) q, q = 4g**2 + 13g + 12; num 2 (g-2)**2, den (g+1) q
+        lower, weight = 2.0, 2.0 / 27.0
+        dq = (8.0 * g + 13.0) * dg / (4.0 * g * g + 13.0 * g + 12.0)
+        pre = [slope(1.0, 1.0), slope(2.0, 1.0), dq]
+        num, den = 2.0 * slope(1.0, -2.0), [slope(1.0, 1.0), dq]
+    # log coeff = log num - log den - log(d + 1) + 2 log Gamma(gk + g + 2)
+    # - log Gamma(2g + lower) - log Gamma(2gk + 1), d = gk - g.  Each Gamma
+    # argument is an integer n at x = 0, with digamma H(n - 1) - Euler; the
+    # Euler terms cancel, the argument slopes summing to zero.
+    coeff = [num, *(-s for s in den), -(dgk - dg) / (gk - g + 1.0)]
+    gammas = [
+        (gk + g + 2.0, 2.0 * (dg + dgk)), (2.0 * g + lower, -2.0 * dg), (2.0 * gk + 1.0, -2.0 * dgk),
+    ]
+    coeff += [rate / j for n, rate in gammas for j in range(1, int(n))]
+    return math.fsum([*pre, *(-weight * s for s in coeff)])

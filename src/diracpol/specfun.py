@@ -4,11 +4,9 @@
 Every 3F2 series that does not truncate is summed by one loop,
 ``_convergent_terms``: terms in chunks of 512, stopped after the first chunk
 whose tail bound is small enough against a running sum that adds each
-chunk's terms in order, then the chunk sums in order.  It serves
-``hyp3f2_unit`` (the series from its leading 1) and ``hyp3f2_minus_one``
-(the series from its first term, for the relativistic shift).  Two
-producers give the loop the same terms, so the same term count and tail
-bound, and their chunk sums agree bit for bit:
+chunk's terms in order, then the chunk sums in order.  Two producers give
+the loop the same terms, so the same term count and tail bound, and their
+chunk sums agree bit for bit:
 
 - ``_pure_terms``, one chunk at a time in plain floats, summed by
   ``functools.reduce(operator.add, chunk)``; not by ``sum``, which is
@@ -52,7 +50,7 @@ A ``hyp3f2_unit`` call between the two costs a second sum, never other bits.
 ``log_gamma`` reduces an argument below 12 to a point t of a zeta series
 about 1 or 2 and keeps the last ``_SERIES_CACHE`` = 32 series values by
 (t, point), so the ladders x0 + n of the Sturmian oracle, which reduce to a
-few t, sum each series once.  ``log_gamma_drop`` sums its series uncached.
+few t, sum each series once.
 """
 
 from __future__ import annotations
@@ -243,21 +241,6 @@ _NEAR_ONE = (-_EULER, _alternating(_ZETA_OVER_K))
 _NEAR_TWO = (1.0 - _EULER, _alternating(_ZETA_M1_OVER_K))
 
 
-def _lgamma_series(t: float, series: tuple[float, tuple[float, ...]]) -> float:
-    """ln Gamma(1 + t) (series _NEAR_ONE) or ln Gamma(2 + t) (_NEAR_TWO) by
-    the alternating zeta series, summed until a term falls below 1e-20."""
-    linear, coeffs = series
-    terms = [linear * t]
-    power = t
-    for coeff in coeffs:
-        power *= t
-        term = coeff * power
-        terms.append(term)
-        if -1e-20 < term < 1e-20:
-            break
-    return math.fsum(terms)
-
-
 # Series values log_gamma keeps, dropping the least recently used.  The
 # Sturmian oracle asks for ln Gamma at x0 + n, n = 0, 1, 2, ..., which reduce
 # to a few points t.  The 68-row table asks for about 600 distinct t, so a
@@ -267,12 +250,22 @@ _SERIES_CACHE = 32
 
 @lru_cache(maxsize=_SERIES_CACHE)
 def _reduced_series(t: float, point: int) -> float:
-    """ln Gamma(point + t), point 1 or 2, by ``_lgamma_series``, remembered by
-    (t, point).  The key must not be the coefficient tuple, whose hash costs
-    more than a cached call saves, and t must not be -0.0, which the cache
-    would take for 0.0: ``log_gamma`` never passes it (a difference of equal
-    doubles is +0.0), and ``log_gamma_drop``, which does, sums uncached."""
-    return _lgamma_series(t, _NEAR_ONE if point == 1 else _NEAR_TWO)
+    """ln Gamma(point + t), point 1 (series ``_NEAR_ONE``) or 2 (``_NEAR_TWO``),
+    by the alternating zeta series summed until a term falls below 1e-20,
+    remembered by (t, point).  The key must not be the coefficient tuple,
+    whose hash costs more than a cached call saves, and t must not be -0.0,
+    which the cache would take for 0.0: ``log_gamma`` never passes it (a
+    difference of equal doubles is +0.0)."""
+    linear, coeffs = _NEAR_ONE if point == 1 else _NEAR_TWO
+    terms = [linear * t]
+    power = t
+    for coeff in coeffs:
+        power *= t
+        term = coeff * power
+        terms.append(term)
+        if -1e-20 < term < 1e-20:
+            break
+    return math.fsum(terms)
 
 
 def _lgamma_one_to_two(u: float) -> float:
@@ -321,24 +314,6 @@ def log_gamma(x: float) -> float:
     return math.fsum(
         [(x - 0.5) * math.log(x), -x, _HALF_LOG_TWO_PI, correction]
     )
-
-
-def log_gamma_drop(n: float, eps: float) -> float:
-    """ln Gamma(n - eps) - ln Gamma(n) for integer n >= 1, to full relative
-    accuracy as eps -> 0.
-
-    For eps <= 0.5 it is ln Gamma(1 - eps) + sum_{j < n} log1p(-eps / j);
-    for 0.5 < eps < 1.5 and n >= 2, with t = 1 - eps (exact), it is
-    ln Gamma(1 + t) + sum_{j < n - 1} log1p(t / j) - ln(n - 1), so no two
-    log-gammas cancel; beyond that a plain difference."""
-    if eps <= 0.5:
-        steps = (math.log1p(-eps / j) for j in range(1, int(n)))
-        return math.fsum([_lgamma_series(-eps, _NEAR_ONE), *steps])
-    if eps < 1.5 and n >= 2.0:
-        t = 1.0 - eps
-        steps = (math.log1p(t / j) for j in range(1, int(n) - 1))
-        return math.fsum([_lgamma_series(t, _NEAR_ONE), *steps, -math.log(n - 1.0)])
-    return log_gamma(n - eps) - log_gamma(n)
 
 
 def _term_rows(np, p: Hyp3F2Params, rows: np.ndarray, k_first: int, t_first: float) -> np.ndarray:
@@ -408,31 +383,28 @@ def _pure_terms(
     return ratios, terms
 
 
-def _predicted_chunks(p: Hyp3F2Params, balance: float, tol: float, first: int) -> int:
+def _predicted_chunks(p: Hyp3F2Params, balance: float, tol: float) -> int:
     """Chunks of ``_CHUNK`` terms after which the tail bound of the series
-    from t_first (first = 0 for 3F2, 1 for 3F2 - 1) is predicted to fall
-    below ``tol`` times its sum; a hint only, 1 on any domain or arithmetic
-    error.
+    is predicted to fall below ``tol`` times its sum; a hint only, 1 on any
+    domain or arithmetic error.
 
     Terms decay like C k**-(s+1), s the balance and C = Gamma(b1) Gamma(b2)
     / (Gamma(a1) Gamma(a2) Gamma(a3)), so the bound |t_K| K / (s - 1) <= tol
-    holds from K = (C / (tol (s - 1)))**(1/s) on.  3F2 - 1 is about its
-    first term a1 a2 a3 / (b1 b2), which scales ``tol``.
+    holds from K = (C / (tol (s - 1)))**(1/s) on.
     """
     denom = balance - 1.0 if balance > 1.0 else balance
     lg = math.lgamma
     try:
-        scale = 1.0 if first == 0 else abs(p.a1 * p.a2 * p.a3 / (p.b1 * p.b2))
         log_c = lg(p.b1) + lg(p.b2) - lg(p.a1) - lg(p.a2) - lg(p.a3)
-        log_k = (log_c - math.log(tol * scale * denom)) / balance
+        log_k = (log_c - math.log(tol * denom)) / balance
         return max(1, math.ceil((math.exp(min(log_k, math.log(MAX_TERMS))) - 1.0) / _CHUNK))
     except (ValueError, ArithmeticError):
         return 1
 
 
-def _convergent_terms(p: Hyp3F2Params, tol: float, first: int):
-    """The terms t_first, ..., t_{k0-1} of the convergent unit-argument
-    series p (first = 0 for 3F2, 1 for 3F2 - 1), with k0 and the tail bound.
+def _convergent_terms(p: Hyp3F2Params, tol: float):
+    """The terms t_0 = 1, ..., t_{k0-1} of the convergent unit-argument
+    series p, with k0 and the tail bound.
 
     The terms come in chunks of ``_CHUNK``.  The series stops after the
     first chunk whose last term t_{k0-1} is zero, or whose power-law tail
@@ -460,7 +432,7 @@ def _convergent_terms(p: Hyp3F2Params, tol: float, first: int):
     k_min = max(0.0, -p.a1, -p.a2, -p.a3, -p.b1, -p.b2) + 2
     np = _loaded_numpy()
     # approx is the running sum; k0 = 1 + _CHUNK * (chunks summed).
-    terms, approx, t_last, k0 = [1.0], 1.0 if first == 0 else 0.0, 1.0, 1
+    terms, approx, t_last, k0 = [1.0], 1.0, 1.0, 1
     chunks = 0  # the chunks the numpy array holds
     while k0 <= MAX_TERMS:
         if np is None:
@@ -476,7 +448,7 @@ def _convergent_terms(p: Hyp3F2Params, tol: float, first: int):
                     grown = np.empty(1 + chunks * _CHUNK)
                     grown[:k0] = terms
                 else:
-                    chunks = min(_predicted_chunks(p, balance, tol, first), _MAX_CHUNKS)
+                    chunks = min(_predicted_chunks(p, balance, tol), _MAX_CHUNKS)
                     grown = np.empty(1 + chunks * _CHUNK)
                     grown[0] = 1.0  # t_0, the one term before the first pass
                 terms = grown
@@ -498,7 +470,7 @@ def _convergent_terms(p: Hyp3F2Params, tol: float, first: int):
                 and least(ratios[j]) > 0.0
                 and greatest(ratios[j]) < 1.0
             ):
-                return terms[first:k0], k0, tail
+                return terms[:k0], k0, tail
     raise ConvergenceError(
         f"3F2 series did not reach tol={tol:g} within {MAX_TERMS} terms"
     )
@@ -560,8 +532,8 @@ def hyp3f2_unit(
     """Evaluate 3F2(a1, a2, a3; b1, b2; 1) by direct summation.
 
     A series that does not truncate takes its terms from
-    ``_convergent_terms``, the one routine that sums every such 3F2 here
-    (``hyp3f2_minus_one`` too): chunks of ``_CHUNK`` terms, each a
+    ``_convergent_terms``, the one routine that sums every such 3F2 here:
+    chunks of ``_CHUNK`` terms, each a
     cumulative product of the term ratios, stopped after the first chunk
     whose power-law tail bound falls below ``tol`` times the running sum,
     which adds each chunk in order and then the chunk sums in order.  A
@@ -633,16 +605,10 @@ def hyp3f2_unit(
             raise _overflow(0, n_trunc) from None
         result = value, tuple.__new__(SeriesDiagnostics, (n_trunc + 1, 0.0))
     else:
-        terms, k0, tail = _convergent_terms(p, tol, 0)
+        terms, k0, tail = _convergent_terms(p, tol)
         value = _exact_sum(terms)
         # tuple.__new__ skips the NamedTuple's Python-level __new__.
         result = value, tuple.__new__(SeriesDiagnostics, (k0, tail / max(abs(value), _TINY)))
     _last_sum = (p, tol, result)
     return result
 
-
-def hyp3f2_minus_one(p: Hyp3F2Params) -> float:
-    """3F2(p; 1) - 1, summed from its first term and stopped at ``TOL_FLOOR``
-    relative to itself, so it keeps full relative accuracy when it is tiny.
-    Meant for parameters whose terms are all nonnegative, so none cancel."""
-    return _exact_sum(_convergent_terms(p, TOL_FLOOR, 1)[0])

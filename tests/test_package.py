@@ -109,9 +109,9 @@ class TestSurface:
         assert len(diracpol.__all__) == 28
 
     def test_only_specfun_knows_how_a_3f2_is_summed(self):
-        # The closed form asks specfun for a 3F2 or a 3F2 - 1; the chunks,
-        # their two producers and the rule between them, their prediction,
-        # the stop rule and the exact sum stay inside it.
+        # The closed form asks specfun for a 3F2 and its log-gammas; the
+        # chunks, their two producers and the rule between them, their
+        # prediction, the stop rule and the exact sum stay inside it.
         tree = ast.parse((SRC / "diracpol" / "polarizability.py").read_text())
         imported = [
             alias.name
@@ -119,8 +119,9 @@ class TestSurface:
             if isinstance(node, ast.ImportFrom) and node.module == "specfun"
             for alias in node.names
         ]
-        assert "hyp3f2_minus_one" in imported
-        assert [name for name in imported if name.startswith("_")] == []
+        assert sorted(imported) == ["Hyp3F2Params", "SeriesDiagnostics", "hyp3f2_unit", "log_gamma"]
+        for name in ("hyp3f2_minus_one", "log_gamma_drop"):
+            assert not hasattr(diracpol.specfun, name), name
         internals = {
             "_CHUNK",
             "_MAX_BATCH",

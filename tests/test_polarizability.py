@@ -21,7 +21,6 @@ from diracpol.atom import (
 )
 from diracpol.polarizability import (
     Method,
-    _quasirel_shift,
     _reduced_bracket,
     nonrel_limit,
     polarizability_planar,
@@ -389,11 +388,15 @@ class TestLargestCharge:
             ),
             ("spatial", polarizability_spatial, 1.2e77),
             ("spatial", polarizability_spatial, 1e100),
+            # The largest charge whose R_{-3/2} prefactor over Z**4 is a
+            # normal double; the bracket, 0.875, takes the channel below.
+            ("planar", lambda spec: r_channel_closed(ChannelIndex(-1.5), spec), 5.387834044491518e76),
         ],
         ids=[
             *(f"{name}-{z}" for name in ("planar", "r-half", "r-m32", "energy") for z in ("1e77", "1e100")),
             "spatial-1.2e77",
             "spatial-1e100",
+            "r-m32-prefactor-normal",
         ],
     )
     def test_overflowing_charge_raises(self, dimension, compute, z, alpha_inv):
@@ -404,8 +407,12 @@ class TestLargestCharge:
     @pytest.mark.parametrize("alpha_inv", [math.inf, 1e300])
     @pytest.mark.parametrize(
         "dimension, compute, shown",
-        [("planar", polarizability_planar, "5.211e+76"), ("spatial", polarizability_spatial, "1.158e+77")],
-        ids=["planar", "spatial"],
+        [
+            ("planar", lambda spec: polarizability_planar(spec).value_a0_cubed, "5.211e+76"),
+            ("spatial", lambda spec: polarizability_spatial(spec).value_a0_cubed, "1.158e+77"),
+            ("planar", lambda spec: r_channel_closed(ChannelIndex(-1.5), spec), "5.211e+76"),
+        ],
+        ids=["planar", "spatial", "r-m32"],
     )
     def test_largest_accepted_charge(self, dimension, compute, shown, alpha_inv):
         def z_of(bits):
@@ -425,7 +432,7 @@ class TestLargestCharge:
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
-        assert compute(AtomSpec(z_of(lo), dimension, alpha_inv)).value_a0_cubed >= sys.float_info.min
+        assert compute(AtomSpec(z_of(lo), dimension, alpha_inv)) >= sys.float_info.min
         assert f"{z_of(lo):.4g}" == shown
 
 
@@ -497,55 +504,32 @@ class TestQuasirelCoefficient:
     def test_spatial_coefficient(self):
         assert quasirel_coefficient("spatial") == pytest.approx(-28.0 / 27.0, abs=1e-6)
 
-    @pytest.mark.parametrize("dimension", ["planar", "spatial"])
-    @pytest.mark.parametrize("alpha_inv", [1e8, NR_SURROGATE, 1e12])
-    def test_weak_coupling_slope(self, dimension, alpha_inv):
-        # Unresolvable from scaled_Z4 / limit - 1, which is exactly 0 from
-        # alpha_inv of about 3e8 on: the shift at Z = 1 still carries the
-        # exact coefficient, the (alpha Z)**4 term being below rounding.
-        x = (1.0 / alpha_inv) ** 2
-        target = QUASIREL_TARGETS[dimension]
-        assert abs(_quasirel_shift(dimension, x) / x - target) <= 2 * math.ulp(target)
-
     def test_smallest_resolvable_shift(self):
-        # Down to x = 1e-300 the shift is c * x to the last bits, and the
-        # coefficient is exact to 2 ulp.
+        # The coefficient is exact to 2 ulp.
         for dimension, target in QUASIREL_TARGETS.items():
             assert abs(quasirel_coefficient(dimension) - target) <= 2 * math.ulp(target)
-            for x in (1e-300, 1e-200, 1e-100, 1e-30):
-                assert abs(_quasirel_shift(dimension, x) / x - target) <= 2 * math.ulp(target)
 
     def test_unknown_dimension(self):
         with pytest.raises(ValueError, match="unknown dimension"):
             quasirel_coefficient("volumetric")
 
-
-class TestQuasirelShift:
-    # Largest sampled x: 0.2 of the planar critical 0.25, 0.9 of the spatial 1.
-    X_MAX = {"planar": 0.2, "spatial": 0.9}
-
-    @pytest.mark.parametrize("dimension", ["planar", "spatial"])
-    def test_against_mpmath(self, dimension):
-        @hypothesis.settings(max_examples=20, derandomize=True, database=None, deadline=None)
-        @hypothesis.given(st.floats(math.log(1e-30), math.log(self.X_MAX[dimension])))
-        def check(log_x):
-            x = min(math.exp(log_x), self.X_MAX[dimension])
-            got = _quasirel_shift(dimension, x)
-            if x <= 1e-30:
-                expected = QUASIREL_TARGETS[dimension] * x
-            else:
-                expected = float(_shift_reference(dimension, x))
-            assert abs(got - expected) <= 1e-15 * abs(expected)
-
-        check()
-
-    @pytest.mark.parametrize("dimension, z_max", [("planar", 68), ("spatial", 136)])
-    def test_closed_form_agrees_on_integer_charges(self, dimension, z_max):
-        # limits reports the shift; it must be the shift of the closed form
-        # that planar and spatial return.
+    @pytest.mark.parametrize(
+        "dimension, exact", [("planar", Fraction(-7, 2)), ("spatial", Fraction(-28, 27))], ids=["planar", "spatial"]
+    )
+    def test_is_the_closed_forms_slope(self, dimension, exact):
+        # limits reports c; it must be the correctly rounded exact value and
+        # the slope at x = (alpha Z)**2 = 0 of the closed form that planar and
+        # spatial compute.
+        c = quasirel_coefficient(dimension)
+        assert c.hex() == float(exact).hex()
+        # The 70-digit closed form at x = 1e-30, where the x**2 term is 30
+        # orders of magnitude down.
+        with mpmath.workdps(70):
+            slope = float(_shift_reference(dimension, 1e-30) / mpmath.mpf(1e-30))
+        assert abs(c - slope) <= math.ulp(c)
+        # The library's closed form at x = 1e-8, where the x**2 term and the
+        # rounding of scaled_Z4, amplified 1e8 times, are both below 1e-7.
         compute = polarizability_planar if dimension == "planar" else polarizability_spatial
-        limit = nonrel_limit(dimension)
-        for z in range(1, z_max + 1):
-            library = compute(AtomSpec(float(z), dimension)).scaled_Z4 / limit - 1.0
-            shift = _quasirel_shift(dimension, (z / ALPHA_INV_CODATA2014) ** 2)
-            assert abs(library - shift) <= 8 * sys.float_info.epsilon, z
+        x = (1.0 / 1e4) ** 2
+        library = (compute(AtomSpec(1.0, dimension, 1e4)).scaled_Z4 / nonrel_limit(dimension) - 1.0) / x
+        assert abs(library - c) <= 1e-7 * abs(c)

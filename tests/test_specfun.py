@@ -31,7 +31,6 @@ from diracpol.specfun import (
     _exact_sum,
     hyp3f2_unit,
     log_gamma,
-    log_gamma_drop,
 )
 from diracpol.sturmian import _laguerre_table, gamma_ratio, hyp3f2_contiguous_rhs, laguerre_rule
 
@@ -152,29 +151,6 @@ class TestSeriesCache:
         info = specfun._reduced_series.cache_info()
         assert info.maxsize == specfun._SERIES_CACHE == 32
         assert 0 < info.currsize <= info.maxsize
-
-
-class TestLogGammaDrop:
-    # The relativistic shift takes ln Gamma(n - eps) - ln Gamma(n) at n = 4
-    # and 5 only; eps <= 0.5 is the series branch about 1, and 0.5 < eps <
-    # 1.5 the series about 1 - eps shifted by n - 2 steps, which replaced a
-    # difference of two log-gammas (hence the branch name).
-    BOUND = {"series": 8 * 2.0**-52, "difference": 2 * 2.0**-52}
-
-    @pytest.mark.parametrize("n", [4, 5])
-    @pytest.mark.parametrize("branch", ["series", "difference"])
-    def test_relative_error_against_mpmath(self, n, branch):
-        rng = np.random.default_rng(41 + n)
-        if branch == "series":
-            eps_values = 10.0 ** rng.uniform(-300.0, math.log10(0.5), 300)
-        else:
-            eps_values = 0.5 + (1.4 - 0.5) * (1.0 - rng.random(300))  # (0.5, 1.4]
-        for eps in eps_values.tolist():
-            # Enough digits that n - eps is exact for every eps drawn.
-            with mpmath.workdps(40 + math.ceil(-math.log10(eps))):
-                exact = mpmath.loggamma(n - mpmath.mpf(eps)) - mpmath.loggamma(n)
-                rel = abs(mpmath.mpf(log_gamma_drop(float(n), eps)) - exact) / abs(exact)
-            assert rel <= self.BOUND[branch], (n, eps)
 
 
 class TestGammaRatio:
@@ -447,23 +423,6 @@ def _hyp3f2_unit_reference(p: Hyp3F2Params, tol: float, chunk_sum=_in_order_sum)
     return value, SeriesDiagnostics(k0, tail_rel)
 
 
-def _hyp3f2_minus_one_reference(p: Hyp3F2Params) -> float:
-    """specfun.hyp3f2_minus_one with one chunk per numpy pass, each added
-    in order to the running sum of the stop test."""
-    balance = p.balance()
-    denom = balance - 1.0 if balance > 1.0 else balance
-    blocks, total, t_last = [], 0.0, 1.0
-    for k0 in range(0, MAX_TERMS, 512):
-        blocks.append(_chunk_terms_reference(p, np.arange(k0, k0 + 512, dtype=float), t_last)[1])
-        total += _in_order_sum(blocks[-1])
-        if not math.isfinite(total):
-            raise ConvergenceError(f"3F2 series overflows in its terms t_{k0 + 1} to t_{k0 + 512}")
-        t_last = float(blocks[-1][-1])
-        if abs(t_last) * (k0 + 512 + 1) / denom <= TOL_FLOOR * total:
-            return math.fsum(np.concatenate(blocks).tolist())
-    raise ConvergenceError(f"3F2 - 1 did not converge within {MAX_TERMS} terms")
-
-
 def _outcome(f, *args):
     """float.hex of the value and tail estimate and the term count, or the
     type and message of the error raised."""
@@ -613,15 +572,6 @@ class TestBatchedChunks:
         assert ConvergenceError in outcomes
         assert sum(isinstance(o, str) for o in outcomes) >= 40
 
-    def test_shift_series(self, prediction):
-        # The parameters of the quasi-relativistic shift, over (alpha Z)**2.
-        for x in np.geomspace(1e-30, 0.2, 40).tolist():
-            for lo, hi in ((0.5, 1.5), (1.0, 2.0)):
-                gk = math.sqrt(hi * hi - x)
-                dm = x / (lo + math.sqrt(lo * lo - x)) - x / (hi + gk)
-                p = Hyp3F2Params(dm, dm, 2.0 + dm, 3.0 + dm, 2.0 * gk + 1.0)
-                assert _outcome(specfun.hyp3f2_minus_one, p) == _outcome(_hyp3f2_minus_one_reference, p), p
-
     def test_stop_test_at_its_threshold_follows_the_in_order_sum(self, prediction, threshold_cases):
         # At these tolerances a pairwise running sum would stop the series
         # after another chunk than the in-order one; each producer must
@@ -698,21 +648,6 @@ class TestBatchedChunks:
         assert len(passes) == 1
 
     @pytest.mark.parametrize("producer", ["numpy", "pure-python"])
-    def test_shift_with_underflowed_denominator_raises_on_both_producers(self, monkeypatch, producer):
-        # b1 b2 underflows to zero, so the numpy producer's chunk prediction
-        # divides by zero (and predicts one chunk); (k + b1)(k + b2) does too
-        # at k = 0, which overflows the first chunk on both producers.
-        if producer == "numpy":
-            assert specfun._loaded_numpy() is np
-        else:
-            _force_pure_producer(monkeypatch)
-        p = Hyp3F2Params(1e-201, 1e-201, 1e-201, 1e-200, 1e-200)
-        message = "3F2 series overflows in its terms t_1 to t_512"
-        with np.errstate(all="ignore"):
-            assert _outcome(specfun.hyp3f2_minus_one, p) == (ConvergenceError, message)
-            assert _outcome(_hyp3f2_minus_one_reference, p) == (ConvergenceError, message)
-
-    @pytest.mark.parametrize("producer", ["numpy", "pure-python"])
     def test_truncating_sum_that_overflows_raises(self, monkeypatch, producer):
         # The terms 1, 1e308 and 1.125e308 are finite and their sum is not:
         # the error names the terms, not fsum's intermediate overflow.
@@ -784,7 +719,7 @@ class TestBatchedChunks:
     def test_prediction_is_exact_or_one_over_on_channel_parameters(self, closed_form_parameter_sets):
         for p in closed_form_parameter_sets:
             chunks = (hyp3f2_unit(p)[1].terms_used - 1) // 512
-            assert chunks <= specfun._predicted_chunks(p, p.balance(), TOL_FLOOR, 0) <= chunks + 1, p
+            assert chunks <= specfun._predicted_chunks(p, p.balance(), TOL_FLOOR) <= chunks + 1, p
 
     def test_row_sums_equal_plain_float_in_order_sums(self, monkeypatch, closed_form_parameter_sets):
         # The stop test's running sum adds each chunk in order: numpy along
@@ -843,9 +778,9 @@ class TestLastSumMemo:
         summed = []
         convergent_terms = specfun._convergent_terms
 
-        def counted(p, tol, first):
+        def counted(p, tol):
             summed.append(p)
-            return convergent_terms(p, tol, first)
+            return convergent_terms(p, tol)
 
         _forget_last_sum(monkeypatch)
         monkeypatch.setattr(specfun, "_convergent_terms", counted)
