@@ -43,7 +43,7 @@ def main() -> None:
         print(f"  {dimension:<7}: {rendered}")
 
     print()
-    print("coefficients from the subtraction-free shift:")
+    print("coefficients from the closed form's slope at (alpha Z)^2 = 0:")
     planar_c = quasirel_coefficient("planar")
     spatial_c = quasirel_coefficient("spatial")
     print(f"  planar : {planar_c!r:<19}  target -7/2   = {-3.5!r}")

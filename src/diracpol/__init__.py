@@ -36,9 +36,8 @@ from .specfun import (
 # and the closed-form commands stay without it.  The value is looked up on
 # every access, not stored here: a tracer that rebinds a module's functions
 # for a while must not leave its wrapper behind.  The Sturmian oracle exists
-# to validate the closed form and is not re-exported; import it from
-# ``diracpol.sturmian`` (and ``polarizability_sturmian`` from
-# ``diracpol.polarizability``).
+# to validate the closed form and is not re-exported; import it, with its
+# ``polarizability_sturmian``, from ``diracpol.sturmian``.
 _LAZY = frozenset(
     {
         "ConstantSet",

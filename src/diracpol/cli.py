@@ -25,7 +25,6 @@ from .polarizability import (
     nonrel_limit,
     polarizability_planar,
     polarizability_spatial,
-    polarizability_sturmian,
     quasirel_coefficient,
     r_channel_closed,
 )
@@ -162,7 +161,7 @@ def _run_table(args: argparse.Namespace, split: bool) -> str:
 
 
 def _run_crosscheck(args: argparse.Namespace) -> str:
-    from .sturmian import SERIES_TOL_FLOOR, channel_first_order_integrals, r_channel_series
+    from .sturmian import SERIES_TOL_FLOOR, channel_first_order_integrals, polarizability_sturmian, r_channel_series
 
     spec = AtomSpec(args.Z, "planar", args.alpha_inv)
     channels = (ChannelIndex(0.5), ChannelIndex(-1.5))

@@ -91,8 +91,7 @@ def _reduced_bracket(
     / (den * (d+1)), and the 3F2 diagnostics."""
     d = gk - g
     f_val, diag = hyp3f2_unit(Hyp3F2Params(d - 1.0, d - 1.0, d + 1.0, d + 2.0, 2.0 * gk + 1.0))
-    # sturmian.gamma_ratio([gk+g+2] * 2, [2g+lower, 2gk+1]) bit for bit, with one
-    # log-gamma fewer: doubling a double is exact.
+    # Gamma(gk+g+2)**2 takes one log-gamma, doubled: doubling a double is exact.
     logs = [2.0 * log_gamma(gk + g + 2.0), -log_gamma(2.0 * g + lower), -log_gamma(2.0 * gk + 1.0)]
     coeff = num * math.exp(math.fsum(logs)) / (den * (d + 1.0))
     return 1.0 - coeff * f_val, diag
@@ -119,9 +118,20 @@ def r_channel_closed(ch: ChannelIndex, spec: AtomSpec) -> float:
 
 def second_order_energy(spec: AtomSpec, field_strength: float) -> float:
     """Second-order field shift -(1/4) F**2 (R_{1/2} + R_{-3/2}) of the
-    planar ground state, in hartree, for a field in atomic units."""
+    planar ground state, in hartree, for a field in atomic units.  A field
+    of zero gives zero; a non-finite field, and a shift that is not a normal
+    double, raise ValueError."""
     r_sum = r_channel_closed(_KAPPA_HALF, spec) + r_channel_closed(_KAPPA_M32, spec)
-    return -0.25 * field_strength**2 * r_sum
+    try:
+        shift = -0.25 * field_strength**2 * r_sum
+    except OverflowError:
+        shift = -math.inf
+    if field_strength == 0.0 or sys.float_info.min <= -shift < math.inf:
+        return shift
+    raise ValueError(
+        f"field_strength={field_strength!r} at Z={spec.Z!r} gives the second-order shift "
+        f"{shift!r}, which is not a normal double"
+    )
 
 
 def polarizability_planar(spec: AtomSpec) -> PolarizabilityResult:
@@ -164,25 +174,6 @@ def polarizability_spatial(spec: AtomSpec) -> PolarizabilityResult:
     return tuple.__new__(
         PolarizabilityResult, (_over_z4(scaled, spec), scaled, "closed_form", diag)
     )
-
-
-def polarizability_sturmian(spec: AtomSpec, tol: float = 1e-12) -> PolarizabilityResult:
-    """Planar polarizability from the Sturmian channel series, the oracle
-    route: alpha_1 = (R_{1/2} + R_{-3/2}) / 2."""
-    # The oracle module is loaded on first use: the closed-form commands
-    # never need it.
-    from .sturmian import r_channel_series
-
-    if spec.dimension != "planar":
-        raise ValueError("polarizability_sturmian needs a planar spec")
-    r_half, diag_half = r_channel_series(_KAPPA_HALF, spec, tol)
-    r_m32, diag_m32 = r_channel_series(_KAPPA_M32, spec, tol)
-    value = 0.5 * (r_half + r_m32)
-    diag = SeriesDiagnostics(
-        diag_half.terms_used + diag_m32.terms_used,
-        max(diag_half.tail_estimate, diag_m32.tail_estimate),
-    )
-    return PolarizabilityResult(value, value * spec.Z**4, "sturmian_series", diag)
 
 
 def nonrel_limit(dimension: Dimension) -> float:

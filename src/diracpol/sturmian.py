@@ -1,39 +1,32 @@
 """Validation oracle for the closed-form polarizability: radial
 Dirac-Coulomb Sturmian functions at the planar ground-state energy, the
 explicit symmetric series for the dipole channel integrals, and the Gamma
-ratio and contiguous 3F2 identity that check the closed form.  No
-closed-form command imports this module.  The series has two entry points:
+ratio and contiguous 3F2 identity that check the closed form.  This module
+imports the closed form, never the other way round: no closed-form module
+names it, and of the commands only ``crosscheck`` loads it.  The series has
+two entry points:
 
 - ``r_channel_series`` sums the Sturmian expansion of one dipole channel term
-  by term from the closed first-order radial integrals;
+  by term from the closed first-order radial integrals, and
+  ``polarizability_sturmian`` takes the planar alpha_1 = (R_{1/2} +
+  R_{-3/2}) / 2 from the two channel series;
 - ``channel_first_order_integrals`` gives those closed integrals of every
   |n_r| <= n_max of one channel together with the same integrals re-derived
   by Gauss-Laguerre quadrature of their defining integrands.
 
-Both build the channel once (``_channel``): kappa, Z, gamma_{1/2},
-gamma_kappa, d = gamma_kappa - gamma_{1/2}, log Gamma(d - 1),
-log Gamma(gamma_kappa + gamma_{1/2} + 2), log Gamma(2 gamma_{1/2} + 1) and
-log(8 Z**2), after checking that kappa is a dipole channel.  Two kernels take
-it and |n_r| and evaluate the pieces that depend on |n_r| alone once for both
-signs of n_r: ``_index_integrals`` for the closed first-order integrals and
-``_doublets`` for the Sturmian doublet (S, T) that the quadrature integrates.
-Since every index of a channel is integrated on the same nodes, the
-ground-state doublet, the Sturmian envelope and the Laguerre polynomials of
-every degree the channel needs (one run of the recurrence,
-``_laguerre_table``, in ``_sturmian_parts``) are evaluated on them once;
-``_doublets`` scales the envelope by each index's norm, a scalar.  The
-series stops on a plain running sum and returns one ``math.fsum`` of its
-terms.  Two caches outlive a call.  One does not depend on the charge: a
-table of log n! (at most 100,001 entries).  One serves only reuse within one
-charge: the last 2 channels (``_channel``), each holding the closed integrals
-of the indices evaluated on it so far (``_Channel.rows``, as tuples), which
-live and go with the channel.  A crosscheck sums each channel series twice
-and takes |n_r| <= 3 a third time; the later passes read the channel's rows,
-so each index is evaluated once per charge and the later passes return the
-bits of the first.  Errors are not cached.  Beneath them,
-``specfun.log_gamma`` keeps its last 32 series values: the log-gammas of an
-index, at x0 + |n_r| for a few x0 per channel, reduce to a few series
-arguments, so most indices read their series back.
+Both build the channel once (``_channel``, after the dipole check): the
+exponents and the log-gammas that do not depend on |n_r|.  Two kernels
+evaluate what depends on |n_r| alone once for both signs of n_r:
+``_index_integrals`` the closed first-order integrals, and ``_doublets`` the
+Sturmian doublet (S, T) that the quadrature integrates, from the envelope
+and Laguerre polynomials that ``_sturmian_parts`` evaluates once on the
+channel's nodes.  The series stops on a plain running sum and returns one
+``math.fsum`` of its terms.  Two caches outlive a call: a table of log n!
+(at most 100,001 entries) and the last 2 channels (``_channel``), each with
+the closed integrals of the indices evaluated on it so far
+(``_Channel.rows``).  A crosscheck sums each channel series twice and takes
+|n_r| <= 3 a third time; the later passes read the rows, so they return the
+bits of the first.  Errors are not cached.
 
 The quadrature side runs on plain floats: ``roots_genlaguerre`` builds a
 rule of any size by Newton iteration on the Laguerre recurrence, and
@@ -54,8 +47,8 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .atom import AtomSpec, ChannelIndex, _check_dipole, gamma_half, gamma_kappa
-from .polarizability import NONREL_SCALED_PLANAR, _over_z4
+from .atom import _KAPPA_HALF, AtomSpec, ChannelIndex, _check_dipole, gamma_half, gamma_kappa
+from .polarizability import _KAPPA_M32, NONREL_SCALED_PLANAR, PolarizabilityResult, _over_z4
 from .specfun import (
     _TINY, TOL_FLOOR, ConvergenceError, Hyp3F2Params, SeriesDiagnostics, hyp3f2_unit, log_gamma,
 )
@@ -121,11 +114,7 @@ def _channel(ch: ChannelIndex, spec: AtomSpec) -> _Channel:
     z, g, gk = float(spec.Z), gamma_half(spec), gamma_kappa(spec, ch)
     d = gk - g
     return _Channel(
-        float(ch.kappa),
-        z,
-        g,
-        gk,
-        d,
+        float(ch.kappa), z, g, gk, d,
         log_gamma(gk + g + 2.0) - math.log(8.0 * z * z),
         log_gamma(2.0 * g + 1.0),
         log_gamma(d - 1.0) if d - 1.0 > 0.0 else None,
@@ -508,6 +497,19 @@ def _pair_tail(prev_mag: float, mag: float, n: int) -> float:
     if decay <= 1.0:
         return math.inf
     return mag * n / (decay - 1.0)
+
+
+def polarizability_sturmian(spec: AtomSpec, tol: float = SERIES_TOL_FLOOR) -> PolarizabilityResult:
+    """Planar polarizability from the Sturmian channel series, the oracle
+    route: alpha_1 = (R_{1/2} + R_{-3/2}) / 2."""
+    if spec.dimension != "planar":
+        raise ValueError("polarizability_sturmian needs a planar spec")
+    r_half, diag_half = r_channel_series(_KAPPA_HALF, spec, tol)
+    r_m32, diag_m32 = r_channel_series(_KAPPA_M32, spec, tol)
+    value = 0.5 * (r_half + r_m32)
+    terms = diag_half.terms_used + diag_m32.terms_used
+    diag = SeriesDiagnostics(terms, max(diag_half.tail_estimate, diag_m32.tail_estimate))
+    return PolarizabilityResult(value, value * spec.Z**4, "sturmian_series", diag)
 
 
 def gamma_ratio(numerators, denominators) -> float:

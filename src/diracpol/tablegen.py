@@ -89,11 +89,13 @@ def _scaled_at(z: float, alpha_inv: float) -> float:
 
 
 def _check_step(Z: float, consts: ConstantSet, h: float) -> None:
-    """Refuse a propagation step h that takes alpha_inv to zero or below, or
-    Z to the critical charge, naming alpha_inv_sigma and the step rather
-    than the shifted constant."""
+    """Refuse a propagation step h that takes alpha_inv to zero or below,
+    that a finite alpha_inv rounds away on either side (the difference would
+    read zero), or that takes Z to the critical charge, naming
+    alpha_inv_sigma and the step rather than the shifted constant."""
     shifted = consts.alpha_inv - h
-    if shifted > 0.0 and Z < critical_charge("planar", shifted):
+    resolved = shifted < consts.alpha_inv < consts.alpha_inv + h or consts.alpha_inv == math.inf
+    if shifted > 0.0 and resolved and Z < critical_charge("planar", shifted):
         return
     step = (
         f"the propagation step 1e4 * alpha_inv_sigma = {h!r} "
@@ -101,9 +103,13 @@ def _check_step(Z: float, consts: ConstantSet, h: float) -> None:
     )
     if not shifted > 0.0:
         raise ValueError(f"{step} takes alpha_inv = {consts.alpha_inv!r} to {shifted!r}")
-    raise SupercriticalError(
-        f"Z={Z} is supercritical at alpha_inv - step: {step} needs "
-        f"Z < (alpha_inv - step)/2 = {critical_charge('planar', shifted)!r}"
+    if not Z < critical_charge("planar", shifted):
+        raise SupercriticalError(
+            f"Z={Z} is supercritical at alpha_inv - step: {step} needs "
+            f"Z < (alpha_inv - step)/2 = {critical_charge('planar', shifted)!r}"
+        )
+    raise ValueError(
+        f"{step} is lost in rounding: alpha_inv = {consts.alpha_inv!r} plus or minus it is alpha_inv"
     )
 
 
@@ -115,9 +121,10 @@ def propagate_uncertainty(Z: float, consts: ConstantSet = ConstantSet()) -> floa
     1e4 * alpha_inv_sigma; a symmetric second-difference check must show a
     curvature contribution below 1% of the derivative, otherwise
     PropagationError is raised.  A step that takes alpha_inv to zero or
-    below raises ValueError, and one that leaves Z at or above the critical
-    charge of alpha_inv - step raises SupercriticalError, both before any
-    evaluation and naming alpha_inv_sigma and the step.
+    below, or that a finite alpha_inv rounds away, raises ValueError, and one
+    that leaves Z at or above the critical charge of alpha_inv - step raises
+    SupercriticalError, all before any evaluation and naming alpha_inv_sigma
+    and the step.
     """
     if consts.alpha_inv_sigma == 0.0:
         return 0.0

@@ -131,6 +131,26 @@ class TestTableCommand:
         assert shown in err
         assert f"alpha_inv_sigma = {float(sigma)!r}" in err
 
+    def test_step_lost_in_rounding_exits_2(self, capsys):
+        # 1e4 * 1e-19 is below half an ulp of alpha_inv: the uncertainty
+        # would print as 0.  The program (forked or not) refuses it too.
+        argv = [
+            "table", "--z-min", "26", "--z-max", "26", "--alpha-inv-sigma", "1e-19", "--format", "csv",
+        ]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "(alpha_inv_sigma = 1e-19) is lost in rounding" in captured.err
+        src = Path(__file__).resolve().parents[1] / "src"
+        cold = subprocess.run(
+            [sys.executable, "-m", "diracpol.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert [cold.returncode, cold.stdout, cold.stderr] == [2, "", captured.err]
+
 
 class TestCrosscheckCommand:
     def test_reported_deviations(self, capsys):

@@ -50,7 +50,51 @@ def _imported_roots(nodes) -> set[str]:
     return imported
 
 
+def _oracle_imports(tree: ast.Module) -> list[str | None]:
+    """For each import of the Sturmian oracle in the module, the top-level
+    function that holds it, or None at module level.  ``from . import
+    sturmian``, ``import diracpol.sturmian`` and a module name given as a
+    string (``importlib.import_module``) count too."""
+
+    def imports_oracle(node) -> bool:
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or "", *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        else:
+            return False
+        return any(name.rsplit(".", 1)[-1] == "sturmian" for name in names)
+
+    owners = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        owners.extend(owner for node in ast.walk(top) if imports_oracle(node))
+    return owners
+
+
 class TestSurface:
+    def test_closed_form_modules_name_no_oracle(self):
+        # The oracle checks the closed form and imports it, never the other
+        # way round; the command line loads it only for the crosscheck.
+        for stem in ("atom", "specfun", "polarizability"):
+            tree = ast.parse((SRC / "diracpol" / f"{stem}.py").read_text())
+            assert _oracle_imports(tree) == [], stem
+            defined = {
+                node.name
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            }
+            names = _referenced_names(SRC / "diracpol" / f"{stem}.py") | defined
+            assert "polarizability_sturmian" not in names, stem
+        cli_tree = ast.parse((SRC / "diracpol" / "cli.py").read_text())
+        assert _oracle_imports(cli_tree) == ["_run_crosscheck"]
+        from diracpol import polarizability, sturmian
+
+        assert not hasattr(polarizability, "polarizability_sturmian")
+        assert sturmian.polarizability_sturmian.__module__ == sturmian.__name__
+
     def test_every_public_name_resolves(self):
         for name in diracpol.__all__:
             assert getattr(diracpol, name) is not None, name

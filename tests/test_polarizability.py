@@ -25,11 +25,11 @@ from diracpol.polarizability import (
     nonrel_limit,
     polarizability_planar,
     polarizability_spatial,
-    polarizability_sturmian,
     quasirel_coefficient,
     r_channel_closed,
     second_order_energy,
 )
+from diracpol.sturmian import polarizability_sturmian
 from tests.reference import r_channel_two_term
 from tests.table_data import reference_tolerance, reference_value
 
@@ -194,6 +194,60 @@ class TestSecondOrderEnergy:
     def test_weak_coupling_unit_field(self):
         spec = AtomSpec(1.0, "planar", NR_SURROGATE)
         assert second_order_energy(spec, 1.0) == pytest.approx(-21.0 / 256.0, abs=1e-12)
+
+    @pytest.mark.parametrize("field", [0.0, -0.0, 0])
+    def test_zero_field_at_any_charge(self, field):
+        # Both channels are normal doubles at the largest charges; the zero
+        # shift is not refused.
+        for spec in (AtomSpec(26.0, "planar"), AtomSpec(5.2e76, "planar", math.inf)):
+            assert second_order_energy(spec, field) == 0.0
+
+    @pytest.mark.parametrize(
+        "spec, field, shown",
+        [
+            (AtomSpec(26.0, "planar"), math.inf, "-inf"),
+            (AtomSpec(26.0, "planar"), -math.inf, "-inf"),
+            (AtomSpec(26.0, "planar"), math.nan, "nan"),
+            # field**2 overflows: no bare OverflowError.
+            (AtomSpec(26.0, "planar"), 1e200, "-inf"),
+            (AtomSpec(26.0, "planar"), 10**200, "-inf"),
+            # Subnormal: both channels there are normal doubles.
+            (AtomSpec(5.2e76, "planar", math.inf), 1.0, "-1.12"),
+            # Underflows to -0.0.
+            (AtomSpec(26.0, "planar"), 1e-160, "-0.0"),
+        ],
+    )
+    def test_refuses_a_field_or_shift_outside_the_normal_doubles(self, spec, field, shown):
+        with pytest.raises(ValueError) as info:
+            second_order_energy(spec, field)
+        message = str(info.value)
+        assert f"field_strength={field!r} at Z={spec.Z!r}" in message
+        assert f"shift {shown}" in message
+        assert "not a normal double" in message
+
+    def test_smallest_and_largest_accepted_fields_are_normal(self):
+        # Bisect both refusal boundaries at Z = 26 down to adjacent doubles:
+        # the last accepted field still gives a normal double.
+        spec = AtomSpec(26.0, "planar")
+
+        def accepted(field):
+            try:
+                second_order_energy(spec, field)
+            except ValueError:
+                return False
+            return True
+
+        for refused, kept in ((1e-160, 1e-3), (1e200, 1e-3)):
+            for _ in range(200):
+                mid = math.sqrt(refused) * math.sqrt(kept)
+                if not min(refused, kept) < mid < max(refused, kept):
+                    break
+                if accepted(mid):
+                    kept = mid
+                else:
+                    refused = mid
+            assert math.nextafter(kept, refused) == refused
+            assert sys.float_info.min <= -second_order_energy(spec, kept) < math.inf
 
 
 class TestPlanarPolarizability:

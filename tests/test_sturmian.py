@@ -19,7 +19,6 @@ from diracpol.atom import (
 )
 from diracpol import sturmian
 from diracpol.cli import run
-from diracpol.polarizability import polarizability_sturmian
 from diracpol.specfun import ConvergenceError, log_gamma
 from diracpol.sturmian import (
     _caps,
@@ -35,6 +34,7 @@ from diracpol.sturmian import (
     channel_first_order_integrals,
     gauss_laguerre_integral,
     laguerre_rule,
+    polarizability_sturmian,
     r_channel_series,
     roots_genlaguerre,
 )

@@ -10,7 +10,7 @@ import hypothesis
 import pytest
 from hypothesis import strategies as st
 
-from diracpol.atom import SupercriticalError
+from diracpol.atom import ALPHA_INV_CODATA2014, ALPHA_INV_SIGMA_CODATA2014, SupercriticalError
 from diracpol.tablegen import (
     CSV_HEADER,
     ConstantSet,
@@ -70,6 +70,32 @@ class TestPropagateUncertainty:
         assert f"1e4 * alpha_inv_sigma = {1e4 * sigma!r} (alpha_inv_sigma = {sigma!r})" in message
         assert shown in message
         assert "alpha_inv must be positive" not in message
+
+    @pytest.mark.parametrize(
+        "alpha_inv, sigma",
+        [
+            (ALPHA_INV_CODATA2014, 1e-19),  # lost on both sides
+            (128.0, 1e-18),  # 128 - h is the double below; 128 + h rounds back to 128
+        ],
+    )
+    def test_step_lost_in_rounding_names_sigma(self, alpha_inv, sigma):
+        # The central difference would read 0 and the row a zero uncertainty.
+        consts = ConstantSet(alpha_inv, sigma)
+        h = 1e4 * sigma
+        assert alpha_inv + h == alpha_inv or alpha_inv - h == alpha_inv
+        with pytest.raises(ValueError) as info:
+            propagate_uncertainty(26, consts)
+        message = str(info.value)
+        assert f"1e4 * alpha_inv_sigma = {h!r} (alpha_inv_sigma = {sigma!r})" in message
+        assert f"is lost in rounding: alpha_inv = {alpha_inv!r}" in message
+        with pytest.raises(ValueError, match="is lost in rounding"):
+            generate_table(26, 26, consts)
+
+    def test_infinite_alpha_inv_keeps_a_zero_uncertainty(self):
+        # At alpha_inv = inf every step leaves the constant where it is, and
+        # the nonrelativistic value has no alpha_inv dependence to propagate.
+        for sigma in (1e-19, ALPHA_INV_SIGMA_CODATA2014):
+            assert propagate_uncertainty(26, ConstantSet(math.inf, sigma)) == 0.0
 
 
 class TestFormatScaled:
