@@ -14,10 +14,11 @@ chunk sums agree bit for bit:
   underflows to zero raises the overflow error at once; numpy's quotient
   there is +-inf or nan, which makes the chunk's sum non-finite, so numpy's
   run raises the same error at the same chunk;
-- ``_term_rows``, as many chunks per numpy pass as the series is predicted
-  to need, at most 16, summed by ``np.add.accumulate`` along each row; the
-  loop tests them chunk by chunk, so the result is that of computing one
-  chunk at a time.
+- ``_term_rows``, in numpy passes that each fill a new array: the first
+  holds as many chunks as the series is predicted to need, and each later
+  pass doubles the array and fills the new half; the chunks are summed by
+  ``np.add.accumulate`` along each row, and the loop tests them chunk by
+  chunk, so the result is that of computing one chunk at a time.
 
 One rule picks the producer of a convergent series: numpy's when
 ``sys.modules.get("numpy")`` is a module, that is when the caller has
@@ -73,8 +74,6 @@ MAX_TERMS = 200_000
 _CHUNK = 512
 # Chunks starting at or below MAX_TERMS: the most a series sums.
 _MAX_CHUNKS = (MAX_TERMS - 1) // _CHUNK + 1
-# Chunks one numpy pass computes at most; it bounds the pass's temporaries.
-_MAX_BATCH = 16
 
 # Smallest positive normal double; a floor for relative-error scales.
 _TINY = sys.float_info.min
@@ -327,10 +326,11 @@ def _term_rows(np, p: Hyp3F2Params, rows: np.ndarray, k_first: int, t_first: flo
     in the numerator's buffer, and a3 + k last, over k.  When a1 == a2, as in
     every 3F2 of the closed forms, (a1+k)(a2+k) is the square of one sum;
     otherwise a2 + k takes a third temporary.  The cumulative product
-    restarts at every row, and each row is then scaled by the last term of
-    the row before (the first by t_first), so a row holds the bits that
-    computing the rows one at a time gives.  ``np`` is the loaded numpy
-    module that ``_loaded_numpy`` returns.
+    restarts at every row; each row is then scaled by the chained product of
+    t_first and the last terms of the rows before it, which is the last term
+    of the scaled row before it (one row from t_first = 1 is left as it is),
+    so a row holds the bits that computing the rows one at a time gives.
+    ``np`` is the loaded numpy module that ``_loaded_numpy`` returns.
     """
     flat = rows.reshape(-1)  # a view, the denominator until the terms land
     ks = np.arange(k_first, k_first + flat.size + 1, dtype=float)
@@ -348,11 +348,9 @@ def _term_rows(np, p: Hyp3F2Params, rows: np.ndarray, k_first: int, t_first: flo
     del ks, k  # freed before the scaling below, whose product takes a temporary
     ratios = np.divide(num, flat, out=num).reshape(rows.shape)
     np.multiply.accumulate(ratios, axis=1, out=rows)  # np.cumprod, less call overhead
-    if len(rows) > 1:
+    if len(rows) > 1 or t_first != 1.0:
         lasts = np.concatenate(([t_first], rows[:-1, -1]))
         rows *= np.multiply.accumulate(lasts)[:, None]
-    elif t_first != 1.0:  # a sum's first pass starts from t_0 = 1
-        rows *= t_first
     return ratios
 
 
@@ -417,11 +415,12 @@ def _convergent_terms(p: Hyp3F2Params, tol: float):
 
     Unless the caller has loaded numpy, the chunks come one at a time from
     ``_pure_terms``, as a list.  With numpy loaded they come from
-    ``_term_rows``, into an array, as many chunks per pass as
-    ``_predicted_chunks`` gives, then doubling counts, at most
-    ``_MAX_BATCH`` each; the chunks past the stopping one are dropped, so
-    the prediction changes the time, never the result.  Both producers
-    give the same terms, k0 and tail bound.
+    ``_term_rows``, one pass per array, which the pass fills: the first
+    holds the chunks ``_predicted_chunks`` gives, and each later pass
+    doubles the array, copies the terms so far and fills the new half, all
+    clamped to ``_MAX_CHUNKS``.  The chunks past the stopping one are
+    dropped, so the prediction changes the time, never the result.  Both
+    producers give the same terms, k0 and tail bound.
     """
     balance = p.balance()
     if balance <= 0.0:
@@ -441,19 +440,10 @@ def _convergent_terms(p: Hyp3F2Params, tol: float):
             ratios, sums, lasts = [ratios], [reduce(add, chunk)], [chunk[-1]]
             least, greatest = min, max
         else:
-            summed = k0 // _CHUNK
-            if summed == chunks:  # the first pass, or the array is full
-                if summed:
-                    chunks = min(2 * summed, _MAX_CHUNKS)
-                    grown = np.empty(1 + chunks * _CHUNK)
-                    grown[:k0] = terms
-                else:
-                    chunks = min(_predicted_chunks(p, balance, tol), _MAX_CHUNKS)
-                    grown = np.empty(1 + chunks * _CHUNK)
-                    grown[0] = 1.0  # t_0, the one term before the first pass
-                terms = grown
-            batch = min(chunks - summed, _MAX_BATCH)
-            rows = terms[k0 : k0 + batch * _CHUNK].reshape(batch, _CHUNK)
+            chunks = min(2 * chunks or _predicted_chunks(p, balance, tol), _MAX_CHUNKS)
+            grown = np.empty(1 + chunks * _CHUNK)
+            grown[:k0] = terms
+            terms, rows = grown, grown[k0:].reshape(-1, _CHUNK)
             ratios = _term_rows(np, p, rows, k0 - 1, t_last)
             sums = np.add.accumulate(rows, axis=1)[:, -1].tolist()
             lasts = rows[:, -1].tolist()

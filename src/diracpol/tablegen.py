@@ -120,11 +120,12 @@ def propagate_uncertainty(Z: float, consts: ConstantSet = ConstantSet()) -> floa
     The derivative is taken by central difference with step
     1e4 * alpha_inv_sigma; a symmetric second-difference check must show a
     curvature contribution below 1% of the derivative, otherwise
-    PropagationError is raised.  A step that takes alpha_inv to zero or
-    below, or that a finite alpha_inv rounds away, raises ValueError, and one
-    that leaves Z at or above the critical charge of alpha_inv - step raises
-    SupercriticalError, all before any evaluation and naming alpha_inv_sigma
-    and the step.
+    PropagationError is raised.  A difference of the two sides within 16 ulp
+    of the centre is rounding noise and gives 0.0, as alpha_inv_sigma = 0.0
+    does.  A step that takes alpha_inv to zero or below, or that a finite
+    alpha_inv rounds away, raises ValueError, and one that leaves Z at or
+    above the critical charge of alpha_inv - step raises SupercriticalError,
+    all before any evaluation and naming alpha_inv_sigma and the step.
     """
     if consts.alpha_inv_sigma == 0.0:
         return 0.0
@@ -136,17 +137,17 @@ def propagate_uncertainty(Z: float, consts: ConstantSet = ConstantSet()) -> floa
     upper = _scaled_at(Z, consts.alpha_inv + h)
     lower = _scaled_at(Z, consts.alpha_inv - h)
     difference = upper - lower
+    # A difference at the rounding floor of the 15-digit values is rounding
+    # noise, not a derivative: it resolves no uncertainty and no curvature.
+    if abs(difference) <= 16.0 * math.ulp(abs(center)):
+        return 0.0
     derivative = difference / (2.0 * h)
-    # A difference at the rounding floor of the 15-digit values carries no
-    # curvature information; the check only applies to resolved derivatives.
-    noise_floor = 16.0 * math.ulp(abs(center))
-    if abs(difference) > noise_floor:
-        curvature = abs(upper - 2.0 * center + lower) / (2.0 * h)
-        if curvature > 0.01 * abs(derivative):
-            raise PropagationError(
-                f"curvature contribution {curvature:.3e} exceeds 1% of the "
-                f"derivative {derivative:.3e} at Z={Z}; adjust the step"
-            )
+    curvature = abs(upper - 2.0 * center + lower) / (2.0 * h)
+    if curvature > 0.01 * abs(derivative):
+        raise PropagationError(
+            f"curvature contribution {curvature:.3e} exceeds 1% of the "
+            f"derivative {derivative:.3e} at Z={Z}; adjust the step"
+        )
     return abs(derivative) * consts.alpha_inv_sigma
 
 

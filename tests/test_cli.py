@@ -131,6 +131,18 @@ class TestTableCommand:
         assert shown in err
         assert f"alpha_inv_sigma = {float(sigma)!r}" in err
 
+    def test_unresolved_difference_prints_full_precision(self, capsys):
+        # At alpha_inv = 1e6 no row's two sides differ by more than rounding
+        # noise: each row shows 16 decimals and no uncertain digits, never
+        # more decimals than a double holds.
+        code, out = _capture(capsys, ["table", "--alpha-inv", "1e6", "--z-max", "4", "--format", "csv"])
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [row[0] for row in rows] == ["1", "2", "3", "4"]
+        for _, display, units, _ in rows:
+            assert len(display.split(".")[1]) == 16
+            assert units == "0"
+
     def test_step_lost_in_rounding_exits_2(self, capsys):
         # 1e4 * 1e-19 is below half an ulp of alpha_inv: the uncertainty
         # would print as 0.  The program (forked or not) refuses it too.
@@ -413,7 +425,6 @@ class TestForkedTable:
         print(json.dumps({{"calls": report, "numpy": "numpy" in sys.modules}}))
         """
     )
-    GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden_table.csv"
     # A child that cannot be forked, and one that exits without delivering
     # its rows: as (fork_patch, patch) for _calls.
     UNDELIVERED = [
@@ -440,8 +451,6 @@ class TestForkedTable:
         assert serial["result"][0] == 0
         assert [call["result"] for call in forked] == [serial["result"]] * 2
         assert [serial["forks"], *(call["forks"] for call in forked)] == [0, 0, 1]
-        if fmt == "csv":
-            assert serial["result"][1].encode() == self.GOLDEN.read_bytes()
         # The program itself, on the CPUs this host gives it.
         src = Path(__file__).resolve().parents[1] / "src"
         cold = subprocess.run(
@@ -489,9 +498,10 @@ class TestForkedTable:
     @pytest.mark.parametrize("fork_patch, patch", UNDELIVERED, ids=["every-fork-fails", "child-exits-1"])
     def test_an_undelivered_share_is_computed_here(self, fork_patch, patch):
         argv = ["table", "--format", "csv"]
-        calls = self._calls([(2, argv)], fork_patch, patch)
-        assert calls[0]["result"] == [0, self.GOLDEN.read_text(), ""]
-        assert calls[0]["forks"] == 1
+        serial, split = self._calls([("run", argv), (2, argv)], fork_patch, patch)
+        assert serial["result"][0::2] == [0, ""]
+        assert split["result"] == serial["result"]
+        assert [serial["forks"], split["forks"]] == [0, 1]
 
     @pytest.mark.parametrize(
         "fork_patch, patch", [("", ""), *UNDELIVERED], ids=["split", "fork-fails", "child-exits-1"]
@@ -532,9 +542,10 @@ class TestForkedTable:
     )
     def test_the_program_counts_its_usable_cpus(self, patch, forks):
         argv = ["table", "--format", "csv"]
-        calls = self._calls([(None, argv)], patch=patch)
-        assert calls[0]["result"] == [0, self.GOLDEN.read_text(), ""]
-        assert calls[0]["forks"] == forks
+        serial, program = self._calls([("run", argv), (None, argv)], patch=patch)
+        assert serial["result"][0::2] == [0, ""]
+        assert program["result"] == serial["result"]
+        assert [serial["forks"], program["forks"]] == [0, forks]
 
 
 class TestImportDiet:

@@ -164,11 +164,10 @@ class TestSurface:
             for alias in node.names
         ]
         assert sorted(imported) == ["Hyp3F2Params", "SeriesDiagnostics", "hyp3f2_unit", "log_gamma"]
-        for name in ("hyp3f2_minus_one", "log_gamma_drop"):
+        for name in ("hyp3f2_minus_one", "log_gamma_drop", "_MAX_BATCH"):
             assert not hasattr(diracpol.specfun, name), name
         internals = {
             "_CHUNK",
-            "_MAX_BATCH",
             "_convergent_terms",
             "_exact_sum",
             "_loaded_numpy",

@@ -547,7 +547,7 @@ class TestBatchedChunks:
     # producer, which computes one chunk at a time in plain floats and
     # predicts nothing, must give them too.
     @pytest.fixture(
-        params=[None, 1, specfun._MAX_BATCH, specfun._MAX_CHUNKS, "pure"],
+        params=[None, 1, 16, specfun._MAX_CHUNKS, "pure"],
         ids=lambda n: "pure-python" if n == "pure" else f"predict-{n}",
     )
     def prediction(self, request, monkeypatch):
@@ -748,7 +748,8 @@ class TestBatchedChunks:
     def test_near_critical_call_peak_memory(self, monkeypatch):
         # One planar call at the largest subcritical charge (9729 terms)
         # peaked at 336.6 KiB of traced allocations with one chunk per
-        # numpy pass (numpy 2.4); the batched passes must not need more.
+        # numpy pass (numpy 2.4); summed in one pass of its 19 chunks it
+        # must not need more.
         # The memo is emptied after the warm-up call, so the measured call
         # sums its series instead of reading the warm-up's back.
         spec = AtomSpec(math.nextafter(critical_charge("planar"), 0.0), "planar")
@@ -765,6 +766,26 @@ class TestBatchedChunks:
         assert specfun._last_sum[2] is not warm[2]
         assert specfun._last_sum[2][1].terms_used == 9729
         assert peak <= 344_666
+
+    @pytest.mark.parametrize("dim, chunks, terms", [("planar", 19, 9729), ("spatial", 32, 15873)])
+    def test_near_critical_series_is_one_numpy_pass(self, monkeypatch, dim, chunks, terms):
+        # The prediction is exact or one chunk over on the closed forms'
+        # series, and the first pass holds every predicted chunk, so the
+        # longest series of the scan anchors are summed in one pass: the
+        # planar one of 19 chunks, the spatial one of 31 in a pass of 32.
+        passes = []
+        term_rows = specfun._term_rows
+
+        def counted(np_, p, rows, *args):
+            passes.append(len(rows))
+            return term_rows(np_, p, rows, *args)
+
+        _forget_last_sum(monkeypatch)
+        monkeypatch.setattr(specfun, "_term_rows", counted)
+        closed = getattr(polarizability, f"polarizability_{dim}")
+        result = closed(AtomSpec(math.nextafter(critical_charge(dim), 0.0), dim))
+        assert result.diagnostics.terms_used == terms
+        assert passes == [chunks]
 
 
 class TestLastSumMemo:

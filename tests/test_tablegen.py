@@ -15,6 +15,7 @@ from diracpol.tablegen import (
     CSV_HEADER,
     ConstantSet,
     PropagationError,
+    _scaled_at,
     format_scaled,
     generate_table,
     propagate_uncertainty,
@@ -90,6 +91,20 @@ class TestPropagateUncertainty:
         assert f"is lost in rounding: alpha_inv = {alpha_inv!r}" in message
         with pytest.raises(ValueError, match="is lost in rounding"):
             generate_table(26, 26, consts)
+
+    def test_a_difference_at_the_rounding_floor_is_no_uncertainty(self):
+        # At alpha_inv = 1e6 the two sides of Z = 1 and Z = 3 differ by a
+        # few ulp of the centre, which would read a sigma below 1e-3 ulp of
+        # the value; Z = 2 and Z = 4 differ by exactly 0.  All four resolve
+        # no derivative and propagate no uncertainty.
+        consts = ConstantSet(alpha_inv=1e6)
+        h = 1e4 * consts.alpha_inv_sigma
+        differences = [
+            _scaled_at(z, consts.alpha_inv + h) - _scaled_at(z, consts.alpha_inv - h) for z in range(1, 5)
+        ]
+        assert [d != 0.0 for d in differences] == [True, False, True, False]
+        assert all(abs(d) <= 16.0 * math.ulp(_scaled_at(z, 1e6)) for z, d in enumerate(differences, 1))
+        assert [propagate_uncertainty(z, consts) for z in range(1, 5)] == [0.0] * 4
 
     def test_infinite_alpha_inv_keeps_a_zero_uncertainty(self):
         # At alpha_inv = inf every step leaves the constant where it is, and
