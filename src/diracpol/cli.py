@@ -20,8 +20,9 @@ import functools
 import math
 import sys
 
-from .atom import ALPHA_INV_CODATA2014, ALPHA_INV_SIGMA_CODATA2014, AtomSpec, ChannelIndex, SupercriticalError
+from .atom import _KAPPA_HALF, ALPHA_INV_CODATA2014, ALPHA_INV_SIGMA_CODATA2014, AtomSpec, SupercriticalError
 from .polarizability import (
+    _KAPPA_M32,
     nonrel_limit,
     polarizability_planar,
     polarizability_spatial,
@@ -164,7 +165,7 @@ def _run_crosscheck(args: argparse.Namespace) -> str:
     from .sturmian import SERIES_TOL_FLOOR, channel_first_order_integrals, polarizability_sturmian, r_channel_series
 
     spec = AtomSpec(args.Z, "planar", args.alpha_inv)
-    channels = (ChannelIndex(0.5), ChannelIndex(-1.5))
+    channels = (_KAPPA_HALF, _KAPPA_M32)
     # Every closed value before any series, alpha_1 right after R_{-3/2}:
     # they share one 3F2, which hyp3f2_unit then reads back from its memo.
     closed_values = [r_channel_closed(ch, spec) for ch in channels]

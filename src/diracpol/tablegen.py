@@ -122,10 +122,13 @@ def propagate_uncertainty(Z: float, consts: ConstantSet = ConstantSet()) -> floa
     curvature contribution below 1% of the derivative, otherwise
     PropagationError is raised.  A difference of the two sides within 16 ulp
     of the centre is rounding noise and gives 0.0, as alpha_inv_sigma = 0.0
-    does.  A step that takes alpha_inv to zero or below, or that a finite
-    alpha_inv rounds away, raises ValueError, and one that leaves Z at or
-    above the critical charge of alpha_inv - step raises SupercriticalError,
-    all before any evaluation and naming alpha_inv_sigma and the step.
+    does.  A second difference within 16 ulp of the centre is rounding noise
+    too and passes the curvature check, though such a row's uncertainty may
+    rest on a difference of about 17 ulp.  A step that takes alpha_inv to
+    zero or below, or that a finite alpha_inv rounds away, raises
+    ValueError, and one that leaves Z at or above the critical charge of
+    alpha_inv - step raises SupercriticalError, all before any evaluation
+    and naming alpha_inv_sigma and the step.
     """
     if consts.alpha_inv_sigma == 0.0:
         return 0.0
@@ -137,13 +140,15 @@ def propagate_uncertainty(Z: float, consts: ConstantSet = ConstantSet()) -> floa
     upper = _scaled_at(Z, consts.alpha_inv + h)
     lower = _scaled_at(Z, consts.alpha_inv - h)
     difference = upper - lower
-    # A difference at the rounding floor of the 15-digit values is rounding
-    # noise, not a derivative: it resolves no uncertainty and no curvature.
-    if abs(difference) <= 16.0 * math.ulp(abs(center)):
+    # Differences at the rounding floor of the 15-digit values are rounding
+    # noise: a first one resolves no uncertainty, a second one no curvature.
+    floor = 16.0 * math.ulp(abs(center))
+    if abs(difference) <= floor:
         return 0.0
     derivative = difference / (2.0 * h)
-    curvature = abs(upper - 2.0 * center + lower) / (2.0 * h)
-    if curvature > 0.01 * abs(derivative):
+    second = upper - 2.0 * center + lower
+    curvature = abs(second) / (2.0 * h)
+    if abs(second) > floor and curvature > 0.01 * abs(derivative):
         raise PropagationError(
             f"curvature contribution {curvature:.3e} exceeds 1% of the "
             f"derivative {derivative:.3e} at Z={Z}; adjust the step"

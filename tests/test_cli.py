@@ -495,6 +495,16 @@ class TestForkedTable:
         assert split["result"] == serial["result"]
         assert split["forks"] == forks
 
+    @pytest.mark.parametrize("alpha_inv", ["1e4", "1e5"])
+    def test_a_table_at_a_large_alpha_inv_succeeds(self, alpha_inv):
+        # At Z = 1 (1e4) and Z = 25 (1e5) the propagation's second
+        # difference is a few ulp of rounding, not curvature.
+        argv = ["table", "--alpha-inv", alpha_inv, "--format", "csv"]
+        serial, split = self._calls([("run", argv), (2, argv)])
+        assert serial["result"][0::2] == [0, ""]
+        assert split["result"] == serial["result"]
+        assert [serial["forks"], split["forks"]] == [0, 1]
+
     @pytest.mark.parametrize("fork_patch, patch", UNDELIVERED, ids=["every-fork-fails", "child-exits-1"])
     def test_an_undelivered_share_is_computed_here(self, fork_patch, patch):
         argv = ["table", "--format", "csv"]

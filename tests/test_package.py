@@ -25,6 +25,17 @@ from diracpol.sturmian import RadialIntegralPair
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+# The state in src/ that outlives a call: each name holds an lru_cache,
+# functools.cache or global.  A new one has to be added here, and README
+# lists these names (tests/test_readme.py).
+PROCESS_GLOBAL_STATE = frozenset({
+    "cli._build_parser",
+    "specfun._last_sum",
+    "specfun._reduced_series",
+    "sturmian._channel",
+    "sturmian._log_factorial",
+})
+
 
 def _referenced_names(path: Path) -> set[str]:
     """Every name, attribute and imported name that the module's code uses."""
@@ -210,16 +221,7 @@ class TestSurface:
 
     def test_process_global_state_is_on_the_allow_list(self):
         # Every lru_cache, functools.cache and global statement in the
-        # package, by the module-level name that holds the state.  Each is
-        # state that outlives a call; a new one has to be added here.
-        allowed = {
-            "cli._build_parser",
-            "specfun._last_sum",
-            "specfun._reduced_series",
-            "sturmian._channel",
-            "sturmian._log_factorial",
-        }
-
+        # package, by the module-level name that holds the state.
         def is_cache(node) -> bool:
             if isinstance(node, ast.Call):
                 node = node.func
@@ -241,7 +243,7 @@ class TestSurface:
                         decorations += cached
                 elif isinstance(node, (ast.Name, ast.Attribute)):
                     uses += is_cache(node)
-        assert holders == allowed
+        assert holders == PROCESS_GLOBAL_STATE
         # No cache built other than as a decorator, e.g. f = lru_cache()(g).
         assert uses == decorations
 

@@ -10,7 +10,7 @@ import hypothesis
 import pytest
 from hypothesis import strategies as st
 
-from diracpol.atom import ALPHA_INV_CODATA2014, ALPHA_INV_SIGMA_CODATA2014, SupercriticalError
+from diracpol.atom import ALPHA_INV_CODATA2014, ALPHA_INV_SIGMA_CODATA2014, SupercriticalError, critical_charge
 from diracpol.tablegen import (
     CSV_HEADER,
     ConstantSet,
@@ -105,6 +105,35 @@ class TestPropagateUncertainty:
         assert [d != 0.0 for d in differences] == [True, False, True, False]
         assert all(abs(d) <= 16.0 * math.ulp(_scaled_at(z, 1e6)) for z, d in enumerate(differences, 1))
         assert [propagate_uncertainty(z, consts) for z in range(1, 5)] == [0.0] * 4
+
+    @pytest.mark.parametrize("alpha_inv, z", [(1e4, 1), (1e5, 25)])
+    def test_a_second_difference_at_the_rounding_floor_is_no_curvature(self, alpha_inv, z):
+        # The two sides differ by just over the 16-ulp floor, so the row has
+        # a derivative; the second difference is a few ulp of rounding, far
+        # above 1% of that derivative yet no curvature.
+        consts = ConstantSet(alpha_inv)
+        h = 1e4 * consts.alpha_inv_sigma
+        center, upper, lower = (_scaled_at(z, alpha_inv + s) for s in (0.0, h, -h))
+        floor = 16.0 * math.ulp(center)
+        assert floor < abs(upper - lower) <= 2.0 * floor
+        assert 0.0 < abs(upper - 2.0 * center + lower) <= floor
+        sigma = propagate_uncertainty(z, consts)
+        assert sigma == abs(upper - lower) / (2.0 * h) * consts.alpha_inv_sigma
+        assert generate_table(z, z, consts)[0].sigma_abs == sigma
+
+    @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(
+        alpha_inv=st.floats(math.log(ALPHA_INV_CODATA2014), math.log(1e8)).map(math.exp),
+        z=st.integers(1, 68),
+    )
+    @hypothesis.example(alpha_inv=1e4, z=1)
+    @hypothesis.example(alpha_inv=1e5, z=25)
+    def test_no_false_curvature_alarm_at_any_alpha_inv(self, alpha_inv, z):
+        # From CODATA's alpha_inv up, every Z <= 68 stays subcritical at
+        # alpha_inv - step, and the propagation succeeds.
+        consts = ConstantSet(alpha_inv)
+        assert z < critical_charge("planar", alpha_inv - 1e4 * consts.alpha_inv_sigma)
+        assert propagate_uncertainty(z, consts) >= 0.0
 
     def test_infinite_alpha_inv_keeps_a_zero_uncertainty(self):
         # At alpha_inv = inf every step leaves the constant where it is, and
