@@ -10,7 +10,11 @@ chunk sums agree bit for bit:
 
 - ``_pure_terms``, one chunk at a time in plain floats, summed by
   ``functools.reduce(operator.add, chunk)``; not by ``sum``, which is
-  compensated from Python 3.12 on.  A chunk with a denominator that
+  compensated from Python 3.12 on.  Each ratio keeps numpy's operations
+  and their order; the producer spares interpreter work three ways: a
+  float counter k, whose 1 + k is the next k, the shared factor a1 + k
+  squared when a1 == a2, and the t_first scaling in the one pass that
+  forms the cumulative product.  A chunk with a denominator that
   underflows to zero raises the overflow error at once; numpy's quotient
   there is +-inf or nan, which makes the chunk's sum non-finite, so numpy's
   run raises the same error at the same chunk;
@@ -59,8 +63,8 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache, reduce
-from itertools import accumulate
-from operator import add, mul
+from itertools import repeat
+from operator import add
 from types import ModuleType
 from typing import NamedTuple
 
@@ -366,19 +370,33 @@ def _pure_terms(
     t_{k_first} = t_first, as plain floats: the bits ``_term_rows`` puts in
     one row, from the same operations in the same order.  A denominator that
     underflows to zero raises the overflow error of these n terms: numpy's
-    quotient there is +-inf or nan, and so is every later term."""
+    quotient there is +-inf or nan, and so is every later term.
+
+    Three things spare interpreter work and change no bit.  k is a float
+    counter, and 1 + k, the denominator's last factor, is the next k: both
+    are exact below 2**53, far above ``MAX_TERMS``.  When a1 == a2, as in
+    every 3F2 of the closed forms, (a1+k)(a2+k) is one sum squared, the
+    product ``_term_rows`` forms.  The cumulative product and the scaling
+    by t_first are one pass: the running product t starts at 1.0, so its
+    first value is the first ratio itself, and each term is t * t_first,
+    exactly t when t_first is 1.0."""
     a1, a2, a3, b1, b2 = p
+    k = float(k_first)
     try:
-        ratios = [
-            ((k + a1) * (k + a2)) * (k + a3) / (((k + b1) * (k + b2)) * (k + 1.0))
-            for k in map(float, range(k_first, k_first + n))
-        ]
+        if a1 == a2:
+            ratios = [
+                ((s := k + a1) * s) * (k + a3) / (((k + b1) * (k + b2)) * (k := k + 1.0))
+                for _ in repeat(None, n)
+            ]
+        else:
+            ratios = [
+                ((k + a1) * (k + a2)) * (k + a3) / (((k + b1) * (k + b2)) * (k := k + 1.0))
+                for _ in repeat(None, n)
+            ]
     except ZeroDivisionError:
         raise _overflow(k_first + 1, k_first + n) from None
-    terms = list(accumulate(ratios, mul))
-    if t_first != 1.0:
-        terms = [t * t_first for t in terms]
-    return ratios, terms
+    t = 1.0
+    return ratios, [(t := t * r) * t_first for r in ratios]
 
 
 def _predicted_chunks(p: Hyp3F2Params, balance: float, tol: float) -> int:
@@ -414,13 +432,14 @@ def _convergent_terms(p: Hyp3F2Params, tol: float):
     chunk that leaves it infinite or nan raises ``ConvergenceError``.
 
     Unless the caller has loaded numpy, the chunks come one at a time from
-    ``_pure_terms``, as a list.  With numpy loaded they come from
-    ``_term_rows``, one pass per array, which the pass fills: the first
-    holds the chunks ``_predicted_chunks`` gives, and each later pass
-    doubles the array, copies the terms so far and fills the new half, all
-    clamped to ``_MAX_CHUNKS``.  The chunks past the stopping one are
-    dropped, so the prediction changes the time, never the result.  Both
-    producers give the same terms, k0 and tail bound.
+    ``_pure_terms``, into a list that always holds the k0 terms returned.
+    With numpy loaded they come from ``_term_rows``, one pass per array,
+    which the pass fills: the first holds the chunks ``_predicted_chunks``
+    gives, and each later pass doubles the array, copies the terms so far
+    and fills the new half, all clamped to ``_MAX_CHUNKS``.  The chunks
+    past the stopping one are dropped, so the prediction changes the time,
+    never the result.  Both producers give the same terms, k0 and tail
+    bound.
     """
     balance = p.balance()
     if balance <= 0.0:
@@ -460,7 +479,7 @@ def _convergent_terms(p: Hyp3F2Params, tol: float):
                 and least(ratios[j]) > 0.0
                 and greatest(ratios[j]) < 1.0
             ):
-                return terms[:k0], k0, tail
+                return (terms if np is None else terms[:k0]), k0, tail
     raise ConvergenceError(
         f"3F2 series did not reach tol={tol:g} within {MAX_TERMS} terms"
     )

@@ -17,6 +17,7 @@ shown in fixed point, rounded half-even on the exact double.
 
 from __future__ import annotations
 
+import marshal
 import math
 import os
 from typing import NamedTuple
@@ -229,14 +230,17 @@ def _split_table(z_min: int, z_max: int, consts: ConstantSet) -> list[TableRow]:
 
     The child computes every other charge from z_min + 1, this process the
     rest; the cost rises steeply with Z, and interleaving splits it evenly.
-    Nothing is forked where ``os.fork`` is missing, where the process may
-    use one CPU only, or for a single row.  The one fallback, for a pipe or
-    fork that cannot be made, a row that raises in either share or a child
-    that does not deliver, is ``generate_table``, which gives the serial
-    rows or raises the serial error; a failing table costs up to one extra
-    serial table.  The child is reaped on every path.  Forking is safe only
-    in a process without other threads: only the command-line program,
-    which starts none, calls this.
+    The child sends its rows as plain tuples through ``marshal``, built in
+    and loaded at start-up, which carries each int, float and str field bit
+    for bit; this process rebuilds them as ``TableRow``.  Nothing is forked
+    where ``os.fork`` is missing, where the process may use one CPU only,
+    or for a single row.  The one fallback, for a pipe or fork that cannot
+    be made, a row that raises in either share or a child that does not
+    deliver, is ``generate_table``, which gives the serial rows or raises
+    the serial error; a failing table costs up to one extra serial table.
+    The child is reaped on every path.  Forking is safe only in a process
+    without other threads: only the command-line program, which starts
+    none, calls this.
     """
     charges = _charges(z_min, z_max)
     try:
@@ -245,8 +249,6 @@ def _split_table(z_min: int, z_max: int, consts: ConstantSet) -> list[TableRow]:
         cpus = os.cpu_count() or 1
     if not hasattr(os, "fork") or cpus < 2 or len(charges) < 2:  # no os.fork on Windows
         return generate_table(z_min, z_max, consts)
-    import pickle
-
     try:
         read_end, write_end = os.pipe()
         try:
@@ -264,7 +266,7 @@ def _split_table(z_min: int, z_max: int, consts: ConstantSet) -> list[TableRow]:
         try:
             os.close(read_end)
             with open(write_end, "wb") as pipe:
-                pipe.write(pickle.dumps([_row(z, consts) for z in charges[1::2]]))
+                pipe.write(marshal.dumps([tuple(_row(z, consts)) for z in charges[1::2]]))
             status = 0
         finally:
             os._exit(status)
@@ -281,7 +283,8 @@ def _split_table(z_min: int, z_max: int, consts: ConstantSet) -> list[TableRow]:
             _, status = os.waitpid(pid, 0)
     if rows is None or status != 0:
         return generate_table(z_min, z_max, consts)
-    return sorted(rows + pickle.loads(data), key=lambda row: row.Z)
+    rows += (TableRow(*fields) for fields in marshal.loads(data))
+    return sorted(rows, key=lambda row: row.Z)
 
 
 def rows_to_csv(rows: list[TableRow]) -> str:

@@ -607,39 +607,45 @@ class TestImportDiet:
             assert entry["quadrature_max_dev"] <= 1e-12
 
     # Modules a command does not use; json is checked before anything here
-    # could import it.
+    # could import it.  With ``split`` true the program's entry runs, and
+    # two CPUs let a table fork one child; otherwise the entry is run(),
+    # which never forks.
     UNUSED = textwrap.dedent(
         """
-        import contextlib, io, sys
-        from diracpol.cli import run
+        import contextlib, io, os, sys
+        from diracpol import cli
 
+        os.sched_getaffinity = lambda pid: {{0, 1}}
         for argv in {argvs!r}:
             with contextlib.redirect_stdout(io.StringIO()):
-                assert run(argv) == 0, argv
+                assert cli._run(argv, {split!r}) == 0, argv
         print(" ".join(m for m in {watched!r} if m in sys.modules))
         """
     )
-    # The table's split lives in tablegen and pickles only when it forks a
-    # child, so no other command loads either, and run(), which never
-    # forks, loads no pickle.
+    # The table's split lives in tablegen and sends its rows by marshal, so
+    # no command loads pickle, forked or not.
     CLOSED_FORM_UNUSED = (
         "diracpol.sturmian", "diracpol.tablegen", "pickle", "dataclasses", "json", "decimal", "numpy",
     )
 
     @pytest.mark.parametrize(
-        "argvs, watched",
+        "argvs, watched, split",
         [
             (
                 [["planar", "--Z", "26"], ["spatial", "--Z", "3"], ["limits"]],
                 CLOSED_FORM_UNUSED,
+                False,
             ),
             # The longest closed-form series, 15,873 terms.
             (
                 [["spatial", "--Z", repr(math.nextafter(ALPHA_INV_CODATA2014, 0.0))]],
                 CLOSED_FORM_UNUSED,
+                False,
             ),
-            ([["table", "--format", "csv"]], ("diracpol.sturmian", "pickle", "numpy")),
-            ([["crosscheck", "--Z", "12.3"]], ("diracpol.tablegen", "pickle", "numpy")),
+            ([["table", "--format", "csv"]], ("diracpol.sturmian", "pickle", "numpy"), False),
+            # The program's table on two CPUs: one forked child, rows by marshal.
+            ([["table", "--format", "csv"]], ("pickle", "numpy"), True),
+            ([["crosscheck", "--Z", "12.3"]], ("diracpol.tablegen", "pickle", "numpy"), False),
             # The oracle runs on plain floats, and so does its 3F2 sum,
             # 9,729 terms just below the critical charge.
             (
@@ -652,12 +658,16 @@ class TestImportDiet:
                     ["crosscheck", "--Z", repr(math.nextafter(critical_charge("planar"), 0.0))],
                 ],
                 ("diracpol.tablegen", "pickle", "numpy"),
+                False,
             ),
         ],
-        ids=["closed-form", "spatial-near-critical", "table", "crosscheck", "crosscheck-without-numpy"],
+        ids=[
+            "closed-form", "spatial-near-critical", "table", "table-forked", "crosscheck",
+            "crosscheck-without-numpy",
+        ],
     )
-    def test_commands_load_only_what_they_use(self, argvs, watched):
-        proc = self._fresh(self.UNUSED.format(argvs=argvs, watched=watched))
+    def test_commands_load_only_what_they_use(self, argvs, watched, split):
+        proc = self._fresh(self.UNUSED.format(argvs=argvs, watched=watched, split=split))
         assert proc.stdout.split() == []
 
     def test_table_program_loads_no_pool(self):
@@ -673,15 +683,26 @@ class TestImportDiet:
             print(" ".join(m for m in sys.modules if m.startswith(("pickle", "multiprocessing", "concurrent"))))
             """
         )
-        assert self._fresh(script).stdout.split() == ["pickle"]
+        assert self._fresh(script).stdout.split() == []
 
     def test_table_leaves_decimal_unloaded(self):
         # format_scaled rounds by fixed-point formatting: decimal is imported
         # nowhere in tablegen, and a cold table command never loads it.
         nodes = ast.walk(ast.parse(Path(tablegen.__file__).read_text()))
         assert "decimal" not in _imported_roots(nodes)
-        proc = self._fresh(self.UNUSED.format(argvs=[["table", "--format", "csv"]], watched=("decimal",)))
+        proc = self._fresh(
+            self.UNUSED.format(argvs=[["table", "--format", "csv"]], watched=("decimal",), split=False)
+        )
         assert proc.stdout.split() == []
+
+    def test_no_module_imports_pickle(self):
+        # The forked table sends its rows by marshal, which is built in and
+        # loaded at start-up; pickle would cost its import on the table's
+        # critical path.
+        src = Path(tablegen.__file__).parent
+        for module in sorted(src.glob("*.py")):
+            nodes = ast.walk(ast.parse(module.read_text()))
+            assert "pickle" not in _imported_roots(nodes), module.name
 
     @pytest.mark.parametrize(
         "z",

@@ -10,7 +10,8 @@ import sys
 import textwrap
 import tracemalloc
 from functools import reduce
-from operator import add
+from itertools import accumulate
+from operator import add, mul
 from pathlib import Path
 
 import hypothesis
@@ -786,6 +787,83 @@ class TestBatchedChunks:
         result = closed(AtomSpec(math.nextafter(critical_charge(dim), 0.0), dim))
         assert result.diagnostics.terms_used == terms
         assert passes == [chunks]
+
+
+def _pure_terms_reference(p: Hyp3F2Params, k_first: int, n: int, t_first: float):
+    """``specfun._pure_terms`` written plainly: an integer counter turned to
+    float, four sums per ratio whether or not a1 == a2, and the scaling by
+    t_first in a second list."""
+    a1, a2, a3, b1, b2 = p
+    try:
+        ratios = [
+            ((k + a1) * (k + a2)) * (k + a3) / (((k + b1) * (k + b2)) * (k + 1.0))
+            for k in map(float, range(k_first, k_first + n))
+        ]
+    except ZeroDivisionError:
+        raise ConvergenceError(
+            f"3F2 series overflows in its terms t_{k_first + 1} to t_{k_first + n}"
+        ) from None
+    terms = list(accumulate(ratios, mul))
+    if t_first != 1.0:
+        terms = [t * t_first for t in terms]
+    return ratios, terms
+
+
+def _terms_outcome(f, *args):
+    """float.hex of every ratio and term, or the type and message raised."""
+    try:
+        ratios, terms = f(*args)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+    return [r.hex() for r in ratios], [t.hex() for t in terms]
+
+
+@st.composite
+def _series_parameters(draw) -> Hyp3F2Params:
+    """Parameter sets with a1 == a2 or not, negative non-integers among them,
+    and no denominator at a pole."""
+    value = st.one_of(
+        st.floats(-40.0, 40.0, allow_subnormal=False),
+        st.sampled_from([-0.5, -1.5, -2.25, 0.0123, 1e-200, 2.0 / 3.0]),
+    )
+    a1, a3, b1, b2 = draw(value), draw(value), draw(value), draw(value)
+    a2 = a1 if draw(st.booleans()) else draw(value)
+    hypothesis.assume(not any(b <= 0.0 and b == round(b) for b in (b1, b2)))
+    return Hyp3F2Params(a1, a2, a3, b1, b2)
+
+
+class TestPureTerms:
+    # The plain-float producer's float counter, shared squared sum and
+    # fused scaling must give the plainly written formula's bits.
+    @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(
+        p=_series_parameters(),
+        k_first=st.one_of(
+            st.sampled_from([0, 1, 511, MAX_TERMS - 512, MAX_TERMS - 7, MAX_TERMS - 1]),
+            st.integers(0, MAX_TERMS // 512).map(lambda m: 512 * m),
+        ),
+        n=st.sampled_from([1, 7, 512]),
+        t_first=st.one_of(
+            st.just(1.0),
+            st.floats(min_value=specfun._TINY, max_value=1e300),
+            st.floats(min_value=-1e300, max_value=-specfun._TINY),
+            st.floats(-specfun._TINY, specfun._TINY).filter(lambda t: 0.0 < abs(t) < specfun._TINY),
+        ),
+    )
+    def test_bits_equal_the_plain_formula(self, p, k_first, n, t_first):
+        outcome = _terms_outcome(specfun._pure_terms, p, k_first, n, t_first)
+        assert outcome == _terms_outcome(_pure_terms_reference, p, k_first, n, t_first)
+
+    @pytest.mark.parametrize("a1", [0.7, -1.5], ids=["shared-sum", "distinct-sums"])
+    def test_underflowed_denominator_raises_the_overflow_error(self, a1):
+        # (k + b1)(k + b2) rounds to zero at k = 0.
+        p = Hyp3F2Params(a1, 0.7, 0.8, 1e-200, 1e-200)
+        message = r"^3F2 series overflows in its terms t_1 to t_512$"
+        with pytest.raises(ConvergenceError, match=message):
+            specfun._pure_terms(p, 0, 512, 1.0)
+        assert _terms_outcome(specfun._pure_terms, p, 0, 512, 0.5) == _terms_outcome(
+            _pure_terms_reference, p, 0, 512, 0.5
+        )
 
 
 class TestLastSumMemo:
