@@ -1,10 +1,9 @@
-"""Tour of the 3F2 kernel at unit argument: truncating series, the Gauss
-reduction, tail-controlled summation, and the contiguous-shift identity."""
+"""Tour of the 3F2 kernel at unit argument: a truncating series, the Gauss
+reduction, and tail-controlled summation of a dipole-channel series."""
 
 import math
 
 from diracpol import AtomSpec, ChannelIndex, Hyp3F2Params, gamma_kappa, hyp3f2_unit
-from diracpol.sturmian import hyp3f2_contiguous_rhs
 
 
 def main() -> None:
@@ -28,14 +27,6 @@ def main() -> None:
     value, diag = hyp3f2_unit(params, tol=1e-16)
     print(f"  value = {value:.15f}")
     print(f"  terms = {diag.terms_used}, tail estimate = {diag.tail_estimate:.1e}")
-
-    print()
-    print("contiguous-shift identity: same value through a gamma-ratio route")
-    direct, _ = hyp3f2_unit(Hyp3F2Params(0.5, 0.5, 1.0, 2.0, 2.5), tol=1e-12)
-    shifted = hyp3f2_contiguous_rhs(Hyp3F2Params(0.5, 0.5, 1.0, 2.0, 2.5), tol=1e-12)
-    print(f"  direct summation: {direct:.15f}")
-    print(f"  identity route:   {shifted:.15f}")
-    print(f"  agreement: {abs(direct - shifted) / abs(direct):.1e}")
 
 
 if __name__ == "__main__":

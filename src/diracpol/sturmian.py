@@ -1,7 +1,6 @@
 """Validation oracle for the closed-form polarizability: radial
-Dirac-Coulomb Sturmian functions at the planar ground-state energy, the
-explicit symmetric series for the dipole channel integrals, and the Gamma
-ratio and contiguous 3F2 identity that check the closed form.  This module
+Dirac-Coulomb Sturmian functions at the planar ground-state energy and the
+explicit symmetric series for the dipole channel integrals.  This module
 imports the closed form, never the other way round: no closed-form module
 names it, and of the commands only ``crosscheck`` loads it.  The series has
 two entry points:
@@ -17,16 +16,16 @@ two entry points:
 Both build the channel once (``_channel``, after the dipole check): the
 exponents and the log-gammas that do not depend on |n_r|.  Two kernels
 evaluate what depends on |n_r| alone once for both signs of n_r:
-``_index_integrals`` the closed first-order integrals, and ``_doublets`` the
-Sturmian doublet (S, T) that the quadrature integrates, from the envelope
-and Laguerre polynomials that ``_sturmian_parts`` evaluates once on the
-channel's nodes.  The series stops on a plain running sum and returns one
-``math.fsum`` of its terms.  Two caches outlive a call: a table of log n!
-(at most 100,001 entries) and the last 2 channels (``_channel``), each with
-the closed integrals of the indices evaluated on it so far
-(``_Channel.rows``).  A crosscheck sums each channel series twice and takes
-|n_r| <= 3 a third time; the later passes read the rows, so they return the
-bits of the first.  Errors are not cached.
+``_index_integrals`` the closed first-order integrals with their apparent
+eigenvalues mu, and ``_doublets`` the Sturmian doublet (S, T) that the
+quadrature integrates, from the envelope and Laguerre polynomials that
+``_sturmian_parts`` evaluates once on the channel's nodes.  The series stops
+on a plain running sum and returns one ``math.fsum`` of its terms.  Two
+caches outlive a call: a table of log n! (at most 100,001 entries) and the
+last 2 channels (``_channel``), each with the closed integrals of the
+indices evaluated on it so far (``_Channel.rows``).  A crosscheck sums each
+channel series twice and takes |n_r| <= 3 a third time; the later passes
+read the rows, so they return the bits of the first.  Errors are not cached.
 
 The quadrature side runs on plain floats: ``roots_genlaguerre`` builds a
 rule of any size by Newton iteration on the Laguerre recurrence, and
@@ -34,11 +33,9 @@ rule of any size by Newton iteration on the Laguerre recurrence, and
 quadrature (``gauss_laguerre_integral``) is one product with the integrand's
 values and one ``math.fsum``.  The integrals of |n_r| <= n_max take an
 n_max + 1 node rule, exact for the degree-|n_r| remainder of every index;
-the rule is data of the channel's nodes (``_Nodes.rule``), built once per
-call and handed to each quadrature.  Nothing here imports numpy.
-
-The other checks: ``hyp3f2_contiguous_rhs``, the contiguous-shift identity
-of 3F2 at unit argument, and ``gamma_ratio``, the Gamma ratio it takes.
+``channel_first_order_integrals`` builds it, its nodes, the ground-state
+doublet (P, Q) on them (``_radial_pq``) and the Sturmian parts once per call
+and hands the rule to each quadrature.  Nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -49,9 +46,7 @@ from typing import NamedTuple
 
 from .atom import _KAPPA_HALF, AtomSpec, ChannelIndex, _check_dipole, gamma_half, gamma_kappa
 from .polarizability import _KAPPA_M32, NONREL_SCALED_PLANAR, PolarizabilityResult, _over_z4
-from .specfun import (
-    _TINY, TOL_FLOOR, ConvergenceError, Hyp3F2Params, SeriesDiagnostics, hyp3f2_unit, log_gamma,
-)
+from .specfun import _TINY, ConvergenceError, SeriesDiagnostics, log_gamma
 
 # Accuracy floor of the series oracle; requests below it are clamped.
 SERIES_TOL_FLOOR = 1e-12
@@ -280,7 +275,10 @@ def roots_genlaguerre(weight_power: float, nodes: int = _RULE_NODES):
     binom = 1.0  # B_{m-1}
     for k in range(1, m):
         binom *= 1.0 + alpha / k
-    front = math.gamma(alpha + 1.0) / (m * (m + alpha) * binom)
+    try:
+        front = math.gamma(alpha + 1.0) / (m * (m + alpha) * binom)
+    except OverflowError:  # alpha above about 170.6
+        raise ValueError(f"Gamma(weight_power + 1) overflows for weight_power={alpha!r}") from None
     xs: list[float] = []
     ws: list[float] = []
     x = 0.0
@@ -356,19 +354,6 @@ def gauss_laguerre_integral(func, rule, scale: float) -> float:
     return math.fsum([w * f for w, f in zip(weights, values, strict=True)]) / scale
 
 
-class _Nodes(NamedTuple):
-    """One channel's quadrature nodes r, with the ground-state doublet
-    (P, Q), the Sturmian envelope and the Laguerre values on them, each a
-    tuple over the nodes, and the rule they are the nodes of."""
-
-    rule: tuple[tuple[float, ...], tuple[float, ...]]  # laguerre_rule(power, n_max + 1)
-    scale: float
-    p: tuple[float, ...]
-    q: tuple[float, ...]
-    envelope: tuple[float, ...]
-    laguerres: list[tuple[float, ...]]  # L_{-1}, ..., L_{n_max} of order 2 gamma_kappa
-
-
 def _radial_pq(c: _Channel, x) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The planar ground-state pair (P, Q) at the points x = 4Zr, in plain
     floats: the shape (4Zr)**g exp(-2Zr) with the norm
@@ -377,39 +362,6 @@ def _radial_pq(c: _Channel, x) -> tuple[tuple[float, ...], tuple[float, ...]]:
     shape = [math.exp(c.g * math.log(xi) - 0.5 * xi + log_norm) for xi in x]
     root_plus, root_minus = math.sqrt(1.0 + 2.0 * c.g), math.sqrt(1.0 - 2.0 * c.g)
     return tuple(root_plus * s for s in shape), tuple(root_minus * s for s in shape)
-
-
-def _nodes(c: _Channel, n_max: int) -> _Nodes:
-    # Every index of a channel has the weight power gamma_{1/2} +
-    # gamma_kappa + 1, so it is integrated on the same nodes r = x / 4Z, and
-    # its remainder has degree |n_r| <= n_max: n_max + 1 nodes are exact.
-    # Everything is evaluated at 4Z r, for the r gauss_laguerre_integral passes.
-    rule = laguerre_rule(c.g + c.gk + 1.0, n_max + 1)
-    scale = 4.0 * c.z
-    x = [scale * (xi / scale) for xi in rule[0]]
-    return _Nodes(rule, scale, *_radial_pq(c, x), *_sturmian_parts(c, x, n_max))
-
-
-def _quadrature_integrals(c: _Channel, n: int, nodes: _Nodes) -> list[RadialIntegralPair]:
-    """Quadrature integrals of n_r = n and, for n > 0, of n_r = -n; the two
-    integrals of an index are evaluated on one set of doublets."""
-    out = []
-    for nn, (s, t) in zip(_caps(n, c.gk, c.kappa), _doublets(c, n, nodes.envelope, nodes.laguerres)):
-        qt = [qi * ti for qi, ti in zip(nodes.q, t)]
-
-        def integral(weight: float) -> float:
-            # r (weight P S + Q T); gauss_laguerre_integral passes the nodes
-            # r that P, S and T were evaluated at.
-            return gauss_laguerre_integral(
-                lambda r: [
-                    ri * (weight * pi * si + qti) for ri, pi, si, qti in zip(r, nodes.p, s, qt)
-                ],
-                nodes.rule,
-                nodes.scale,
-            )
-
-        out.append(RadialIntegralPair(integral(1.0), integral(_mu(n, c.gk, nn, c.g))))
-    return out
 
 
 def channel_first_order_integrals(
@@ -422,20 +374,39 @@ def channel_first_order_integrals(
     in atomic units.  The quadrature weight carries the exact power
     (4Zr)**(gamma_{1/2} + gamma_kappa + 1), so the remaining factor is a
     polynomial of degree |n_r| and the rule is exact up to rounding.  The
-    channel's constants, nodes and ground-state doublet are computed once,
-    and each |n_r| once for both signs.  The rule has n_max + 1 nodes, so it
-    is exact for every n_max.
+    channel's constants, rule, nodes, ground-state doublet and Sturmian
+    parts are computed once per call, and each |n_r| once for both signs.
     """
     c = _channel(ch, spec)
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max!r}")
-    nodes = _nodes(c, n_max)
+    # Every index of a channel has the weight power gamma_{1/2} +
+    # gamma_kappa + 1, so it is integrated on the same nodes r = x / 4Z, and
+    # its remainder has degree |n_r| <= n_max: n_max + 1 nodes are exact.
+    # Everything is evaluated at 4Z r, for the r gauss_laguerre_integral passes.
+    rule = laguerre_rule(c.g + c.gk + 1.0, n_max + 1)
+    scale = 4.0 * c.z
+    x = [scale * (xi / scale) for xi in rule[0]]
+    p, q = _radial_pq(c, x)
+    envelope, laguerres = _sturmian_parts(c, x, n_max)
+
+    def integral(weight: float, s, qt) -> float:
+        # r (weight P S + Q T), with qt = Q T, at the nodes r of P, S and T.
+        return gauss_laguerre_integral(
+            lambda r: [ri * (weight * pi * si + qti) for ri, pi, si, qti in zip(r, p, s, qt)],
+            rule, scale,
+        )
+
     by_index = {}
     for n in range(n_max + 1):
-        exact = _index_integrals(c, n)
-        quad = _quadrature_integrals(c, n, nodes)
-        for n_r, (plain, mu_weighted, _), pair in zip((n, -n), exact, quad):
-            by_index[n_r] = (RadialIntegralPair(plain, mu_weighted), pair)
+        for n_r, (plain, mu_weighted, mu_val), (s, t) in zip(
+            (n, -n), _index_integrals(c, n), _doublets(c, n, envelope, laguerres)
+        ):
+            qt = [qi * ti for qi, ti in zip(q, t)]
+            by_index[n_r] = (
+                RadialIntegralPair(plain, mu_weighted),
+                RadialIntegralPair(integral(1.0, s, qt), integral(mu_val, s, qt)),
+            )
     return [by_index[n_r] for n_r in range(-n_max, n_max + 1)]
 
 
@@ -510,49 +481,3 @@ def polarizability_sturmian(spec: AtomSpec, tol: float = SERIES_TOL_FLOOR) -> Po
     terms = diag_half.terms_used + diag_m32.terms_used
     diag = SeriesDiagnostics(terms, max(diag_half.tail_estimate, diag_m32.tail_estimate))
     return PolarizabilityResult(value, value * spec.Z**4, "sturmian_series", diag)
-
-
-def gamma_ratio(numerators, denominators) -> float:
-    """Product of Gamma over ``numerators`` divided by Gamma over
-    ``denominators``, formed through summed log-gamma differences so that
-    no intermediate Gamma value is materialized.
-    """
-    logs = [log_gamma(x) for x in numerators]
-    logs.extend(-log_gamma(x) for x in denominators)
-    return math.exp(math.fsum(logs))
-
-
-def hyp3f2_contiguous_rhs(p: Hyp3F2Params, tol: float = TOL_FLOOR) -> float:
-    """Evaluate the contiguous-shift identity for 3F2 at unit argument.
-
-    Requires b1 = a3 + 1 exactly and b2 - a1 - a2 > -1.  The contiguous
-    denominator is traded for a closed gamma-ratio term plus a 3F2 whose
-    third numerator parameter is raised by one:
-
-        3F2(a1,a2,a3; a3+1,b; 1) =
-            G(b) G(b-a1-a2+1) / ((b-a3-1) G(b-a1) G(b-a2))
-            - (a1-a3-1)(a2-a3-1) / ((a3+1)(b-a3-1))
-              * 3F2(a1,a2,a3+1; a3+2,b; 1)
-
-    Used both as an alternative evaluation path and as a consistency check
-    against :func:`hyp3f2_unit`.
-    """
-    if p.b1 != p.a3 + 1.0:
-        raise ValueError(
-            f"contiguous form requires b1 = a3 + 1 exactly, got b1={p.b1}, a3={p.a3}"
-        )
-    b = p.b2
-    if not b - p.a1 - p.a2 > -1.0:
-        raise ValueError(
-            f"contiguous form requires b2 - a1 - a2 > -1, got {b - p.a1 - p.a2}"
-        )
-    pole = b - p.a3 - 1.0
-    if pole == 0.0:
-        raise ValueError(
-            "contiguous form is singular for b2 = a3 + 1 (removable only as a limit)"
-        )
-    closed = gamma_ratio([b, b - p.a1 - p.a2 + 1.0], [b - p.a1, b - p.a2]) / pole
-    shifted = Hyp3F2Params(p.a1, p.a2, p.a3 + 1.0, p.a3 + 2.0, b)
-    f_shift, _ = hyp3f2_unit(shifted, tol)
-    coeff = (p.a1 - p.a3 - 1.0) * (p.a2 - p.a3 - 1.0) / ((p.a3 + 1.0) * pole)
-    return closed - coeff * f_shift

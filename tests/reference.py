@@ -4,6 +4,9 @@
   oracle's plain-float ``sturmian._radial_pq`` is held to it;
 - ``r_channel_two_term``, a dipole channel integral in its unreduced
   two-3F2 form, against which ``r_channel_closed`` is checked;
+- ``hyp3f2_contiguous_rhs``, the contiguous-shift identity of 3F2 at unit
+  argument, against which ``hyp3f2_unit`` is checked, and ``gamma_ratio``,
+  the Gamma ratio it and the two-3F2 form take;
 - ``axial_spinor``, ``cos_matrix_element`` and ``first_order_shift``, the
   planar angular algebra by which the first-order field shift of the ground
   state vanishes.
@@ -17,8 +20,7 @@ import numpy as np
 
 from diracpol.atom import AtomSpec, ChannelIndex, _check_dipole, gamma_half, gamma_kappa
 from diracpol.polarizability import _over_z4
-from diracpol.specfun import Hyp3F2Params, hyp3f2_unit, log_gamma
-from diracpol.sturmian import gamma_ratio
+from diracpol.specfun import TOL_FLOOR, Hyp3F2Params, hyp3f2_unit, log_gamma
 
 
 def radial_PQ(spec: AtomSpec, r):
@@ -39,6 +41,52 @@ def radial_PQ(spec: AtomSpec, r):
     p = math.sqrt(1.0 + 2.0 * gam) * shape
     q = math.sqrt(1.0 - 2.0 * gam) * shape
     return p, q
+
+
+def gamma_ratio(numerators, denominators) -> float:
+    """Product of Gamma over ``numerators`` divided by Gamma over
+    ``denominators``, formed through summed log-gamma differences so that
+    no intermediate Gamma value is materialized.
+    """
+    logs = [log_gamma(x) for x in numerators]
+    logs.extend(-log_gamma(x) for x in denominators)
+    return math.exp(math.fsum(logs))
+
+
+def hyp3f2_contiguous_rhs(p: Hyp3F2Params, tol: float = TOL_FLOOR) -> float:
+    """Evaluate the contiguous-shift identity for 3F2 at unit argument.
+
+    Requires b1 = a3 + 1 exactly and b2 - a1 - a2 > -1.  The contiguous
+    denominator is traded for a closed gamma-ratio term plus a 3F2 whose
+    third numerator parameter is raised by one:
+
+        3F2(a1,a2,a3; a3+1,b; 1) =
+            G(b) G(b-a1-a2+1) / ((b-a3-1) G(b-a1) G(b-a2))
+            - (a1-a3-1)(a2-a3-1) / ((a3+1)(b-a3-1))
+              * 3F2(a1,a2,a3+1; a3+2,b; 1)
+
+    An evaluation route independent of the direct sum, against which
+    :func:`hyp3f2_unit` is checked.
+    """
+    if p.b1 != p.a3 + 1.0:
+        raise ValueError(
+            f"contiguous form requires b1 = a3 + 1 exactly, got b1={p.b1}, a3={p.a3}"
+        )
+    b = p.b2
+    if not b - p.a1 - p.a2 > -1.0:
+        raise ValueError(
+            f"contiguous form requires b2 - a1 - a2 > -1, got {b - p.a1 - p.a2}"
+        )
+    pole = b - p.a3 - 1.0
+    if pole == 0.0:
+        raise ValueError(
+            "contiguous form is singular for b2 = a3 + 1 (removable only as a limit)"
+        )
+    closed = gamma_ratio([b, b - p.a1 - p.a2 + 1.0], [b - p.a1, b - p.a2]) / pole
+    shifted = Hyp3F2Params(p.a1, p.a2, p.a3 + 1.0, p.a3 + 2.0, b)
+    f_shift, _ = hyp3f2_unit(shifted, tol)
+    coeff = (p.a1 - p.a3 - 1.0) * (p.a2 - p.a3 - 1.0) / ((p.a3 + 1.0) * pole)
+    return closed - coeff * f_shift
 
 
 def r_channel_two_term(ch: ChannelIndex, spec: AtomSpec) -> float:

@@ -28,14 +28,19 @@ from diracpol.specfun import (
 from diracpol.sturmian import (
     _laguerre_table,
     channel_first_order_integrals,
-    gamma_ratio,
     gauss_laguerre_integral,
-    hyp3f2_contiguous_rhs,
     laguerre_rule,
     r_channel_series,
 )
 from diracpol.tablegen import generate_table
-from tests.reference import axial_spinor, cos_matrix_element, first_order_shift, radial_PQ
+from tests.reference import (
+    axial_spinor,
+    cos_matrix_element,
+    first_order_shift,
+    gamma_ratio,
+    hyp3f2_contiguous_rhs,
+    radial_PQ,
+)
 from tests.table_data import REFERENCE_SCALED, reference_tolerance, reference_value
 
 SPOT_ANCHORS = {

@@ -2,18 +2,30 @@
 output determinism."""
 
 import ast
+import contextlib
+import csv
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from diracpol import cli, polarizability, specfun, tablegen
-from diracpol.atom import ALPHA_INV_CODATA2014, AtomSpec, ChannelIndex, critical_charge
+from diracpol.atom import (
+    ALPHA_INV_CODATA2014,
+    ALPHA_INV_SIGMA_CODATA2014,
+    AtomSpec,
+    ChannelIndex,
+    critical_charge,
+)
 from diracpol.cli import run
 from diracpol.polarizability import polarizability_planar, r_channel_closed
 from tests.test_package import _imported_roots
@@ -339,6 +351,128 @@ class TestArgumentErrors:
         assert captured.err.startswith("error: ")
         assert str(target) in captured.err
         assert not target.parent.exists()
+
+
+# The refusal edges of the charge, each with its two neighbours so that both
+# sides are drawn: Z**4 is a normal double from the first on, and the
+# nonrelativistic alpha_1 = value / Z**4 of each dimension up to the others.
+_Z_EDGES = [
+    z
+    for edge in (
+        sys.float_info.min**0.25,
+        (polarizability.NONREL_SCALED_PLANAR / sys.float_info.min) ** 0.25,
+        (polarizability.NONREL_SCALED_SPATIAL / sys.float_info.min) ** 0.25,
+    )
+    for z in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))
+]
+_ODD_FLOATS = (math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, 5e-324, 1e-300, 1.0, 1e300)
+
+
+@st.composite
+def _argv(draw):
+    """One argv of any command in any format, csv included where it is
+    refused, over the whole domain: Z log-uniform over the doubles and at
+    the refusal edges, alpha_inv log-uniform in [1, 1e300] and inf, odd
+    --tol and --alpha-inv-sigma values, and short table ranges, empty and
+    reversed ones among them."""
+    command = draw(st.sampled_from(["planar", "spatial", "crosscheck", "table", "limits"]))
+    argv = [command, "--format", draw(st.sampled_from(["text", "csv", "json"]))]
+    if command == "limits":
+        return argv
+    alpha_inv = draw(
+        st.one_of(
+            st.floats(0.0, math.log(1e300)).map(math.exp),
+            st.sampled_from([ALPHA_INV_CODATA2014, math.inf]),
+        )
+    )
+    # One token per option: argparse takes a separate "-1e-05" for a flag.
+    argv.append(f"--alpha-inv={alpha_inv!r}")
+    if command == "table":
+        z_min = draw(st.integers(-1, 70))
+        sigma = draw(
+            st.one_of(
+                st.sampled_from((ALPHA_INV_SIGMA_CODATA2014,) + _ODD_FLOATS),
+                st.floats(-14.0, 0.0).map(lambda e: 10.0**e),
+                st.floats(),
+            )
+        )
+        z_max = z_min + draw(st.integers(-2, 4))
+        return argv + [f"--z-min={z_min}", f"--z-max={z_max}", f"--alpha-inv-sigma={sigma!r}"]
+    z_crit = critical_charge("spatial" if command == "spatial" else "planar", alpha_inv)
+    # Below the critical charge too (below the upper edges at alpha_inv =
+    # inf), where most of the double range is not.
+    below = min(z_crit, 1e76)
+    z = draw(
+        st.one_of(
+            st.floats(-1074.0, 1024.0, exclude_max=True).map(lambda e: 2.0**e),
+            st.floats(-60.0, 0.0, exclude_max=True).map(lambda e: below * 2.0**e),
+            st.sampled_from(_Z_EDGES + [math.nextafter(z_crit, 0.0)]),
+        )
+    )
+    argv.append(f"--Z={z!r}")
+    if command == "crosscheck":
+        tol = draw(
+            st.one_of(
+                st.sampled_from((1e-12, 1e-10) + _ODD_FLOATS),
+                st.floats(-40.0, 0.0).map(lambda e: 10.0**e),
+                st.floats(),
+            )
+        )
+        argv.append(f"--tol={tol!r}")
+    return argv
+
+
+def _numbers(out: str, fmt: str) -> list[float]:
+    """The numbers an output prints, parsed as its format is read."""
+    if fmt == "json":
+        found = []
+
+        def walk(value):
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, list):
+                for item in value:
+                    walk(item)
+            elif isinstance(value, (int, float)):
+                found.append(float(value))
+
+        walk(json.loads(out, parse_constant=lambda name: pytest.fail(f"JSON spells {name}")))
+        return found
+    if fmt == "csv":
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header and rows
+        return [float(cell) for row in rows for cell in row]
+    # Text: every number token, inf and nan spelt out included; the one
+    # non-finite value text may print is the echo of --alpha-inv inf.
+    out = out.replace("alpha_inv = inf", "alpha_inv = ")
+    tokens = re.findall(r"(?<![\w.^])[-+]?(?:(?:inf|nan)(?!\w)|\d+\.?\d*(?:e[-+]?\d+)?)", out)
+    return [float(t) for t in tokens]
+
+
+class TestArgvSweep:
+    # Every command on the whole domain, in process: the exit code is a
+    # documented one, a failure is one error line without a traceback, and
+    # a success prints output that parses, with finite numbers.  The values
+    # are not held to mpmath here: near the critical charge the closed form
+    # misses its 1e-15 contract today (ROADMAP.md lists the fix).
+    @hypothesis.settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(_argv())
+    def test_every_argv_exits_with_a_documented_code(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+        if code:
+            assert out == "", argv
+            lines = err.splitlines()
+            assert lines and "error: " in lines[-1], (argv, err)
+            assert sum("error:" in line for line in lines) == 1, (argv, err)
+            return
+        assert err == "", (argv, err)
+        numbers = _numbers(out, argv[2])
+        assert numbers and all(math.isfinite(x) for x in numbers), (argv, out)
 
 
 class TestRepeatedRuns:

@@ -3,6 +3,7 @@ names, which modules ``import diracpol`` loads, and the records' repr,
 value semantics and immutability."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -140,13 +141,20 @@ class TestSurface:
                 getattr(diracpol, name)
 
     def test_validation_helpers_live_only_in_the_oracle(self):
-        from diracpol import atom, cli, polarizability, specfun, sturmian, tablegen
+        from diracpol import specfun, sturmian
         from tests import reference
 
-        modules = (diracpol, atom, cli, polarizability, specfun, sturmian, tablegen)
+        # Every module of src/, a new one included.
+        modules = [diracpol] + [
+            importlib.import_module(f"diracpol.{path.stem}")
+            for path in sorted((SRC / "diracpol").glob("*.py"))
+            if path.stem != "__init__"
+        ]
         for name in (
             "radial_PQ",
             "r_channel_two_term",
+            "gamma_ratio",
+            "hyp3f2_contiguous_rhs",
             "axial_spinor",
             "cos_matrix_element",
             "first_order_shift",
@@ -154,11 +162,6 @@ class TestSurface:
             assert getattr(reference, name).__module__ == reference.__name__, name
             for module in modules:
                 assert not hasattr(module, name), (module.__name__, name)
-        # The demo takes these two, and a demo imports nothing from tests.
-        for name in ("gamma_ratio", "hyp3f2_contiguous_rhs"):
-            for module in (diracpol, specfun, atom, polarizability):
-                assert not hasattr(module, name), (module.__name__, name)
-            assert getattr(sturmian, name).__module__ == sturmian.__name__, name
         assert sturmian._laguerre_table.__module__ == sturmian.__name__
         assert not hasattr(specfun, "_laguerre_table")
         assert len(diracpol.__all__) == 28

@@ -33,7 +33,8 @@ from diracpol.specfun import (
     hyp3f2_unit,
     log_gamma,
 )
-from diracpol.sturmian import _laguerre_table, gamma_ratio, hyp3f2_contiguous_rhs, laguerre_rule
+from diracpol.sturmian import _laguerre_table, laguerre_rule
+from tests.reference import gamma_ratio, hyp3f2_contiguous_rhs
 
 mpmath.mp.dps = 40
 

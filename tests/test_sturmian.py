@@ -5,6 +5,7 @@ channel series."""
 import hashlib
 import math
 import random
+import re
 
 import mpmath
 import numpy as np
@@ -28,7 +29,6 @@ from diracpol.sturmian import (
     _laguerre_table,
     _log_factorial,
     _mu,
-    _nodes,
     _radial_pq,
     _sturmian_parts,
     channel_first_order_integrals,
@@ -224,13 +224,13 @@ class TestSturmianST:
         rng = np.random.default_rng(29)
         for ch in CHANNELS:
             c = _channel(ch, spec)
-            nodes = _nodes(c, 31)
-            x_nodes = [nodes.scale * (x / nodes.scale) for x in nodes.rule[0]]
+            # The points 4Z r at the nodes r = x / 4Z of the channel's
+            # 32-node rule, as channel_first_order_integrals forms them.
+            scale = 4.0 * c.z
+            x_nodes = [scale * (x / scale) for x in laguerre_rule(c.g + c.gk + 1.0, 32)[0]]
             x_random = rng.uniform(0.0, 60.0, 16).tolist()
-            for x, table in (
-                (x_nodes, nodes.laguerres),
-                (x_random, _sturmian_parts(c, x_random, 31)[1]),
-            ):
+            for x in (x_nodes, x_random):
+                table = _sturmian_parts(c, x, 31)[1]
                 assert len(table) == 33
                 for n in range(-1, 32):
                     want = _laguerre_table(n, 2.0 * c.gk, x)[-1]
@@ -325,6 +325,14 @@ class TestGaussLaguerreRule:
     def test_rejects_non_integrable_weight(self, alpha):
         with pytest.raises(ValueError, match="weight_power must exceed -1"):
             roots_genlaguerre(alpha)
+
+    @pytest.mark.parametrize("alpha", [170.7, 171.0, 1e6, 1.7e308])
+    @pytest.mark.parametrize("rule", [roots_genlaguerre, laguerre_rule])
+    def test_refuses_a_weight_power_whose_gamma_overflows(self, rule, alpha):
+        # Gamma(alpha + 1) is not a double above alpha of about 170.6; the
+        # refusal names the weight power, not the math library's overflow.
+        with pytest.raises(ValueError, match=re.escape(f"overflows for weight_power={alpha!r}")):
+            rule(alpha, 4)
 
     def test_rejects_an_empty_rule(self):
         with pytest.raises(ValueError, match="nodes must be at least 1"):
@@ -452,6 +460,22 @@ class TestFirstOrderIntegrals:
                 ):
                     assert float.hex(got.plain) == float.hex(want[0])
                     assert float.hex(got.mu_weighted) == float.hex(want[1])
+
+    def test_integral_bits_are_pinned(self):
+        # Every closed and quadrature integral, not only the largest
+        # deviation the crosscheck prints: the SHA-256 of their float.hex
+        # over both channels, three rule sizes and three charges.
+        digest = hashlib.sha256()
+        for z in (1e-3, 12.3456, 68.5):
+            spec = AtomSpec(z, "planar")
+            for ch in CHANNELS:
+                for n_max in (0, 2, 3):
+                    for pairs in channel_first_order_integrals(ch, spec, n_max):
+                        for pair in pairs:
+                            digest.update(" ".join(map(float.hex, pair)).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "824bc75f41c9901b13670e362f729b5f002271df6d1c0964a1040d78ba4517fd"
+        )
 
     def test_rejects_negative_n_max(self):
         # Named as the caller's argument, not as the n_max + 1 node rule.
