@@ -6,18 +6,23 @@ diracpol.cli``), computes every other row of ``table`` in one forked child
 when the process may use two CPUs or more; the output, stderr and exit code
 are those of the serial run.  Any failure of the split, a failing row
 included, reruns the serial table, which gives the error; a failing table
-costs up to one extra serial table.  ``run()``, the in-process entry,
-computes every row in the calling process.
+costs up to one extra serial table.  ``main()`` also freezes the start-up
+heap (``gc.freeze``), which the exit's collections and the child's then
+skip.  ``run()``, the in-process entry, computes every row in the calling
+process and leaves the collector as it finds it.
 
-Exit codes: 0 success, 2 argument errors (an unwritable --output path and a
-non-finite JSON value among them), 3 supercritical, 4 series convergence failure.
+Exit codes: 0 success, 2 argument errors (output that cannot be written, to
+an --output path or stdout, and a non-finite JSON value among them), 3
+supercritical, 4 series convergence failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import math
+import os
 import sys
 
 from .atom import _KAPPA_HALF, ALPHA_INV_CODATA2014, ALPHA_INV_SIGMA_CODATA2014, AtomSpec, SupercriticalError
@@ -29,7 +34,7 @@ from .polarizability import (
     quasirel_coefficient,
     r_channel_closed,
 )
-from .specfun import ConvergenceError
+from .specfun import _TINY, ConvergenceError
 
 _EXIT_OK = 0
 _EXIT_USAGE = 2
@@ -190,14 +195,14 @@ def _run_crosscheck(args: argparse.Namespace) -> str:
             "closed": closed,
             "series": series,
             "series_terms": diag.terms_used,
-            "closed_vs_series": _reldev(closed, series, 1e-300),
+            "closed_vs_series": _reldev(closed, series, _TINY),
             "quadrature_max_dev": quad_dev,
         }
     series_alpha = polarizability_sturmian(spec, args.tol)
     # Report the tolerance the series used: it has validated args.tol by now
     # and clamps it to its floor.
     tol = max(args.tol, SERIES_TOL_FLOOR)
-    alpha_dev = _reldev(closed_alpha.value_a0_cubed, series_alpha.value_a0_cubed, 1e-300)
+    alpha_dev = _reldev(closed_alpha.value_a0_cubed, series_alpha.value_a0_cubed, _TINY)
     if args.format == "json":
         payload = {
             "Z": args.Z,
@@ -308,7 +313,15 @@ def _run(argv: list[str] | None, split: bool) -> int:
 
 
 def main() -> None:
-    sys.exit(_run(sys.argv[1:], True))
+    gc.freeze()  # start-up's objects live until exit
+    code = _run(sys.argv[1:], True)
+    try:
+        sys.stdout.flush()  # a closed pipe or a full disk fails here, not at exit
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flushes again
+        print(f"error: {exc}", file=sys.stderr)
+        code = _EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

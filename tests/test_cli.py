@@ -276,6 +276,27 @@ class TestCrosscheckCommand:
         assert captured.out == ""
         assert f"error: tol must be positive, got {float(tol)!r}" in captured.err
 
+    def test_rel_dev_is_relative_below_1e_300(self, capsys):
+        # At alpha_inv = inf, Z = 5.2e76 leaves alpha_1 and both R near
+        # 2.24e-308: each deviation is relative to the larger value, not to
+        # a floor above it.
+        from diracpol.sturmian import polarizability_sturmian, r_channel_series
+
+        code, out = _capture(capsys, ["crosscheck", "--Z", "5.2e76", "--alpha-inv", "inf"])
+        assert code == 0
+        spec = AtomSpec(5.2e76, "planar", math.inf)
+        pairs = [
+            (r_channel_closed(ChannelIndex(kappa), spec), r_channel_series(ChannelIndex(kappa), spec, 1e-10)[0])
+            for kappa in (0.5, -1.5)
+        ]
+        pairs.append(
+            (polarizability_planar(spec).value_a0_cubed, polarizability_sturmian(spec, 1e-10).value_a0_cubed)
+        )
+        devs = [abs(a - b) / max(abs(a), abs(b)) for a, b in pairs]
+        assert all(max(abs(a), abs(b)) < 1e-300 for a, b in pairs)
+        assert all(1e-15 < dev < 1e-10 for dev in devs)
+        assert re.findall(r", rel dev = (\S+)\n", out) == [f"{dev:.3e}" for dev in devs]
+
 
 class TestLimitsCommand:
     def test_targets(self, capsys):
@@ -690,6 +711,100 @@ class TestForkedTable:
         assert serial["result"][0::2] == [0, ""]
         assert program["result"] == serial["result"]
         assert [serial["forks"], program["forks"]] == [0, forks]
+
+
+class TestProgramExit:
+    # main() freezes the start-up heap and flushes stdout before it exits;
+    # run() and _run() leave the collector alone.  Each case runs in a fresh
+    # interpreter, without PYTHONUNBUFFERED, so stdout is block-buffered as
+    # the program's is when it writes to a pipe or a file.
+    @staticmethod
+    def _python(args, stdout=subprocess.PIPE):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        env.pop("PYTHONUNBUFFERED", None)
+        return subprocess.run(
+            [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120
+        )
+
+    @pytest.mark.parametrize("setup", ["", "gc.disable()\ngc.freeze()"], ids=["enabled", "disabled-frozen"])
+    def test_run_leaves_the_collector_as_it_finds_it(self, setup):
+        script = textwrap.dedent(
+            """
+            import contextlib, gc, io, json, os
+            from diracpol import cli
+
+            {setup}
+            forks, fork = [], os.fork
+            os.fork = lambda: forks.append(None) or fork()
+            os.sched_getaffinity = lambda pid: {{0, 1}}
+
+            def state():
+                return [gc.get_freeze_count(), gc.isenabled()]
+
+            before, report = state(), []
+            for argv in (["planar", "--Z", "26"], ["crosscheck", "--Z", "26"], ["limits"], ["table", "--z-max", "6"]):
+                for split in (False, True):
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        code = cli._run(argv, True) if split else cli.run(argv)
+                    report.append([code, state() == before])
+            print(json.dumps({{"report": report, "forks": len(forks)}}))
+            """
+        ).format(setup=setup)
+        proc = self._python(["-c", script])
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["report"] == [[0, True]] * 8
+        assert result["forks"] == 1
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["planar", "--Z", "26"], 0), (["planar", "--Z", "69"], 3), (["table", "--z-min", "68", "--z-max", "70"], 3)],
+        ids=["planar", "supercritical", "failing-table"],
+    )
+    def test_main_freezes_and_exits_with_the_command_code(self, argv, code):
+        script = textwrap.dedent(
+            f"""
+            import gc, sys
+            from diracpol import cli
+
+            frozen = gc.get_freeze_count()
+            sys.argv = ["diracpol", *{argv!r}]
+            try:
+                cli.main()
+            except SystemExit as exc:
+                print(exc.code, frozen, gc.get_freeze_count() > 0)
+            """
+        )
+        proc = self._python(["-c", script])
+        cold = self._python(["-m", "diracpol.cli", *argv])
+        assert proc.stdout == cold.stdout + f"{code} 0 True\n"
+        assert proc.stderr == cold.stderr
+        assert cold.returncode == code
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["planar", "--Z", "26"], ["table", "--format", "csv"], ["table", "--format", "json"]],
+        ids=["planar", "table-csv", "table-json"],
+    )
+    def test_stdout_that_cannot_be_written_exits_2(self, argv):
+        # A pipe whose reader has gone, and a full device where there is
+        # one: one error: line and no "Exception ignored" report.  A short
+        # document fails when main() flushes it, the JSON table (over one
+        # buffer) when _emit writes it.
+        args = ["-m", "diracpol.cli", *argv]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            procs = [("Broken pipe", self._python(args, write_end))]
+        finally:
+            os.close(write_end)
+        if os.path.exists("/dev/full"):
+            with open("/dev/full", "w") as full:
+                procs.append(("No space left on device", self._python(args, full)))
+        for reason, proc in procs:
+            assert proc.returncode == 2
+            assert re.fullmatch(rf"error: \[Errno \d+\] {reason}\n", proc.stderr), proc.stderr
 
 
 class TestImportDiet:

@@ -250,6 +250,20 @@ class TestSurface:
         # No cache built other than as a decorator, e.g. f = lru_cache()(g).
         assert uses == decorations
 
+    def test_only_the_program_touches_the_collector(self):
+        # The program freezes its start-up heap; run() and the library leave
+        # the collector as they find it.
+        uses = []
+        for path in sorted((SRC / "diracpol").glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+                uses.extend(
+                    (path.stem, owner, node.attr)
+                    for node in ast.walk(top)
+                    if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "gc"
+                )
+        assert uses == [("cli", "main", "freeze")]
+
     def test_import_loads_no_numpy_and_its_users_still_work(self):
         script = (
             "import sys, diracpol; "
