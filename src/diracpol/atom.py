@@ -1,12 +1,9 @@
-"""Relativistic atomic-structure primitives for hydrogen-like ions.
+"""Hydrogen-like ions and their Dirac channels: ``AtomSpec``,
+``ChannelIndex``, the critical charge, the channel exponents and the planar
+ground-state energy, in Hartree atomic units (hbar = m = e = 4*pi*eps0 = 1,
+lengths in Bohr radii).
 
-Everything is expressed in Hartree atomic units (hbar = m = e =
-4*pi*eps0 = 1, lengths in Bohr radii), which removes all dimensional
-prefactors from the radial functions.  Planar (two-dimensional) systems use
-half-odd-integer channel indices kappa, spatial (three-dimensional) ones use
-nonzero integers.  The radial doublet as arrays, the axial spinors and the
-angular algebra only check the closed form; they are test code, in
-``tests/reference.py``.
+Loaded by ``import diracpol``; of the package it imports only ``specfun``.
 """
 
 from __future__ import annotations
@@ -111,13 +108,6 @@ class ChannelIndex(_ChannelIndexFields):
         return self.kappa != round(self.kappa)
 
 
-def _check_channel(spec: AtomSpec, ch: ChannelIndex) -> None:
-    if spec.dimension == "planar" and not ch.is_half_integer:
-        raise ValueError(f"planar channels need half-odd-integer kappa, got {ch.kappa}")
-    if spec.dimension == "spatial" and ch.is_half_integer:
-        raise ValueError(f"spatial channels need integer kappa, got {ch.kappa}")
-
-
 def _check_dipole(kappa: float) -> None:
     if kappa not in (0.5, -1.5):
         raise ValueError(f"dipole channels are kappa = 1/2 and -3/2, got {kappa}")
@@ -132,7 +122,9 @@ def gamma_kappa(spec: AtomSpec, ch: ChannelIndex) -> float:
     kappa = ch.kappa
     # An integer kappa on a planar spec, or a half-odd one on a spatial spec.
     if (spec.dimension == "planar") == (kappa == round(kappa)):
-        _check_channel(spec, ch)
+        if spec.dimension == "planar":
+            raise ValueError(f"planar channels need half-odd-integer kappa, got {kappa}")
+        raise ValueError(f"spatial channels need integer kappa, got {kappa}")
     ak = abs(kappa)
     az = spec.Z / spec.alpha_inv  # spec.alpha_z
     if not ak > az:

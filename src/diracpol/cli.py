@@ -1,19 +1,10 @@
-"""Command-line interface: single-value queries, reference-table emission,
-oracle cross-checks, and limit verification.
+"""The ``diracpol`` program, ``main()``, and its in-process entry ``run()``.
 
-The program, ``main()`` (the ``diracpol`` script and ``python -m
-diracpol.cli``), computes every other row of ``table`` in one forked child
-when the process may use two CPUs or more; the output, stderr and exit code
-are those of the serial run.  Any failure of the split, a failing row
-included, reruns the serial table, which gives the error; a failing table
-costs up to one extra serial table.  ``main()`` also freezes the start-up
-heap (``gc.freeze``), which the exit's collections and the child's then
-skip.  ``run()``, the in-process entry, computes every row in the calling
-process and leaves the collector as it finds it.
-
-Exit codes: 0 success, 2 argument errors (output that cannot be written, to
-an --output path or stdout, and a non-finite JSON value among them), 3
-supercritical, 4 series convergence failure.
+``import diracpol`` never loads it.  A command that needs the table layer,
+the oracle or ``json`` imports it when it runs.  Exit codes: 0 success, 2
+argument errors (output that cannot be written, to an --output path or
+stdout, and a non-finite computed JSON value among them), 3 supercritical,
+4 series convergence failure.
 """
 
 from __future__ import annotations
@@ -34,7 +25,7 @@ from .polarizability import (
     quasirel_coefficient,
     r_channel_closed,
 )
-from .specfun import _TINY, ConvergenceError
+from .specfun import _TINY, ConvergenceError, _clamped_tol
 
 _EXIT_OK = 0
 _EXIT_USAGE = 2
@@ -71,13 +62,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"inverse fine-structure constant (default: {ALPHA_INV_CODATA2014})",
     )
 
+    charged = argparse.ArgumentParser(add_help=False, parents=[coupled])
+    charged.add_argument("--Z", type=float, required=True, help="nuclear charge")
+
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_planar = sub.add_parser("planar", parents=[coupled], help="planar (2D) polarizability at one charge")
-    p_planar.add_argument("--Z", type=float, required=True, help="nuclear charge")
-
-    p_spatial = sub.add_parser("spatial", parents=[coupled], help="spatial (3D) polarizability at one charge")
-    p_spatial.add_argument("--Z", type=float, required=True, help="nuclear charge")
+    sub.add_parser("planar", parents=[charged], help="planar (2D) polarizability at one charge")
+    sub.add_parser("spatial", parents=[charged], help="spatial (3D) polarizability at one charge")
 
     p_table = sub.add_parser("table", parents=[coupled], help="scaled-polarizability table over a charge range")
     p_table.add_argument("--z-min", type=int, default=1)
@@ -91,10 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cross = sub.add_parser(
         "crosscheck",
-        parents=[coupled],
+        parents=[charged],
         help="closed form vs Sturmian series vs quadrature at one charge",
     )
-    p_cross.add_argument("--Z", type=float, required=True, help="nuclear charge")
     p_cross.add_argument(
         "--tol", type=float, default=1e-10, help="relative tolerance of the Sturmian series"
     )
@@ -112,10 +101,16 @@ def _emit(document: str, output: str | None) -> None:
 
 
 def _json_document(payload: dict) -> str:
-    import json  # only the JSON format needs it
+    import json
 
     # Refuse inf and nan, which JSON cannot spell, rather than print Infinity.
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def _echo(alpha_inv: float) -> float | str:
+    """``alpha_inv`` for a JSON payload: inf, which JSON cannot spell and
+    the only non-finite value ``AtomSpec`` admits, as the string "inf"."""
+    return alpha_inv if math.isfinite(alpha_inv) else repr(alpha_inv)
 
 
 def _reldev(a: float, b: float, floor: float) -> float:
@@ -132,7 +127,7 @@ def _run_single(args: argparse.Namespace) -> str:
         payload = {
             "command": dimension,
             "Z": args.Z,
-            "alpha_inv": args.alpha_inv,
+            "alpha_inv": _echo(args.alpha_inv),
             "alpha_1_a0^3": result.value_a0_cubed,
             "Z^4*alpha_1_a0^3": result.scaled_Z4,
             "method": result.method,
@@ -150,8 +145,6 @@ def _run_single(args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Each command imports what only it uses: the table layer, the oracle and
-# json stay out of the closed-form commands' start-up.
 def _run_table(args: argparse.Namespace, split: bool) -> str:
     from .tablegen import ConstantSet, _split_table, generate_table, rows_to_csv, rows_to_json
 
@@ -199,14 +192,12 @@ def _run_crosscheck(args: argparse.Namespace) -> str:
             "quadrature_max_dev": quad_dev,
         }
     series_alpha = polarizability_sturmian(spec, args.tol)
-    # Report the tolerance the series used: it has validated args.tol by now
-    # and clamps it to its floor.
-    tol = max(args.tol, SERIES_TOL_FLOOR)
+    tol = _clamped_tol(args.tol, SERIES_TOL_FLOOR)  # the tolerance the series used
     alpha_dev = _reldev(closed_alpha.value_a0_cubed, series_alpha.value_a0_cubed, _TINY)
     if args.format == "json":
         payload = {
             "Z": args.Z,
-            "alpha_inv": args.alpha_inv,
+            "alpha_inv": _echo(args.alpha_inv),
             "tol": tol,
             "channels": {
                 str(kappa): entry for kappa, entry in report.items()
@@ -265,9 +256,16 @@ def _run_limits(args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _error(exc: BaseException, code: int) -> int:
+    """Print the one ``error:`` line of a failing command; return ``code``."""
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def run(argv: list[str] | None = None) -> int:
     """Parse arguments, execute one command in this process, and return the
-    exit code."""
+    exit code; every row of ``table`` is computed here, and the collector is
+    left as it is found."""
     return _run(argv, False)
 
 
@@ -293,34 +291,32 @@ def _run(argv: list[str] | None, split: bool) -> int:
         else:
             document = _run_limits(args)
     except SupercriticalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_SUPERCRITICAL
+        return _error(exc, _EXIT_SUPERCRITICAL)
     except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONVERGENCE
+        return _error(exc, _EXIT_CONVERGENCE)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+        return _error(exc, _EXIT_USAGE)
 
     try:
         _emit(document, args.output)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+        return _error(exc, _EXIT_USAGE)
     return _EXIT_OK
 
 
 def main() -> None:
-    gc.freeze()  # start-up's objects live until exit
+    """The program: ``run``, with the rows of ``table`` split with a forked
+    child, after freezing the start-up heap, whose objects live until exit,
+    so that the exit's collections and the child's skip them."""
+    gc.freeze()
     code = _run(sys.argv[1:], True)
     try:
         sys.stdout.flush()  # a closed pipe or a full disk fails here, not at exit
     except OSError as exc:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flushes again
-        print(f"error: {exc}", file=sys.stderr)
-        code = _EXIT_USAGE
+        code = _error(exc, _EXIT_USAGE)
     sys.exit(code)
 
 

@@ -1,26 +1,9 @@
-"""Closed-form static dipole polarizabilities of relativistic hydrogen-like
-ions in their ground state, in two (planar) and three (spatial) dimensions.
+"""Closed-form ground-state dipole polarizabilities of relativistic
+hydrogen-like ions, planar and spatial, with the planar dipole channel
+integrals, the second-order field shift and the weak-coupling limits.
 
-The planar result is assembled from two dipole channel integrals: the
-kappa = 1/2 channel reduces to an elementary polynomial in gamma_{1/2},
-while kappa = -3/2 carries an irreducible 3F2 at unit argument.  The planar
-and spatial polarizabilities and the kappa = -3/2 channel share one bracket,
-1 - coeff * 3F2(d-1, d-1, d+1; d+2, 2 gamma' + 1; 1) with its Gamma**2
-ratio, where only the exponent pair (gamma, gamma') and the polynomial
-factors differ: ``_reduced_bracket`` evaluates it for all three.  The
-planar polarizability and the kappa = -3/2 channel have the same pair, so
-the same 3F2; the crosscheck computes alpha_1 right after the channel, and
-``hyp3f2_unit`` hands the channel's sum back from its one-entry memo.
-Scaled values Z**4 * alpha_1 are computed first; the absolute
-polarizability is recovered by a single division, which refuses a charge
-so small (below about 1.2e-77) that Z**4 leaves the normal doubles, and,
-where a large or infinite alpha_inv leaves it subcritical, one so large
-(above about 5.2e76 planar, 1.16e77 spatial) that Z**4 overflows or the
-quotient, or the kappa = -3/2 channel it is multiplied into, is no longer
-a normal double.
-
-The first relativistic correction, ``quasirel_coefficient``, is one
-``math.fsum`` of the slopes of the closed forms' log factors at alpha Z = 0.
+Loaded by ``import diracpol``; it imports ``atom`` and ``specfun``, never
+the oracle ``sturmian`` or the table layer.
 """
 
 from __future__ import annotations

@@ -1,61 +1,10 @@
-"""Special-function kernels: log-gamma and the generalized hypergeometric
-3F2 at unit argument.
+"""Special functions: ``log_gamma`` and the 3F2 at unit argument,
+``hyp3f2_unit``, with the records and the error they use.
 
-Every 3F2 series that does not truncate is summed by one loop,
-``_convergent_terms``: terms in chunks of 512, stopped after the first chunk
-whose tail bound is small enough against a running sum that adds each
-chunk's terms in order, then the chunk sums in order.  Two producers give
-the loop the same terms, so the same term count and tail bound, and their
-chunk sums agree bit for bit:
-
-- ``_pure_terms``, one chunk at a time in plain floats, summed by
-  ``functools.reduce(operator.add, chunk)``; not by ``sum``, which is
-  compensated from Python 3.12 on.  Each ratio keeps numpy's operations
-  and their order; the producer spares interpreter work three ways: a
-  float counter k, whose 1 + k is the next k, the shared factor a1 + k
-  squared when a1 == a2, and the t_first scaling in the one pass that
-  forms the cumulative product.  A chunk with a denominator that
-  underflows to zero raises the overflow error at once; numpy's quotient
-  there is +-inf or nan, which makes the chunk's sum non-finite, so numpy's
-  run raises the same error at the same chunk;
-- ``_term_rows``, in numpy passes that each fill a new array: the first
-  holds as many chunks as the series is predicted to need, and each later
-  pass doubles the array and fills the new half; the chunks are summed by
-  ``np.add.accumulate`` along each row, and the loop tests them chunk by
-  chunk, so the result is that of computing one chunk at a time.
-
-One rule picks the producer of a convergent series: numpy's when
-``sys.modules.get("numpy")`` is a module, that is when the caller has
-loaded numpy, and the pure-Python one otherwise (a ``None`` entry, which
-blocks the import, counts as not loaded).  diracpol never imports numpy
-itself, so a process that does not load it sums every series in plain
-floats; a caller that sums many series is faster with numpy loaded first,
-and gets the same bits.
-
-A series that truncates is summed one way, whether numpy is loaded or not:
-its terms are one ``_pure_terms`` product, summed by ``math.fsum``.  The
-closed forms reach it where delta = gamma_kappa - gamma - 1 rounds to zero,
-at some charges up to about 2.7e-6 (planar) and 5.7e-6 (spatial), and the
-3F2 is then 1.
-
-Every series returns the correctly rounded sum of its computed terms, the
-value ``math.fsum`` gives: a list of plain floats through ``math.fsum``
-itself, a numpy one through ``_exact_sum``, one error-free split into high
-parts that add exactly and low parts whose rounded sum is bracketed by a
-proven error bound; the rare sum that the bracket cannot decide (a near
-tie, a zero, a non-finite term) goes to ``math.fsum``.  The short log-gamma
-sums use ``math.fsum`` directly.
-
-``hyp3f2_unit`` remembers its last call's arguments and result, one entry
-compared by ``==``, and returns that result when the next call repeats them.
-It has two readers: a planar table row's centre, which the row sums twice in
-a row, and a crosscheck's alpha_1, which follows R_{-3/2} with the same 3F2.
-A ``hyp3f2_unit`` call between the two costs a second sum, never other bits.
-
-``log_gamma`` reduces an argument below 12 to a point t of a zeta series
-about 1 or 2 and keeps the last ``_SERIES_CACHE`` = 32 series values by
-(t, point), so the ladders x0 + n of the Sturmian oracle, which reduce to a
-few t, sum each series once.
+Loaded by ``import diracpol`` and by every other module of the package; it
+imports the standard library only.  numpy, when the caller has loaded it,
+sums the convergent 3F2 series faster with the same bits; it is never
+imported here.
 """
 
 from __future__ import annotations
@@ -325,11 +274,7 @@ def _term_rows(np, p: Hyp3F2Params, rows: np.ndarray, k_first: int, t_first: flo
     t_first, and return the ratios t_{k+1}/t_k in the same shape.
 
     Each ratio is ((a1+k)(a2+k))(a3+k) / (((b1+k)(b2+k))(1+k)), formed in
-    place with two temporaries: one arange, whose two views are k and 1 + k,
-    and the numerator.  The denominator comes first, in ``rows``, with b2 + k
-    in the numerator's buffer, and a3 + k last, over k.  When a1 == a2, as in
-    every 3F2 of the closed forms, (a1+k)(a2+k) is the square of one sum;
-    otherwise a2 + k takes a third temporary.  The cumulative product
+    place with two temporaries, three when a1 != a2.  The cumulative product
     restarts at every row; each row is then scaled by the chained product of
     t_first and the last terms of the rows before it, which is the last term
     of the scaled row before it (one row from t_first = 1 is left as it is),
@@ -456,6 +401,8 @@ def _convergent_terms(p: Hyp3F2Params, tol: float):
         if np is None:
             ratios, chunk = _pure_terms(p, k0 - 1, _CHUNK, t_last)
             terms += chunk
+            # In order, as numpy's accumulate adds: not sum(), which is
+            # compensated from Python 3.12 on.
             ratios, sums, lasts = [ratios], [reduce(add, chunk)], [chunk[-1]]
             least, greatest = min, max
         else:
@@ -528,6 +475,15 @@ def _exact_sum(terms) -> float:
     return math.fsum(terms.tolist())
 
 
+def _clamped_tol(tol: float, floor: float) -> float:
+    """``tol`` raised to ``floor``; ValueError unless it is positive and finite."""
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
+    return max(tol, floor)
+
+
 # (p, tol, (value, diagnostics)) of hyp3f2_unit's last call that returned,
 # one tuple so that no key is read with another call's result.  One entry:
 # a miss costs no hashing, and a table, which starts at its first row's
@@ -540,26 +496,18 @@ def hyp3f2_unit(
 ) -> tuple[float, SeriesDiagnostics]:
     """Evaluate 3F2(a1, a2, a3; b1, b2; 1) by direct summation.
 
-    A series that does not truncate takes its terms from
-    ``_convergent_terms``, the one routine that sums every such 3F2 here:
-    chunks of ``_CHUNK`` terms, each a
-    cumulative product of the term ratios, stopped after the first chunk
-    whose power-law tail bound falls below ``tol`` times the running sum,
-    which adds each chunk in order and then the chunk sums in order.  A
-    truncating series is one cumulative product over all its ratios in
-    plain floats, from ``_pure_terms`` whether numpy is loaded or not.  The
-    value is the correctly rounded sum of all terms: ``math.fsum`` of a
-    truncating series, and ``_exact_sum`` of a convergent one (bit for bit
-    ``math.fsum``, which it falls back to when its error bracket cannot
-    decide the rounding).
+    A convergent series is summed as ``_convergent_terms`` says; a
+    truncating one is one plain-float product of its ratios, whether numpy
+    is loaded or not.  The value is the correctly rounded sum of the
+    computed terms, bit for bit ``math.fsum``.  The closed forms reach a
+    truncating 3F2, which is then 1, where delta = gamma_kappa - gamma - 1
+    rounds to zero: at some charges below about 2.7e-6 (planar) and 5.7e-6
+    (spatial).
 
     A call with the ``Hyp3F2Params`` and clamped ``tol`` of the last call
     that returned gets that call's (value, diagnostics) back, the same
-    tuple, and sums nothing: the sum is a function of (p, tol) alone.  Any
-    other call sums and becomes the one remembered; a call that raises
-    leaves it as it was.  The repeats read back are a planar table row's
-    centre and a crosscheck's alpha_1 after its R_{-3/2}; another call
-    between the two costs time, not bits.
+    tuple, and sums nothing: the sum is a function of (p, tol) alone.  A
+    call that raises leaves the memo as it was.
 
     Parameters
     ----------
@@ -583,11 +531,7 @@ def hyp3f2_unit(
         overflows: a term, the running sum of a chunk of ``_CHUNK`` terms,
         or the sum of a truncating series leaves the finite doubles.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol!r}")
-    tol = max(tol, TOL_FLOOR)
+    tol = _clamped_tol(tol, TOL_FLOOR)
     global _last_sum
     last = _last_sum
     # Type first: a plain tuple, or a subclass, never replays nor is replayed.
@@ -616,7 +560,6 @@ def hyp3f2_unit(
     else:
         terms, k0, tail = _convergent_terms(p, tol)
         value = _exact_sum(terms)
-        # tuple.__new__ skips the NamedTuple's Python-level __new__.
         result = value, tuple.__new__(SeriesDiagnostics, (k0, tail / max(abs(value), _TINY)))
     _last_sum = (p, tol, result)
     return result

@@ -1,41 +1,10 @@
-"""Validation oracle for the closed-form polarizability: radial
-Dirac-Coulomb Sturmian functions at the planar ground-state energy and the
-explicit symmetric series for the dipole channel integrals.  This module
-imports the closed form, never the other way round: no closed-form module
-names it, and of the commands only ``crosscheck`` loads it.  The series has
-two entry points:
+"""The Sturmian-series oracle of the closed-form polarizability, on plain
+floats: the dipole channel series (``r_channel_series``,
+``polarizability_sturmian``) and their first-order radial integrals, closed
+and by Gauss-Laguerre quadrature (``channel_first_order_integrals``).
 
-- ``r_channel_series`` sums the Sturmian expansion of one dipole channel term
-  by term from the closed first-order radial integrals, and
-  ``polarizability_sturmian`` takes the planar alpha_1 = (R_{1/2} +
-  R_{-3/2}) / 2 from the two channel series;
-- ``channel_first_order_integrals`` gives those closed integrals of every
-  |n_r| <= n_max of one channel together with the same integrals re-derived
-  by Gauss-Laguerre quadrature of their defining integrands.
-
-Both build the channel once (``_channel``, after the dipole check): the
-exponents and the log-gammas that do not depend on |n_r|.  Two kernels
-evaluate what depends on |n_r| alone once for both signs of n_r:
-``_index_integrals`` the closed first-order integrals with their apparent
-eigenvalues mu, and ``_doublets`` the Sturmian doublet (S, T) that the
-quadrature integrates, from the envelope and Laguerre polynomials that
-``_sturmian_parts`` evaluates once on the channel's nodes.  The series stops
-on a plain running sum and returns one ``math.fsum`` of its terms.  Two
-caches outlive a call: a table of log n! (at most 100,001 entries) and the
-last 2 channels (``_channel``), each with the closed integrals of the
-indices evaluated on it so far (``_Channel.rows``).  A crosscheck sums each
-channel series twice and takes |n_r| <= 3 a third time; the later passes
-read the rows, so they return the bits of the first.  Errors are not cached.
-
-The quadrature side runs on plain floats: ``roots_genlaguerre`` builds a
-rule of any size by Newton iteration on the Laguerre recurrence, and
-``laguerre_rule`` divides its weights by the weight function, so that a
-quadrature (``gauss_laguerre_integral``) is one product with the integrand's
-values and one ``math.fsum``.  The integrals of |n_r| <= n_max take an
-n_max + 1 node rule, exact for the degree-|n_r| remainder of every index;
-``channel_first_order_integrals`` builds it, its nodes, the ground-state
-doublet (P, Q) on them (``_radial_pq``) and the Sturmian parts once per call
-and hands the rule to each quadrature.  Nothing here imports numpy.
+Loaded only by the ``crosscheck`` command and by callers that import it.
+It imports the closed form, which never imports it, and never numpy.
 """
 
 from __future__ import annotations
@@ -46,7 +15,7 @@ from typing import NamedTuple
 
 from .atom import _KAPPA_HALF, AtomSpec, ChannelIndex, _check_dipole, gamma_half, gamma_kappa
 from .polarizability import _KAPPA_M32, NONREL_SCALED_PLANAR, PolarizabilityResult, _over_z4
-from .specfun import _TINY, ConvergenceError, SeriesDiagnostics, log_gamma
+from .specfun import _TINY, ConvergenceError, SeriesDiagnostics, _clamped_tol, log_gamma
 
 # Accuracy floor of the series oracle; requests below it are clamped.
 SERIES_TOL_FLOOR = 1e-12
@@ -100,7 +69,10 @@ class _Channel(NamedTuple):
     rows: dict[int, tuple[tuple[float, float, float], ...]]  # by |n_r|
 
 
-@lru_cache(maxsize=2)  # the two dipole channels of one charge
+# The two dipole channels of one charge.  A crosscheck sums each channel
+# series twice and reads |n_r| <= 3 a third time: the later passes read the
+# rows of the first, so they return its bits.
+@lru_cache(maxsize=2)
 def _channel(ch: ChannelIndex, spec: AtomSpec) -> _Channel:
     _check_dipole(ch.kappa)
     _over_z4(NONREL_SCALED_PLANAR, spec)  # refuse as the closed form does, before overflow
@@ -220,15 +192,10 @@ def _sturmian_parts(c: _Channel, x, n_max: int) -> tuple:
 
 def _doublets(c: _Channel, n: int, envelope, laguerres) -> list[tuple]:
     """Sturmian doublets (S, T) of n_r = n and, for n > 0, of n_r = -n, from
-    the envelope and Laguerre values of _sturmian_parts(c, x, m), m >= n.
-
-    Both components share the envelope (4Zr)**gamma_kappa * exp(-2Zr),
-    scaled by the norm of the index, and a two-term Laguerre bracket in
-    L_{n-1} and L_n; for n_r = 0 the bracket collapses to its L_0 term
-    since L_{-1} is identically zero.  Both signs share the Laguerre
-    polynomials and the log-gammas of |n_r|; only N, and with it the norm
-    and the bracket, differ between them.
-    """
+    the envelope and Laguerre values of _sturmian_parts(c, x, m), m >= n:
+    the envelope scaled by the norm of the index times a two-term bracket
+    in L_{n-1} and L_n, which is its L_0 term for n_r = 0.  Only N, and with
+    it the norm and the bracket, differs between the two signs."""
     kappa, gk = c.kappa, c.gk
     n2gk = n + 2.0 * gk
     # log of (1 +- 2g) n! (n + 2 gk) / (4 Z N (N - kappa) Gamma(n + 2 gk))
@@ -343,9 +310,7 @@ def gauss_laguerre_integral(func, rule, scale: float) -> float:
     another count raises ValueError); they are multiplied by the rule's
     pre-scaled weights, so integrands may be evaluated in their natural
     (exponentially small) form, and zeros and signs pass through unchanged.
-    The rule is exact, up to rounding, when the smooth remainder is a
-    polynomial of degree <= 2m - 1 (31 for the default 16 nodes).  scale
-    must be finite and positive.
+    scale must be finite and positive.
     """
     if not 0.0 < scale < math.inf:
         raise ValueError(f"scale must be finite and positive, got {scale!r}")
@@ -371,11 +336,9 @@ def channel_first_order_integrals(
     for n_r = -n_max, ..., n_max, in that order.
 
     Each pair holds the integrals of r (P S + Q T) and of r (mu P S + Q T)
-    in atomic units.  The quadrature weight carries the exact power
-    (4Zr)**(gamma_{1/2} + gamma_kappa + 1), so the remaining factor is a
-    polynomial of degree |n_r| and the rule is exact up to rounding.  The
-    channel's constants, rule, nodes, ground-state doublet and Sturmian
-    parts are computed once per call, and each |n_r| once for both signs.
+    in atomic units.  The channel's constants, rule, nodes, ground-state
+    doublet and Sturmian parts are computed once per call, and each |n_r|
+    once for both signs.
     """
     c = _channel(ch, spec)
     if n_max < 0:
@@ -429,12 +392,8 @@ def r_channel_series(
 
     Returns the channel integral in atomic units together with diagnostics.
     """
-    c = _channel(ch, spec)
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol!r}")
-    tol = max(tol, SERIES_TOL_FLOOR)
+    c = _channel(ch, spec)  # refuses the charge before tol is checked
+    tol = _clamped_tol(tol, SERIES_TOL_FLOOR)
 
     terms = [_series_term(*_index_integrals(c, 0)[0])]
     running = terms[0]

@@ -1,18 +1,10 @@
-"""Batch evaluation of scaled planar polarizabilities over charge ranges,
-uncertainty propagation from the fine-structure constant, and deterministic
-CSV/JSON emission.
+"""The reference table: rows of scaled planar polarizabilities over a range
+of charges, their uncertainty propagated from that of alpha_inv, their
+display with two uncertain digits, CSV and JSON, and the program's split
+of the rows with a forked child.
 
-The rows are independent of each other: ``generate_table`` computes them in
-order in the calling process, and the command-line program computes every
-other row in one forked child (``_split_table``).  The split has one
-fallback: on any failure it reruns ``generate_table``, so a failing table
-costs up to one extra serial table and no exception crosses the pipe.
-
-Displayed values follow the reference convention of showing exactly two
-uncertain digits: the decimal count of each row is the smallest for which
-the propagated one-standard-deviation uncertainty rounds to a two-digit
-integer in units of the last displayed digit.  Values and uncertainties are
-shown in fixed point, rounded half-even on the exact double.
+Loaded by the ``table`` command and on first access to its names in
+``diracpol``; it imports the closed form, never the oracle ``sturmian``.
 """
 
 from __future__ import annotations
@@ -90,10 +82,8 @@ def _scaled_at(z: float, alpha_inv: float) -> float:
 
 
 def _check_step(Z: float, consts: ConstantSet, h: float) -> None:
-    """Refuse a propagation step h that takes alpha_inv to zero or below,
-    that a finite alpha_inv rounds away on either side (the difference would
-    read zero), or that takes Z to the critical charge, naming
-    alpha_inv_sigma and the step rather than the shifted constant."""
+    """Refuse the step h as ``propagate_uncertainty`` says; a finite
+    alpha_inv that rounds h away would read a zero difference."""
     shifted = consts.alpha_inv - h
     resolved = shifted < consts.alpha_inv < consts.alpha_inv + h or consts.alpha_inv == math.inf
     if shifted > 0.0 and resolved and Z < critical_charge("planar", shifted):
@@ -141,8 +131,6 @@ def propagate_uncertainty(Z: float, consts: ConstantSet = ConstantSet()) -> floa
     upper = _scaled_at(Z, consts.alpha_inv + h)
     lower = _scaled_at(Z, consts.alpha_inv - h)
     difference = upper - lower
-    # Differences at the rounding floor of the 15-digit values are rounding
-    # noise: a first one resolves no uncertainty, a second one no curvature.
     floor = 16.0 * math.ulp(abs(center))
     if abs(difference) <= floor:
         return 0.0

@@ -1,4 +1,6 @@
-"""Reference forms that only check the closed form and the oracle.
+"""Reference forms that only check the closed form and the oracle.  numpy
+is imported by the three helpers that use it, so that loading this module
+needs none.
 
 - ``radial_PQ``, the planar ground-state radial doublet as numpy arrays; the
   oracle's plain-float ``sturmian._radial_pq`` is held to it;
@@ -16,8 +18,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from diracpol.atom import AtomSpec, ChannelIndex, _check_dipole, gamma_half, gamma_kappa
 from diracpol.polarizability import _over_z4
 from diracpol.specfun import TOL_FLOOR, Hyp3F2Params, hyp3f2_unit, log_gamma
@@ -30,6 +30,8 @@ def radial_PQ(spec: AtomSpec, r):
     component Q carries the prefactor sqrt(1 - 2*gamma) with the positive
     sign convention, so Q/P is a positive constant.
     """
+    import numpy as np
+
     if spec.dimension != "planar":
         raise ValueError("radial_PQ describes planar ground states")
     rs = np.asarray(r, dtype=float)
@@ -129,6 +131,8 @@ def axial_spinor(ch: ChannelIndex, m: float, phi):
     """
     if not _valid_projection(ch, m):
         raise ValueError(f"m must equal +-kappa, got m={m} for kappa={ch.kappa}")
+    import numpy as np
+
     phis = np.asarray(phi, dtype=float)
     norm = 1.0 / math.sqrt(2.0 * math.pi)
     upper = np.zeros(phis.shape, dtype=complex)
@@ -167,6 +171,8 @@ def first_order_shift(coefficients=(1.0, 0.0)) -> float:
     a, b = coefficients
     if not math.isclose(abs(a) ** 2 + abs(b) ** 2, 1.0, rel_tol=0.0, abs_tol=1e-12):
         raise ValueError("mixing coefficients must satisfy |a|^2 + |b|^2 = 1")
+    import numpy as np
+
     upper = ChannelIndex(-0.5)
     lower = ChannelIndex(0.5)
     matrix = np.empty((2, 2))

@@ -71,9 +71,9 @@ class TestChannelIndex:
     def test_dimension_compatibility(self):
         planar = AtomSpec(1.0, "planar")
         spatial = AtomSpec(1.0, "spatial")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^planar channels need half-odd-integer kappa, got 1\.0$"):
             gamma_kappa(planar, ChannelIndex(1.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^spatial channels need integer kappa, got 0\.5$"):
             gamma_kappa(spatial, ChannelIndex(0.5))
 
 

@@ -20,7 +20,7 @@ from diracpol.atom import (
 )
 from diracpol import sturmian
 from diracpol.cli import run
-from diracpol.specfun import ConvergenceError, log_gamma
+from diracpol.specfun import ConvergenceError, Hyp3F2Params, hyp3f2_unit, log_gamma
 from diracpol.sturmian import (
     _caps,
     _channel,
@@ -578,6 +578,32 @@ class TestSmallestCharge:
     def test_first_order_integrals_share_the_closed_form_check(self, ch):
         with pytest.raises(ValueError, match=self.MESSAGE):
             channel_first_order_integrals(ch, AtomSpec(1e-100, "planar"), 1)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_series_refuses_the_charge_before_the_tolerance(self, tol):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            r_channel_series(CHANNELS[0], AtomSpec(1e-100, "planar"), tol)
+
+
+@pytest.mark.parametrize(
+    "tol, message",
+    [
+        (0.0, "tol must be positive, got 0.0"),
+        (-1e-12, "tol must be positive, got -1e-12"),
+        (math.nan, "tol must be positive, got nan"),
+        (math.inf, "tol must be finite, got inf"),
+    ],
+)
+def test_series_and_3f2_refuse_a_tolerance_alike(tol, message):
+    spec = AtomSpec(26.0, "planar")
+    for call in (
+        lambda: hyp3f2_unit(Hyp3F2Params(0.5, 0.5, 0.5, 2.0, 2.0), tol),
+        lambda: r_channel_series(CHANNELS[0], spec, tol),
+        lambda: polarizability_sturmian(spec, tol),
+    ):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message
 
 
 def _pinned_charges() -> list[float]:
