@@ -9,16 +9,20 @@ Loaded by ``import diracpol``; of the package it imports only ``specfun``.
 from __future__ import annotations
 
 import math
-from typing import Literal, NamedTuple
+from collections import namedtuple
 
 from .specfun import _validated_make
+
+# For type checkers only: importing typing would cost every command.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Literal
+    Dimension = Literal["planar", "spatial"]
 
 # Inverse fine-structure constant (CODATA 2014) and its one-standard-deviation
 # uncertainty; the reference tables are pinned to this constant set.
 ALPHA_INV_CODATA2014 = 137.035999139
 ALPHA_INV_SIGMA_CODATA2014 = 3.1e-8
-
-Dimension = Literal["planar", "spatial"]
 
 
 class SupercriticalError(ValueError):
@@ -37,13 +41,7 @@ def critical_charge(dimension: Dimension, alpha_inv: float = ALPHA_INV_CODATA201
     raise ValueError(f"unknown dimension {dimension!r}")
 
 
-class _AtomSpecFields(NamedTuple):
-    Z: float
-    dimension: Dimension
-    alpha_inv: float
-
-
-class AtomSpec(_AtomSpecFields):
+class AtomSpec(namedtuple("AtomSpec", "Z dimension alpha_inv")):
     """One hydrogen-like ion: nuclear charge, dimensionality, constant set.
 
     Z is a positive real (non-integer values support limit studies); it must
@@ -80,11 +78,7 @@ class AtomSpec(_AtomSpecFields):
         return self.Z / self.alpha_inv
 
 
-class _ChannelIndexFields(NamedTuple):
-    kappa: float
-
-
-class ChannelIndex(_ChannelIndexFields):
+class ChannelIndex(namedtuple("ChannelIndex", "kappa")):
     """Relativistic angular quantum number kappa selecting a radial channel.
 
     Planar channels carry half-odd-integers (+-1/2, +-3/2, ...), spatial
@@ -102,10 +96,6 @@ class ChannelIndex(_ChannelIndexFields):
         return tuple.__new__(cls, (kappa,))
 
     _make = classmethod(_validated_make)
-
-    @property
-    def is_half_integer(self) -> bool:
-        return self.kappa != round(self.kappa)
 
 
 def _check_dipole(kappa: float) -> None:

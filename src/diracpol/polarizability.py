@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Literal, NamedTuple
+from collections import namedtuple
 
-from .atom import (
-    _KAPPA_HALF, AtomSpec, ChannelIndex, Dimension, _check_dipole, gamma_half, gamma_kappa,
-)
+from .atom import _KAPPA_HALF, AtomSpec, ChannelIndex, _check_dipole, gamma_half, gamma_kappa
 from .specfun import Hyp3F2Params, SeriesDiagnostics, hyp3f2_unit, log_gamma
 
-Method = Literal["closed_form", "sturmian_series"]
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # as in atom
+    from typing import Literal
+
+    from .atom import Dimension
+    Method = Literal["closed_form", "sturmian_series"]
 
 # Nonrelativistic scaled limits Z**4 * alpha_1: 21/128 (planar), 9/2 (spatial).
 NONREL_SCALED_PLANAR = 21.0 / 128.0
@@ -29,14 +32,14 @@ _KAPPA_1 = ChannelIndex(1)
 _KAPPA_2 = ChannelIndex(2)
 
 
-class PolarizabilityResult(NamedTuple):
+class PolarizabilityResult(
+    namedtuple("PolarizabilityResult", "value_a0_cubed scaled_Z4 method diagnostics", defaults=(None,))
+):
     """Ground-state dipole polarizability with its Z**4-scaled companion;
-    ``diagnostics`` reports the underlying series behaviour."""
+    ``method`` is a ``Method`` and ``diagnostics`` a ``SeriesDiagnostics``
+    of the underlying series, or None."""
 
-    value_a0_cubed: float
-    scaled_Z4: float
-    method: Method
-    diagnostics: SeriesDiagnostics | None = None
+    __slots__ = ()
 
 
 def _over_z4(value: float, spec: AtomSpec, factor: float = 1.0) -> float:
@@ -137,7 +140,7 @@ def polarizability_planar(spec: AtomSpec) -> PolarizabilityResult:
     gk = gamma_kappa(spec, _KAPPA_M32)
     bracket, diag = _reduced_bracket(g, gk, 3.0, 4.0 * (g - 1.0) ** 2, (g + 1.0) * (4.0 * g + 3.0))
     scaled = ((g + 1.0) ** 2 * (2.0 * g + 1.0) * (4.0 * g + 3.0) / 128.0) * bracket
-    # tuple.__new__ skips the NamedTuple's Python-level __new__.
+    # tuple.__new__ skips the namedtuple's Python-level __new__.
     return tuple.__new__(
         PolarizabilityResult, (_over_z4(scaled, spec), scaled, "closed_form", diag)
     )

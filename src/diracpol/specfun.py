@@ -2,20 +2,20 @@
 ``hyp3f2_unit``, with the records and the error they use.
 
 Loaded by ``import diracpol`` and by every other module of the package; it
-imports the standard library only.  numpy, when the caller has loaded it,
-sums the convergent 3F2 series faster with the same bits; it is never
-imported here.
+imports the standard library only.  A process that has loaded numpy sums the
+convergent 3F2 series with ``_numpy_producer`` instead, to the same bits.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 import sys
+from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import repeat
 from operator import add
 from types import ModuleType
-from typing import NamedTuple
 
 # Relative tolerance floor for series evaluation; requests below it are
 # clamped since plain doubles cannot certify tighter results.
@@ -25,11 +25,13 @@ TOL_FLOOR = 1e-16
 MAX_TERMS = 200_000
 
 _CHUNK = 512
-# Chunks starting at or below MAX_TERMS: the most a series sums.
-_MAX_CHUNKS = (MAX_TERMS - 1) // _CHUNK + 1
 
 # Smallest positive normal double; a floor for relative-error scales.
 _TINY = sys.float_info.min
+
+# The numpy producer of the convergent series, imported by the first series
+# that a process which has loaded numpy sums.
+_PRODUCER = f"{__package__}._numpy_producer"
 
 
 def _loaded_numpy():
@@ -42,16 +44,16 @@ class ConvergenceError(ArithmeticError):
     """A series failed to reach the requested tolerance within the term cap."""
 
 
-# A record that validates its fields is a NamedTuple of the fields and a
-# subclass whose __new__ checks them, then builds the tuple with
-# tuple.__new__, one Python call fewer than the fields class's __new__.
+# A record subclasses a collections.namedtuple with __slots__ = ().  One that
+# validates its fields checks them in __new__, then builds the tuple with
+# tuple.__new__, one Python call fewer than the namedtuple's __new__.
 def _validated_make(cls, iterable):
     """``_make`` of a record that validates in ``__new__``: ``_replace``
     builds through ``_make``, which would otherwise skip the checks."""
     return cls(*iterable)
 
 
-class SeriesDiagnostics(NamedTuple):
+class SeriesDiagnostics(namedtuple("SeriesDiagnostics", "terms_used tail_estimate")):
     """Bookkeeping attached to every infinite-series evaluation.
 
     Attributes
@@ -65,19 +67,10 @@ class SeriesDiagnostics(NamedTuple):
     returning diagnostics.
     """
 
-    terms_used: int
-    tail_estimate: float
+    __slots__ = ()
 
 
-class _Hyp3F2Fields(NamedTuple):
-    a1: float
-    a2: float
-    a3: float
-    b1: float
-    b2: float
-
-
-class Hyp3F2Params(_Hyp3F2Fields):
+class Hyp3F2Params(namedtuple("Hyp3F2Params", "a1 a2 a3 b1 b2")):
     """Parameter set (a1, a2, a3; b1, b2) of a 3F2 series at unit argument.
 
     Denominator parameters must not be zero or a negative integer (poles of
@@ -268,41 +261,6 @@ def log_gamma(x: float) -> float:
     )
 
 
-def _term_rows(np, p: Hyp3F2Params, rows: np.ndarray, k_first: int, t_first: float) -> np.ndarray:
-    """Fill the C-contiguous 2-D array ``rows`` with the terms t_{k_first+1},
-    t_{k_first+2}, ... of the unit-argument series p, given t_{k_first} =
-    t_first, and return the ratios t_{k+1}/t_k in the same shape.
-
-    Each ratio is ((a1+k)(a2+k))(a3+k) / (((b1+k)(b2+k))(1+k)), formed in
-    place with two temporaries, three when a1 != a2.  The cumulative product
-    restarts at every row; each row is then scaled by the chained product of
-    t_first and the last terms of the rows before it, which is the last term
-    of the scaled row before it (one row from t_first = 1 is left as it is),
-    so a row holds the bits that computing the rows one at a time gives.
-    ``np`` is the loaded numpy module that ``_loaded_numpy`` returns.
-    """
-    flat = rows.reshape(-1)  # a view, the denominator until the terms land
-    ks = np.arange(k_first, k_first + flat.size + 1, dtype=float)
-    k = ks[:-1]
-    num = np.add(k, p.b2)
-    np.add(k, p.b1, out=flat)
-    flat *= num
-    flat *= ks[1:]  # 1 + k; the last use of that view
-    np.add(k, p.a1, out=num)
-    if p.a1 == p.a2:
-        num *= num
-    else:
-        num *= k + p.a2
-    num *= np.add(k, p.a3, out=k)
-    del ks, k  # freed before the scaling below, whose product takes a temporary
-    ratios = np.divide(num, flat, out=num).reshape(rows.shape)
-    np.multiply.accumulate(ratios, axis=1, out=rows)  # np.cumprod, less call overhead
-    if len(rows) > 1 or t_first != 1.0:
-        lasts = np.concatenate(([t_first], rows[:-1, -1]))
-        rows *= np.multiply.accumulate(lasts)[:, None]
-    return ratios
-
-
 def _overflow(k_first: int, k_last: int) -> ConvergenceError:
     return ConvergenceError(f"3F2 series overflows in its terms t_{k_first} to t_{k_last}")
 
@@ -312,19 +270,19 @@ def _pure_terms(
 ) -> tuple[list[float], list[float]]:
     """The ratios t_{k+1}/t_k for k = k_first, ..., k_first + n - 1 and the
     terms t_{k_first+1}, ..., t_{k_first+n} of the series p, given
-    t_{k_first} = t_first, as plain floats: the bits ``_term_rows`` puts in
-    one row, from the same operations in the same order.  A denominator that
-    underflows to zero raises the overflow error of these n terms: numpy's
-    quotient there is +-inf or nan, and so is every later term.
+    t_{k_first} = t_first, as plain floats: the bits the numpy producer puts
+    in one row, from the same operations in the same order.  A denominator
+    that underflows to zero raises the overflow error of these n terms:
+    numpy's quotient there is +-inf or nan, and so is every later term.
 
     Three things spare interpreter work and change no bit.  k is a float
     counter, and 1 + k, the denominator's last factor, is the next k: both
     are exact below 2**53, far above ``MAX_TERMS``.  When a1 == a2, as in
     every 3F2 of the closed forms, (a1+k)(a2+k) is one sum squared, the
-    product ``_term_rows`` forms.  The cumulative product and the scaling
-    by t_first are one pass: the running product t starts at 1.0, so its
-    first value is the first ratio itself, and each term is t * t_first,
-    exactly t when t_first is 1.0."""
+    product the numpy producer forms.  The cumulative product and the
+    scaling by t_first are one pass: the running product t starts at 1.0,
+    so its first value is the first ratio itself, and each term is
+    t * t_first, exactly t when t_first is 1.0."""
     a1, a2, a3, b1, b2 = p
     k = float(k_first)
     try:
@@ -344,28 +302,9 @@ def _pure_terms(
     return ratios, [(t := t * r) * t_first for r in ratios]
 
 
-def _predicted_chunks(p: Hyp3F2Params, balance: float, tol: float) -> int:
-    """Chunks of ``_CHUNK`` terms after which the tail bound of the series
-    is predicted to fall below ``tol`` times its sum; a hint only, 1 on any
-    domain or arithmetic error.
-
-    Terms decay like C k**-(s+1), s the balance and C = Gamma(b1) Gamma(b2)
-    / (Gamma(a1) Gamma(a2) Gamma(a3)), so the bound |t_K| K / (s - 1) <= tol
-    holds from K = (C / (tol (s - 1)))**(1/s) on.
-    """
-    denom = balance - 1.0 if balance > 1.0 else balance
-    lg = math.lgamma
-    try:
-        log_c = lg(p.b1) + lg(p.b2) - lg(p.a1) - lg(p.a2) - lg(p.a3)
-        log_k = (log_c - math.log(tol * denom)) / balance
-        return max(1, math.ceil((math.exp(min(log_k, math.log(MAX_TERMS))) - 1.0) / _CHUNK))
-    except (ValueError, ArithmeticError):
-        return 1
-
-
-def _convergent_terms(p: Hyp3F2Params, tol: float):
-    """The terms t_0 = 1, ..., t_{k0-1} of the convergent unit-argument
-    series p, with k0 and the tail bound.
+def _convergent_sum(p: Hyp3F2Params, tol: float) -> tuple[float, int, float]:
+    """The correctly rounded sum of the terms t_0 = 1, ..., t_{k0-1} of the
+    convergent unit-argument series p, with k0 and the tail bound.
 
     The terms come in chunks of ``_CHUNK``.  The series stops after the
     first chunk whose last term t_{k0-1} is zero, or whose power-law tail
@@ -377,14 +316,12 @@ def _convergent_terms(p: Hyp3F2Params, tol: float):
     chunk that leaves it infinite or nan raises ``ConvergenceError``.
 
     Unless the caller has loaded numpy, the chunks come one at a time from
-    ``_pure_terms``, into a list that always holds the k0 terms returned.
-    With numpy loaded they come from ``_term_rows``, one pass per array,
-    which the pass fills: the first holds the chunks ``_predicted_chunks``
-    gives, and each later pass doubles the array, copies the terms so far
-    and fills the new half, all clamped to ``_MAX_CHUNKS``.  The chunks
-    past the stopping one are dropped, so the prediction changes the time,
-    never the result.  Both producers give the same terms, k0 and tail
-    bound.
+    ``_pure_terms``, into a list that always holds the k0 terms, summed by
+    ``math.fsum``.  With numpy loaded they come several to an array from
+    the passes of ``_numpy_producer``, which sums the first k0 by its
+    ``_exact_sum``; the chunks past the stopping one are dropped, so the
+    pass size changes the time, never the result.  Both producers give the
+    same terms, sum, k0 and tail bound.
     """
     balance = p.balance()
     if balance <= 0.0:
@@ -394,9 +331,11 @@ def _convergent_terms(p: Hyp3F2Params, tol: float):
     denom = balance - 1.0 if balance > 1.0 else balance
     k_min = max(0.0, -p.a1, -p.a2, -p.a3, -p.b1, -p.b2) + 2
     np = _loaded_numpy()
+    if np is not None:
+        # A dict lookup: an import statement here would slow every call.
+        producer = sys.modules.get(_PRODUCER) or importlib.import_module(_PRODUCER)
     # approx is the running sum; k0 = 1 + _CHUNK * (chunks summed).
     terms, approx, t_last, k0 = [1.0], 1.0, 1.0, 1
-    chunks = 0  # the chunks the numpy array holds
     while k0 <= MAX_TERMS:
         if np is None:
             ratios, chunk = _pure_terms(p, k0 - 1, _CHUNK, t_last)
@@ -406,13 +345,7 @@ def _convergent_terms(p: Hyp3F2Params, tol: float):
             ratios, sums, lasts = [ratios], [reduce(add, chunk)], [chunk[-1]]
             least, greatest = min, max
         else:
-            chunks = min(2 * chunks or _predicted_chunks(p, balance, tol), _MAX_CHUNKS)
-            grown = np.empty(1 + chunks * _CHUNK)
-            grown[:k0] = terms
-            terms, rows = grown, grown[k0:].reshape(-1, _CHUNK)
-            ratios = _term_rows(np, p, rows, k0 - 1, t_last)
-            sums = np.add.accumulate(rows, axis=1)[:, -1].tolist()
-            lasts = rows[:, -1].tolist()
+            terms, ratios, sums, lasts = producer._next_pass(np, p, balance, tol, terms, k0, t_last)
             least, greatest = np.minimum.reduce, np.maximum.reduce
         for j, (chunk_sum, t_last) in enumerate(zip(sums, lasts)):
             approx += chunk_sum
@@ -426,53 +359,12 @@ def _convergent_terms(p: Hyp3F2Params, tol: float):
                 and least(ratios[j]) > 0.0
                 and greatest(ratios[j]) < 1.0
             ):
-                return (terms if np is None else terms[:k0]), k0, tail
+                if np is None:
+                    return math.fsum(terms), k0, tail
+                return producer._exact_sum(terms[:k0]), k0, tail
     raise ConvergenceError(
         f"3F2 series did not reach tol={tol:g} within {MAX_TERMS} terms"
     )
-
-
-def _exact_sum(terms) -> float:
-    """The correctly rounded sum of ``terms``, equal to
-    ``math.fsum(terms.tolist())`` bit for bit; a list (the pure-Python
-    producer's terms) goes to ``math.fsum`` itself.
-
-    One error-free extraction (ExtractVector of Rump, Ogita and Oishi,
-    "Accurate floating-point summation part I", SIAM J. Sci. Comput. 31,
-    2008): with max|p| < 2**e and 2**m > n + 2, sigma = 2**(e + m) splits
-    each term p into q = (p + sigma) - sigma, on a grid coarse enough that
-    the q add up exactly in any order, and the exact remainder r = p - q.
-    max|p| is the larger of max p and -min p, and q, then -r = q - p, are
-    formed in one buffer, whose sum negated is that of the r bit for bit.
-    Summed in any order, the r err by at most delta = n**2 * 2**-104 * sigma.
-    When both ends of that interval, added to the q sum, round to the same
-    double, that double is the correctly rounded sum.  Otherwise (a near
-    tie), and for a non-finite term or a sigma or delta outside the normal
-    doubles, the terms go to math.fsum.  A zero sum always does, with the
-    sign of zero that fsum gives: the ends differ, and a sum of two doubles
-    rounds to zero only when it is exactly zero, so they cannot both.
-    """
-    if isinstance(terms, list):
-        return math.fsum(terms)
-    n = terms.size
-    # The ufunc reductions that the ndarray methods call through Python.
-    np = _loaded_numpy()  # loaded: terms is an array
-    mu = float(max(np.maximum.reduce(terms), -np.minimum.reduce(terms))) if n else 0.0
-    if 0.0 < mu < math.inf:
-        e = math.frexp(mu)[1]  # mu < 2**e
-        m = (n + 2).bit_length()  # 2**m > n + 2
-        if e + m <= 1023 and e + m - 104 >= -1022:
-            sigma = math.ldexp(1.0, e + m)
-            buf = terms + sigma
-            buf -= sigma  # q
-            tau = float(np.add.reduce(buf))
-            buf -= terms  # -r, exactly: negating commutes with every rounding
-            rho = -float(np.add.reduce(buf))
-            delta = math.ldexp(n * n, e + m - 104)
-            lo = tau + math.nextafter(rho - delta, -math.inf)
-            if lo == tau + math.nextafter(rho + delta, math.inf):
-                return lo
-    return math.fsum(terms.tolist())
 
 
 def _clamped_tol(tol: float, floor: float) -> float:
@@ -496,7 +388,7 @@ def hyp3f2_unit(
 ) -> tuple[float, SeriesDiagnostics]:
     """Evaluate 3F2(a1, a2, a3; b1, b2; 1) by direct summation.
 
-    A convergent series is summed as ``_convergent_terms`` says; a
+    A convergent series is summed as ``_convergent_sum`` says; a
     truncating one is one plain-float product of its ratios, whether numpy
     is loaded or not.  The value is the correctly rounded sum of the
     computed terms, bit for bit ``math.fsum``.  The closed forms reach a
@@ -558,8 +450,7 @@ def hyp3f2_unit(
             raise _overflow(0, n_trunc) from None
         result = value, tuple.__new__(SeriesDiagnostics, (n_trunc + 1, 0.0))
     else:
-        terms, k0, tail = _convergent_terms(p, tol)
-        value = _exact_sum(terms)
+        value, k0, tail = _convergent_sum(p, tol)
         result = value, tuple.__new__(SeriesDiagnostics, (k0, tail / max(abs(value), _TINY)))
     _last_sum = (p, tol, result)
     return result

@@ -10,8 +10,8 @@ It imports the closed form, which never imports it, and never numpy.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .atom import _KAPPA_HALF, AtomSpec, ChannelIndex, _check_dipole, gamma_half, gamma_kappa
 from .polarizability import _KAPPA_M32, NONREL_SCALED_PLANAR, PolarizabilityResult, _over_z4
@@ -30,12 +30,11 @@ _NEWTON_RTOL = 1e-10
 _NEWTON_STEPS = 100
 
 
-class RadialIntegralPair(NamedTuple):
+class RadialIntegralPair(namedtuple("RadialIntegralPair", "plain mu_weighted")):
     """First-order radial integrals of one Sturmian index: the plain overlap
     and its apparent-eigenvalue-weighted companion (atomic units)."""
 
-    plain: float
-    mu_weighted: float
+    __slots__ = ()
 
 
 def _caps(n: int, gk: float, kappa: float) -> tuple[float, ...]:
@@ -54,19 +53,14 @@ def _mu(n: int, gk: float, nn: float, g: float) -> float:
     return (n + gk + nn) / (g + 0.5)
 
 
-class _Channel(NamedTuple):
+class _Channel(namedtuple("_Channel", "kappa z g gk d log_front log_gamma_2g1 log_gamma_d1 rows")):
     """The |n_r|-independent constants of one dipole channel at one spec, and
-    the rows of ``_index_integrals`` evaluated on it so far."""
+    the rows of ``_index_integrals`` evaluated on it so far, a dict by |n_r|.
+    ``log_front`` is log Gamma(gk + g + 2) - log(8 Z**2), ``log_gamma_2g1``
+    log Gamma(2g + 1), and ``log_gamma_d1`` log Gamma(d - 1), None unless
+    d - 1 > 0."""
 
-    kappa: float
-    z: float
-    g: float
-    gk: float
-    d: float
-    log_front: float  # log Gamma(gk + g + 2) - log(8 Z**2)
-    log_gamma_2g1: float  # log Gamma(2g + 1)
-    log_gamma_d1: float | None  # log Gamma(d - 1), only when d - 1 > 0
-    rows: dict[int, tuple[tuple[float, float, float], ...]]  # by |n_r|
+    __slots__ = ()
 
 
 # The two dipole channels of one charge.  A crosscheck sums each channel

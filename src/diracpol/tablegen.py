@@ -12,7 +12,7 @@ from __future__ import annotations
 import marshal
 import math
 import os
-from typing import NamedTuple
+from collections import namedtuple
 
 from .atom import (
     ALPHA_INV_CODATA2014, ALPHA_INV_SIGMA_CODATA2014, AtomSpec, SupercriticalError, critical_charge,
@@ -31,12 +31,7 @@ class PropagationError(ArithmeticError):
     """Curvature check of the uncertainty propagation step failed."""
 
 
-class _ConstantSetFields(NamedTuple):
-    alpha_inv: float
-    alpha_inv_sigma: float
-
-
-class ConstantSet(_ConstantSetFields):
+class ConstantSet(namedtuple("ConstantSet", "alpha_inv alpha_inv_sigma")):
     """Inverse fine-structure constant and its one-standard-deviation
     uncertainty (defaults: CODATA 2014)."""
 
@@ -60,7 +55,7 @@ class ConstantSet(_ConstantSetFields):
     _make = classmethod(_validated_make)
 
 
-class TableRow(NamedTuple):
+class TableRow(namedtuple("TableRow", "Z scaled_Z4 sigma_last_two digits display sigma_abs value_a0_cubed")):
     """One table row: charge, scaled polarizability, display metadata.
 
     ``sigma_last_two`` is the parenthesized uncertainty expressed in units
@@ -68,13 +63,7 @@ class TableRow(NamedTuple):
     places shown in ``display``.
     """
 
-    Z: int
-    scaled_Z4: float
-    sigma_last_two: int
-    digits: int
-    display: str
-    sigma_abs: float
-    value_a0_cubed: float
+    __slots__ = ()
 
 
 def _scaled_at(z: float, alpha_inv: float) -> float:

@@ -7,6 +7,7 @@ import importlib
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,40 @@ PROCESS_GLOBAL_STATE = frozenset({
     "sturmian._channel",
     "sturmian._log_factorial",
 })
+
+
+# The five commands, run in process with their output discarded: part of a
+# script for a fresh interpreter.
+RUN_COMMANDS = textwrap.dedent(
+    """
+    import contextlib, io
+    import diracpol.cli
+
+    for argv in (
+        ["planar", "--Z", "26"],
+        ["spatial", "--Z", "92"],
+        ["table", "--format", "csv"],
+        ["crosscheck", "--Z", "26"],
+        ["limits"],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert diracpol.cli.run(argv) == 0, argv
+    """
+)
+
+
+def _fresh_stdout(script: str, *flags: str) -> list[str]:
+    """The lines that ``script`` prints in a fresh interpreter run with
+    ``flags``, importing diracpol from src/."""
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
 
 def _referenced_names(path: Path) -> set[str]:
@@ -169,7 +204,8 @@ class TestSurface:
     def test_only_specfun_knows_how_a_3f2_is_summed(self):
         # The closed form asks specfun for a 3F2 and its log-gammas; the
         # chunks, their two producers and the rule between them, their
-        # prediction, the stop rule and the exact sum stay inside it.
+        # prediction, the stop rule and the exact sum stay inside it and the
+        # numpy producer's module, which is part of the same layer.
         tree = ast.parse((SRC / "diracpol" / "polarizability.py").read_text())
         imported = [
             alias.name
@@ -182,15 +218,17 @@ class TestSurface:
             assert not hasattr(diracpol.specfun, name), name
         internals = {
             "_CHUNK",
-            "_convergent_terms",
+            "_convergent_sum",
             "_exact_sum",
             "_loaded_numpy",
+            "_MAX_CHUNKS",
+            "_next_pass",
             "_predicted_chunks",
             "_pure_terms",
             "_term_rows",
         }
         for path in sorted((SRC / "diracpol").glob("*.py")):
-            if path.name != "specfun.py":
+            if path.name not in ("specfun.py", "_numpy_producer.py"):
                 assert _referenced_names(path).isdisjoint(internals), path.name
 
     def test_no_module_imports_numpy_when_it_loads(self):
@@ -270,16 +308,38 @@ class TestSurface:
             "print('numpy' in sys.modules); "
             "print(repr(diracpol.polarizability_planar(diracpol.AtomSpec(26)).value_a0_cubed))"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
         value = diracpol.polarizability_planar(AtomSpec(26)).value_a0_cubed
-        assert proc.stdout.splitlines() == ["False", repr(value)]
+        assert _fresh_stdout(script) == ["False", repr(value)]
+
+    def test_commands_without_numpy_leave_its_producer_unloaded(self):
+        # numpy blocked: import diracpol and the five commands neither load
+        # the numpy producer's module nor find its code in specfun.
+        tree = ast.parse((SRC / "diracpol" / "_numpy_producer.py").read_text())
+        producer_names = {
+            target.id if isinstance(node, ast.Assign) else node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.Assign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node])
+        }
+        assert {"_exact_sum", "_next_pass", "_term_rows"} <= producer_names
+        script = (
+            'import sys\nsys.modules["numpy"] = None\nimport diracpol\n'
+            + RUN_COMMANDS
+            + "from diracpol import specfun\n"
+            + 'print("diracpol._numpy_producer" in sys.modules)\n'
+            + f"print(sorted(set(vars(specfun)) & {producer_names!r}))\n"
+        )
+        assert _fresh_stdout(script) == ["False", "[]"]
+
+    def test_commands_import_no_typing(self):
+        # Without site, which on some hosts loads typing first: the program's
+        # imports and its five commands add no typing module.
+        script = (
+            'import sys\nbefore = "typing" in sys.modules\n'
+            + RUN_COMMANDS
+            + 'print(before, sorted(m for m in sys.modules if m.split(".")[0] == "typing"))\n'
+        )
+        assert _fresh_stdout(script, "-S") == ["False []"]
 
     def test_import_loads_neither_oracle_nor_table_layer(self):
         script = (
@@ -287,15 +347,7 @@ class TestSurface:
             "print(' '.join(m for m in ('diracpol.sturmian', 'diracpol.tablegen') "
             "if m in sys.modules))"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == []
+        assert _fresh_stdout(script) == [""]
 
 
 DIAG = SeriesDiagnostics(513, 1.5e-17)

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
-from diracpol import polarizability, specfun
+from diracpol import _numpy_producer, polarizability, specfun
 from diracpol.atom import ALPHA_INV_CODATA2014, AtomSpec, critical_charge
 from diracpol.specfun import (
     MAX_TERMS,
@@ -29,10 +29,10 @@ from diracpol.specfun import (
     ConvergenceError,
     Hyp3F2Params,
     SeriesDiagnostics,
-    _exact_sum,
     hyp3f2_unit,
     log_gamma,
 )
+from diracpol._numpy_producer import _exact_sum
 from diracpol.sturmian import _laguerre_table, laguerre_rule
 from tests.reference import gamma_ratio, hyp3f2_contiguous_rhs
 
@@ -538,7 +538,7 @@ def _force_pure_producer(monkeypatch):
 
     _forget_last_sum(monkeypatch)
     monkeypatch.setitem(sys.modules, "numpy", None)
-    monkeypatch.setattr(specfun, "_term_rows", numpy_used)
+    monkeypatch.setattr(_numpy_producer, "_term_rows", numpy_used)
 
 
 class TestBatchedChunks:
@@ -549,7 +549,7 @@ class TestBatchedChunks:
     # producer, which computes one chunk at a time in plain floats and
     # predicts nothing, must give them too.
     @pytest.fixture(
-        params=[None, 1, 16, specfun._MAX_CHUNKS, "pure"],
+        params=[None, 1, 16, _numpy_producer._MAX_CHUNKS, "pure"],
         ids=lambda n: "pure-python" if n == "pure" else f"predict-{n}",
     )
     def prediction(self, request, monkeypatch):
@@ -557,7 +557,7 @@ class TestBatchedChunks:
         if request.param == "pure":
             _force_pure_producer(monkeypatch)
         elif request.param is not None:
-            monkeypatch.setattr(specfun, "_predicted_chunks", lambda *args, n=request.param: n)
+            monkeypatch.setattr(_numpy_producer, "_predicted_chunks", lambda *args, n=request.param: n)
         return request.param
 
     def test_closed_form_parameters(self, prediction, closed_form_parameter_sets):
@@ -603,7 +603,7 @@ class TestBatchedChunks:
             raise AssertionError("the numpy producer was used")
 
         _forget_last_sum(monkeypatch)
-        monkeypatch.setattr(specfun, "_term_rows", numpy_used)
+        monkeypatch.setattr(_numpy_producer, "_term_rows", numpy_used)
         assert specfun._loaded_numpy() is np
         closed = getattr(polarizability, f"polarizability_{dim}")
         assert closed(AtomSpec(1e-6, dim)).diagnostics == SeriesDiagnostics(1, 0.0)
@@ -641,8 +641,9 @@ class TestBatchedChunks:
             _force_pure_producer(monkeypatch)
             spied = "_pure_terms"
         passes = []
-        produce = getattr(specfun, spied)
-        monkeypatch.setattr(specfun, spied, lambda *args: passes.append(args) or produce(*args))
+        module = _numpy_producer if spied == "_term_rows" else specfun
+        produce = getattr(module, spied)
+        monkeypatch.setattr(module, spied, lambda *args: passes.append(args) or produce(*args))
         p = Hyp3F2Params(a1, 0.7, 0.8, 1e-200, 1e-200)
         message = rf"^3F2 series overflows in its terms t_1 to t_{last}$"
         with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match=message):
@@ -721,7 +722,7 @@ class TestBatchedChunks:
     def test_prediction_is_exact_or_one_over_on_channel_parameters(self, closed_form_parameter_sets):
         for p in closed_form_parameter_sets:
             chunks = (hyp3f2_unit(p)[1].terms_used - 1) // 512
-            assert chunks <= specfun._predicted_chunks(p, p.balance(), TOL_FLOOR) <= chunks + 1, p
+            assert chunks <= _numpy_producer._predicted_chunks(p, p.balance(), TOL_FLOOR) <= chunks + 1, p
 
     def test_row_sums_equal_plain_float_in_order_sums(self, monkeypatch, closed_form_parameter_sets):
         # The stop test's running sum adds each chunk in order: numpy along
@@ -776,14 +777,14 @@ class TestBatchedChunks:
         # longest series of the scan anchors are summed in one pass: the
         # planar one of 19 chunks, the spatial one of 31 in a pass of 32.
         passes = []
-        term_rows = specfun._term_rows
+        term_rows = _numpy_producer._term_rows
 
         def counted(np_, p, rows, *args):
             passes.append(len(rows))
             return term_rows(np_, p, rows, *args)
 
         _forget_last_sum(monkeypatch)
-        monkeypatch.setattr(specfun, "_term_rows", counted)
+        monkeypatch.setattr(_numpy_producer, "_term_rows", counted)
         closed = getattr(polarizability, f"polarizability_{dim}")
         result = closed(AtomSpec(math.nextafter(critical_charge(dim), 0.0), dim))
         assert result.diagnostics.terms_used == terms
@@ -874,16 +875,16 @@ class TestLastSumMemo:
 
     @pytest.fixture
     def sums(self, monkeypatch):
-        """The parameter sets _convergent_terms sums, from an empty memo."""
+        """The parameter sets _convergent_sum sums, from an empty memo."""
         summed = []
-        convergent_terms = specfun._convergent_terms
+        convergent_sum = specfun._convergent_sum
 
         def counted(p, tol):
             summed.append(p)
-            return convergent_terms(p, tol)
+            return convergent_sum(p, tol)
 
         _forget_last_sum(monkeypatch)
-        monkeypatch.setattr(specfun, "_convergent_terms", counted)
+        monkeypatch.setattr(specfun, "_convergent_sum", counted)
         return summed
 
     def test_a_table_sums_each_central_3f2_once(self, monkeypatch, sums):
